@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .curvature import CurvatureMatrix
@@ -44,35 +44,40 @@ _PHASES = (GaussianRational(1), GaussianRational(0, 1),
            GaussianRational(-1), GaussianRational(0, -1))
 
 
-def _perm_parity(perm: Sequence[int]) -> int:
-    inv = sum(1 for a, b in combinations(range(len(perm)), 2) if perm[a] > perm[b])
-    return -1 if inv & 1 else 1
-
-
 def form_matrix_det(entries: Sequence[Sequence[Form]], n: int, mode: str) -> Form:
-    """Leibniz determinant of a square matrix of even-degree forms."""
+    """Leibniz determinant of a square matrix of even-degree forms.
+
+    Permutations are walked depth-first in ``itertools.permutations`` order,
+    row by row, so each prefix product 1 ^ e[0][p0] ^ ... ^ e[d][pd] is
+    wedged once and only the current path is held.  A zero entry or a zero
+    prefix prunes every permutation below it.  Terms are summed in
+    permutation order, each negated when the permutation is odd.
+    """
     k = len(entries)
-    total = Form.constant(n, 1, mode)
     if k == 0:
-        return total
+        return Form.constant(n, 1, mode)
     total = Form.zero(n, mode)
-    for perm in permutations(range(k)):
-        prod = Form.constant(n, 1, mode)
-        ok = True
-        for row in range(k):
-            f = entries[row][perm[row]]
+    free = list(range(k))
+
+    def walk(row: int, prod: Form, odd: int):
+        nonlocal total
+        for pos, col in enumerate(free):
+            f = entries[row][col]
             if f.is_zero():
-                ok = False
-                break
-            prod = prod.wedge(f)
-            if prod.is_zero():
-                ok = False
-                break
-        if not ok:
-            continue
-        if _perm_parity(perm) < 0:
-            prod = -prod
-        total = total + prod
+                continue
+            nxt = prod.wedge(f)
+            if nxt.is_zero():
+                continue
+            # columns still free left of col each form one inversion with it
+            parity = odd ^ (pos & 1)
+            if row + 1 == k:
+                total = total + (-nxt if parity else nxt)
+                continue
+            del free[pos]
+            walk(row + 1, nxt, parity)
+            free.insert(pos, col)
+
+    walk(0, Form.constant(n, 1, mode), 0)
     return total
 
 
@@ -84,6 +89,14 @@ class ChernFormSet:
     witness; the nonnegativity engines demand it.  ``mode`` is the scalar
     mode; in exact mode each stored form is (sqrt(-1))^i * (minor sum) and
     the symbolic residual prefactor is (2*pi)^(-i) (see module docstring).
+
+    ``memo`` holds wedge products of these forms, computed once and reused
+    by every polynomial evaluated on the set: ``power`` stores c_j^e under
+    ``("power", j, e)``, and ``schur.evaluate_on_forms`` stores the running
+    product of a term, coeff * c_{j1}^{e1} ^ ... ^ c_{jt}^{et}, under
+    ``(coeff, (j1, e1), ..., (jt, et))``.  Each entry is the form the
+    uncached computation would build, bit for bit.  The memo lives and dies
+    with the set, and equality, hashing and repr ignore it.
     """
 
     n: int
@@ -91,6 +104,8 @@ class ChernFormSet:
     forms: tuple[Form, ...]
     mode: str
     witnessed: bool
+    memo: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
+                                   repr=False)
 
     @property
     def top_degree(self) -> int:
@@ -101,6 +116,14 @@ class ChernFormSet:
         if i < 0 or i > self.top_degree:
             return Form.zero(self.n, self.mode)
         return self.forms[i]
+
+    def power(self, j: int, e: int) -> Form:
+        """c_j^e = 1 ^ c_j ^ ... ^ c_j (e factors), computed once per set."""
+        key = ("power", j, e)
+        f = self.memo.get(key)
+        if f is None:
+            f = self.memo[key] = self.form(j).wedge_power(e)
+        return f
 
     def residual_prefactor_power(self, i: int) -> int:
         """The stored c_i must be multiplied by (2*pi)**(-power) to be the

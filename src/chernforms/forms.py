@@ -8,9 +8,18 @@ space: a form is a finite sum of monomials
 with strictly increasing 1-based index lists.  A monomial is keyed by a pair
 of bitmasks ``(h, a)`` -- bit ``i-1`` of ``h`` set iff dz^i occurs, bit
 ``i-1`` of ``a`` set iff dzbar^i occurs -- so wedge products reduce to mask
-disjointness tests plus an O(popcount) inversion-count sign.  Coefficients
-live in one scalar mode (see ``scalars``): exact Gaussian rationals or float
+disjointness tests plus a sign.  The sign comes from sorting
+dz^{h1} dzbar^{a1} dz^{h2} dzbar^{a2} into canonical order: dzbar^{a1} hops
+over dz^{h2} (|a1| |h2| transpositions), then each family is merge-sorted
+(one transposition per inversion between the two masks).  ``Form.wedge``
+reads these parities from tables built once per call.  Coefficients live in
+one scalar mode (see ``scalars``): exact Gaussian rationals or float
 complex.  Forms are immutable.
+
+The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
+contract: it fixes the key order of every result and the order of every
+float sum, and with them the bits of every report.  Reports are
+byte-identical for a given seed only while that order stays.
 
 Evaluation pairs a homogeneous (p,p)-form with a p-tuple of tangent vectors
 X = (X_1, ..., X_p):
@@ -88,13 +97,6 @@ def _inversions(x: int, y: int) -> int:
         count += (x >> low.bit_length()).bit_count()
         y ^= low
     return count
-
-
-def _wedge_sign(h1: int, a1: int, h2: int, a2: int) -> int:
-    """Sign from sorting dz^{h1} dzbar^{a1} dz^{h2} dzbar^{a2} into canonical
-    order: dzbar^{a1} hops over dz^{h2}, then each family is merge-sorted."""
-    parity = a1.bit_count() * h2.bit_count() + _inversions(h1, h2) + _inversions(a1, a2)
-    return -1 if parity & 1 else 1
 
 
 class Form:
@@ -239,19 +241,44 @@ class Form:
         return Form._raw(self.n, self.mode, {k: c0 * c for k, c in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
+        """self ^ other.
+
+        Pairs of monomials are visited outer over ``self.terms``, inner over
+        ``other.terms``, each in dict order.  Each product is negated when
+        its sign is odd and added to its key, and a key whose sum is exactly
+        zero is dropped (a later product re-inserts it at the end).  This
+        order is part of the contract (see the module docstring).
+
+        The sign parities come from tables built once per call over the
+        distinct masks of the operands: for each distinct (dz mask, parity
+        of |dzbar mask|) of ``self``, ``rows`` lists the terms of ``other``
+        whose dz mask is disjoint from it, in order, with the dz part of the
+        parity; ``dzbar_sign`` holds the dzbar part.
+        """
         self._check_compatible(other, "wedge")
+        dz2 = {h for h, _ in other.terms}
+        dzbar2 = {a for _, a in other.terms}
+        dzbar_sign = {a1: {a2: _inversions(a1, a2) & 1 for a2 in dzbar2 if not a1 & a2}
+                      for a1 in {a for _, a in self.terms}}
+        rows = {}
+        for h1, odd in {(h, a.bit_count() & 1) for h, a in self.terms}:
+            sign = {h2: (_inversions(h1, h2) + odd * h2.bit_count()) & 1
+                    for h2 in dz2 if not h1 & h2}
+            rows[h1, odd] = [(h1 | h2, a2, c2, sign[h2])
+                             for (h2, a2), c2 in other.terms.items() if h2 in sign]
         out: dict = {}
         for (h1, a1), c1 in self.terms.items():
-            for (h2, a2), c2 in other.terms.items():
-                if (h1 & h2) or (a1 & a2):
+            a_sign = dzbar_sign[a1]
+            for h, a2, c2, h_sign in rows[h1, a1.bit_count() & 1]:
+                if a1 & a2:
                     continue
                 c = c1 * c2
-                if _wedge_sign(h1, a1, h2, a2) < 0:
+                if h_sign ^ a_sign[a2]:
                     c = -c
-                key = (h1 | h2, a1 | a2)
+                key = (h, a1 | a2)
                 acc = out.get(key)
                 total = c if acc is None else acc + c
-                if is_zero(total):
+                if not total:
                     out.pop(key, None)
                 else:
                     out[key] = total

@@ -331,28 +331,26 @@ def evaluate_on_forms(poly: ChernPolynomial, cs: ChernFormSet) -> Form:
     with (2*pi)^(-i) left symbolic.
     """
     n, mode = cs.n, cs.mode
+    memo = cs.memo
     result = Form.zero(n, mode)
-    cache: dict[tuple[int, int], Form] = {}
-
-    def power(j: int, e: int) -> Form:
-        key = (j, e)
-        f = cache.get(key)
-        if f is None:
-            f = cs.form(j).wedge_power(e)
-            cache[key] = f
-        return f
-
     for exps, coeff in poly.terms.items():
         if ChernPolynomial._degree_of(exps) > n:
             continue
-        term = Form.constant(n, coeff, mode)
+        key = (coeff,)
+        term = memo.get(key)
+        if term is None:
+            term = memo[key] = Form.constant(n, coeff, mode)
         for j, e in enumerate(exps, start=1):
             if e == 0:
                 continue
             if j > cs.r:
                 term = Form.zero(n, mode)
                 break
-            term = term.wedge(power(j, e))
+            key += ((j, e),)
+            nxt = memo.get(key)
+            if nxt is None:
+                nxt = memo[key] = term.wedge(cs.power(j, e))
+            term = nxt
             if term.is_zero():
                 break
         result = result + term
@@ -570,7 +568,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
         n = cs.n
         t_cn = top_coefficient(num.form(n), tol)
         t_lam = top_coefficient(chern_product(num, lam), tol)
-        t_c1n = top_coefficient(num.form(1).wedge_power(n), tol)
+        t_c1n = top_coefficient(num.power(1, n), tol)
         scale = max(1.0, abs(t_cn), abs(t_lam), abs(t_c1n))
         ordered = (t_cn >= -tol * scale
                    and t_lam >= t_cn - tol * scale

@@ -68,6 +68,18 @@ def integer_tensor_pair(n: int, r: int, m: int, seed: int, span: int = 2):
     return FactorMatrix(tuple(rows)), tensor
 
 
+def schur_and_chain_polynomials(n: int, r: int) -> list:
+    """Every Schur polynomial of degree 1..n and every chain-step polynomial
+    of weight n over rank r: the polynomials one instance evaluates."""
+    from chernforms import partitions, schur_polynomial
+    from chernforms.schur import chain_step_polynomials
+
+    polys = [schur_polynomial(lam, r) for i in range(1, n + 1) for lam in partitions(i, r)]
+    for lam in partitions(n, r):
+        polys += [poly for _, poly in chain_step_polynomials(lam, r)]
+    return polys
+
+
 @pytest.fixture
 def diag2():
     """Diagonal r = 2 witnessed curvature used by several frozen checks."""

@@ -35,7 +35,7 @@ from chernforms import (
 from chernforms.errors import InputError
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
-from conftest import diagonal_factor
+from conftest import diagonal_factor, schur_and_chain_polynomials
 
 
 def leibniz_det(rows):
@@ -291,6 +291,53 @@ class TestEvaluateOnForms:
         f = evaluate_on_forms(schur_polynomial((1, 1), 2), cs)
         assert f.is_zero() or f.bidegree() == (2, 2)
         assert f.mode == EXACT
+
+
+class TestChernFormSetMemo:
+    @staticmethod
+    def _omega(seed=2):
+        return bott_chern_curvature(factor_from_tensor(random_tensor(4, 3, 2, seed=seed)))
+
+    def test_equality_hash_and_repr_ignore_memo(self):
+        filled, fresh = chern_forms(self._omega()), chern_forms(self._omega())
+        evaluate_on_forms(schur_polynomial((2, 1), 3), filled)
+        assert filled.memo and not fresh.memo
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert "memo" not in repr(filled)
+
+    def test_evaluation_order_does_not_change_bits(self):
+        polys = schur_and_chain_polynomials(4, 3)
+        forward, backward = chern_forms(self._omega()), chern_forms(self._omega())
+        got_fwd = [repr(list(evaluate_on_forms(p, forward).terms.items())) for p in polys]
+        got_bwd = [repr(list(evaluate_on_forms(p, backward).terms.items()))
+                   for p in reversed(polys)][::-1]
+        got_fresh = [repr(list(evaluate_on_forms(p, chern_forms(self._omega())).terms.items()))
+                     for p in polys]
+        assert got_fwd == got_bwd == got_fresh
+
+    def test_power_matches_wedge_power(self):
+        cs = chern_forms(self._omega())
+        for j in range(cs.top_degree + 2):
+            for e in range(4):
+                want = cs.form(j).wedge_power(e)
+                assert repr(list(cs.power(j, e).terms.items())) == \
+                    repr(list(want.terms.items()))
+        assert cs.power(1, 3) is cs.power(1, 3)
+
+    def test_float_to_numeric_shares_the_memo(self):
+        cs = chern_forms(self._omega())
+        assert cs.to_numeric() is cs
+        for lam in partitions(4, 3):
+            bounds_chain_check(cs, lam, trials=5, seed=0)
+        assert ("power", 1, 4) in cs.memo
+
+    def test_exact_to_numeric_starts_empty(self):
+        cs = chern_forms(bott_chern_curvature(random_exact_factor(2, 2, 2, seed=3)))
+        evaluate_on_forms(schur_polynomial((1, 1), 2), cs)
+        num = cs.to_numeric()
+        assert num is not cs and cs.memo and not num.memo
 
 
 # ----------------------------------------------------------------------
