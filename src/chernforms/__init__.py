@@ -7,7 +7,7 @@ The package has three layers:
   factored curvature matrices and frame changes (``curvature``);
 * characteristic forms -- Chern forms of a curvature (``chern``), Schur
   polynomials and the sampled nonnegativity / inequality-chain engines
-  (``schur``);
+  (``schur``), over one exact sparse-polynomial class (``polynomials``);
 * closed-form models -- products of projective spaces and tori with exact
   Chern numbers, Todd classes, and Euler characteristics (``models``).
 
@@ -41,9 +41,9 @@ from .curvature import (
     random_unitary,
 )
 from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
+from .polynomials import Polynomial
 from .schur import (
     ChainReport,
-    ChernPolynomial,
     Partition,
     SchurReport,
     bounds_chain_check,
@@ -56,7 +56,6 @@ from .models import (
     CATALOG,
     ModelBoundsReport,
     ModelManifold,
-    RingElement,
     chern_number,
     complex_torus,
     euler_characteristic,

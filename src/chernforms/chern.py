@@ -32,7 +32,7 @@ import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .curvature import CurvatureMatrix
 from .errors import InputError
@@ -44,28 +44,31 @@ _PHASES = (GaussianRational(1), GaussianRational(0, 1),
            GaussianRational(-1), GaussianRational(0, -1))
 
 
-def form_matrix_det(entries: Sequence[Sequence[Form]], n: int, mode: str) -> Form:
-    """Leibniz determinant of a square matrix of even-degree forms.
+def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable):
+    """Leibniz determinant of a square matrix over a commutative ring.
 
+    Entries need ``is_zero()``, ``+`` and unary ``-``; ``mul`` multiplies
+    two ring elements (``Form.wedge`` for even-degree forms, which commute,
+    or ``operator.mul``); ``one`` and ``zero`` are the ring's 1 and 0.
     Permutations are walked depth-first in ``itertools.permutations`` order,
-    row by row, so each prefix product 1 ^ e[0][p0] ^ ... ^ e[d][pd] is
-    wedged once and only the current path is held.  A zero entry or a zero
-    prefix prunes every permutation below it.  Terms are summed in
-    permutation order, each negated when the permutation is odd.
+    row by row, so each prefix product mul(...mul(one, e[0][p0])..., e[d][pd])
+    is computed once and only the current path is held.  A zero entry or a
+    zero prefix prunes every permutation below it.  Terms are summed onto
+    ``zero`` in permutation order, each negated when the permutation is odd.
     """
     k = len(entries)
     if k == 0:
-        return Form.constant(n, 1, mode)
-    total = Form.zero(n, mode)
+        return one
+    total = zero
     free = list(range(k))
 
-    def walk(row: int, prod: Form, odd: int):
+    def walk(row: int, prod, odd: int):
         nonlocal total
         for pos, col in enumerate(free):
             f = entries[row][col]
             if f.is_zero():
                 continue
-            nxt = prod.wedge(f)
+            nxt = mul(prod, f)
             if nxt.is_zero():
                 continue
             # columns still free left of col each form one inversion with it
@@ -77,7 +80,7 @@ def form_matrix_det(entries: Sequence[Sequence[Form]], n: int, mode: str) -> For
             walk(row + 1, nxt, parity)
             free.insert(pos, col)
 
-    walk(0, Form.constant(n, 1, mode), 0)
+    walk(0, one, 0)
     return total
 
 
@@ -159,12 +162,13 @@ def chern_forms(omega: CurvatureMatrix, n: Optional[int] = None) -> ChernFormSet
     r = omega.r
     mode = omega.mode
     k = min(r, base_n)
-    out = [Form.constant(base_n, 1, mode)]
+    one, zero = Form.constant(base_n, 1, mode), Form.zero(base_n, mode)
+    out = [one]
     for i in range(1, k + 1):
-        minor_sum = Form.zero(base_n, mode)
+        minor_sum = zero
         for subset in combinations(range(r), i):
             sub = [[omega.entries[a][b] for b in subset] for a in subset]
-            minor_sum = minor_sum + form_matrix_det(sub, base_n, mode)
+            minor_sum = minor_sum + leibniz_det(sub, one, zero, Form.wedge)
         if mode == EXACT:
             c_i = minor_sum.scale(_PHASES[i % 4])
         else:

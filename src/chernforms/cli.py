@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chern import chern_forms, chern_product, top_coefficient
@@ -38,7 +38,8 @@ from .errors import ConsistencyError, InputError
 from .forms import DEFAULT_TOL, Form, evaluate
 from .models import chern_number, euler_characteristic, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
-from .scalars import EXACT, FLOAT, GaussianRational, to_float_scalar
+from .rng import derive_seed
+from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, to_float_scalar
 from .schur import Partition, bounds_chain_check, instance_digest, partitions, \
     schur_polynomial, verify_schur_nonnegativity
 
@@ -71,19 +72,7 @@ def _load_json(path: str):
 def _parse_vector(obj, n: int, mode: str, where: str):
     if not isinstance(obj, list) or len(obj) != n:
         raise InputError(f"{where}: expected a list of {n} components")
-    comps = []
-    for pos, cell in enumerate(obj):
-        if not isinstance(cell, dict):
-            raise InputError(f"{where}[{pos}]: expected an object with re/im")
-        re, im = cell.get("re", 0), cell.get("im", 0)
-        if isinstance(re, bool) or isinstance(im, bool) or \
-                not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise InputError(f"{where}[{pos}].re/.im: expected numbers")
-        if mode == EXACT:
-            comps.append(GaussianRational(Fraction(str(re)), Fraction(str(im))))
-        else:
-            comps.append(complex(re, im))
-    return comps
+    return [parse_scalar(cell, mode, f"{where}[{pos}]") for pos, cell in enumerate(obj)]
 
 
 def _parse_m_range(text: str) -> list[int]:
@@ -247,7 +236,7 @@ def _handle_bounds_chain(args, cfg: RunConfig):
     all_pass = True
     for idx, lam in enumerate(partitions(degree, tensor.r)):
         rep = bounds_chain_check(cs, lam, trials=cfg.trials,
-                                 seed=cfg.seed + idx, tol=cfg.tol)
+                                 seed=derive_seed(cfg.seed, 13, idx), tol=cfg.tol)
         reports.append(rep)
         all_pass = all_pass and rep.passed
     inst = tensor.to_json()
@@ -354,7 +343,10 @@ def _add_instance_args(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="factor columns for --random (default: drawn)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and building it costs about twenty parses."""
     parser = argparse.ArgumentParser(
         prog="chernforms",
         description="Chern forms, Schur-form nonnegativity, Chern-number bounds "

@@ -34,7 +34,7 @@ from . import _linalg
 from .errors import ConsistencyError, InputError
 from .forms import Form
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode
+from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, parse_scalar
 
 #: float-mode tolerance for "witness reproduces the stored entries"
 WITNESS_RTOL = 1e-12
@@ -227,14 +227,7 @@ class CurvatureTensor:
                 if not isinstance(row, list) or len(row) != m:
                     raise InputError(f"instance field T[{p}][{i}]: expected a list of length m={m}")
                 for k, cell in enumerate(row):
-                    where = f"T[{p}][{i}][{k}]"
-                    if not isinstance(cell, dict):
-                        raise InputError(f"instance field {where}: expected an object with re/im")
-                    re, im = cell.get("re", 0), cell.get("im", 0)
-                    if isinstance(re, bool) or isinstance(im, bool) or \
-                            not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                        raise InputError(f"instance field {where}.re/.im: expected numbers")
-                    arr[p, i, k] = complex(re, im)
+                    arr[p, i, k] = parse_scalar(cell, FLOAT, f"instance field T[{p}][{i}][{k}]")
         return cls(arr)
 
 

@@ -41,7 +41,6 @@ standard complex normal tuples from a seeded counter-based stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +56,7 @@ from .scalars import (
     coerce,
     is_zero,
     magnitude,
+    parse_scalar,
     to_float_scalar,
 )
 
@@ -374,14 +374,7 @@ class Form:
             dzbar = t.get("dzbar", [])
             if not isinstance(dz, list) or not isinstance(dzbar, list):
                 raise InputError(f"form literal {where}: 'dz' and 'dzbar' must be index lists")
-            re, im = t.get("re", 0), t.get("im", 0)
-            if isinstance(re, bool) or isinstance(im, bool) or \
-                    not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise InputError(f"form literal {where}: 're' and 'im' must be numbers")
-            if mode == EXACT:
-                coeff = GaussianRational(Fraction(str(re)), Fraction(str(im)))
-            else:
-                coeff = complex(re, im)
+            coeff = parse_scalar(t, mode, f"form literal {where}")
             try:
                 total = total + cls.monomial(n, dz, dzbar, coeff, mode)
             except InputError as exc:

@@ -29,130 +29,17 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ConsistencyError, InputError
-from .schur import ChernPolynomial, Partition, chern_variable, partitions
-
-# ----------------------------------------------------------------------
-# ring elements
+from .polynomials import Polynomial, weighted_degree
+from .schur import Partition, chern_variable, partitions
 
 
-class RingElement:
-    """Element of the truncated polynomial ring Q[x_1..x_s]/(x_j^{caps_j+1}).
-
-    ``caps`` are the nilpotency caps (k_j per projective factor); terms map
-    exponent tuples to Fractions.  Immutable by convention.
-    """
-
-    __slots__ = ("caps", "terms")
-
-    def __init__(self, caps: tuple[int, ...], terms: Optional[dict] = None):
-        self.caps = tuple(int(c) for c in caps)
-        clean: dict = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.caps):
-                    raise InputError("ring exponent tuple has the wrong length")
-                if any(e < 0 for e in exps):
-                    raise InputError("ring exponents must be nonnegative")
-                if any(e > c for e, c in zip(exps, self.caps)):
-                    continue  # beyond a nilpotency cap: the monomial is zero
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if not clean[exps]:
-                        del clean[exps]
-        self.terms = clean
-
-    def _check(self, other: "RingElement"):
-        if self.caps != other.caps:
-            raise InputError("ring elements belong to different models")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RingElement(self.caps, {(0,) * len(self.caps): other})
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RingElement(self.caps, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElement(self.caps, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RingElement(self.caps, {(0,) * len(self.caps): other})
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RingElement(self.caps, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > cap for e, cap in zip(key, self.caps)):
-                    continue
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return RingElement(self.caps, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("ring powers must be nonnegative integers")
-        out = RingElement(self.caps, {(0,) * len(self.caps): 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.caps == other.caps and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.caps, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_part(self, d: int) -> "RingElement":
-        return RingElement(self.caps,
-                           {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(exps):
-            factors = [f"x{j + 1}" + (f"^{e}" if e > 1 else "")
-                       for j, e in enumerate(exps) if e]
-            return "*".join(factors) if factors else "1"
-        pieces = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            m = mono(exps)
-            body = m if (abs(c) == 1 and m != "1") else (str(abs(c)) if m == "1" else f"{abs(c)}*{m}")
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return f"RingElement({self})"
+def degree_part(elem: Polynomial, d: int) -> Polynomial:
+    """The part of a model-ring element of degree d, where every generator
+    x_j has degree 1."""
+    return elem.select(lambda e: sum(e) == d)
 
 
 # ----------------------------------------------------------------------
@@ -206,45 +93,41 @@ class ModelManifold:
 
     # ------------------------------------------------------------------
 
-    def one(self) -> RingElement:
-        return RingElement(self.proj_dims, {(0,) * len(self.proj_dims): 1})
+    def one(self) -> Polynomial:
+        return Polynomial.one(len(self.proj_dims), self.proj_dims)
 
-    def zero(self) -> RingElement:
-        return RingElement(self.proj_dims, {})
+    def zero(self) -> Polynomial:
+        return Polynomial.zero(len(self.proj_dims), self.proj_dims)
 
-    def generator(self, j: int) -> RingElement:
+    def generator(self, j: int) -> Polynomial:
         """x_j (1-based), the hyperplane class of the j-th projective factor."""
-        caps = self.proj_dims
-        if not 1 <= j <= len(caps):
-            raise InputError(f"generator index {j} out of range 1..{len(caps)}")
-        exps = tuple(1 if a == j - 1 else 0 for a in range(len(caps)))
-        return RingElement(caps, {exps: 1})
+        return Polynomial.variable(j, len(self.proj_dims), self.proj_dims)
 
-    def total_tangent_chern(self) -> RingElement:
+    def total_tangent_chern(self) -> Polynomial:
         total = self.one()
         for j, k in enumerate(self.proj_dims, start=1):
             total = total * (self.one() + self.generator(j)) ** (k + 1)
         return total
 
-    def chern_class(self, i: int) -> RingElement:
+    def chern_class(self, i: int) -> Polynomial:
         """c_i of the tangent bundle; zero outside 0 <= i <= dim."""
         if i < 0 or i > self.dim:
             return self.zero()
-        return self.total_tangent_chern().degree_part(i)
+        return degree_part(self.total_tangent_chern(), i)
 
-    def dual_chern_class(self, i: int) -> RingElement:
+    def dual_chern_class(self, i: int) -> Polynomial:
         """c_i of the cotangent bundle: (-1)^i c_i(T)."""
         c = self.chern_class(i)
         return -c if i % 2 else c
 
-    def integral(self, elem: RingElement) -> Fraction:
+    def integral(self, elem: Polynomial) -> Fraction:
         """Fundamental-class functional: coefficient of prod x_j^{k_j}, and
         identically zero whenever a torus factor is present."""
         if elem.caps != self.proj_dims:
             raise InputError("ring element belongs to a different model")
         if self.torus_dim > 0:
             return Fraction(0)
-        return elem.terms.get(self.proj_dims, Fraction(0))
+        return Fraction(elem.terms.get(self.proj_dims, 0))
 
 
 def projective_space(k: int) -> ModelManifold:
@@ -292,7 +175,7 @@ def parse_model(expr: str) -> ModelManifold:
     return ModelManifold(tuple(factors))
 
 
-def line_class(model: ModelManifold, spec: str) -> RingElement:
+def line_class(model: ModelManifold, spec: str) -> Polynomial:
     """First Chern class of a named line bundle.
 
     "K" is the canonical bundle (c_1 = -c_1(T)); "O" is trivial;
@@ -441,7 +324,7 @@ def todd_series(deg: int) -> list[Fraction]:
 
 
 @functools.lru_cache(maxsize=None)
-def todd_polynomials(max_degree: int) -> tuple[ChernPolynomial, ...]:
+def todd_polynomials(max_degree: int) -> tuple[Polynomial, ...]:
     """Universal Todd polynomials td_0..td_max in c_1..c_{max_degree}.
 
     log of the product prod_i x_i/(1 - e^{-x_i}) is sum_k a_k p_k with a_k
@@ -453,38 +336,28 @@ def todd_polynomials(max_degree: int) -> tuple[ChernPolynomial, ...]:
     nv = max(deg, 1)
     a = _series_log(todd_series(deg))
     # power sums via Newton: p_k = sum_{i<k} (-1)^{i-1} c_i p_{k-i} + (-1)^{k-1} k c_k
-    p: list[ChernPolynomial] = [ChernPolynomial.zero(nv)]
+    p: list[Polynomial] = [Polynomial.zero(nv)]
     for k in range(1, deg + 1):
-        acc = ChernPolynomial.zero(nv)
+        acc = Polynomial.zero(nv)
         for i in range(1, k):
             term = chern_variable(i, nv) * p[k - i]
             acc = acc + (term if (i - 1) % 2 == 0 else -term)
         tail = k * chern_variable(k, nv)
         acc = acc + (tail if (k - 1) % 2 == 0 else -tail)
         p.append(acc)
-    log_td = ChernPolynomial.zero(nv)
+    log_td = Polynomial.zero(nv)
     for k in range(1, deg + 1):
         log_td = log_td + a[k] * p[k]
     # exp, truncated at graded degree deg
-    total = ChernPolynomial.one(nv)
-    power = ChernPolynomial.one(nv)
+    total = Polynomial.one(nv)
+    power = Polynomial.one(nv)
     for m in range(1, deg + 1):
-        power = _truncate(power * log_td, deg)
+        power = (power * log_td).select(lambda e: weighted_degree(e) <= deg)
         total = total + Fraction(1, math.factorial(m)) * power
-    return tuple(_graded_part(total, i) for i in range(deg + 1))
+    return tuple(total.select(lambda e, i=i: weighted_degree(e) == i) for i in range(deg + 1))
 
 
-def _truncate(poly: ChernPolynomial, deg: int) -> ChernPolynomial:
-    return ChernPolynomial(poly.nvars, {
-        e: c for e, c in poly.terms.items() if ChernPolynomial._degree_of(e) <= deg})
-
-
-def _graded_part(poly: ChernPolynomial, deg: int) -> ChernPolynomial:
-    return ChernPolynomial(poly.nvars, {
-        e: c for e, c in poly.terms.items() if ChernPolynomial._degree_of(e) == deg})
-
-
-def substitute_chern(poly: ChernPolynomial, model: ModelManifold) -> RingElement:
+def substitute_chern(poly: Polynomial, model: ModelManifold) -> Polynomial:
     """Evaluate a polynomial in c_1..c_r at the model's tangent Chern classes."""
     out = model.zero()
     for exps, coeff in poly.terms.items():
@@ -496,7 +369,7 @@ def substitute_chern(poly: ChernPolynomial, model: ModelManifold) -> RingElement
     return out
 
 
-def todd_class(model: ModelManifold) -> RingElement:
+def todd_class(model: ModelManifold) -> Polynomial:
     """Td(M) through degree dim, from the universal series."""
     n = model.dim
     total = model.zero()
@@ -505,7 +378,7 @@ def todd_class(model: ModelManifold) -> RingElement:
     return total
 
 
-def rr_polynomial(model: ModelManifold, line_c1: RingElement) -> tuple[Fraction, ...]:
+def rr_polynomial(model: ModelManifold, line_c1: Polynomial) -> tuple[Fraction, ...]:
     """Coefficients (a_0..a_n) of chi(M, L^m) = sum a_j m^j, where
     a_j = integral(Td(M) * c_1(L)^j) / j!."""
     n = model.dim
@@ -518,7 +391,7 @@ def rr_polynomial(model: ModelManifold, line_c1: RingElement) -> tuple[Fraction,
     return tuple(out)
 
 
-def euler_characteristic(model: ModelManifold, line_c1: RingElement, m: int) -> int:
+def euler_characteristic(model: ModelManifold, line_c1: Polynomial, m: int) -> int:
     """chi(M, L^m) by Riemann-Roch; rejects a non-integer outcome as a bug."""
     if not isinstance(m, int):
         raise InputError("the twisting power m must be an integer")

@@ -16,15 +16,17 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream keyed by (seed, path).
-
-    The seed is reduced to 64 bits; path components are reduced to 32 bits
-    (numpy spawn keys are uint32 words).
-    """
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    """The SeedSequence keyed by (seed, path).  The seed is reduced to 64
+    bits; path components are reduced to 32 bits (numpy spawn keys are
+    uint32 words)."""
     key = tuple(int(p) & _MASK32 for p in path)
-    ss = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.SeedSequence(int(seed) & _MASK64, spawn_key=key)
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Generator for the stream keyed by (seed, path)."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -37,7 +39,5 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def derive_seed(seed: int, *path: int) -> int:
     """A fresh 64-bit seed deterministically derived from (seed, path);
     feeds one check's stream without coupling it to its siblings."""
-    key = tuple(int(p) & _MASK32 for p in path)
-    ss = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=key)
-    state = ss.generate_state(2, np.uint32)
+    state = _seed_sequence(seed, path).generate_state(2, np.uint32)
     return (int(state[0]) << 32) | int(state[1])

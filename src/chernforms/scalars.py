@@ -19,6 +19,7 @@ by both coercions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -184,6 +185,31 @@ def coerce(value, mode: str):
             return complex(float(value))
         raise InputError(f"float mode cannot absorb {type(value).__name__} coefficients")
     raise InputError(f"unknown scalar mode {mode!r}")
+
+
+def parse_scalar(cell, mode: str, where: str):
+    """Parse a JSON scalar ``{"re": x, "im": y}`` (a missing part is 0) into
+    the stored representation for ``mode``.
+
+    Parts must be finite JSON numbers: ``json`` accepts NaN and Infinity,
+    which would poison a float verdict and cannot be exact.  In exact mode
+    each part is taken exactly from its decimal string.  ``where`` names the
+    field in error messages.
+    """
+    if not isinstance(cell, dict):
+        raise InputError(f"{where}: expected an object with re/im")
+    parts = []
+    for name in ("re", "im"):
+        value = cell.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{where}.{name}: expected a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{where}.{name}: expected a finite number, got {value}")
+        parts.append(value)
+    re, im = parts
+    if mode == EXACT:
+        return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+    return complex(re, im)
 
 
 def to_float_scalar(value) -> complex:

@@ -28,13 +28,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from fractions import Fraction
+import operator
 from typing import Iterator, Optional, Sequence, Union
 
-from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
+from .chern import ChernFormSet, chern_forms, chern_product, leibniz_det, top_coefficient
 from .curvature import CurvatureTensor, bott_chern_curvature, factor_from_tensor
 from .errors import InputError
 from .forms import DEFAULT_TOL, Form, VerdictReport, nonnegative_sampled
+from .polynomials import Polynomial, weighted_degree
 from .rng import derive_seed
 
 
@@ -104,189 +105,16 @@ def partitions(i: int, r: int) -> list[Partition]:
 # polynomials in the Chern variables
 
 
-class ChernPolynomial:
-    """Polynomial in c_1, ..., c_r with exact (int or Fraction) coefficients.
-
-    Terms map exponent tuples of length r to coefficients; the grading gives
-    c_j degree j.  Equality ignores trailing zero exponents, so polynomials
-    over different ranks compare by meaning.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[dict] = None):
-        if nvars < 0:
-            raise InputError("number of variables must be nonnegative")
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise InputError("exponent tuples must be nonnegative and of length nvars")
-                if isinstance(coeff, float):
-                    raise InputError("polynomial coefficients must be exact (int or Fraction)")
-                if coeff != 0:
-                    clean[exps] = clean.get(exps, 0) + coeff
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.nvars = nvars
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "ChernPolynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def one(cls, nvars: int) -> "ChernPolynomial":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def variable(cls, j: int, nvars: int) -> "ChernPolynomial":
-        """c_j, 1-based."""
-        if not 1 <= j <= nvars:
-            raise InputError(f"variable index {j} out of range 1..{nvars}")
-        exps = tuple(1 if k == j - 1 else 0 for k in range(nvars))
-        return cls(nvars, {exps: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @staticmethod
-    def _degree_of(exps: tuple[int, ...]) -> int:
-        return sum((j + 1) * e for j, e in enumerate(exps))
-
-    def degrees(self) -> set[int]:
-        return {self._degree_of(e) for e in self.terms}
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def _canonical(self) -> dict:
-        out = {}
-        for exps, coeff in self.terms.items():
-            end = len(exps)
-            while end and exps[end - 1] == 0:
-                end -= 1
-            out[exps[:end]] = coeff
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
-    def __hash__(self):
-        return hash(frozenset(self._canonical().items()))
-
-    def _align(self, other: "ChernPolynomial"):
-        n = max(self.nvars, other.nvars)
-
-        def pad(poly):
-            if poly.nvars == n:
-                return poly.terms
-            return {e + (0,) * (n - poly.nvars): c for e, c in poly.terms.items()}
-
-        return n, pad(self), pad(other)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ChernPolynomial(self.nvars, {(0,) * self.nvars: other})
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        n, a, b = self._align(other)
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return ChernPolynomial(n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ChernPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ChernPolynomial(self.nvars, {(0,) * self.nvars: other})
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ChernPolynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        n, a, b = self._align(other)
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return ChernPolynomial(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("polynomial powers must be nonnegative integers")
-        out = ChernPolynomial.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def restrict(self, r: int) -> "ChernPolynomial":
-        """Apply the convention c_d = 0 for d > r: drop every term using a
-        higher variable, keeping r variables."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            if any(e for e in exps[r:]):
-                continue
-            out[tuple(exps[:r]) + (0,) * max(0, r - len(exps))] = coeff
-        return ChernPolynomial(r, out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(exps):
-            factors = [f"c{j + 1}" + (f"^{e}" if e > 1 else "")
-                       for j, e in enumerate(exps) if e]
-            return "*".join(factors) if factors else "1"
-
-        keys = sorted(self.terms, key=lambda e: (self._degree_of(e), tuple(-x for x in e)))
-        pieces = []
-        for exps in keys:
-            coeff = self.terms[exps]
-            m = mono(exps)
-            mag = abs(coeff)
-            body = m if (mag == 1 and m != "1") else (str(mag) if m == "1" else f"{mag}*{m}")
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return f"ChernPolynomial({self})"
-
-
-def chern_variable(d: int, r: int) -> ChernPolynomial:
+def chern_variable(d: int, r: int) -> Polynomial:
     """c_d under the standing conventions: 1 for d = 0, 0 for d < 0 or d > r."""
     if d == 0:
-        return ChernPolynomial.one(r)
+        return Polynomial.one(r)
     if d < 0 or d > r:
-        return ChernPolynomial.zero(r)
-    return ChernPolynomial.variable(d, r)
+        return Polynomial.zero(r)
+    return Polynomial.variable(d, r)
 
 
-def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> ChernPolynomial:
+def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> Polynomial:
     """S_lambda = det(c_{lambda_j - j + k}) over rank r.
 
     Accepts padded or unpadded partitions (the determinant is invariant under
@@ -297,32 +125,12 @@ def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> ChernPolyn
         lam = Partition(tuple(lam))
     parts = lam.parts
     size = len(parts)
-    if size == 0:
-        return ChernPolynomial.one(r)
     entries = [[chern_variable(parts[j] - j + k, r) for k in range(size)]
                for j in range(size)]
-    total = ChernPolynomial.zero(r)
-    from itertools import permutations as _perms
-    for perm in _perms(range(size)):
-        prod = ChernPolynomial.one(r)
-        ok = True
-        inv = 0
-        for j in range(size):
-            e = entries[j][perm[j]]
-            if e.is_zero():
-                ok = False
-                break
-            prod = prod * e
-            for j2 in range(j + 1, size):
-                if perm[j] > perm[j2]:
-                    inv += 1
-        if not ok:
-            continue
-        total = total + (-prod if inv & 1 else prod)
-    return total
+    return leibniz_det(entries, Polynomial.one(r), Polynomial.zero(r), operator.mul)
 
 
-def evaluate_on_forms(poly: ChernPolynomial, cs: ChernFormSet) -> Form:
+def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> Form:
     """Substitute the Chern forms of ``cs`` into a polynomial.
 
     Terms of graded degree above n vanish and are skipped.  In exact mode the
@@ -334,7 +142,7 @@ def evaluate_on_forms(poly: ChernPolynomial, cs: ChernFormSet) -> Form:
     memo = cs.memo
     result = Form.zero(n, mode)
     for exps, coeff in poly.terms.items():
-        if ChernPolynomial._degree_of(exps) > n:
+        if weighted_degree(exps) > n:
             continue
         key = (coeff,)
         term = memo.get(key)
@@ -477,14 +285,14 @@ class ChainReport:
         }
 
 
-def _poly_product(factors: Sequence[ChernPolynomial], r: int) -> ChernPolynomial:
-    out = ChernPolynomial.one(r)
+def _poly_product(factors: Sequence[Polynomial], r: int) -> Polynomial:
+    out = Polynomial.one(r)
     for f in factors:
         out = out * f
     return out
 
 
-def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, ChernPolynomial]]:
+def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial]]:
     """The factorized step differences proving c_i <= c_lambda <= c_1^i.
 
     Lower chain: peeling parts off lambda, each comparison
@@ -495,9 +303,9 @@ def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, ChernPolyn
     each is a sampled-nonnegativity check in its own right.
     """
     parts = [p for p in lam.parts if p > 0]
-    steps: list[tuple[str, ChernPolynomial]] = []
+    steps: list[tuple[str, Polynomial]] = []
     # lower chain: c_i -> c_lambda
-    prefix = ChernPolynomial.one(r)
+    prefix = Polynomial.one(r)
     prefix_label: list[str] = []
     w = sum(parts)
     for part in parts:
@@ -512,7 +320,7 @@ def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, ChernPolyn
         prefix_label.append(f"c{part}")
         w -= part
     # upper chain: c_lambda -> c_1^i
-    done = ChernPolynomial.one(r)
+    done = Polynomial.one(r)
     done_exp = 0
     for a, part in enumerate(parts):
         rest = _poly_product([chern_variable(p, r) for p in parts[a + 1:]], r)

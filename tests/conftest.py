@@ -68,6 +68,13 @@ def integer_tensor_pair(n: int, r: int, m: int, seed: int, span: int = 2):
     return FactorMatrix(tuple(rows)), tensor
 
 
+def form_matrix_det(entries, n: int, mode: str) -> Form:
+    """The Leibniz determinant of a square matrix of even-degree forms."""
+    from chernforms.chern import leibniz_det
+
+    return leibniz_det(entries, Form.constant(n, 1, mode), Form.zero(n, mode), Form.wedge)
+
+
 def schur_and_chain_polynomials(n: int, r: int) -> list:
     """Every Schur polynomial of degree 1..n and every chain-step polynomial
     of weight n over rank r: the polynomials one instance evaluates."""

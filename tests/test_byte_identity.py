@@ -1,6 +1,6 @@
-"""Byte-identity oracles for the three hot paths.
+"""Byte-identity oracles for the hot paths and the polynomial core.
 
-``Form.wedge`` (per-call sign tables), ``chern.form_matrix_det`` (depth-first
+``Form.wedge`` (per-call sign tables), ``chern.leibniz_det`` (depth-first
 Leibniz walk) and ``schur.evaluate_on_forms`` (products memoized on the
 ``ChernFormSet``) must do the same float operations in the same order as the
 straightforward versions kept below as references: the wedge that computes
@@ -9,9 +9,18 @@ re-wedges every ``itertools.permutations`` product from scratch, and the
 evaluation that rebuilds every term of every polynomial.  Results are
 compared through ``repr(list(f.terms.items()))``, which sees key order,
 signed zeros and every bit of every coefficient.
+
+``polynomials.Polynomial`` must build every Schur, chain-step and Todd
+polynomial with the same terms in the same order as the two classes it
+replaced, kept below as dict-level references: the Chern-variable
+polynomial (whose constructor dropped zero sums) with its inline
+``itertools.permutations`` Jacobi-Trudi loop, and the model ring element
+(whose constructor made every coefficient a Fraction).  The term order
+matters because ``evaluate_on_forms`` sums float forms in that order.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,19 +29,24 @@ import pytest
 from chernforms import (
     EXACT,
     FLOAT,
-    ChernPolynomial,
+    CATALOG,
     Form,
+    Polynomial,
     bott_chern_curvature,
     chern_forms,
     evaluate_on_forms,
     factor_from_tensor,
+    partitions,
     random_exact_factor,
     random_tensor,
+    schur_polynomial,
+    todd_class,
+    todd_polynomials,
 )
-from chernforms.chern import form_matrix_det
 from chernforms.scalars import GaussianRational
+from chernforms.schur import chain_step_polynomials
 
-from conftest import schur_and_chain_polynomials
+from conftest import form_matrix_det, schur_and_chain_polynomials
 
 
 def exact_repr(form: Form) -> str:
@@ -112,7 +126,7 @@ def ref_form_matrix_det(entries, n: int, mode: str) -> Form:
     return total
 
 
-def ref_evaluate_on_forms(poly: ChernPolynomial, cs) -> Form:
+def ref_evaluate_on_forms(poly: Polynomial, cs) -> Form:
     """Substitution that rebuilds every term, with no memo."""
     n, mode = cs.n, cs.mode
     result = Form.zero(n, mode)
@@ -213,7 +227,7 @@ class TestWedgeIdentity:
 
 
 # ----------------------------------------------------------------------
-# form_matrix_det
+# leibniz_det over forms
 
 
 def _omega(n, r, seed):
@@ -270,7 +284,248 @@ class TestEvaluateIdentity:
 
     def test_fraction_coefficients_and_variables_above_rank(self):
         cs = chern_forms(_omega(3, 2, 7))
-        poly = ChernPolynomial(4, {(1, 1, 0, 0): Fraction(1, 3), (3, 0, 0, 0): -2,
-                                   (0, 0, 1, 0): 5, (1, 0, 0, 0): Fraction(7, 2)})
+        poly = Polynomial(4, {(1, 1, 0, 0): Fraction(1, 3), (3, 0, 0, 0): -2,
+                              (0, 0, 1, 0): 5, (1, 0, 0, 0): Fraction(7, 2)})
         assert exact_repr(evaluate_on_forms(poly, cs)) == \
             exact_repr(ref_evaluate_on_forms(poly, cs))
+
+
+# ----------------------------------------------------------------------
+# polynomial core: dict-level references of the replaced classes
+
+
+def ref_clean(terms: dict) -> dict:
+    """The old Chern-polynomial constructor: skip zero coefficients, and
+    delete a key as soon as its running sum is zero."""
+    clean: dict = {}
+    for exps, coeff in terms.items():
+        if coeff != 0:
+            clean[exps] = clean.get(exps, 0) + coeff
+            if clean[exps] == 0:
+                del clean[exps]
+    return clean
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_neg(a: dict) -> dict:
+    return ref_clean({e: -c for e, c in a.items()})
+
+
+def ref_scale(a: dict, s) -> dict:
+    return ref_clean({e: c * s for e, c in a.items()})
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_one(r: int) -> dict:
+    return {(0,) * r: 1}
+
+
+def ref_pow(a: dict, k: int, r: int) -> dict:
+    out = ref_one(r)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_var(d: int, r: int) -> dict:
+    if d == 0:
+        return ref_one(r)
+    if d < 0 or d > r:
+        return {}
+    return {tuple(1 if k == d - 1 else 0 for k in range(r)): 1}
+
+
+def ref_schur(parts, r: int) -> dict:
+    """The inline Jacobi-Trudi loop over ``itertools.permutations``."""
+    size = len(parts)
+    if size == 0:
+        return ref_one(r)
+    entries = [[ref_var(parts[j] - j + k, r) for k in range(size)] for j in range(size)]
+    total: dict = {}
+    for perm in itertools.permutations(range(size)):
+        prod = ref_one(r)
+        inv = 0
+        for j in range(size):
+            e = entries[j][perm[j]]
+            if not e:
+                break
+            prod = ref_mul(prod, e)
+            inv += sum(1 for j2 in range(j + 1, size) if perm[j] > perm[j2])
+        else:
+            total = ref_add(total, ref_neg(prod) if inv & 1 else prod)
+    return total
+
+
+def ref_chain_steps(parts, r: int) -> list:
+    """The old chain-step construction, labels and polynomials."""
+    parts = [p for p in parts if p > 0]
+    c = lambda d: ref_var(d, r)
+    steps = []
+    prefix, prefix_label = ref_one(r), []
+    w = sum(parts)
+    for part in parts:
+        for j in range(1, min(part, w - part) + 1):
+            diff = ref_add(ref_mul(c(w - j), c(j)), ref_neg(ref_mul(c(w - j + 1), c(j - 1))))
+            label = f"c{w - j}*c{j} - c{w - j + 1}*c{j - 1}"
+            if prefix_label:
+                label = "*".join(prefix_label) + f" * ({label})"
+            steps.append((label, ref_mul(prefix, diff)))
+        prefix = ref_mul(prefix, c(part))
+        prefix_label.append(f"c{part}")
+        w -= part
+    done, done_exp = ref_one(r), 0
+    for a, part in enumerate(parts):
+        rest = ref_one(r)
+        for p in parts[a + 1:]:
+            rest = ref_mul(rest, c(p))
+        rest_label = "*".join(f"c{p}" for p in parts[a + 1:])
+        for t in range(part, 1, -1):
+            diff = ref_add(ref_mul(c(1), c(t - 1)), ref_neg(c(t)))
+            mult = ref_mul(ref_mul(done, rest), ref_pow(c(1), part - t, r))
+            bits = [b for b, keep in ((f"c1^{done_exp}", done_exp), (rest_label, rest_label),
+                                      (f"c1^{part - t}", part - t)) if keep]
+            label = f"c1*c{t - 1} - c{t}"
+            if bits:
+                label = "*".join(bits) + f" * ({label})"
+            steps.append((label, ref_mul(mult, diff)))
+        done = ref_mul(done, ref_pow(c(1), part, r))
+        done_exp += part
+    return steps
+
+
+def ref_todd_polynomials(deg: int) -> list:
+    """td_0..td_deg by Newton's identities and a truncated exponential."""
+    from chernforms.models import _series_log, todd_series
+
+    nv = max(deg, 1)
+    weight = lambda e: sum(j * x for j, x in enumerate(e, start=1))
+    a = _series_log(todd_series(deg))
+    p = [{}]
+    for k in range(1, deg + 1):
+        acc: dict = {}
+        for i in range(1, k):
+            term = ref_mul(ref_var(i, nv), p[k - i])
+            acc = ref_add(acc, term if (i - 1) % 2 == 0 else ref_neg(term))
+        tail = ref_scale(ref_var(k, nv), k)
+        acc = ref_add(acc, tail if (k - 1) % 2 == 0 else ref_neg(tail))
+        p.append(acc)
+    log_td: dict = {}
+    for k in range(1, deg + 1):
+        log_td = ref_add(log_td, ref_scale(p[k], a[k]))
+    total, power = ref_one(nv), ref_one(nv)
+    for m in range(1, deg + 1):
+        power = ref_clean({e: c for e, c in ref_mul(power, log_td).items() if weight(e) <= deg})
+        total = ref_add(total, ref_scale(power, Fraction(1, math.factorial(m))))
+    return [ref_clean({e: c for e, c in total.items() if weight(e) == i})
+            for i in range(deg + 1)]
+
+
+def ref_ring_clean(caps, terms: dict) -> dict:
+    """The old model-ring constructor: drop monomials beyond a cap, make
+    every coefficient a Fraction, delete keys whose running sum is zero."""
+    clean: dict = {}
+    for exps, coeff in terms.items():
+        if any(e > c for e, c in zip(exps, caps)):
+            continue
+        coeff = Fraction(coeff)
+        if coeff:
+            clean[exps] = clean.get(exps, Fraction(0)) + coeff
+            if not clean[exps]:
+                del clean[exps]
+    return clean
+
+
+def ref_ring_add(caps, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_ring_clean(caps, out)
+
+
+def ref_ring_mul(caps, a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            if any(e > cap for e, cap in zip(key, caps)):
+                continue
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_ring_clean(caps, out)
+
+
+def ref_todd_class(model) -> dict:
+    """Td(M): the universal Todd polynomials at the model's Chern classes."""
+    caps = model.proj_dims
+    one = ref_ring_clean(caps, {(0,) * len(caps): 1})
+    total_chern = one
+    for j, k in enumerate(caps):
+        gen = ref_ring_clean(caps, {tuple(1 if a == j else 0 for a in range(len(caps))): 1})
+        lin = ref_ring_add(caps, one, gen)
+        for _ in range(k + 1):
+            total_chern = ref_ring_mul(caps, total_chern, lin)
+
+    def chern_class(i):
+        if i < 0 or i > model.dim:
+            return {}
+        return ref_ring_clean(caps, {e: c for e, c in total_chern.items() if sum(e) == i})
+
+    out: dict = {}
+    for td_i in ref_todd_polynomials(model.dim):
+        for exps, coeff in td_i.items():
+            term = ref_ring_clean(caps, {e: c * coeff for e, c in one.items()})
+            for j, e in enumerate(exps, start=1):
+                for _ in range(e):
+                    term = ref_ring_mul(caps, term, chern_class(j))
+            out = ref_ring_add(caps, out, term)
+    return out
+
+
+def items_repr(terms: dict) -> str:
+    return repr(list(terms.items()))
+
+
+class TestPolynomialIdentity:
+    @pytest.mark.parametrize("r", range(7))
+    def test_schur_polynomials(self, r):
+        # parts up to 6 at every rank r <= 6, so parts above r (the zero
+        # polynomial) and zero entries are covered
+        for i in range(8):
+            for lam in partitions(i, 6):
+                assert items_repr(schur_polynomial(lam, r).terms) == \
+                    items_repr(ref_schur(lam.parts, r)), (r, lam.parts)
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_chain_step_polynomials(self, r):
+        for i in range(8):
+            for lam in partitions(i, r):
+                got = [(label, items_repr(p.terms))
+                       for label, p in chain_step_polynomials(lam, r)]
+                want = [(label, items_repr(p)) for label, p in ref_chain_steps(lam.parts, r)]
+                assert got == want, (r, lam.parts)
+
+    def test_todd_polynomials(self):
+        for d in range(7):
+            got = [items_repr(td.terms) for td in todd_polynomials(d)]
+            assert got == [items_repr(td) for td in ref_todd_polynomials(d)], d
+
+    @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.label)
+    def test_todd_class(self, model):
+        # the old ring made every coefficient a Fraction; values and order
+        # must agree, the type of an integral coefficient need not
+        got = todd_class(model)
+        assert got.caps == model.proj_dims
+        assert list(got.terms.items()) == list(ref_todd_class(model).items())

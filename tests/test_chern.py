@@ -24,11 +24,10 @@ from chernforms import (
     random_tensor,
     top_coefficient,
 )
-from chernforms.chern import form_matrix_det
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_factor, integer_tensor_pair
+from conftest import diagonal_factor, form_matrix_det, integer_tensor_pair
 
 TWO_PI = 2.0 * math.pi
 

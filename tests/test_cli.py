@@ -1,12 +1,16 @@
 """Command line interface: exit codes, JSON report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chernforms import CurvatureTensor, Form, random_tensor
-from chernforms.cli import run
+from chernforms.cli import build_parser, run
 from chernforms.forms import VerdictReport
 from chernforms.schur import SchurCheck, SchurReport
 
@@ -70,6 +74,40 @@ class TestFormsEval:
                               "--form", str(form_path), "--vectors", str(vec_path))
         assert code == 2
         assert "vectors[0]" in err
+
+
+class TestNonFiniteInput:
+    """json reads NaN and Infinity as floats; every {re, im} parser must
+    reject them as malformed input (exit 2) and name the field."""
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("literal,part", [("NaN", "re"), ("Infinity", "im"),
+                                              ("-Infinity", "re")])
+    @pytest.mark.parametrize("entry", ["form", "omega", "vector", "tensor"])
+    def test_rejected_with_field_name(self, capsys, tmp_path, entry, literal, part, mode):
+        good = '{"dz": [1], "dzbar": [1], "re": 1}'
+        bad = '{"dz": [1], "dzbar": [1], "%s": %s}' % (part, literal)
+        form_path = tmp_path / "form.json"
+        vec_path = tmp_path / "vectors.json"
+        inst_path = tmp_path / "instance.json"
+        form_path.write_text('{"n": 1, "terms": [%s]}' % (bad if entry == "form" else good))
+        vec_path.write_text('[[{"%s": %s}]]' % (part, literal) if entry == "vector"
+                            else '[[{"re": 2}]]')
+        if entry == "omega":
+            inst_path.write_text('{"omega": [[{"n": 1, "terms": [%s]}]]}' % bad)
+            argv = ["curvature", "build", "--instance", str(inst_path)]
+            field = f"terms[0].{part}"
+        elif entry == "tensor":
+            inst_path.write_text('{"n": 1, "r": 1, "m": 1, "T": [[[{"%s": %s}]]]}'
+                                 % (part, literal))
+            argv = ["schur", "verify", "--instance", str(inst_path), "--trials", "1"]
+            field = f"T[0][0][0].{part}"
+        else:
+            argv = ["forms", "eval", "--form", str(form_path), "--vectors", str(vec_path)]
+            field = f"terms[0].{part}" if entry == "form" else f"vectors[0][0].{part}"
+        code, out, err = invoke(capsys, *argv, "--mode", mode)
+        assert code == 2, out
+        assert field in err and "finite" in err
 
 
 class TestCurvatureBuild:
@@ -202,6 +240,17 @@ class TestBoundsChain:
         for chain in payload["chains"]:
             assert chain["top"] is not None
 
+    def test_chain_seeds_do_not_overlap_across_run_seeds(self, capsys):
+        # each chain's stream is derived from (seed, chain index), so the
+        # chains of neighbouring run seeds never share a stream
+        seeds = []
+        for seed in ("3", "4"):
+            payload = invoke_json(capsys, "bounds", "chain", "--random", "--n", "2",
+                                  "--r", "2", "--seed", seed, "--trials", "2")
+            seeds.append([c["seed"] for c in payload["chains"]])
+        assert len(seeds[0]) == len(seeds[1]) == 2
+        assert len(set(seeds[0]) | set(seeds[1])) == 4
+
     def test_explicit_degree_below_top(self, capsys, tensor_file):
         path, _ = tensor_file
         payload = invoke_json(capsys, "bounds", "chain", "--instance", path,
@@ -287,6 +336,27 @@ class TestHarness:
             assert exc.value.code == 0
         finally:
             sys.argv = old
+
+    def test_parser_is_reused_across_invocations(self, capsys):
+        # one process runs a bad flag, a valid command and another
+        # subcommand on the one cached parser; each must print what a fresh
+        # interpreter prints
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        src = str(root / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        runs = [
+            (("schur", "table", "--i", "2", "--r", "2", "--bogus"), 2),
+            (("schur", "table", "--i", "3", "--r", "2", "--output", "text"), 0),
+            (("model", "rr", "--model", "CP1", "--line", "K", "--m=-1..1"), 0),
+        ]
+        assert build_parser() is build_parser()
+        for argv, code in runs:
+            got = invoke(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "chernforms.cli", *argv],
+                                   cwd=root, env=env, capture_output=True, text=True,
+                                   timeout=60)
+            assert got == (code, fresh.stdout, fresh.stderr) and fresh.returncode == code, argv
 
     def test_json_is_sorted_and_indented(self, capsys):
         _, out, _ = invoke(capsys, "schur", "table", "--i", "1", "--r", "1")

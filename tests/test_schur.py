@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from chernforms import (
     EXACT,
-    ChernPolynomial,
     Form,
     Partition,
+    Polynomial,
     bott_chern_curvature,
     bounds_chain_check,
     chern_forms,
@@ -33,6 +33,7 @@ from chernforms import (
     verify_schur_nonnegativity,
 )
 from chernforms.errors import InputError
+from chernforms.polynomials import weighted_degree
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
 from conftest import diagonal_factor, schur_and_chain_polynomials
@@ -86,8 +87,18 @@ def bialternant_schur(nu, xs):
     return leibniz_det(numer) / leibniz_det(denom)
 
 
+def degrees(poly):
+    """The weighted degrees (c_j has degree j) of a polynomial's terms."""
+    return {weighted_degree(e) for e in poly.terms}
+
+
+def restrict(poly, r):
+    """The convention c_d = 0 for d > r: drop every term using c_{>r}."""
+    return poly.select(lambda e: not any(e[r:]))
+
+
 def poly_at_elementary(poly, xs):
-    """Evaluate a ChernPolynomial at c_d = e_d(xs)."""
+    """Evaluate a Chern polynomial at c_d = e_d(xs)."""
     total = Fraction(0)
     for exps, coeff in poly.terms.items():
         term = Fraction(coeff)
@@ -154,22 +165,22 @@ class TestChernPolynomial:
         c2 = chern_variable(2, 2)
         p = (c1 + c2) * (c1 - c2)
         assert p == c1 * c1 - c2 * c2
-        assert (c1 ** 3).degrees() == {3}
-        assert (c1 * c2).is_homogeneous(3)
-        assert not (c1 + c2).is_homogeneous()
+        assert degrees(c1 ** 3) == {3}
+        assert degrees(c1 * c2) == {3}
+        assert len(degrees(c1 + c2)) > 1
 
     def test_conventions(self):
-        assert chern_variable(0, 3) == ChernPolynomial.one(3)
+        assert chern_variable(0, 3) == Polynomial.one(3)
         assert chern_variable(-1, 3).is_zero()
         assert chern_variable(4, 3).is_zero()
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(InputError):
-            ChernPolynomial(1, {(1,): 0.5})
+            Polynomial(1, {(1,): 0.5})
 
     def test_fraction_coefficients_allowed(self):
-        p = ChernPolynomial(1, {(1,): Fraction(1, 2)})
-        assert (p + p) == ChernPolynomial(1, {(1,): 1})
+        p = Polynomial(1, {(1,): Fraction(1, 2)})
+        assert (p + p) == Polynomial(1, {(1,): 1})
 
     def test_cross_rank_equality(self):
         # c_1 over rank 2 and rank 5 are the same polynomial in meaning
@@ -178,7 +189,7 @@ class TestChernPolynomial:
 
     def test_restrict(self):
         p = chern_variable(1, 3) * chern_variable(3, 3) + chern_variable(2, 3)
-        assert p.restrict(2) == chern_variable(2, 2)
+        assert restrict(p, 2) == chern_variable(2, 2)
 
     def test_str(self):
         s = str(schur_polynomial((1, 1, 1), 3))
@@ -228,7 +239,7 @@ class TestSchurPolynomial:
     def test_rank_embedding_truncates(self):
         # the rank-r polynomial is the rank-R one with c_{>r} struck out
         for lam in [(2, 1), (2, 2), (3, 1)]:
-            assert schur_polynomial(lam, 2) == schur_polynomial(lam, 5).restrict(2)
+            assert schur_polynomial(lam, 2) == restrict(schur_polynomial(lam, 5), 2)
 
     def test_against_bialternant_oracle(self):
         # dual Jacobi-Trudi: det(c_{lam_j - j + k}) at c_d = e_d(x) equals the
@@ -267,7 +278,7 @@ class TestSchurPolynomial:
 class TestEvaluateOnForms:
     def test_zero_polynomial(self, diag2):
         cs = chern_forms(diag2)
-        assert evaluate_on_forms(ChernPolynomial.zero(2), cs).is_zero()
+        assert evaluate_on_forms(Polynomial.zero(2), cs).is_zero()
 
     def test_single_variable(self, diag2):
         cs = chern_forms(diag2)
@@ -438,14 +449,14 @@ class TestChainSteps:
         for r in (2, 3):
             for lam in partitions(4, r):
                 for _, poly in chain_step_polynomials(lam, r):
-                    assert poly.is_homogeneous(4)
+                    assert degrees(poly) <= {4}
 
     def test_steps_telescope(self):
         # lower steps sum to c_lambda - c_i; upper steps to c_1^i - c_lambda
         for r in (2, 3, 4):
             for weight in (2, 3, 4):
                 for lam in partitions(weight, r):
-                    total = ChernPolynomial.zero(r)
+                    total = Polynomial.zero(r)
                     for _, poly in chain_step_polynomials(lam, r):
                         total = total + poly
                     want = (chern_variable(1, r) ** weight
