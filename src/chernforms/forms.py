@@ -356,7 +356,9 @@ class Form:
     @classmethod
     def from_literal(cls, obj, mode: str = FLOAT) -> "Form":
         """Parse a Form literal.  In exact mode the decimal values of "re"/"im"
-        are taken exactly (via their decimal string)."""
+        are taken exactly (via their decimal string).  Terms with the same
+        monomial are summed in literal order; a monomial whose sum is
+        exactly zero is dropped, and a later term puts it back at the end."""
         if not isinstance(obj, dict):
             raise InputError("form literal must be an object with fields 'n' and 'terms'")
         n = obj.get("n")
@@ -365,7 +367,8 @@ class Form:
         raw_terms = obj.get("terms")
         if not isinstance(raw_terms, list):
             raise InputError("form literal field 'terms': expected a list")
-        total = cls.zero(n, mode)
+        cls.zero(n, mode)  # rejects a bad n or mode before any term is read
+        out: dict = {}
         for pos, t in enumerate(raw_terms):
             where = f"terms[{pos}]"
             if not isinstance(t, dict):
@@ -376,10 +379,19 @@ class Form:
                 raise InputError(f"form literal {where}: 'dz' and 'dzbar' must be index lists")
             coeff = parse_scalar(t, mode, f"form literal {where}")
             try:
-                total = total + cls.monomial(n, dz, dzbar, coeff, mode)
+                key = (_indices_to_mask(dz, n), _indices_to_mask(dzbar, n))
             except InputError as exc:
                 raise InputError(f"form literal {where}: {exc}") from exc
-        return total
+            if is_zero(coeff):
+                continue
+            # the rule of __add__: sum in literal order, drop an exact zero sum
+            acc = out.get(key)
+            total = coeff if acc is None else acc + coeff
+            if is_zero(total):
+                del out[key]
+            else:
+                out[key] = total
+        return cls._raw(n, mode, out)
 
     # ------------------------------------------------------------------
 

@@ -3,10 +3,11 @@
 Every form, curvature matrix and Chern class in this package carries its
 coefficients in one of two scalar modes:
 
-* ``EXACT``  -- Gaussian rationals: complex numbers whose real and imaginary
-  parts are arbitrary-precision ``fractions.Fraction`` values.  Closed under
+* ``EXACT``  -- Gaussian rationals: complex numbers (x + y*i) / d with
+  arbitrary-precision int x, y, d, kept in lowest terms.  Closed under
   +, -, *, / and conjugation, so identity checks (frame invariance, Whitney,
-  witness consistency) can demand bit-for-bit equality.
+  witness consistency) can demand bit-for-bit equality.  The parts read
+  back as ``fractions.Fraction`` values.
 * ``FLOAT``  -- the builtin ``complex``.  Used for sampling and anything with
   a 2*pi in it.
 
@@ -34,19 +35,38 @@ _EXACT_PARTS = (int, Fraction)
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
+    Stored as three ints ``(x, y, d)`` meaning (x + y*i) / d, normalised so
+    that d > 0 and gcd(x, y, d) = 1.  Equal values therefore have equal
+    fields, and sums and products of Gaussian integers (d = 1) never leave
+    int arithmetic.  ``re`` and ``im`` are read-only ``Fraction`` views.
+
     Construction accepts ``int``, ``Fraction`` or decimal strings for either
     part; ``float`` is rejected so that rounding error can never leak into
     exact mode unnoticed (convert deliberately via ``from_complex`` if a
     float really is exact).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
+        if type(re) is int and type(im) is int:
+            self._x, self._y, self._d = re, im, 1
+            return
         if isinstance(re, float) or isinstance(im, float):
             raise InputError("GaussianRational parts must be exact (int/Fraction/str), not float")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        # both parts are in lowest terms, so over their lcm gcd(x, y, d) = 1
+        a, b = re.denominator, im.denominator
+        d = a // math.gcd(a, b) * b
+        self._x, self._y, self._d = re.numerator * (d // a), im.numerator * (d // b), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     @classmethod
     def from_complex(cls, z: complex) -> "GaussianRational":
@@ -55,38 +75,44 @@ class GaussianRational:
         return cls(Fraction(float(z.real)), Fraction(float(z.imag)))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._x, -self._y, self._d)
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, _EXACT_PARTS):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
+        # GaussianRational first: isinstance against Fraction, an ABC, is slow
+        if not isinstance(other, GaussianRational):
+            if isinstance(other, int):
+                return _raw(self._x + other * self._d, self._y, self._d)
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = GaussianRational(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._x + other._x, self._y + other._y, d)
+        return _reduced(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
+            return self + _raw(-other._x, -other._y, other._d)
         if isinstance(other, _EXACT_PARTS):
-            return GaussianRational(self.re - other, self.im)
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _EXACT_PARTS):
-            return GaussianRational(other - self.re, -self.im)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, _EXACT_PARTS):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if isinstance(other, int):
+                return _reduced(self._x * other, self._y * other, self._d)
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = GaussianRational(other)
+        x1, y1, x2, y2 = self._x, self._y, other._x, other._y
+        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -94,13 +120,12 @@ class GaussianRational:
         if isinstance(other, _EXACT_PARTS):
             other = GaussianRational(other)
         if isinstance(other, GaussianRational):
-            norm = other.re * other.re + other.im * other.im
+            u, v = other._x, other._y
+            norm = u * u + v * v
             if norm == 0:
                 raise ZeroDivisionError("division by zero GaussianRational")
-            return GaussianRational(
-                (self.re * other.re + self.im * other.im) / norm,
-                (self.im * other.re - self.re * other.im) / norm,
-            )
+            x, y, e = self._x, self._y, other._d
+            return _reduced((x * u + y * v) * e, (y * u - x * v) * e, self._d * norm)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -121,25 +146,30 @@ class GaussianRational:
         return out
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._x, -self._y, self._d)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _EXACT_PARTS):
-            return self.im == 0 and self.re == other
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, int):
+            return self._y == 0 and self._d == 1 and self._x == other
+        if isinstance(other, Fraction):
+            # with y = 0 the normalisation puts x/d in lowest terms
+            return (self._y == 0 and self._x == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if self._y == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._x != 0 or self._y != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as Fraction.__float__ does
+        return complex(self._x / self._d, self._y / self._d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
@@ -148,12 +178,29 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+def _raw(x: int, y: int, d: int) -> GaussianRational:
+    """(x + y*i) / d from fields that are already normalised."""
+    z = object.__new__(GaussianRational)
+    z._x, z._y, z._d = x, y, d
+    return z
+
+
+def _reduced(x: int, y: int, d: int) -> GaussianRational:
+    """(x + y*i) / d for any d > 0, divided through by gcd(x, y, d)."""
+    if d != 1:
+        g = math.gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    return _raw(x, y, d)
 
 
 #: the exact imaginary unit
@@ -193,8 +240,8 @@ def parse_scalar(cell, mode: str, where: str):
 
     Parts must be finite JSON numbers: ``json`` accepts NaN and Infinity,
     which would poison a float verdict and cannot be exact.  In exact mode
-    each part is taken exactly from its decimal string.  ``where`` names the
-    field in error messages.
+    an int part is taken as is and a float part exactly from its decimal
+    string.  ``where`` names the field in error messages.
     """
     if not isinstance(cell, dict):
         raise InputError(f"{where}: expected an object with re/im")
@@ -208,7 +255,7 @@ def parse_scalar(cell, mode: str, where: str):
         parts.append(value)
     re, im = parts
     if mode == EXACT:
-        return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+        return GaussianRational(*(p if isinstance(p, int) else Fraction(str(p)) for p in parts))
     return complex(re, im)
 
 

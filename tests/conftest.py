@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chernforms import EXACT, FLOAT, FactorMatrix, Form
-from chernforms.scalars import GaussianRational
+from chernforms import FLOAT, FactorMatrix, Form
 
 # ----------------------------------------------------------------------
 # acceptance bookkeeping: test_acceptance records one verdict per criterion,
@@ -46,26 +45,20 @@ def diagonal_factor(n: int, mode: str = FLOAT) -> FactorMatrix:
 
 
 def integer_tensor_pair(n: int, r: int, m: int, seed: int, span: int = 2):
-    """One Gaussian-integer tensor rendered both ways: an exact FactorMatrix
-    and the float CurvatureTensor with the same entries."""
-    from chernforms import CurvatureTensor
+    """One Gaussian-integer tensor rendered both ways: the exact FactorMatrix
+    of ``random_exact_factor`` and the float CurvatureTensor read off its
+    entries."""
+    from chernforms import CurvatureTensor, random_exact_factor
 
-    rng = np.random.default_rng(seed)
-    re = rng.integers(-span, span + 1, size=(n, r, m))
-    im = rng.integers(-span, span + 1, size=(n, r, m))
-    rows = []
-    for i in range(r):
-        row = []
-        for k in range(m):
-            entry = Form.zero(n, EXACT)
+    factor = random_exact_factor(n, r, m, seed=seed, span=span)
+    a = np.zeros((n, r, m), dtype=complex)
+    for i, row in enumerate(factor.entries):
+        for k, entry in enumerate(row):
             for p in range(n):
-                c = GaussianRational(int(re[p, i, k]), int(im[p, i, k]))
-                if c:
-                    entry = entry + Form.dz(n, p + 1, EXACT).scale(c)
-            row.append(entry)
-        rows.append(tuple(row))
-    tensor = CurvatureTensor(re.astype(complex) + 1j * im.astype(complex))
-    return FactorMatrix(tuple(rows)), tensor
+                c = entry.terms.get((1 << p, 0))
+                if c is not None:
+                    a[p, i, k] = complex(c)
+    return factor, CurvatureTensor(a)
 
 
 def form_matrix_det(entries, n: int, mode: str) -> Form:

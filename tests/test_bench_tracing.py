@@ -1,17 +1,30 @@
-"""The traced benchmark run wraps functions by name; a rename in ``src/``
-would break only that run, so every traced name must resolve here."""
+"""The benchmark wraps functions by name and reads exact scalars; a change
+in ``src/`` that breaks either would show only in a benchmark run, so both
+are checked here."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from chernforms import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     assert tracing.TRACED
     for module_name, attr in tracing.TRACED:
         target = importlib.import_module(f"chernforms.{module_name}")
@@ -20,3 +33,21 @@ def test_every_traced_function_resolves():
             target = getattr(target, name)
         assert callable(target), f"chernforms.{module_name}.{attr}"
         assert module_name in tracing.LAYERS
+
+
+def run_op(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+def test_exact_build_op_passes_its_oracle(tmp_path):
+    # the pool reads Gaussian integers off exact factor entries, and the
+    # oracle compares the exact top table against a float build
+    workloads = load_bench("workloads")
+    pool = workloads.exact_build(501, str(tmp_path), run_op)
+    assert len(pool) == workloads.EXACT_POOL
+    op = pool[0]
+    assert op.argv[:4] == ("curvature", "build", "--mode", "exact")
+    assert op.check(*run_op(op.argv)) is None

@@ -17,14 +17,28 @@ polynomial (whose constructor dropped zero sums) with its inline
 ``itertools.permutations`` Jacobi-Trudi loop, and the model ring element
 (whose constructor made every coefficient a Fraction).  The term order
 matters because ``evaluate_on_forms`` sums float forms in that order.
+
+``GaussianRational`` (three normalised ints) must agree with the
+Fraction-pair class it replaced, kept below as a reference, in every part,
+float bit, string, hash and error; ``Form.from_literal`` (one pass) with
+the fold over ``Form.__add__`` it replaced.  A fixed set of exact-mode CLI
+ops is pinned by the sha256 of its output.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import math
+import operator
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernforms import (
     EXACT,
@@ -43,7 +57,9 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms.scalars import GaussianRational
+from chernforms.cli import run
+from chernforms.errors import InputError
+from chernforms.scalars import GaussianRational, parse_scalar
 from chernforms.schur import chain_step_polynomials
 
 from conftest import form_matrix_det, schur_and_chain_polynomials
@@ -529,3 +545,403 @@ class TestPolynomialIdentity:
         got = todd_class(model)
         assert got.caps == model.proj_dims
         assert list(got.terms.items()) == list(ref_todd_class(model).items())
+
+
+# ----------------------------------------------------------------------
+# Form.from_literal: the fold over Form.__add__ it replaced
+
+
+def ref_from_literal(obj, mode: str) -> Form:
+    """The old parser: one monomial form per term, folded with ``+``."""
+    if not isinstance(obj, dict):
+        raise InputError("form literal must be an object with fields 'n' and 'terms'")
+    n = obj.get("n")
+    if not isinstance(n, int):
+        raise InputError("form literal field 'n': expected an integer")
+    raw_terms = obj.get("terms")
+    if not isinstance(raw_terms, list):
+        raise InputError("form literal field 'terms': expected a list")
+    total = Form.zero(n, mode)
+    for pos, t in enumerate(raw_terms):
+        where = f"terms[{pos}]"
+        if not isinstance(t, dict):
+            raise InputError(f"form literal {where}: expected an object")
+        dz = t.get("dz", [])
+        dzbar = t.get("dzbar", [])
+        if not isinstance(dz, list) or not isinstance(dzbar, list):
+            raise InputError(f"form literal {where}: 'dz' and 'dzbar' must be index lists")
+        coeff = parse_scalar(t, mode, f"form literal {where}")
+        try:
+            total = total + Form.monomial(n, dz, dzbar, coeff, mode)
+        except InputError as exc:
+            raise InputError(f"form literal {where}: {exc}") from exc
+    return total
+
+
+def _parse_outcome(parse, obj, mode):
+    try:
+        return exact_repr(parse(obj, mode))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestFromLiteralIdentity:
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_duplicates_zeros_and_reinsertion(self, mode):
+        # few monomials and small parts: duplicates, zero coefficients,
+        # zero sums and re-inserted keys are all common
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            terms = []
+            for _ in range(int(rng.integers(0, 12))):
+                h, a = (int(v) for v in rng.integers(0, 1 << n, size=2))
+                re, im = (int(v) for v in rng.integers(-1, 2, size=2))
+                decimal = bool(rng.integers(2))
+                terms.append({"dz": [i + 1 for i in range(n) if h >> i & 1],
+                              "dzbar": [i + 1 for i in range(n) if a >> i & 1],
+                              "re": re / 10 if decimal else re,
+                              "im": -0.0 if im == 0 and decimal else im})
+            obj = {"n": n, "terms": terms}
+            assert _parse_outcome(Form.from_literal, obj, mode) == \
+                _parse_outcome(ref_from_literal, obj, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("obj", [
+        [], {"terms": []}, {"n": 1.0, "terms": []}, {"n": -1, "terms": []},
+        {"n": 15, "terms": []}, {"n": 2, "terms": "x"}, {"n": 2, "terms": [3]},
+        {"n": 2, "terms": [{"dz": 1}]}, {"n": 2, "terms": [{"dz": [3], "re": 1}]},
+        {"n": 2, "terms": [{"dz": [2, 1], "re": 0}]},
+        {"n": 2, "terms": [{"dz": [1], "re": 1}, {"dzbar": [0], "re": 1}]},
+        {"n": 2, "terms": [{"dz": [1], "re": "1"}]},
+        {"n": 2, "terms": [{"dz": [1], "re": 1}, {"dz": [1], "im": float("nan")}]},
+    ], ids=lambda obj: json.dumps(obj))
+    def test_error_messages(self, mode, obj):
+        assert _parse_outcome(Form.from_literal, obj, mode) == \
+            _parse_outcome(ref_from_literal, obj, mode)
+
+
+# ----------------------------------------------------------------------
+# GaussianRational: the Fraction-pair class it replaced
+
+
+class RefGaussianRational:
+    """The previous GaussianRational: two Fractions, rebuilt by every
+    operation."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise InputError("GaussianRational parts must be exact (int/Fraction/str), not float")
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def conjugate(self):
+        return RefGaussianRational(self.re, -self.im)
+
+    def __add__(self, other):
+        if isinstance(other, RefGaussianRational):
+            return RefGaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return RefGaussianRational(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefGaussianRational):
+            return RefGaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return RefGaussianRational(self.re - other, self.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefGaussianRational(other - self.re, -self.im)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, RefGaussianRational):
+            return RefGaussianRational(self.re * other.re - self.im * other.im,
+                                       self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return RefGaussianRational(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefGaussianRational(other)
+        if isinstance(other, RefGaussianRational):
+            norm = other.re * other.re + other.im * other.im
+            if norm == 0:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return RefGaussianRational((self.re * other.re + self.im * other.im) / norm,
+                                       (self.im * other.re - self.re * other.im) / norm)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefGaussianRational(other) / self
+        return NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out = RefGaussianRational(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __neg__(self):
+        return RefGaussianRational(-self.re, -self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, RefGaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+BIG = 2 ** 200
+_ints = st.integers(-BIG, BIG)
+#: parts: zero, small and huge ints, and fractions with denominators to 10^6
+parts = st.one_of(st.just(0), st.integers(-3, 3), _ints,
+                  st.builds(Fraction, _ints, st.integers(1, 10 ** 6)))
+values = st.tuples(parts, parts)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _outcome(fn, *args):
+    """The result, or the type of the arithmetic error it raised."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def _fields(z: GaussianRational) -> tuple:
+    return z._x, z._y, z._d
+
+
+def assert_same(new, ref):
+    """``new`` is the GaussianRational that ``ref`` was, seen every way a
+    report or a caller can see it."""
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert type(new) is GaussianRational and type(ref) is RefGaussianRational
+    assert type(new.re) is Fraction and type(new.im) is Fraction
+    assert (new.re, new.im) == (ref.re, ref.im)
+    assert (str(new), repr(new), hash(new), bool(new)) == \
+        (str(ref), repr(ref), hash(ref), bool(ref))
+    got, want = _outcome(complex, new), _outcome(complex, ref)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    for probe in (0, 1, -1, ref.re, ref.re.numerator, ref.im, ref.re + Fraction(1, 3),
+                  Fraction(ref.re.numerator, ref.re.denominator + 1)):
+        assert (new == probe) == (ref == probe)
+        assert (probe == new) == (probe == ref)
+    x, y, d = _fields(new)
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert _fields(GaussianRational(ref.re, ref.im)) == (x, y, d)
+
+
+class TestGaussianRationalAgainstFractionPairs:
+    @settings(deadline=None)
+    @given(values)
+    def test_construction(self, v):
+        assert_same(GaussianRational(*v), RefGaussianRational(*v))
+        assert_same(GaussianRational(*map(str, v)), RefGaussianRational(*map(str, v)))
+
+    @settings(deadline=None)
+    @given(st.decimals(-10 ** 6, 10 ** 6, places=6).map(str), parts)
+    def test_decimal_strings(self, text, im):
+        assert_same(GaussianRational(text, im), RefGaussianRational(text, im))
+
+    @settings(deadline=None)
+    @given(values, values, st.sampled_from(BINARY))
+    def test_binary_operators(self, a, b, op):
+        assert_same(_outcome(op, GaussianRational(*a), GaussianRational(*b)),
+                    _outcome(op, RefGaussianRational(*a), RefGaussianRational(*b)))
+
+    @settings(deadline=None)
+    @given(values, st.one_of(parts, st.booleans()), st.sampled_from(BINARY), st.booleans())
+    def test_mixed_int_and_fraction_operands(self, a, other, op, left):
+        new, ref = GaussianRational(*a), RefGaussianRational(*a)
+        if left:
+            assert_same(_outcome(op, other, new), _outcome(op, other, ref))
+        else:
+            assert_same(_outcome(op, new, other), _outcome(op, ref, other))
+
+    @settings(deadline=None)
+    @given(values, st.integers(0, 6))
+    def test_unary_operators_and_powers(self, a, k):
+        new, ref = GaussianRational(*a), RefGaussianRational(*a)
+        assert_same(-new, -ref)
+        assert_same(new.conjugate(), ref.conjugate())
+        assert_same(new ** k, ref ** k)
+
+    @settings(deadline=None)
+    @given(values)
+    def test_division_by_zero(self, a):
+        new, ref = GaussianRational(*a), RefGaussianRational(*a)
+        for zero in (0, Fraction(0), GaussianRational(0)):
+            with pytest.raises(ZeroDivisionError):
+                new / zero
+        with pytest.raises(ZeroDivisionError):
+            ref / RefGaussianRational(0)
+        if not ref:
+            for other in (1, Fraction(-2, 3)):
+                with pytest.raises(ZeroDivisionError):
+                    other / new
+                with pytest.raises(ZeroDivisionError):
+                    other / ref
+
+    @given(st.floats(allow_nan=False), parts, st.booleans())
+    def test_float_parts_are_rejected(self, x, other, first):
+        args = (x, other) if first else (other, x)
+        with pytest.raises(InputError):
+            GaussianRational(*args)
+        with pytest.raises(InputError):
+            RefGaussianRational(*args)
+
+
+# ----------------------------------------------------------------------
+# exact CLI reports: a fixed op set whose stdout and exit codes are pinned
+
+#: sha256 over the stdout and exit code of every op of ``exact_cli_ops``,
+#: computed on the Fraction-pair GaussianRational and kept since
+EXACT_CLI_DIGEST = "b3a9bf6c2828e4905e6d1c720f25703f441b7a65327b41711fd3bf62a8553834"
+
+
+def _part(value: int, kind: str):
+    """A JSON number for an integer part: itself, in quarters (binary
+    fractions), or in tenths (decimals with no binary form)."""
+    if kind == "int":
+        return value
+    if kind == "quarter":
+        return value / 4
+    return round(value / 10, 1)
+
+
+def _omega_cells(a: np.ndarray, kind: str, split: bool) -> list:
+    """Omega_ij = sum_k A_ik ^ conj(A_jk) as Form literals, every part scaled
+    by ``kind``.  ``split`` writes each coefficient in two terms (its real
+    part less 3, then 3 after every other term) and opens each list with a
+    term and its negative, so parsing sums duplicates, drops a zero sum and
+    re-inserts the key."""
+    n, r, _ = a.shape
+    coeff = np.einsum("pik,qjk->ijpq", a, a.conj())
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            terms, tail = [], []
+            for p in range(n):
+                for q in range(n):
+                    re, im = int(coeff[i, j, p, q].real), int(coeff[i, j, p, q].imag)
+                    if not (re or im):
+                        continue
+                    if split:
+                        terms.append({"dz": [p + 1], "dzbar": [q + 1],
+                                      "re": _part(re - 3, kind), "im": _part(im, kind)})
+                        tail.append({"dz": [p + 1], "dzbar": [q + 1], "re": _part(3, kind)})
+                    else:
+                        terms.append({"dz": [p + 1], "dzbar": [q + 1],
+                                      "re": _part(re, kind), "im": _part(im, kind)})
+            if split and terms:
+                first = {"dz": terms[0]["dz"], "dzbar": terms[0]["dzbar"]}
+                terms = [dict(first, re=_part(5, kind), im=_part(-2, kind)),
+                         dict(first, re=_part(-5, kind), im=_part(2, kind))] + terms
+            row.append({"n": n, "terms": terms + tail})
+        rows.append(row)
+    return rows
+
+
+def exact_cli_ops(workdir) -> list[list[str]]:
+    """``curvature build --mode exact`` on Gaussian-integer and decimal-part
+    omega literals and ``forms eval --mode exact`` on seeded forms and
+    vectors, each in JSON and text; the input files go to ``workdir``."""
+    rng = np.random.default_rng(2017)
+    inputs = []
+    for n, r, m in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 2)):
+        a = rng.integers(-2, 3, size=(n, r, m)) + 1j * rng.integers(-2, 3, size=(n, r, m))
+        for kind in ("int", "quarter", "tenth"):
+            for split in (False, True):
+                inputs.append(("curvature", {"omega": _omega_cells(a, kind, split)}))
+    for n, p in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        masks = [mask for mask in range(1 << n) if mask.bit_count() == p]
+        for kind in ("int", "quarter", "tenth"):
+            terms = []
+            for _ in range(6):
+                h, b = (int(rng.choice(masks)) for _ in range(2))
+                re, im = (int(v) for v in rng.integers(-9, 10, size=2))
+                terms.append({"dz": [i + 1 for i in range(n) if h >> i & 1],
+                              "dzbar": [i + 1 for i in range(n) if b >> i & 1],
+                              "re": _part(re, kind), "im": _part(im, kind)})
+            vectors = [[{"re": _part(int(x), kind), "im": _part(int(y), kind)}
+                        for x, y in rng.integers(-9, 10, size=(n, 2))] for _ in range(p)]
+            inputs.append(("forms", ({"n": n, "terms": terms}, vectors)))
+    ops = []
+    for idx, (what, obj) in enumerate(inputs):
+        if what == "curvature":
+            path = os.path.join(workdir, f"omega-{idx}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            argv = ["curvature", "build", "--mode", "exact", "--instance", path]
+        else:
+            form_path = os.path.join(workdir, f"form-{idx}.json")
+            vec_path = os.path.join(workdir, f"vectors-{idx}.json")
+            for path, part in ((form_path, obj[0]), (vec_path, obj[1])):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(part, fh)
+            argv = ["forms", "eval", "--mode", "exact", "--form", form_path,
+                    "--vectors", vec_path]
+        ops += [argv, argv + ["--output", "text"]]
+    return ops
+
+
+def exact_cli_digest(workdir) -> str:
+    digest = hashlib.sha256()
+    for argv in exact_cli_ops(workdir):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        digest.update(f"{out.getvalue()}#exit {code}\n".encode())
+    return digest.hexdigest()
+
+
+def test_exact_cli_reports_match_pinned_digest(tmp_path):
+    assert exact_cli_digest(str(tmp_path)) == EXACT_CLI_DIGEST
