@@ -10,6 +10,17 @@ Entries of Omega have even total degree, so they commute and the Leibniz
 determinant is unambiguous.  Forms of degree above min(r, n) vanish; the set
 stops there.
 
+``chern_forms`` expands the minors in one depth-first walk over the row
+subsets: lexicographic order, all sizes 1..min(r, n) interleaved, so
+(0), (0,1), (0,1,2), ..., (0,2), ..., (1), ...  Each size still meets its
+subsets in ``itertools.combinations`` order, and each minor still sums its
+permutations in ``itertools.permutations`` order, so every minor sum adds
+the same determinants in the same order as a loop over the subsets of each
+size.  Minors whose first rows agree share their prefix wedges: a product
+over rows S[:d+1] with a given column tuple is computed once (see
+``leibniz_det``'s ``memo``), and every product is one such a loop computes,
+bit for bit.
+
 Two prefactor modes, tied to the scalar mode of Omega:
 
 * float ("numeric"): the full scalar (sqrt(-1)/2*pi)^i is folded into the
@@ -31,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .curvature import CurvatureMatrix
@@ -44,43 +54,69 @@ _PHASES = (GaussianRational(1), GaussianRational(0, 1),
            GaussianRational(-1), GaussianRational(0, -1))
 
 
-def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable):
-    """Leibniz determinant of a square matrix over a commutative ring.
+def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
+                subset: Optional[Sequence[int]] = None, memo: Optional[list] = None):
+    """Leibniz determinant of a square matrix over a commutative ring, or of
+    its principal minor on the indices ``subset`` (default: all of them).
 
     Entries need ``is_zero()``, ``+`` and unary ``-``; ``mul`` multiplies
     two ring elements (``Form.wedge`` for even-degree forms, which commute,
     or ``operator.mul``); ``one`` and ``zero`` are the ring's 1 and 0.
-    Permutations are walked depth-first in ``itertools.permutations`` order,
-    row by row, so each prefix product mul(...mul(one, e[0][p0])..., e[d][pd])
-    is computed once and only the current path is held.  A zero entry or a
-    zero prefix prunes every permutation below it.  Terms are summed onto
-    ``zero`` in permutation order, each negated when the permutation is odd.
+    Row d of the minor is row ``subset[d]``, and its columns are ``subset``
+    in order.  Permutations are walked depth-first in
+    ``itertools.permutations`` order, row by row, so each prefix product
+    mul(...mul(one, e[s0][c0])..., e[sd][cd]) is computed once.  A zero
+    entry or a zero prefix prunes every permutation below it.  Terms are
+    summed onto ``zero`` in permutation order, each negated when the
+    permutation is odd.
+
+    ``memo`` keeps the prefix products: ``memo[d]`` is a pair (row, products)
+    whose dict maps a column tuple (c0, ..., cd) to the product over rows
+    ``subset[:d+1]``.  A call keeps the levels whose rows match the first
+    rows of ``subset`` and clears the rest, so the memo holds products of
+    the current row path only, and a caller that passes one list to calls
+    on one matrix's row subsets computes each shared prefix once.
+    A cached product is the one this walk would compute, bit for bit.  By
+    default each call has a memo of its own.
     """
-    k = len(entries)
+    if subset is None:
+        subset = range(len(entries))
+    if memo is None:
+        memo = []
+    k = len(subset)
     if k == 0:
         return one
+    keep = 0
+    while keep < min(k, len(memo)) and memo[keep][0] == subset[keep]:
+        keep += 1
+    del memo[keep:]
+    memo.extend((row, {}) for row in subset[keep:])
     total = zero
-    free = list(range(k))
+    free = list(subset)
 
-    def walk(row: int, prod, odd: int):
+    def walk(d: int, prod, odd: int, cols: tuple):
         nonlocal total
+        row, level = entries[subset[d]], memo[d][1]
         for pos, col in enumerate(free):
-            f = entries[row][col]
+            f = row[col]
             if f.is_zero():
                 continue
-            nxt = mul(prod, f)
+            key = cols + (col,)
+            nxt = level.get(key)
+            if nxt is None:
+                nxt = level[key] = mul(prod, f)
             if nxt.is_zero():
                 continue
             # columns still free left of col each form one inversion with it
             parity = odd ^ (pos & 1)
-            if row + 1 == k:
+            if d + 1 == k:
                 total = total + (-nxt if parity else nxt)
                 continue
             del free[pos]
-            walk(row + 1, nxt, parity)
+            walk(d + 1, nxt, parity, key)
             free.insert(pos, col)
 
-    walk(0, one, 0)
+    walk(0, one, 0, ())
     return total
 
 
@@ -95,9 +131,12 @@ class ChernFormSet:
 
     ``memo`` holds wedge products of these forms, computed once and reused
     by every polynomial evaluated on the set: ``power`` stores c_j^e under
-    ``("power", j, e)``, and ``schur.evaluate_on_forms`` stores the running
-    product of a term, coeff * c_{j1}^{e1} ^ ... ^ c_{jt}^{et}, under
-    ``(coeff, (j1, e1), ..., (jt, et))``.  Each entry is the form the
+    ``("power", j, e)``, ``chern_product`` stores its prefixes under
+    ``("product", lambda_1, ..., lambda_t)``, and
+    ``schur.evaluate_on_forms`` stores the running product of a term,
+    coeff * c_{j1}^{e1} ^ ... ^ c_{jt}^{et}, under
+    ``(coeff, (j1, e1), ..., (jt, et))`` with coeff an int or Fraction.
+    The three key shapes never collide.  Each entry is the form the
     uncached computation would build, bit for bit.  The memo lives and dies
     with the set, and equality, hashing and repr ignore it.
     """
@@ -163,16 +202,27 @@ def chern_forms(omega: CurvatureMatrix, n: Optional[int] = None) -> ChernFormSet
     mode = omega.mode
     k = min(r, base_n)
     one, zero = Form.constant(base_n, 1, mode), Form.zero(base_n, mode)
+    minor_sums = [zero] * (k + 1)
+    memo: list = []
+
+    def visit(rows: tuple):
+        # depth first over the row subsets that extend ``rows``, in
+        # lexicographic order; see the module docstring
+        for s in range(rows[-1] + 1 if rows else 0, r):
+            sub = rows + (s,)
+            i = len(sub)
+            minor_sums[i] = minor_sums[i] + leibniz_det(omega.entries, one, zero, Form.wedge,
+                                                        sub, memo)
+            if i < k:
+                visit(sub)
+
+    visit(())
     out = [one]
     for i in range(1, k + 1):
-        minor_sum = zero
-        for subset in combinations(range(r), i):
-            sub = [[omega.entries[a][b] for b in subset] for a in subset]
-            minor_sum = minor_sum + leibniz_det(sub, one, zero, Form.wedge)
         if mode == EXACT:
-            c_i = minor_sum.scale(_PHASES[i % 4])
+            c_i = minor_sums[i].scale(_PHASES[i % 4])
         else:
-            c_i = minor_sum.scale((1j / (2.0 * math.pi)) ** i)
+            c_i = minor_sums[i].scale((1j / (2.0 * math.pi)) ** i)
         out.append(c_i)
     return ChernFormSet(n=base_n, r=r, forms=tuple(out), mode=mode,
                         witnessed=omega.witnessed)
@@ -183,14 +233,23 @@ def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:
 
     Parts above r are rejected: c_j is not a variable of the rank-r problem.
     Parts between min(r, n) and r are legal and contribute the zero form.
+    The product is built left to right from 1, and each prefix
+    1 ^ c_{lambda_1} ^ ... ^ c_{lambda_t} (nonzero parts only) is kept in
+    ``cs.memo`` under ``("product", lambda_1, ..., lambda_t)``, so partitions
+    with the same leading parts share their wedges.
     """
     result = Form.constant(cs.n, 1, cs.mode)
+    key: tuple = ("product",)
     for part in parts:
         if part < 0 or part > cs.r:
             raise InputError(f"partition part {part} out of range 0..r={cs.r}")
         if part == 0:
             continue
-        result = result.wedge(cs.form(part))
+        key += (part,)
+        nxt = cs.memo.get(key)
+        if nxt is None:
+            nxt = cs.memo[key] = result.wedge(cs.form(part))
+        result = nxt
         if result.is_zero():
             break
     return result

@@ -28,7 +28,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .chern import chern_forms, chern_product, top_coefficient
@@ -411,6 +413,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def report_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` runs its generator-based Python
+    encoder; this writer appends the same pieces to one list instead.
+    Scalars are spelled as ``json`` spells them: ASCII-escaped strings,
+    ``int.__repr__`` and ``float.__repr__`` (so subclasses print as their
+    base), and NaN, Infinity and -Infinity.  Any other value raises the same
+    ``TypeError``.  Two departures no report meets: a key that is not a str
+    raises ``TypeError`` (``json`` converts int, float, bool and None keys),
+    and a container that holds itself recurses until ``RecursionError``
+    (``json`` raises ``ValueError``).
+    """
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(obj, out: list, newline: str) -> None:
+    """Append the encoding of ``obj`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute one CLI invocation; returns the exit code."""
     parser = build_parser()
@@ -440,7 +513,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
     if cfg.output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(report_json(payload))
     else:
         for line in lines:
             print(line)

@@ -26,6 +26,7 @@ they agree.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,13 +92,32 @@ class FactorMatrix:
     def mode(self) -> str:
         return self.entries[0][0].mode
 
+    @functools.cached_property
+    def product(self) -> tuple[tuple[Form, ...], ...]:
+        """A ^ conj(A^t): entry (i, j) is sum_k A_ik ^ conj(A_jk), summed in
+        k order.  Built once per factor: ``bott_chern_curvature`` takes its
+        entries from here, and the witness check reads the same forms."""
+        a = self.entries
+        zero = Form.zero(self.n, self.mode)
+        out = []
+        for i in range(self.r):
+            row = []
+            for j in range(self.r):
+                total = zero
+                for k in range(self.m):
+                    total = total + a[i][k].wedge(a[j][k].conjugate())
+                row.append(total)
+            out.append(tuple(row))
+        return tuple(out)
+
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureMatrix:
     """r x r matrix of (1,1)-forms, optionally with a factor witness.
 
-    When a witness is present the constructor recomputes A ^ conj(A^t) and
-    rejects the matrix unless it reproduces the stored entries (exact mode:
+    When a witness is present the constructor compares its product
+    A ^ conj(A^t) (``FactorMatrix.product``, built once per factor) with the
+    stored entries and rejects the matrix unless they agree (exact mode:
     exactly; float mode: within WITNESS_RTOL * scale).
     """
 
@@ -114,7 +134,7 @@ class CurvatureMatrix:
             w = self.witness
             if w.r != len(entries) or w.n != n or w.mode != mode:
                 raise InputError("witness shape or mode does not match the curvature matrix")
-            recomputed = _factored_entries(w)
+            recomputed = w.product
             for i in range(w.r):
                 for j in range(w.r):
                     if mode == EXACT:
@@ -143,25 +163,9 @@ class CurvatureMatrix:
         return self.witness is not None
 
 
-def _factored_entries(factor: FactorMatrix) -> list[list[Form]]:
-    a = factor.entries
-    zero = Form.zero(factor.n, factor.mode)
-    out = []
-    for i in range(factor.r):
-        row = []
-        for j in range(factor.r):
-            total = zero
-            for k in range(factor.m):
-                total = total + a[i][k].wedge(a[j][k].conjugate())
-            row.append(total)
-        out.append(row)
-    return out
-
-
 def bott_chern_curvature(factor: FactorMatrix) -> CurvatureMatrix:
     """Omega = A ^ conj(A^t): the factored curvature with A attached as witness."""
-    return CurvatureMatrix(tuple(tuple(row) for row in _factored_entries(factor)),
-                           witness=factor)
+    return CurvatureMatrix(factor.product, witness=factor)
 
 
 # ----------------------------------------------------------------------

@@ -51,3 +51,14 @@ def test_exact_build_op_passes_its_oracle(tmp_path):
     op = pool[0]
     assert op.argv[:4] == ("curvature", "build", "--mode", "exact")
     assert op.check(*run_op(op.argv)) is None
+
+
+def test_rank_heavy_op_passes_its_oracle(tmp_path):
+    # the oracle demands PASS with every check at 50 trials on a witnessed
+    # (4, 5) instance
+    workloads = load_bench("workloads")
+    pool = workloads.rank_heavy(401, str(tmp_path), run_op)
+    assert len(pool) == workloads.RANK_POOL
+    op = pool[0]
+    assert op.argv[:5] == ("schur", "verify", "--random", "--n", "4")
+    assert op.check(*run_op(op.argv)) is None

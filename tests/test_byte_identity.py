@@ -18,11 +18,19 @@ polynomial (whose constructor dropped zero sums) with its inline
 (whose constructor made every coefficient a Fraction).  The term order
 matters because ``evaluate_on_forms`` sums float forms in that order.
 
+``chern.chern_forms`` (one depth-first walk over the row subsets, sharing
+prefix wedges between minors) must give the same c_i, bit for bit, as the
+loop that expands every principal minor on its own, kept below, with fewer
+``Form.wedge`` calls; ``chern.chern_product`` (prefixes kept in the set's
+memo) the same products as the unmemoized loop.
+
 ``GaussianRational`` (three normalised ints) must agree with the
 Fraction-pair class it replaced, kept below as a reference, in every part,
 float bit, string, hash and error; ``Form.from_literal`` (one pass) with
-the fold over ``Form.__add__`` it replaced.  A fixed set of exact-mode CLI
-ops is pinned by the sha256 of its output.
+the fold over ``Form.__add__`` it replaced.  Fixed sets of exact-mode and
+float-mode CLI ops are pinned by the sha256 of their output, and
+``cli.report_json`` must write what ``json.dumps(sort_keys=True,
+indent=2)`` writes.
 """
 
 import contextlib
@@ -44,10 +52,12 @@ from chernforms import (
     EXACT,
     FLOAT,
     CATALOG,
+    CurvatureMatrix,
     Form,
     Polynomial,
     bott_chern_curvature,
     chern_forms,
+    chern_product,
     evaluate_on_forms,
     factor_from_tensor,
     partitions,
@@ -57,7 +67,7 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms.cli import run
+from chernforms.cli import report_json, run
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational, parse_scalar
 from chernforms.schur import chain_step_polynomials
@@ -278,6 +288,112 @@ class TestDeterminantIdentity:
         omega = bott_chern_curvature(random_exact_factor(3, 3, 2, seed=4))
         got = form_matrix_det(omega.entries, 3, EXACT)
         assert exact_repr(got) == exact_repr(ref_form_matrix_det(omega.entries, 3, EXACT))
+
+
+# ----------------------------------------------------------------------
+# chern_forms: one walk over the row subsets against one walk per minor
+
+
+def parent_chern_forms(omega) -> list:
+    """c_0..c_k with every principal minor expanded on its own: sizes in
+    turn, subsets of each size in ``itertools.combinations`` order."""
+    n, r, mode = omega.n, omega.r, omega.mode
+    out = [Form.constant(n, 1, mode)]
+    for i in range(1, min(r, n) + 1):
+        minor_sum = Form.zero(n, mode)
+        for subset in itertools.combinations(range(r), i):
+            sub = [[omega.entries[a][b] for b in subset] for a in subset]
+            minor_sum = minor_sum + form_matrix_det(sub, n, mode)
+        if mode == EXACT:
+            out.append(minor_sum.scale(GaussianRational(0, 1) ** i))
+        else:
+            out.append(minor_sum.scale((1j / (2.0 * math.pi)) ** i))
+    return out
+
+
+def _sparse_omega(rng, n: int, r: int, mode: str) -> CurvatureMatrix:
+    """Unwitnessed r x r matrix of (1,1)-forms with a third of its entries
+    zero and the rest one or two monomials, so many prefixes vanish."""
+    return CurvatureMatrix(tuple(
+        tuple(Form.zero(n, mode) if rng.random() < 0.3
+              else random_form(rng, n, mode, int(rng.integers(1, 3)),
+                               integral=bool(rng.integers(2)), bidegree=(1, 1))
+              for _ in range(r)) for _ in range(r)))
+
+
+def count_wedges(monkeypatch, build) -> tuple:
+    calls = [0]
+    wedge = Form.wedge
+
+    def counting(self, other):
+        calls[0] += 1
+        return wedge(self, other)
+
+    monkeypatch.setattr(Form, "wedge", counting)
+    result = build()
+    monkeypatch.setattr(Form, "wedge", wedge)
+    return result, calls[0]
+
+
+class TestChernFormsIdentity:
+    @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
+                                          (1, 3, 3), (3, 1, 4)])
+    def test_float_curvatures(self, n, r, seed):
+        omega = _omega(n, r, seed)
+        assert [exact_repr(f) for f in chern_forms(omega).forms] == \
+            [exact_repr(f) for f in parent_chern_forms(omega)]
+
+    @pytest.mark.parametrize("n,r,seed", [(3, 3, 4), (2, 4, 5), (3, 4, 6)])
+    def test_exact_curvatures(self, n, r, seed):
+        omega = bott_chern_curvature(random_exact_factor(n, r, 2, seed=seed))
+        assert [exact_repr(f) for f in chern_forms(omega).forms] == \
+            [exact_repr(f) for f in parent_chern_forms(omega)]
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_entries_and_vanishing_prefixes(self, mode, seed):
+        rng = np.random.default_rng(200 + seed)
+        for n, r in ((2, 4), (3, 4), (3, 5), (4, 3)):
+            omega = _sparse_omega(rng, n, r, mode)
+            assert [exact_repr(f) for f in chern_forms(omega).forms] == \
+                [exact_repr(f) for f in parent_chern_forms(omega)]
+
+    @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 355), (5, 3, 30, 22)])
+    def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):
+        omega = _omega(n, r, 1)
+        ref, ref_calls = count_wedges(monkeypatch, lambda: parent_chern_forms(omega))
+        got, calls = count_wedges(monkeypatch, lambda: chern_forms(omega))
+        assert (ref_calls, calls) == (before, after)
+        assert [exact_repr(f) for f in got.forms] == [exact_repr(f) for f in ref]
+
+
+def parent_chern_product(cs, parts) -> Form:
+    """c_lambda wedged from 1 on every call, with no memo."""
+    result = Form.constant(cs.n, 1, cs.mode)
+    for part in parts:
+        if part == 0:
+            continue
+        result = result.wedge(cs.form(part))
+        if result.is_zero():
+            break
+    return result
+
+
+class TestChernProductIdentity:
+    @pytest.mark.parametrize("n,r,seed", [(5, 3, 13), (4, 4, 2), (3, 5, 1)])
+    def test_products_share_the_set_memo(self, n, r, seed):
+        # evaluate_on_forms fills the memo first; chern_product's own keys
+        # must not alias its entries, and the prefix (3,) of (3, 2) is
+        # reused by (3, 1, 1)
+        cs = chern_forms(_omega(n, r, seed))
+        for poly in schur_and_chain_polynomials(n, r):
+            evaluate_on_forms(poly, cs)
+        lams = [lam.parts for i in range(1, n + 1) for lam in partitions(i, r)]
+        for parts in lams + [parts + (0,) for parts in lams]:
+            assert exact_repr(chern_product(cs, parts)) == \
+                exact_repr(parent_chern_product(cs, parts))
+        products = {key for key in cs.memo if key[0] == "product"}
+        assert ("product", 1) in products and len(products) < sum(map(len, lams))
 
 
 # ----------------------------------------------------------------------
@@ -933,9 +1049,9 @@ def exact_cli_ops(workdir) -> list[list[str]]:
     return ops
 
 
-def exact_cli_digest(workdir) -> str:
+def cli_digest(ops) -> str:
     digest = hashlib.sha256()
-    for argv in exact_cli_ops(workdir):
+    for argv in ops:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
@@ -944,4 +1060,106 @@ def exact_cli_digest(workdir) -> str:
 
 
 def test_exact_cli_reports_match_pinned_digest(tmp_path):
-    assert exact_cli_digest(str(tmp_path)) == EXACT_CLI_DIGEST
+    assert cli_digest(exact_cli_ops(str(tmp_path))) == EXACT_CLI_DIGEST
+
+
+# ----------------------------------------------------------------------
+# float CLI reports: random instances, pinned the same way
+
+#: sha256 over the stdout and exit code of every op of ``float_cli_ops``,
+#: computed with each principal minor expanded on its own and kept since
+FLOAT_CLI_DIGEST = "29d9eca558a19861d729989964ce06c0f0ce2ed3e27e09289af38b4d4099aa4c"
+
+
+def float_cli_ops(workdir) -> list[list[str]]:
+    """``schur verify`` and ``bounds chain`` on ``--random`` instances and
+    ``curvature build`` on the same tensors written to ``workdir``, for
+    n, r <= 4 and CLI seeds 0-1, each in JSON and text."""
+    ops = []
+    for n in range(1, 5):
+        for r in range(1, 5):
+            for seed in (0, 1):
+                shape = ["--random", "--n", str(n), "--r", str(r), "--seed", str(seed)]
+                path = os.path.join(workdir, f"tensor-{n}-{r}-{seed}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(random_tensor(n, r, None, seed).to_json(), fh)
+                for argv in (["schur", "verify"] + shape, ["bounds", "chain"] + shape,
+                             ["curvature", "build", "--instance", path]):
+                    ops += [argv, argv + ["--output", "text"]]
+    return ops
+
+
+def test_float_cli_reports_match_pinned_digest(tmp_path):
+    assert cli_digest(float_cli_ops(str(tmp_path))) == FLOAT_CLI_DIGEST
+
+
+# ----------------------------------------------------------------------
+# report_json against json.dumps(sort_keys=True, indent=2)
+
+
+class IntSub(int):
+    def __repr__(self):
+        return "IntSub()"
+
+
+class FloatSub(float):
+    def __repr__(self):
+        return "FloatSub()"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    st.text(), st.text(alphabet=st.characters(min_codepoint=0x80)),
+    st.builds(IntSub, st.integers()), st.builds(FloatSub, st.floats()),
+)
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=25)
+
+UNSUPPORTED = st.sampled_from([object(), {1, 2}, 1j, b"x", Fraction(1, 3), range(2)])
+
+
+def outcome(encode, obj):
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+class TestReportJson:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert report_json(obj) == reference_json(obj)
+
+    @given(JSON_VALUES, UNSUPPORTED)
+    @settings(max_examples=100, deadline=None)
+    def test_unsupported_values_raise_the_same_type_error(self, obj, bad):
+        for wrapped in (bad, [obj, bad], {"a": obj, "b": (bad,)}):
+            got = outcome(report_json, wrapped)
+            assert got == outcome(reference_json, wrapped)
+            assert got[0] is TypeError
+
+    def test_edge_cases(self):
+        cases = [[], {}, (), [[]], {"": {}}, "\u00e9\u2028\U0001f600\x00\"\\", -0.0,
+                 [math.nan, math.inf, -math.inf], 10 ** 100, True, None, IntSub(7),
+                 FloatSub(-0.0), {"b": 1, "a": [2, (3,)], "\u00e9": None}]
+        for obj in cases:
+            assert report_json(obj) == reference_json(obj)
+        # both refuse an integer too long for str(), with the same error
+        assert outcome(report_json, 10 ** 5000) == outcome(reference_json, 10 ** 5000)
+
+    def test_non_str_keys_are_refused(self):
+        with pytest.raises(TypeError):
+            report_json({1: 2})

@@ -111,6 +111,26 @@ class TestCurvatureMatrixWitness:
         with pytest.raises(InputError, match="witness"):
             CurvatureMatrix(((doctored,),), witness=a)
 
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_mismatched_witness_rejected(self, mode, built_first):
+        # the check compares against FactorMatrix.product whether or not a
+        # bott_chern_curvature call has already built and cached it
+        if mode == EXACT:
+            factor = random_exact_factor(2, 2, 2, seed=5)
+        else:
+            factor = factor_from_tensor(random_tensor(2, 2, 2, seed=5))
+        if built_first:
+            omega = bott_chern_curvature(factor)
+            assert all(a is b for row, prod in zip(omega.entries, factor.product)
+                       for a, b in zip(row, prod))
+        entries = [list(row) for row in factor.product]
+        CurvatureMatrix(entries, witness=factor)  # fine
+        nudge = 1e-6 if mode == FLOAT else 1
+        entries[1][0] = entries[1][0] + Form.monomial(2, [1], [2], nudge, mode)
+        with pytest.raises(InputError, match=r"witness does not reproduce entry \(2,1\)"):
+            CurvatureMatrix(entries, witness=factor)
+
     def test_unwitnessed_matrix_is_allowed(self):
         m = CurvatureMatrix(((Form.monomial(1, [1], [1], -1),),))
         assert not m.witnessed
