@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .scalars import EXACT, FLOAT, GaussianRational, coerce, is_zero
+from .scalars import FLOAT, GaussianRational, coerce, is_zero
 
 #: condition-number ceiling above which a float matrix is treated as singular
 COND_LIMIT = 1e12
@@ -28,13 +28,11 @@ def as_rows(matrix, mode: str):
     return rows
 
 
-def det(rows, mode: str):
-    """Determinant.  Exact mode: elimination over GaussianRational; float: numpy."""
+def det(rows):
+    """Determinant of an exact matrix, by elimination over GaussianRational."""
     k = len(rows)
     if k == 0:
-        return GaussianRational(1) if mode == EXACT else complex(1.0)
-    if mode == FLOAT:
-        return complex(np.linalg.det(np.array(rows, dtype=complex)))
+        return GaussianRational(1)
     work = [row[:] for row in rows]
     sign_flips = 0
     acc = GaussianRational(1)

@@ -129,16 +129,10 @@ class ChernFormSet:
     mode; in exact mode each stored form is (sqrt(-1))^i * (minor sum) and
     the symbolic residual prefactor is (2*pi)^(-i) (see module docstring).
 
-    ``memo`` holds wedge products of these forms, computed once and reused
-    by every polynomial evaluated on the set: ``power`` stores c_j^e under
-    ``("power", j, e)``, ``chern_product`` stores its prefixes under
-    ``("product", lambda_1, ..., lambda_t)``, and
-    ``schur.evaluate_on_forms`` stores the running product of a term,
-    coeff * c_{j1}^{e1} ^ ... ^ c_{jt}^{et}, under
-    ``(coeff, (j1, e1), ..., (jt, et))`` with coeff an int or Fraction.
-    The three key shapes never collide.  Each entry is the form the
-    uncached computation would build, bit for bit.  The memo lives and dies
-    with the set, and equality, hashing and repr ignore it.
+    ``memo`` holds the wedge products of these forms that ``product``
+    builds, each computed once and shared by every Chern number and every
+    polynomial evaluated on the set.  It lives and dies with the set, and
+    equality, hashing and repr ignore it.
     """
 
     n: int
@@ -159,13 +153,32 @@ class ChernFormSet:
             return Form.zero(self.n, self.mode)
         return self.forms[i]
 
-    def power(self, j: int, e: int) -> Form:
-        """c_j^e = 1 ^ c_j ^ ... ^ c_j (e factors), computed once per set."""
-        key = ("power", j, e)
-        f = self.memo.get(key)
-        if f is None:
-            f = self.memo[key] = self.form(j).wedge_power(e)
-        return f
+    def product(self, head, factors: Sequence) -> Form:
+        """head ^ f_1 ^ ... ^ f_k, wedged left to right from the constant
+        ``head``.
+
+        An int factor j is the stored c_j; a pair (j, e) is c_j^e, which is
+        ``product(1, (j,) * e)``.  Each prefix is kept in ``memo`` under
+        (head, f_1, ..., f_t), the one key shape of the memo, so products
+        that share leading factors share their wedges, and the walk stops at
+        the first zero prefix.  Every entry is the form the unmemoized
+        left-to-right wedge builds, bit for bit.
+        """
+        key = (head,)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = Form.constant(self.n, head, self.mode)
+        for f in factors:
+            if out.is_zero():
+                break
+            key += (f,)
+            nxt = self.memo.get(key)
+            if nxt is None:
+                factor = (self.product(1, (f[0],) * f[1]) if isinstance(f, tuple)
+                          else self.form(f))
+                nxt = self.memo[key] = out.wedge(factor)
+            out = nxt
+        return out
 
     def residual_prefactor_power(self, i: int) -> int:
         """The stored c_i must be multiplied by (2*pi)**(-power) to be the
@@ -233,26 +246,13 @@ def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:
 
     Parts above r are rejected: c_j is not a variable of the rank-r problem.
     Parts between min(r, n) and r are legal and contribute the zero form.
-    The product is built left to right from 1, and each prefix
-    1 ^ c_{lambda_1} ^ ... ^ c_{lambda_t} (nonzero parts only) is kept in
-    ``cs.memo`` under ``("product", lambda_1, ..., lambda_t)``, so partitions
-    with the same leading parts share their wedges.
+    The product is ``cs.product(1, nonzero parts)``, so partitions with the
+    same leading parts share their wedges.
     """
-    result = Form.constant(cs.n, 1, cs.mode)
-    key: tuple = ("product",)
     for part in parts:
         if part < 0 or part > cs.r:
             raise InputError(f"partition part {part} out of range 0..r={cs.r}")
-        if part == 0:
-            continue
-        key += (part,)
-        nxt = cs.memo.get(key)
-        if nxt is None:
-            nxt = cs.memo[key] = result.wedge(cs.form(part))
-        result = nxt
-        if result.is_zero():
-            break
-    return result
+    return cs.product(1, [part for part in parts if part])
 
 
 def top_coefficient(form: Form, tol: float = 1e-9) -> Union[Fraction, float]:

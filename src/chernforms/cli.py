@@ -25,7 +25,6 @@ human-readable summary instead.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -44,17 +43,6 @@ from .rng import derive_seed
 from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, to_float_scalar
 from .schur import Partition, bounds_chain_check, instance_digest, partitions, \
     schur_polynomial, verify_schur_nonnegativity
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs shared by the sampling subcommands."""
-
-    seed: int = 0
-    trials: int = 50
-    tol: float = DEFAULT_TOL
-    mode: str = FLOAT
-    output: str = "json"
 
 
 # ----------------------------------------------------------------------
@@ -95,18 +83,18 @@ def _parse_m_range(text: str) -> list[int]:
         raise InputError(f"bad m value {text!r}: expected an integer or a..b") from exc
 
 
-def _instance_from_args(args, cfg: RunConfig) -> tuple[CurvatureTensor, dict]:
+def _instance_from_args(args) -> tuple[CurvatureTensor, dict]:
     if getattr(args, "instance", None):
         tensor = CurvatureTensor.from_json(_load_json(args.instance))
         return tensor, {"kind": "file", "path": args.instance}
     if getattr(args, "random", False):
         if args.n is None or args.r is None:
             raise InputError("--random needs --n and --r (and optionally --m)")
-        tensor = random_tensor(args.n, args.r, args.m, cfg.seed)
+        tensor = random_tensor(args.n, args.r, args.m, args.seed)
         return tensor, {
             "kind": "random",
             "n": tensor.n, "r": tensor.r, "m": tensor.m,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "distribution": "standard-complex-normal",
             "generator": "philox",
         }
@@ -126,28 +114,28 @@ def _scalar_payload(value) -> dict:
 # handlers: each returns (exit_code, payload, text_lines)
 
 
-def _handle_forms_eval(args, cfg: RunConfig):
-    form = Form.from_literal(_load_json(args.form), cfg.mode)
+def _handle_forms_eval(args):
+    form = Form.from_literal(_load_json(args.form), args.mode)
     raw_vectors = _load_json(args.vectors)
     if not isinstance(raw_vectors, list):
         raise InputError("vectors file must hold a list of vectors")
-    vectors = [_parse_vector(v, form.n, cfg.mode, f"vectors[{i}]")
+    vectors = [_parse_vector(v, form.n, args.mode, f"vectors[{i}]")
                for i, v in enumerate(raw_vectors)]
     value = evaluate(form, vectors)
     payload = {
         "schema": 1,
         "kind": "forms-eval",
         "n": form.n,
-        "mode": cfg.mode,
+        "mode": args.mode,
         "value": _scalar_payload(value),
     }
     z = to_float_scalar(value)
     return 0, payload, [f"value = {z.real:.12g} + {z.imag:.12g}i"]
 
 
-def _curvature_from_input(obj, cfg: RunConfig) -> tuple[CurvatureMatrix, Optional[CurvatureTensor]]:
+def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[CurvatureTensor]]:
     if isinstance(obj, dict) and "T" in obj:
-        if cfg.mode == EXACT:
+        if mode == EXACT:
             raise InputError(
                 "tensor instances are float-mode; exact curvatures take the "
                 "explicit 'omega' Form-literal shape")
@@ -161,21 +149,21 @@ def _curvature_from_input(obj, cfg: RunConfig) -> tuple[CurvatureMatrix, Optiona
         for i, row in enumerate(entries):
             if not isinstance(row, list):
                 raise InputError(f"field omega[{i}]: expected a list of form literals")
-            rows.append(tuple(Form.from_literal(cell, cfg.mode) for cell in row))
+            rows.append(tuple(Form.from_literal(cell, mode) for cell in row))
         return CurvatureMatrix(tuple(rows)), None
     raise InputError("instance must carry either a tensor field 'T' or a matrix field 'omega'")
 
 
-def _handle_curvature_build(args, cfg: RunConfig):
+def _handle_curvature_build(args):
     obj = _load_json(args.instance)
-    omega, tensor = _curvature_from_input(obj, cfg)
+    omega, tensor = _curvature_from_input(obj, args.mode)
     cs = chern_forms(omega)
     payload = {
         "schema": 1,
         "kind": "curvature",
         "n": omega.n,
         "r": omega.r,
-        "mode": cfg.mode,
+        "mode": args.mode,
         "witnessed": omega.witnessed,
         "omega": [[f.to_literal() for f in row] for row in omega.entries],
         "chern": [
@@ -199,7 +187,7 @@ def _handle_curvature_build(args, cfg: RunConfig):
     return 0, payload, lines
 
 
-def _handle_schur_table(args, cfg: RunConfig):
+def _handle_schur_table(args):
     if args.i < 0 or args.r < 0:
         raise InputError("--i and --r must be nonnegative")
     rows = []
@@ -213,10 +201,19 @@ def _handle_schur_table(args, cfg: RunConfig):
     return 0, payload, lines
 
 
-def _handle_schur_verify(args, cfg: RunConfig):
-    tensor, source = _instance_from_args(args, cfg)
-    report = verify_schur_nonnegativity(tensor, degrees=None, trials=cfg.trials,
-                                        seed=cfg.seed, tol=cfg.tol)
+def _check_sampling_flags(args):
+    """The checks on the two sampling flags, before any input is read."""
+    if args.trials < 1:
+        raise InputError("--trials must be >= 1")
+    if args.tol < 0:
+        raise InputError("--tol must be nonnegative")
+
+
+def _handle_schur_verify(args):
+    _check_sampling_flags(args)
+    tensor, source = _instance_from_args(args)
+    report = verify_schur_nonnegativity(tensor, degrees=None, trials=args.trials,
+                                        seed=args.seed, tol=args.tol)
     payload = report.to_dict()
     payload["source"] = source
     lines = []
@@ -228,8 +225,9 @@ def _handle_schur_verify(args, cfg: RunConfig):
     return (0 if report.passed else 1), payload, lines
 
 
-def _handle_bounds_chain(args, cfg: RunConfig):
-    tensor, source = _instance_from_args(args, cfg)
+def _handle_bounds_chain(args):
+    _check_sampling_flags(args)
+    tensor, source = _instance_from_args(args)
     cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
     degree = args.degree if args.degree is not None else tensor.n
     if degree < 1 or degree > tensor.n:
@@ -237,8 +235,8 @@ def _handle_bounds_chain(args, cfg: RunConfig):
     reports = []
     all_pass = True
     for idx, lam in enumerate(partitions(degree, tensor.r)):
-        rep = bounds_chain_check(cs, lam, trials=cfg.trials,
-                                 seed=derive_seed(cfg.seed, 13, idx), tol=cfg.tol)
+        rep = bounds_chain_check(cs, lam, trials=args.trials,
+                                 seed=derive_seed(args.seed, 13, idx), tol=args.tol)
         reports.append(rep)
         all_pass = all_pass and rep.passed
     inst = tensor.to_json()
@@ -249,9 +247,9 @@ def _handle_bounds_chain(args, cfg: RunConfig):
         "instance_hash": instance_digest(inst),
         "source": source,
         "degree": degree,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "tol": cfg.tol,
+        "seed": args.seed,
+        "trials": args.trials,
+        "tol": args.tol,
         "chains": [r.to_dict() for r in reports],
         "verdict": "PASS" if all_pass else "FAIL",
     }
@@ -264,7 +262,7 @@ def _handle_bounds_chain(args, cfg: RunConfig):
     return (0 if all_pass else 1), payload, lines
 
 
-def _handle_model_numbers(args, cfg: RunConfig):
+def _handle_model_numbers(args):
     model = parse_model(args.model)
     n = model.dim
     numbers = []
@@ -285,7 +283,7 @@ def _handle_model_numbers(args, cfg: RunConfig):
     return 0, payload, lines
 
 
-def _handle_model_bounds(args, cfg: RunConfig):
+def _handle_model_bounds(args):
     model = parse_model(args.model)
     report = verify_number_bounds(model, signed=args.signed)
     payload = report.to_dict()
@@ -297,7 +295,7 @@ def _handle_model_bounds(args, cfg: RunConfig):
     return (0 if report.passed else 1), payload, lines
 
 
-def _handle_model_rr(args, cfg: RunConfig):
+def _handle_model_rr(args):
     model = parse_model(args.model)
     ell = line_class(model, args.line)
     coeffs = rr_polynomial(model, ell)
@@ -491,28 +489,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 50),
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        mode=getattr(args, "mode", FLOAT),
-        output=getattr(args, "output", "json"),
-    )
-    if cfg.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    if cfg.tol < 0:
-        print("error: --tol must be nonnegative", file=sys.stderr)
-        return 2
     try:
-        code, payload, lines = args.handler(args, cfg)
+        code, payload, lines = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    if cfg.output == "json":
+    if args.output == "json":
         print(report_json(payload))
     else:
         for line in lines:

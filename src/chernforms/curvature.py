@@ -25,6 +25,7 @@ they agree.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 from typing import Optional, Sequence
@@ -118,7 +119,10 @@ class CurvatureMatrix:
     When a witness is present the constructor compares its product
     A ^ conj(A^t) (``FactorMatrix.product``, built once per factor) with the
     stored entries and rejects the matrix unless they agree (exact mode:
-    exactly; float mode: within WITNESS_RTOL * scale).
+    exactly; float mode: within WITNESS_RTOL * scale).  An entry that is the
+    product's own form, as in every ``bott_chern_curvature`` build, is checked
+    for finite coefficients instead: an overflow to inf or NaN is all that a
+    comparison with itself can catch.
     """
 
     entries: tuple[tuple[Form, ...], ...]
@@ -137,11 +141,15 @@ class CurvatureMatrix:
             recomputed = w.product
             for i in range(w.r):
                 for j in range(w.r):
-                    if mode == EXACT:
-                        if recomputed[i][j] != entries[i][j]:
+                    entry = entries[i][j]
+                    if recomputed[i][j] is entry:
+                        if mode == FLOAT and not all(map(cmath.isfinite, entry.terms.values())):
+                            raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
+                    elif mode == EXACT:
+                        if recomputed[i][j] != entry:
                             raise InputError(
                                 f"witness does not reproduce entry ({i + 1},{j + 1}) exactly")
-                    elif not recomputed[i][j].allclose(entries[i][j], WITNESS_RTOL):
+                    elif not recomputed[i][j].allclose(entry, WITNESS_RTOL):
                         raise InputError(
                             f"witness does not reproduce entry ({i + 1},{j + 1}) "
                             f"within {WITNESS_RTOL:g} * scale")

@@ -284,15 +284,6 @@ class Form:
                     out[key] = total
         return Form._raw(self.n, self.mode, out)
 
-    def wedge_power(self, k: int) -> "Form":
-        """k-fold wedge of the form with itself; k = 0 gives the constant 1."""
-        if k < 0:
-            raise InputError("wedge power must be nonnegative")
-        out = Form.constant(self.n, 1, self.mode)
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
-
     def conjugate(self) -> "Form":
         """Complex conjugate: swaps dz and dzbar families with the
         (-1)^{pq} reordering sign, conjugating coefficients."""
@@ -423,7 +414,7 @@ def conjugate(a: Form) -> Form:
 def _minor_det_exact(vectors, mask: int):
     idx = _mask_to_indices(mask)
     rows = [[vectors[b][i - 1] for b in range(len(idx))] for i in idx]
-    return _linalg.det(rows, EXACT)
+    return _linalg.det(rows)
 
 
 def _coerce_vectors(vectors, p: int, n: int, mode: str):

@@ -206,9 +206,6 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
 #: the exact imaginary unit
 I_EXACT = GaussianRational(0, 1)
 
-ExactScalar = Union[GaussianRational, int, Fraction]
-Scalar = Union[GaussianRational, complex, int, float, Fraction]
-
 
 def coerce(value, mode: str):
     """Coerce ``value`` into the stored representation for ``mode``.

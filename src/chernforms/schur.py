@@ -138,30 +138,12 @@ def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> Form:
     polynomial evaluates to (sqrt(-1))^i times the integer-coefficient form,
     with (2*pi)^(-i) left symbolic.
     """
-    n, mode = cs.n, cs.mode
-    memo = cs.memo
-    result = Form.zero(n, mode)
+    n = cs.n
+    result = Form.zero(n, cs.mode)
     for exps, coeff in poly.terms.items():
         if weighted_degree(exps) > n:
             continue
-        key = (coeff,)
-        term = memo.get(key)
-        if term is None:
-            term = memo[key] = Form.constant(n, coeff, mode)
-        for j, e in enumerate(exps, start=1):
-            if e == 0:
-                continue
-            if j > cs.r:
-                term = Form.zero(n, mode)
-                break
-            key += ((j, e),)
-            nxt = memo.get(key)
-            if nxt is None:
-                nxt = memo[key] = term.wedge(cs.power(j, e))
-            term = nxt
-            if term.is_zero():
-                break
-        result = result + term
+        result = result + cs.product(coeff, [(j, e) for j, e in enumerate(exps, start=1) if e])
     return result
 
 
@@ -376,7 +358,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
         n = cs.n
         t_cn = top_coefficient(num.form(n), tol)
         t_lam = top_coefficient(chern_product(num, lam), tol)
-        t_c1n = top_coefficient(num.power(1, n), tol)
+        t_c1n = top_coefficient(chern_product(num, (1,) * n), tol)
         scale = max(1.0, abs(t_cn), abs(t_lam), abs(t_c1n))
         ordered = (t_cn >= -tol * scale
                    and t_lam >= t_cn - tol * scale

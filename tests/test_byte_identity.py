@@ -67,6 +67,7 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
+from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational, parse_scalar
@@ -246,10 +247,13 @@ class TestWedgeIdentity:
             assert exact_repr(x.wedge(y)) == exact_repr(ref_wedge(x, y))
 
     def test_wedge_power(self):
-        rng = np.random.default_rng(5)
-        f = random_form(rng, 4, FLOAT, 16, bidegree=(1, 1))
-        for e in range(5):
-            assert exact_repr(f.wedge_power(e)) == exact_repr(ref_wedge_power(f, e))
+        # c_j^e through the set's memo, against e fresh wedges from 1
+        for cs in (chern_forms(_omega(4, 3, 5)),
+                   chern_forms(bott_chern_curvature(random_exact_factor(3, 3, 2, seed=5)))):
+            for j in range(cs.r + 1):
+                for e in range(5):
+                    assert exact_repr(chern_product(cs, (j,) * e)) == \
+                        exact_repr(ref_wedge_power(cs.form(j), e))
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +386,10 @@ def parent_chern_product(cs, parts) -> Form:
 class TestChernProductIdentity:
     @pytest.mark.parametrize("n,r,seed", [(5, 3, 13), (4, 4, 2), (3, 5, 1)])
     def test_products_share_the_set_memo(self, n, r, seed):
-        # evaluate_on_forms fills the memo first; chern_product's own keys
-        # must not alias its entries, and the prefix (3,) of (3, 2) is
-        # reused by (3, 1, 1)
+        # evaluate_on_forms fills the memo first: its c_j^e are the entries
+        # (1, j, ..., j) that chern_product reads, and its term keys hold
+        # (j, e) pairs, which no product of raw c_j aliases; the prefix (3,)
+        # of (3, 2) is reused by (3, 1, 1)
         cs = chern_forms(_omega(n, r, seed))
         for poly in schur_and_chain_polynomials(n, r):
             evaluate_on_forms(poly, cs)
@@ -392,8 +397,40 @@ class TestChernProductIdentity:
         for parts in lams + [parts + (0,) for parts in lams]:
             assert exact_repr(chern_product(cs, parts)) == \
                 exact_repr(parent_chern_product(cs, parts))
-        products = {key for key in cs.memo if key[0] == "product"}
-        assert ("product", 1) in products and len(products) < sum(map(len, lams))
+        products = {key for key in cs.memo
+                    if key[0] == 1 and all(isinstance(f, int) for f in key)}
+        assert (1, 1) in products and len(products) < sum(map(len, lams))
+
+    def test_power_factors_keep_their_own_unit(self):
+        # a pair (j, e) is 1 ^ c_j ^ ... (e factors) and an int j is the raw
+        # c_j: here 1 ^ c_2 turns the -0.0 real part of c_2 into 0.0, and the
+        # next product keeps the difference in the sign of a zero
+        one = Form.constant(3, 1)
+        c1 = Form(3, FLOAT, {(0b001, 0b001): 1j})
+        c2 = Form(3, FLOAT, {(0b110, 0b110): complex(-0.0, -1.0)})
+        cs = ChernFormSet(n=3, r=2, forms=(one, c1, c2), mode=FLOAT, witnessed=False)
+        raw = cs.product(1, [1, 2])
+        pair = cs.product(1, [(1, 1), (2, 1)])
+        assert exact_repr(raw) == exact_repr(ref_wedge(ref_wedge(one, c1), c2))
+        assert exact_repr(pair) == exact_repr(
+            ref_wedge(ref_wedge(one, ref_wedge(one, c1)), ref_wedge(one, c2)))
+        assert exact_repr(raw) != exact_repr(pair)
+
+
+@pytest.mark.parametrize("argv,wedges", [
+    (["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"], 72),
+    (["schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1"], 88),
+    (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "1"], 461),
+])
+def test_wedges_per_op(monkeypatch, argv, wedges):
+    # factor product, Chern forms and every product of Chern forms of one
+    # op, each prefix wedged once through ChernFormSet.product
+    def op():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return run(argv)
+
+    code, calls = count_wedges(monkeypatch, op)
+    assert (code, calls) == (0, wedges)
 
 
 # ----------------------------------------------------------------------

@@ -110,6 +110,19 @@ class TestNonFiniteInput:
         assert field in err and "finite" in err
 
 
+class TestOverflowingInstance:
+    # a finite tensor entry whose curvature overflows: A ^ conj(A) is
+    # 1e400 dz ^ dzbar, which is inf in float arithmetic
+    @pytest.mark.parametrize("argv", [["curvature", "build"],
+                                      ["schur", "verify", "--trials", "1"]])
+    def test_exits_two_naming_the_entry(self, capsys, tmp_path, argv):
+        path = tmp_path / "instance.json"
+        path.write_text('{"n": 1, "r": 1, "m": 1, "T": [[[{"re": 1e200, "im": 0}]]]}')
+        code, out, err = invoke(capsys, *argv, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: curvature entry (1,1) is not finite\n"
+
+
 class TestCurvatureBuild:
     def test_tensor_instance(self, capsys, tensor_file):
         path, t = tensor_file
@@ -222,10 +235,21 @@ class TestSchurCommands:
         path, _ = tensor_file
         code, _, err = invoke(capsys, "schur", "verify", "--instance", path,
                               "--trials", "0")
-        assert code == 2
+        assert code == 2 and err == "error: --trials must be >= 1\n"
         code, _, err = invoke(capsys, "schur", "verify", "--instance", path,
-                              "--tol", "-1e-9")
-        assert code == 2
+                              "--tol=-1e-9")
+        assert code == 2 and err == "error: --tol must be nonnegative\n"
+
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    @pytest.mark.parametrize("flag,message", [
+        ("--trials=0", "error: --trials must be >= 1\n"),
+        ("--tol=-1e-9", "error: --tol must be nonnegative\n"),
+    ])
+    def test_sampling_flags_are_checked_before_the_instance(self, capsys, command, flag,
+                                                            message):
+        # no instance is given, and the flag is still the error reported
+        code, out, err = invoke(capsys, *command, flag)
+        assert (code, out, err) == (2, "", message)
 
 
 class TestBoundsChain:

