@@ -40,7 +40,7 @@ from .forms import DEFAULT_TOL, Form, evaluate
 from .models import chern_number, euler_characteristic, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
 from .rng import derive_seed
-from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, to_float_scalar
+from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, scalar_json
 from .schur import Partition, bounds_chain_check, instance_digest, partitions, \
     schur_polynomial, verify_schur_nonnegativity
 
@@ -102,8 +102,7 @@ def _instance_from_args(args) -> tuple[CurvatureTensor, dict]:
 
 
 def _scalar_payload(value) -> dict:
-    z = to_float_scalar(value)
-    out = {"re": z.real, "im": z.imag}
+    out = scalar_json(value)
     if isinstance(value, GaussianRational):
         out["re_exact"] = str(value.re)
         out["im_exact"] = str(value.im)
@@ -129,8 +128,8 @@ def _handle_forms_eval(args):
         "mode": args.mode,
         "value": _scalar_payload(value),
     }
-    z = to_float_scalar(value)
-    return 0, payload, [f"value = {z.real:.12g} + {z.imag:.12g}i"]
+    z = payload["value"]
+    return 0, payload, [f"value = {z['re']:.12g} + {z['im']:.12g}i"]
 
 
 def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[CurvatureTensor]]:
@@ -173,8 +172,8 @@ def _handle_curvature_build(args):
         ],
     }
     if tensor is not None:
-        payload["instance"] = tensor.to_json()
-        payload["instance_hash"] = instance_digest(tensor.to_json())
+        inst = payload["instance"] = tensor.to_json()
+        payload["instance_hash"] = instance_digest(inst)
     n = omega.n
     num = cs.to_numeric()
     top_table = []
@@ -228,10 +227,10 @@ def _handle_schur_verify(args):
 def _handle_bounds_chain(args):
     _check_sampling_flags(args)
     tensor, source = _instance_from_args(args)
-    cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
     degree = args.degree if args.degree is not None else tensor.n
     if degree < 1 or degree > tensor.n:
         raise InputError(f"--degree must lie in 1..n={tensor.n}")
+    cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
     reports = []
     all_pass = True
     for idx, lam in enumerate(partitions(degree, tensor.r)):

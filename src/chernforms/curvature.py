@@ -36,7 +36,7 @@ from . import _linalg
 from .errors import ConsistencyError, InputError
 from .forms import Form
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, parse_scalar
+from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, parse_scalar, scalar_json
 
 #: float-mode tolerance for "witness reproduces the stored entries"
 WITNESS_RTOL = 1e-12
@@ -216,8 +216,7 @@ class CurvatureTensor:
             "n": self.n,
             "r": self.r,
             "m": self.m,
-            "T": [[[{"re": float(z.real), "im": float(z.imag)} for z in row]
-                   for row in plane] for plane in self.array],
+            "T": [[[scalar_json(z) for z in row] for row in plane] for plane in self.array],
         }
 
     @classmethod
@@ -225,7 +224,8 @@ class CurvatureTensor:
         if not isinstance(obj, dict):
             raise InputError("instance must be an object with fields n, r, m, T")
         for key in ("n", "r", "m"):
-            if not isinstance(obj.get(key), int) or obj[key] < 1:
+            value = obj.get(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InputError(f"instance field {key!r}: expected a positive integer")
         n, r, m = obj["n"], obj["r"], obj["m"]
         t = obj.get("T")

@@ -54,10 +54,8 @@ from .scalars import (
     GaussianRational,
     check_same_mode,
     coerce,
-    is_zero,
-    magnitude,
     parse_scalar,
-    to_float_scalar,
+    scalar_json,
 )
 
 #: hard cap on the ambient complex dimension (two 14-bit masks per key)
@@ -121,7 +119,7 @@ class Form:
                 if h >= limit or a >= limit or h < 0 or a < 0:
                     raise InputError("monomial mask exceeds the base dimension")
                 c = coerce(c, mode)
-                if not is_zero(c):
+                if c:
                     clean[(h, a)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
@@ -197,12 +195,10 @@ class Form:
         """Coefficient of the canonical monomial with these index lists."""
         key = (_indices_to_mask(dz_indices, self.n), _indices_to_mask(dzbar_indices, self.n))
         c = self.terms.get(key)
-        if c is None:
-            return GaussianRational(0) if self.mode == EXACT else complex(0.0)
-        return c
+        return coerce(0, self.mode) if c is None else c
 
     def max_coefficient_magnitude(self) -> float:
-        return max((magnitude(c) for c in self.terms.values()), default=0.0)
+        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     # ------------------------------------------------------------------
     # algebra
@@ -220,7 +216,7 @@ class Form:
         for key, c in other.terms.items():
             acc = out.get(key)
             total = c if acc is None else acc + c
-            if is_zero(total):
+            if not total:
                 out.pop(key, None)
             else:
                 out[key] = total
@@ -236,7 +232,7 @@ class Form:
         """Multiply every coefficient by a scalar of this form's mode
         (int and Fraction are accepted in either mode)."""
         c0 = coerce(value, self.mode)
-        if is_zero(c0):
+        if not c0:
             return Form.zero(self.n, self.mode)
         return Form._raw(self.n, self.mode, {k: c0 * c for k, c in self.terms.items()})
 
@@ -335,13 +331,8 @@ class Form:
         "re": x, "im": y}, ...]} with terms sorted canonically."""
         terms = []
         for (h, a) in sorted(self.terms):
-            c = to_float_scalar(self.terms[(h, a)])
-            terms.append({
-                "dz": list(_mask_to_indices(h)),
-                "dzbar": list(_mask_to_indices(a)),
-                "re": c.real,
-                "im": c.imag,
-            })
+            terms.append({"dz": list(_mask_to_indices(h)), "dzbar": list(_mask_to_indices(a)),
+                          **scalar_json(self.terms[(h, a)])})
         return {"n": self.n, "terms": terms}
 
     @classmethod
@@ -353,7 +344,7 @@ class Form:
         if not isinstance(obj, dict):
             raise InputError("form literal must be an object with fields 'n' and 'terms'")
         n = obj.get("n")
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise InputError("form literal field 'n': expected an integer")
         raw_terms = obj.get("terms")
         if not isinstance(raw_terms, list):
@@ -368,17 +359,20 @@ class Form:
             dzbar = t.get("dzbar", [])
             if not isinstance(dz, list) or not isinstance(dzbar, list):
                 raise InputError(f"form literal {where}: 'dz' and 'dzbar' must be index lists")
+            for name, indices in (("dz", dz), ("dzbar", dzbar)):
+                if any(isinstance(i, bool) for i in indices):
+                    raise InputError(f"form literal {where}.{name}: expected integer indices")
             coeff = parse_scalar(t, mode, f"form literal {where}")
             try:
                 key = (_indices_to_mask(dz, n), _indices_to_mask(dzbar, n))
             except InputError as exc:
                 raise InputError(f"form literal {where}: {exc}") from exc
-            if is_zero(coeff):
+            if not coeff:
                 continue
             # the rule of __add__: sum in literal order, drop an exact zero sum
             acc = out.get(key)
             total = coeff if acc is None else acc + coeff
-            if is_zero(total):
+            if not total:
                 del out[key]
             else:
                 out[key] = total
@@ -411,12 +405,6 @@ def conjugate(a: Form) -> Form:
 # evaluation
 
 
-def _minor_det_exact(vectors, mask: int):
-    idx = _mask_to_indices(mask)
-    rows = [[vectors[b][i - 1] for b in range(len(idx))] for i in idx]
-    return _linalg.det(rows)
-
-
 def _coerce_vectors(vectors, p: int, n: int, mode: str):
     if len(vectors) != p:
         raise InputError(f"evaluation of a ({p},{p})-form needs {p} tangent vectors, got {len(vectors)}")
@@ -437,7 +425,7 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
     need it check the imaginary part.
     """
     if form.is_zero():
-        return GaussianRational(0) if form.mode == EXACT else complex(0.0)
+        return coerce(0, form.mode)
     if not form.is_homogeneous():
         raise InputError("evaluation requires a homogeneous form")
     p, q = form.bidegree()
@@ -449,18 +437,12 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
         arr = np.array(vecs, dtype=complex).reshape(1, p, form.n)
         return complex(_evaluate_batch(form, arr)[0])
 
-    dets: dict[int, GaussianRational] = {}
-
-    def minor(mask: int) -> GaussianRational:
-        d = dets.get(mask)
-        if d is None:
-            d = _minor_det_exact(vecs, mask)
-            dets[mask] = d
-        return d
-
+    needed = {h for (h, _) in form.terms} | {a for (_, a) in form.terms}
+    dets = {mask: _linalg.det([[v[i - 1] for v in vecs] for i in _mask_to_indices(mask)])
+            for mask in needed}
     total = GaussianRational(0)
     for (h, a), c in form.terms.items():
-        total = total + c * minor(h) * minor(a).conjugate()
+        total = total + c * dets[h] * dets[a].conjugate()
     # (-i)^(p^2): 1 for even p, -i for odd p
     if p & 1:
         total = total * GaussianRational(0, -1)
@@ -519,7 +501,7 @@ class VerdictReport:
 
 
 def _witness_to_json(samples_row: np.ndarray) -> list:
-    return [[{"re": float(z.real), "im": float(z.imag)} for z in vec] for vec in samples_row]
+    return [[scalar_json(z) for z in vec] for vec in samples_row]
 
 
 def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,

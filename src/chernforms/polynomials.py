@@ -15,12 +15,10 @@ plain exponent sums for the model rings).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InputError
-
-_EXACT = (int, Fraction)
+from .scalars import _EXACT_PARTS
 
 
 def weighted_degree(exps: tuple[int, ...]) -> int:
@@ -55,7 +53,7 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise InputError("exponent tuples must be nonnegative and of length nvars")
-            if isinstance(coeff, bool) or not isinstance(coeff, _EXACT):
+            if isinstance(coeff, bool) or not isinstance(coeff, _EXACT_PARTS):
                 raise InputError("polynomial coefficients must be exact (int or Fraction)")
             if caps is not None and any(e > c for e, c in zip(exps, caps)):
                 continue  # beyond a nilpotency cap: the monomial is zero
@@ -101,7 +99,7 @@ class Polynomial:
     # arithmetic
 
     def _coerce(self, other) -> Optional["Polynomial"]:
-        if isinstance(other, _EXACT):
+        if isinstance(other, _EXACT_PARTS):
             return Polynomial._raw(self.nvars, self.caps,
                                    {(0,) * self.nvars: other} if other else {})
         if not isinstance(other, Polynomial):
@@ -142,7 +140,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _EXACT):
+        if isinstance(other, _EXACT_PARTS):
             return Polynomial._raw(self.nvars, self.caps,
                                    {e: c * other for e, c in self.terms.items()} if other else {})
         other = self._coerce(other)

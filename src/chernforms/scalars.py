@@ -212,7 +212,8 @@ def coerce(value, mode: str):
 
     EXACT stores GaussianRational, FLOAT stores complex.  int and Fraction are
     accepted by both; float/complex into EXACT and GaussianRational into FLOAT
-    are rejected (conversions must be explicit, see ``to_float_scalar``).
+    are rejected (conversions must be explicit: ``complex(z)`` or
+    ``GaussianRational.from_complex``).
     """
     if mode == EXACT:
         if isinstance(value, GaussianRational):
@@ -223,10 +224,8 @@ def coerce(value, mode: str):
     if mode == FLOAT:
         if isinstance(value, GaussianRational):
             raise InputError("float mode cannot absorb GaussianRational coefficients; convert explicitly")
-        if isinstance(value, (int, float, complex)):
+        if isinstance(value, (int, float, complex, Fraction)):
             return complex(value)
-        if isinstance(value, Fraction):
-            return complex(float(value))
         raise InputError(f"float mode cannot absorb {type(value).__name__} coefficients")
     raise InputError(f"unknown scalar mode {mode!r}")
 
@@ -256,24 +255,15 @@ def parse_scalar(cell, mode: str, where: str):
     return complex(re, im)
 
 
-def to_float_scalar(value) -> complex:
-    """Explicit exact -> float conversion (also passes float values through)."""
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    if isinstance(value, Fraction):
-        return complex(float(value))
-    return complex(value)
-
-
-def is_zero(value) -> bool:
-    if isinstance(value, GaussianRational):
-        return not value
-    return value == 0
-
-
-def magnitude(value) -> float:
-    """|value| as a float, for scale estimates and tolerances."""
-    return abs(to_float_scalar(value))
+def scalar_json(value) -> dict:
+    """The float view ``{"re": x, "im": y}`` of a scalar of either mode, the
+    shape ``parse_scalar`` reads.  An exact value beyond the float range is
+    an InputError: no report can show it."""
+    try:
+        z = complex(value)
+    except OverflowError as exc:
+        raise InputError("an exact value lies beyond the float range of the report") from exc
+    return {"re": z.real, "im": z.imag}
 
 
 def check_same_mode(a_mode: str, b_mode: str, what: str = "operands"):

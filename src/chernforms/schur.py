@@ -204,14 +204,14 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     derived random stream, so the verdict does not depend on evaluation
     order.  The report embeds the instance and its hash for reproducibility.
     """
-    omega = bott_chern_curvature(factor_from_tensor(tensor))
-    cs = chern_forms(omega)
     n, r = tensor.n, tensor.r
     if degrees is None:
         degrees = range(1, n + 1)
     degrees = sorted(set(int(d) for d in degrees))
     if any(d < 1 or d > n for d in degrees):
         raise InputError(f"degrees must lie in 1..n={n}")
+    omega = bott_chern_curvature(factor_from_tensor(tensor))
+    cs = chern_forms(omega)
     checks = []
     all_pass = True
     for i in degrees:

@@ -1,13 +1,15 @@
 """sha256 digests of CLI reports over fixed op sets, to compare two checkouts.
 
-Run it from the root of each checkout:
+Run it from the root of a checkout:
 
     PYTHONPATH=src python3 tests/cli_digests.py
 
 Each output line names an op set, its number of ops and the digest of every
 op's stdout and exit code, in order (``test_byte_identity.cli_digest``).  Two
 checkouts that print the same lines print the same bytes on every op.  Input
-files go to a temporary directory, and no report prints their paths.
+files go to a temporary directory, and no report prints their paths.  The
+lines are compared with ``cli_digests.expected`` next to this file; the
+script exits 1, naming each set that differs, unless all of them match.
 
 * ``core`` (365 ops): every op of the four benchmark pools at benchmark seed
   701 (77 ops, built by ``bench/workloads.py``, which is only read), then, for
@@ -39,6 +41,9 @@ from chernforms import CATALOG, bott_chern_curvature, random_exact_factor, rando
 from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+#: the four lines every checkout must print
+EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
 POOL_SEED = 701
@@ -116,8 +121,16 @@ def main() -> None:
             ("schur-table", schur_table_ops()),
             ("models", model_ops()),
         ]
-        for name, ops in sets:
-            print(f"{name} {len(ops)} {cli_digest(ops)}")
+        lines = {name: f"{name} {len(ops)} {cli_digest(ops)}" for name, ops in sets}
+    for line in lines.values():
+        print(line)
+    expected = {line.split()[0]: line
+                for line in EXPECTED.read_text(encoding="utf-8").splitlines() if line}
+    differ = [name for name, line in lines.items() if expected.get(name) != line]
+    for name in differ:
+        print(f"differs from {EXPECTED.name}: {name}", file=sys.stderr)
+    if differ:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

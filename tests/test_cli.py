@@ -123,6 +123,75 @@ class TestOverflowingInstance:
         assert err == "error: curvature entry (1,1) is not finite\n"
 
 
+class TestBooleanIntegers:
+    # JSON true is a Python int; integer fields must still refuse it
+    @pytest.mark.parametrize("field", ["n", "r", "m"])
+    def test_instance_field(self, capsys, tmp_path, field):
+        obj = {"n": 1, "r": 1, "m": 1, "T": [[[{"re": 1.0}]]]}
+        obj[field] = True
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, "schur", "verify", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: instance field '{field}': expected a positive integer\n"
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_form_literal_n(self, capsys, tmp_path, mode):
+        form_path = tmp_path / "form.json"
+        form_path.write_text(json.dumps(
+            {"n": True, "terms": [{"dz": [True], "dzbar": [1], "re": 2}]}))
+        vec_path = tmp_path / "vectors.json"
+        vec_path.write_text('[[{"re": 1}]]')
+        code, out, err = invoke(capsys, "forms", "eval", "--form", str(form_path),
+                                "--vectors", str(vec_path), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err == "error: form literal field 'n': expected an integer\n"
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("name", ["dz", "dzbar"])
+    @pytest.mark.parametrize("command", ["forms eval", "curvature build"])
+    def test_index(self, capsys, tmp_path, mode, name, command):
+        term = {"dz": [1], "dzbar": [1], "re": 2}
+        term[name] = [True]
+        literal = {"n": 1, "terms": [term]}
+        path = tmp_path / "input.json"
+        if command == "forms eval":
+            path.write_text(json.dumps(literal))
+            vec_path = tmp_path / "vectors.json"
+            vec_path.write_text('[[{"re": 1}]]')
+            argv = ["forms", "eval", "--form", str(path), "--vectors", str(vec_path)]
+        else:
+            path.write_text(json.dumps({"omega": [[literal]]}))
+            argv = ["curvature", "build", "--instance", str(path)]
+        code, out, err = invoke(capsys, *argv, "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err == f"error: form literal terms[0].{name}: expected integer indices\n"
+
+
+class TestExactOverflow:
+    # exact values whose float view overflows; the report cannot show them
+    MESSAGE = "error: an exact value lies beyond the float range of the report\n"
+
+    def test_forms_eval(self, capsys, tmp_path):
+        form_path = tmp_path / "form.json"
+        form_path.write_text('{"n": 1, "terms": [{"dz": [1], "dzbar": [1], "re": 1e300}]}')
+        vec_path = tmp_path / "vectors.json"
+        vec_path.write_text('[[{"re": 1e300}]]')
+        code, out, err = invoke(capsys, "forms", "eval", "--mode", "exact",
+                                "--form", str(form_path), "--vectors", str(vec_path))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    def test_curvature_build(self, capsys, tmp_path):
+        def entry(i):
+            return {"n": 2, "terms": [{"dz": [i], "dzbar": [i], "re": 1e200}]}
+        empty = {"n": 2, "terms": []}
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps({"omega": [[entry(1), empty], [empty, entry(2)]]}))
+        code, out, err = invoke(capsys, "curvature", "build", "--mode", "exact",
+                                "--instance", str(path))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+
 class TestCurvatureBuild:
     def test_tensor_instance(self, capsys, tensor_file):
         path, t = tensor_file
@@ -287,6 +356,14 @@ class TestBoundsChain:
         code, _, err = invoke(capsys, "bounds", "chain", "--instance", path,
                               "--degree", "9")
         assert code == 2 and "--degree" in err
+
+    def test_degree_is_checked_before_building(self, capsys, monkeypatch):
+        def no_build(*_):
+            raise AssertionError("Chern forms built before the --degree check")
+        monkeypatch.setattr("chernforms.cli.chern_forms", no_build)
+        code, out, err = invoke(capsys, "bounds", "chain", "--random", "--n", "5",
+                                "--r", "5", "--seed", "0", "--degree", "9")
+        assert (code, out, err) == (2, "", "error: --degree must lie in 1..n=5\n")
 
 
 class TestModelCommands:

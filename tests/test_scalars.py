@@ -14,9 +14,7 @@ from chernforms.scalars import (
     GaussianRational,
     check_same_mode,
     coerce,
-    is_zero,
-    magnitude,
-    to_float_scalar,
+    scalar_json,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -132,8 +130,15 @@ class TestCoercion:
             check_same_mode(EXACT, FLOAT)
 
     def test_helpers(self):
-        assert is_zero(GaussianRational(0, 0))
-        assert not is_zero(GaussianRational(0, 1))
-        assert to_float_scalar(GaussianRational(1, 1)) == 1 + 1j
-        assert magnitude(GaussianRational(0, -2)) == pytest.approx(2.0)
-        assert magnitude(3 - 4j) == pytest.approx(5.0)
+        # both modes speak the number protocol: not, complex() and abs()
+        assert not GaussianRational(0, 0)
+        assert GaussianRational(0, 1)
+        assert complex(GaussianRational(1, 1)) == 1 + 1j
+        assert abs(GaussianRational(0, -2)) == pytest.approx(2.0)
+        assert abs(3 - 4j) == pytest.approx(5.0)
+
+    def test_scalar_json(self):
+        assert scalar_json(GaussianRational(Fraction(1, 2), -3)) == {"re": 0.5, "im": -3.0}
+        assert scalar_json(1.5 - 0j) == {"re": 1.5, "im": -0.0}
+        with pytest.raises(InputError, match="float range"):
+            scalar_json(GaussianRational(10 ** 400))

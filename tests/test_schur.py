@@ -413,6 +413,13 @@ class TestVerifySchur:
         with pytest.raises(InputError):
             verify_schur_nonnegativity(t, degrees=[4], trials=10)
 
+    def test_degrees_are_checked_before_building(self, monkeypatch):
+        def no_build(*_):
+            raise AssertionError("Chern forms built before the degrees check")
+        monkeypatch.setattr(schur, "chern_forms", no_build)
+        with pytest.raises(InputError, match="degrees must lie in 1..n=3"):
+            verify_schur_nonnegativity(random_tensor(3, 2, 1, seed=5), degrees=[0])
+
     def test_report_embeds_instance_and_hash(self):
         t = random_tensor(2, 2, 1, seed=8)
         rep = verify_schur_nonnegativity(t, trials=10, seed=3)
