@@ -201,16 +201,12 @@ class ChernFormSet:
             mode=FLOAT, witnessed=self.witnessed)
 
 
-def chern_forms(omega: CurvatureMatrix, n: Optional[int] = None) -> ChernFormSet:
-    """Chern forms of a curvature matrix, through degree min(r, n).
-
-    ``n`` defaults to the base dimension of the entries and must match it
-    when given.  The result inherits the scalar mode of ``omega`` and records
-    whether ``omega`` was witnessed.
+def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
+    """Chern forms of a curvature matrix, through degree min(r, n), n the
+    base dimension of its entries.  The result inherits the scalar mode of
+    ``omega`` and records whether ``omega`` was witnessed.
     """
     base_n = omega.n
-    if n is not None and n != base_n:
-        raise InputError(f"requested base dimension {n} does not match the forms' {base_n}")
     r = omega.r
     mode = omega.mode
     k = min(r, base_n)

@@ -55,6 +55,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -84,10 +86,10 @@ def _parse_m_range(text: str) -> list[int]:
 
 
 def _instance_from_args(args) -> tuple[CurvatureTensor, dict]:
-    if getattr(args, "instance", None):
+    if args.instance:
         tensor = CurvatureTensor.from_json(_load_json(args.instance))
         return tensor, {"kind": "file", "path": args.instance}
-    if getattr(args, "random", False):
+    if args.random:
         if args.n is None or args.r is None:
             raise InputError("--random needs --n and --r (and optionally --m)")
         tensor = random_tensor(args.n, args.r, args.m, args.seed)
@@ -320,26 +322,39 @@ def _handle_model_rr(args):
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, sampling: bool = False):
-    parser.add_argument("--seed", type=int, default=0, help="random stream seed")
-    if sampling:
-        parser.add_argument("--trials", type=int, default=50,
-                            help="sample tuples per check (default 50)")
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                            help=f"relative tolerance (default {DEFAULT_TOL:g})")
+def _command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
+    """A subcommand parser with the one flag every subcommand reads,
+    ``--output``.  Abbreviations are off, so a flag the subcommand does not
+    define exits 2 even where it prefixes one it does (``--mode`` of
+    ``--model``)."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("--output", choices=["json", "text"], default="json",
+                   help="report format (default json)")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _add_mode(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", choices=[EXACT, FLOAT], default=FLOAT,
                         help="scalar mode for parsed forms (default float)")
-    parser.add_argument("--output", choices=["json", "text"], default="json",
-                        help="report format (default json)")
 
 
-def _add_instance_args(parser: argparse.ArgumentParser):
+def _add_seed(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, default=0, help="random stream seed")
+
+
+def _add_sampled_instance_args(parser: argparse.ArgumentParser):
     parser.add_argument("--instance", help="instance JSON file")
     parser.add_argument("--random", action="store_true",
                         help="draw a random instance instead of reading a file")
     parser.add_argument("--n", type=int, help="base dimension for --random")
     parser.add_argument("--r", type=int, help="rank for --random")
     parser.add_argument("--m", type=int, help="factor columns for --random (default: drawn)")
+    _add_seed(parser)
+    parser.add_argument("--trials", type=int, default=50,
+                        help="sample tuples per check (default 50)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"relative tolerance (default {DEFAULT_TOL:g})")
 
 
 @functools.cache
@@ -354,58 +369,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     forms_group = groups.add_parser("forms", help="pointwise form operations")
     forms_sub = forms_group.add_subparsers(dest="command", required=True)
-    p = forms_sub.add_parser("eval", help="evaluate a Form literal on tangent vectors")
+    p = _command(forms_sub, "eval", "evaluate a Form literal on tangent vectors",
+                 _handle_forms_eval)
     p.add_argument("--form", required=True, help="Form literal JSON file")
     p.add_argument("--vectors", required=True, help="JSON file with a list of vectors")
-    _add_common(p)
-    p.set_defaults(handler=_handle_forms_eval)
+    _add_mode(p)
 
     curv_group = groups.add_parser("curvature", help="curvature matrices")
     curv_sub = curv_group.add_subparsers(dest="command", required=True)
-    p = curv_sub.add_parser("build", help="curvature and Chern forms of an instance")
+    p = _command(curv_sub, "build", "curvature and Chern forms of an instance",
+                 _handle_curvature_build)
     p.add_argument("--instance", required=True,
                    help="instance JSON: tensor field 'T' or explicit matrix field 'omega'")
-    _add_common(p)
-    p.set_defaults(handler=_handle_curvature_build)
+    _add_mode(p)
 
     schur_group = groups.add_parser("schur", help="Schur polynomials and nonnegativity")
     schur_sub = schur_group.add_subparsers(dest="command", required=True)
-    p = schur_sub.add_parser("table", help="Gamma(i, r) with expanded Schur polynomials")
+    p = _command(schur_sub, "table", "Gamma(i, r) with expanded Schur polynomials",
+                 _handle_schur_table)
     p.add_argument("--i", type=int, required=True, help="weight")
     p.add_argument("--r", type=int, required=True, help="rank bound")
-    _add_common(p)
-    p.set_defaults(handler=_handle_schur_table)
-    p = schur_sub.add_parser("verify", help="sampled Schur-form nonnegativity sweep")
-    _add_instance_args(p)
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_handle_schur_verify)
+    p = _command(schur_sub, "verify", "sampled Schur-form nonnegativity sweep",
+                 _handle_schur_verify)
+    _add_sampled_instance_args(p)
 
     bounds_group = groups.add_parser("bounds", help="inequality chains")
     bounds_sub = bounds_group.add_subparsers(dest="command", required=True)
-    p = bounds_sub.add_parser("chain", help="sampled chain 0 <= c_i <= c_lambda <= c_1^i")
-    _add_instance_args(p)
+    p = _command(bounds_sub, "chain", "sampled chain 0 <= c_i <= c_lambda <= c_1^i",
+                 _handle_bounds_chain)
+    _add_sampled_instance_args(p)
     p.add_argument("--degree", type=int, help="chain weight (default n)")
-    _add_common(p, sampling=True)
-    p.set_defaults(handler=_handle_bounds_chain)
 
     model_group = groups.add_parser("model", help="closed-form cohomology models")
     model_sub = model_group.add_subparsers(dest="command", required=True)
-    p = model_sub.add_parser("chern-numbers", help="exact Chern numbers of a model")
+    p = _command(model_sub, "chern-numbers", "exact Chern numbers of a model",
+                 _handle_model_numbers)
     p.add_argument("--model", required=True, help="model expression, e.g. CP3 or CP1xCP2")
-    _add_common(p)
-    p.set_defaults(handler=_handle_model_numbers)
-    p = model_sub.add_parser("bounds", help="exact integer Chern-number chain")
+    p = _command(model_sub, "bounds", "exact integer Chern-number chain",
+                 _handle_model_bounds)
     p.add_argument("--model", required=True)
     p.add_argument("--signed", action="store_true",
                    help="use the cotangent classes (torus-type models)")
-    _add_common(p)
-    p.set_defaults(handler=_handle_model_bounds)
-    p = model_sub.add_parser("rr", help="chi(M, L^m) by Riemann-Roch")
+    # Models are exact and draw nothing, so --seed is accepted and ignored
+    # here and in ``model rr``: the benchmark's model-rr pool
+    # (bench/workloads.py::model_rr) passes it.
+    _add_seed(p)
+    p = _command(model_sub, "rr", "chi(M, L^m) by Riemann-Roch", _handle_model_rr)
     p.add_argument("--model", required=True)
     p.add_argument("--line", required=True, help="line bundle: K, O, or O(d1,...)")
     p.add_argument("--m", required=True, help="power or inclusive range a..b")
-    _add_common(p)
-    p.set_defaults(handler=_handle_model_rr)
+    _add_seed(p)
 
     return parser
 

@@ -243,22 +243,31 @@ class CurvatureTensor:
         return cls(arr)
 
 
+def _combine(forms: Sequence[Form], coeffs: Sequence, zero: Form) -> Form:
+    """sum of c * f over the pairs whose c is nonzero, folded left to right
+    onto ``zero``."""
+    total = zero
+    for f, c in zip(forms, coeffs):
+        if c:
+            total = total + f.scale(c)
+    return total
+
+
+def _factor(shape: tuple[int, int, int], coeff, mode: str) -> FactorMatrix:
+    """A_ik = sum_p coeff(p, i, k) dz^p for (n, r, m) = ``shape``; ``coeff``
+    returns scalars in ``mode``."""
+    n, r, m = shape
+    dz = [Form.dz(n, p + 1, mode) for p in range(n)]
+    zero = Form.zero(n, mode)
+    return FactorMatrix(tuple(
+        tuple(_combine(dz, [coeff(p, i, k) for p in range(n)], zero) for k in range(m))
+        for i in range(r)))
+
+
 def factor_from_tensor(tensor: CurvatureTensor) -> FactorMatrix:
     """A_ik = sum_p T[p][i][k] dz^p as a float-mode factor matrix."""
-    n, r, m = tensor.n, tensor.r, tensor.m
-    dz = [Form.dz(n, p + 1, FLOAT) for p in range(n)]
-    rows = []
-    for i in range(r):
-        row = []
-        for k in range(m):
-            entry = Form.zero(n, FLOAT)
-            for p in range(n):
-                c = tensor.array[p, i, k]
-                if c != 0:
-                    entry = entry + dz[p].scale(complex(c))
-            row.append(entry)
-        rows.append(tuple(row))
-    return FactorMatrix(tuple(rows))
+    t = tensor.array.tolist()
+    return _factor(tensor.array.shape, lambda p, i, k: t[p][i][k], FLOAT)
 
 
 # ----------------------------------------------------------------------
@@ -280,36 +289,22 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
     inv_rows = _linalg.inv(rows, mode)
     r = omega.r
     zero = Form.zero(omega.n, mode)
-    new_entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            total = zero
-            for a in range(r):
-                coeff_left = inv_rows[i][a]
-                for b in range(r):
-                    c = coeff_left * rows[b][j]
-                    if c == 0:
-                        continue
-                    total = total + omega.entries[a][b].scale(c)
-            row.append(total)
-        new_entries.append(tuple(row))
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    entries = [omega.entries[a][b] for a, b in pairs]
+    new_entries = tuple(
+        tuple(_combine(entries, [inv_rows[i][a] * rows[b][j] for a, b in pairs], zero)
+              for j in range(r))
+        for i in range(r))
 
     witness = None
     if omega.witness is not None and _linalg.is_unitary(rows, mode):
         a = omega.witness.entries
-        new_rows = []
-        for i in range(r):
-            new_row = []
-            for k in range(omega.witness.m):
-                entry = Form.zero(omega.n, mode)
-                for s in range(r):
-                    c = rows[s][i].conjugate()
-                    entry = entry + a[s][k].scale(c)
-                new_row.append(entry)
-            new_rows.append(tuple(new_row))
-        witness = FactorMatrix(tuple(new_rows))
-    return CurvatureMatrix(tuple(new_entries), witness=witness)
+        witness = FactorMatrix(tuple(
+            tuple(_combine([a[s][k] for s in range(r)],
+                           [rows[s][i].conjugate() for s in range(r)], zero)
+                  for k in range(omega.witness.m))
+            for i in range(r)))
+    return CurvatureMatrix(new_entries, witness=witness)
 
 
 # ----------------------------------------------------------------------
@@ -372,20 +367,10 @@ def random_exact_factor(n: int, r: int, m: Optional[int] = None, seed: int = 0,
     rng = substream(seed, 102)
     if m is None:
         m = int(rng.integers(1, r + 2))
-    re = rng.integers(-span, span + 1, size=(n, r, m))
-    im = rng.integers(-span, span + 1, size=(n, r, m))
-    rows = []
-    for i in range(r):
-        row = []
-        for k in range(m):
-            entry = Form.zero(n, EXACT)
-            for p in range(n):
-                c = GaussianRational(int(re[p, i, k]), int(im[p, i, k]))
-                if c:
-                    entry = entry + Form.dz(n, p + 1, EXACT).scale(c)
-            row.append(entry)
-        rows.append(tuple(row))
-    return FactorMatrix(tuple(rows))
+    re = rng.integers(-span, span + 1, size=(n, r, m)).tolist()
+    im = rng.integers(-span, span + 1, size=(n, r, m)).tolist()
+    return _factor((n, r, m), lambda p, i, k: GaussianRational(re[p][i][k], im[p][i][k]),
+                   EXACT)
 
 
 def random_unitary(r: int, seed: int = 0) -> np.ndarray:

@@ -69,7 +69,7 @@ def _indices_to_mask(indices: Iterable[int], n: int) -> int:
     mask = 0
     prev = 0
     for i in indices:
-        if not isinstance(i, int) or i < 1 or i > n:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 1 or i > n:
             raise InputError(f"form index {i!r} out of range 1..{n}")
         if i <= prev:
             raise InputError("form indices must be strictly increasing")
@@ -108,7 +108,7 @@ class Form:
     __slots__ = ("n", "mode", "terms")
 
     def __init__(self, n: int, mode: str = FLOAT, terms: Optional[dict] = None):
-        if not isinstance(n, int) or n < 0 or n > MAX_DIM:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0 or n > MAX_DIM:
             raise InputError(f"base dimension must be an int in 0..{MAX_DIM}, got {n!r}")
         if mode not in (EXACT, FLOAT):
             raise InputError(f"unknown scalar mode {mode!r}")

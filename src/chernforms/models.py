@@ -189,11 +189,10 @@ def line_class(model: ModelManifold, spec: str) -> Polynomial:
         return -model.chern_class(1)
     if s == "O":
         return model.zero()
-    m = re.match(r"^O\(([-\d,\s]*)\)$", s)
+    m = re.fullmatch(r"O\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\)", s)
     if not m:
         raise InputError(f"bad line bundle {spec!r}: expected K, O, or O(d1,...)")
-    body = m.group(1).strip()
-    degrees = [int(d) for d in body.split(",")] if body else []
+    degrees = [int(d) for d in m.group(1).split(",")] if m.group(1) else []
     count = len(model.proj_dims)
     if len(degrees) != count:
         raise InputError(

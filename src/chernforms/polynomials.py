@@ -32,10 +32,10 @@ class Polynomial:
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero
     coefficients.  ``caps`` is None for a free polynomial ring, or one
-    nilpotency cap per variable.  Polynomials of different caps never mix.
-    Free polynomials of different ``nvars`` do: they are padded with zero
-    exponents, and equality ignores trailing zero exponents, so c_1 over
-    rank 2 equals c_1 over rank 5.  Immutable by convention.
+    nilpotency cap per variable.  Each (``nvars``, ``caps``) pair is a ring
+    of its own: polynomials of different ranks or caps never mix (arithmetic
+    raises ``InputError``) and never compare equal, so c_1 over rank 2 and
+    c_1 over rank 5 are different polynomials.  Immutable by convention.
     """
 
     __slots__ = ("nvars", "caps", "terms")
@@ -104,29 +104,18 @@ class Polynomial:
                                    {(0,) * self.nvars: other} if other else {})
         if not isinstance(other, Polynomial):
             return None
-        if other.caps != self.caps:
+        if other.nvars != self.nvars or other.caps != self.caps:
             raise InputError("polynomials belong to different rings")
         return other
-
-    def _align(self, other: "Polynomial"):
-        n = max(self.nvars, other.nvars)
-
-        def pad(poly):
-            if poly.nvars == n:
-                return poly.terms
-            return {e + (0,) * (n - poly.nvars): c for e, c in poly.terms.items()}
-
-        return n, pad(self), pad(other)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n, a, b = self._align(other)
-        out = dict(a)
-        for e, c in b.items():
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return Polynomial._raw(n, self.caps, {e: c for e, c in out.items() if c})
+        return Polynomial._raw(self.nvars, self.caps, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -146,16 +135,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n, a, b = self._align(other)
         caps = self.caps
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
                 if caps is not None and any(e > cap for e, cap in zip(key, caps)):
                     continue
                 out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial._raw(n, caps, {e: c for e, c in out.items() if c})
+        return Polynomial._raw(self.nvars, caps, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -169,22 +157,13 @@ class Polynomial:
 
     # ------------------------------------------------------------------
 
-    def _canonical(self) -> dict:
-        out = {}
-        for exps, coeff in self.terms.items():
-            end = len(exps)
-            while end and exps[end - 1] == 0:
-                end -= 1
-            out[exps[:end]] = coeff
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.caps == other.caps and self._canonical() == other._canonical()
+        return (self.nvars, self.caps, self.terms) == (other.nvars, other.caps, other.terms)
 
     def __hash__(self):
-        return hash((self.caps, frozenset(self._canonical().items())))
+        return hash((self.nvars, self.caps, frozenset(self.terms.items())))
 
     def __str__(self):
         """Terms by weighted degree, then by descending exponents; variables

@@ -62,3 +62,23 @@ def test_rank_heavy_op_passes_its_oracle(tmp_path):
     op = pool[0]
     assert op.argv[:5] == ("schur", "verify", "--random", "--n", "4")
     assert op.check(*run_op(op.argv)) is None
+
+
+def test_model_rr_pool_passes_its_oracles(tmp_path):
+    # the pool passes --seed to model rr and model bounds, which accept it
+    workloads = load_bench("workloads")
+    pool = workloads.model_rr(601, str(tmp_path), run_op)
+    assert len(pool) == 3 * len(workloads.models.CATALOG)
+    assert all("--seed" in op.argv for op in pool)
+    for op in pool:
+        assert op.check(*run_op(op.argv)) is None, op.argv
+
+
+def test_dim_heavy_chain_op_passes_its_oracle(tmp_path):
+    # the first bounds chain op of the pool; CLI seed 13, the documented
+    # false FAIL, is not the first at this benchmark seed
+    workloads = load_bench("workloads")
+    pool = workloads.dim_heavy(301, str(tmp_path), run_op)
+    assert len(pool) == 2 * workloads.DIM_INSTANCES
+    op = next(op for op in pool if op.argv[:2] == ("bounds", "chain"))
+    assert op.check(*run_op(op.argv)) is None, op.argv

@@ -65,10 +65,6 @@ class TestChernForms:
         assert cs.top_degree == 2
         assert cs.form(3).is_zero()
 
-    def test_n_argument_must_match(self, diag2):
-        with pytest.raises(InputError):
-            chern_forms(diag2, n=3)
-
     def test_unwitnessed_source(self):
         m = CurvatureMatrix(((Form.monomial(1, [1], [1], -2.0),),))
         cs = chern_forms(m)

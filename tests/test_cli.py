@@ -100,12 +100,15 @@ class TestNonFiniteInput:
         elif entry == "tensor":
             inst_path.write_text('{"n": 1, "r": 1, "m": 1, "T": [[[{"%s": %s}]]]}'
                                  % (part, literal))
+            # tensor instances are float-only: schur verify takes no --mode
             argv = ["schur", "verify", "--instance", str(inst_path), "--trials", "1"]
             field = f"T[0][0][0].{part}"
         else:
             argv = ["forms", "eval", "--form", str(form_path), "--vectors", str(vec_path)]
             field = f"terms[0].{part}" if entry == "form" else f"vectors[0][0].{part}"
-        code, out, err = invoke(capsys, *argv, "--mode", mode)
+        if entry != "tensor":
+            argv += ["--mode", mode]
+        code, out, err = invoke(capsys, *argv)
         assert code == 2, out
         assert field in err and "finite" in err
 
@@ -300,6 +303,14 @@ class TestSchurCommands:
         code, _, err = invoke(capsys, "schur", "verify", "--instance", "/nope.json")
         assert code == 2 and "cannot read" in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        # a UTF-16 byte order mark is not UTF-8: malformed input, not a crash
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = invoke(capsys, "curvature", "build", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not UTF-8 text:")
+
     def test_invalid_trials_and_tol(self, capsys, tensor_file):
         path, _ = tensor_file
         code, _, err = invoke(capsys, "schur", "verify", "--instance", path,
@@ -414,11 +425,50 @@ class TestModelCommands:
                               "--line", "L(1)", "--m", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["O(1,,2)", "O(-)", "O(1-2)"])
+    def test_malformed_line_degrees(self, capsys, line):
+        code, out, err = invoke(capsys, "model", "rr", "--model", "CP1xCP1",
+                                "--line", line, "--m", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad line bundle {line!r}: expected K, O, or O(d1,...)\n"
+
     def test_text_output(self, capsys):
         code, out, _ = invoke(capsys, "model", "rr", "--model", "CP1",
                               "--line", "K", "--m", "3", "--output", "text")
         assert code == 0
         assert "m=3: chi=-5" in out
+
+
+class TestFlagTable:
+    """Each subcommand defines only the flags its handler reads; any other
+    flag is malformed input."""
+
+    RANDOM = ("--random", "--n", "2", "--r", "2")
+
+    @pytest.mark.parametrize("argv", [
+        ("schur", "verify") + RANDOM + ("--mode", "exact"),
+        ("bounds", "chain") + RANDOM + ("--mode", "exact"),
+        ("curvature", "build", "--instance", "x.json", "--seed", "1"),
+        ("forms", "eval", "--form", "f.json", "--vectors", "v.json", "--seed", "1"),
+        ("schur", "table", "--i", "2", "--r", "2", "--seed", "1"),
+        ("schur", "table", "--i", "2", "--r", "2", "--mode", "float"),
+        ("model", "chern-numbers", "--model", "CP3", "--seed", "1"),
+        # --mode is a prefix of --model; abbreviations are off
+        ("model", "chern-numbers", "--mode", "float", "--model", "CP3"),
+        ("model", "bounds", "--model", "CP3", "--mode", "float"),
+        ("model", "rr", "--model", "CP1", "--line", "K", "--m", "1", "--mode", "float"),
+    ])
+    def test_unread_flag_exits_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("model", "rr", "--model", "CP1xCP2", "--line", "K", "--m=-2..2"),
+        ("model", "bounds", "--model", "CP1xCP2"),
+    ])
+    def test_model_seed_is_accepted_and_ignored(self, capsys, argv):
+        assert invoke(capsys, *argv, "--seed", "5") == invoke(capsys, *argv)
 
 
 class TestHarness:

@@ -106,6 +106,14 @@ class TestConstruction:
         with pytest.raises(InputError):
             Form.dz(2, 0)
 
+    def test_booleans_are_not_integers(self):
+        with pytest.raises(InputError):
+            Form.monomial(2, [True], [])
+        with pytest.raises(InputError):
+            Form.monomial(2, [], [False, 1])
+        with pytest.raises(InputError):
+            Form(True)
+
     def test_dimension_cap(self):
         with pytest.raises(InputError):
             Form.zero(MAX_DIM + 1)

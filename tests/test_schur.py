@@ -95,8 +95,9 @@ def degrees(poly):
 
 
 def restrict(poly, r):
-    """The convention c_d = 0 for d > r: drop every term using c_{>r}."""
-    return poly.select(lambda e: not any(e[r:]))
+    """The convention c_d = 0 for d > r: drop every term using c_{>r}, as a
+    polynomial in c_1, ..., c_r."""
+    return Polynomial(r, {e[:r]: c for e, c in poly.terms.items() if not any(e[r:])})
 
 
 def poly_at_elementary(poly, xs):
@@ -184,9 +185,14 @@ class TestChernPolynomial:
         p = Polynomial(1, {(1,): Fraction(1, 2)})
         assert (p + p) == Polynomial(1, {(1,): 1})
 
-    def test_cross_rank_equality(self):
-        # c_1 over rank 2 and rank 5 are the same polynomial in meaning
-        assert chern_variable(1, 2) == chern_variable(1, 5)
+    def test_mixing_ranks_raises(self):
+        # each rank is a ring of its own: c_1 over rank 2 and over rank 5
+        # neither mix nor compare equal
+        with pytest.raises(InputError):
+            chern_variable(1, 2) + chern_variable(1, 5)
+        with pytest.raises(InputError):
+            chern_variable(1, 2) * chern_variable(1, 5)
+        assert chern_variable(1, 2) != chern_variable(1, 5)
         assert chern_variable(2, 2) != chern_variable(1, 2)
 
     def test_restrict(self):
