@@ -1,8 +1,8 @@
 """Small dense linear algebra over either scalar mode.
 
-Exact mode works over GaussianRational with one fraction-preserving
-Gauss-Jordan elimination (pivot = first nonzero entry), shared by ``det``
-and ``inv``; float mode delegates to numpy.
+Exact mode works over GaussianRational with one fraction-preserving forward
+elimination (pivot = first nonzero entry), shared by ``det`` and ``inv``;
+``inv`` follows it with a back pass.  Float mode delegates to numpy.
 Matrices are lists of lists of scalars (or numpy arrays in float mode).
 Only the tiny sizes this package needs (rank <= 14, typically <= 5) are
 expected, so clarity beats asymptotics here.
@@ -30,13 +30,16 @@ def as_rows(matrix, mode: str):
 
 
 def _eliminate(work, k: int):
-    """Gauss-Jordan elimination, in place, on the leading k columns of the
-    exact rows ``work``; returns the determinant of the leading k x k block.
+    """Forward elimination, in place, on the leading k columns of the exact
+    rows ``work``; returns the determinant of the leading k x k block, the
+    signed product of the pivots.
 
-    The pivot of column c is the first nonzero entry at or below row c.  The
-    pivot row is divided by its pivot and cleared from every other row across
-    its full width, so an augmented [M | I] ends as [I | M^-1] when M is
-    invertible.  A zero determinant stops the elimination early.
+    The pivot of column c is the first nonzero entry at or below row c.
+    Each row below it loses its multiple of the pivot row in the columns
+    right of c, across the full width, so an augmented [M | I] ends as
+    [U | L] with U upper triangular on and above the diagonal (entries below
+    it are left stale and never read again).  A zero determinant stops the
+    elimination early.
     """
     acc = GaussianRational(1)
     for col in range(k):
@@ -46,13 +49,14 @@ def _eliminate(work, k: int):
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             acc = -acc
-        pivot = work[col][col]
+        top = work[col]
+        pivot = top[col]
         acc = acc * pivot
-        work[col] = top = [v / pivot for v in work[col]]
-        for r in range(k):
-            factor = work[r][col]
-            if r != col and factor:
-                work[r] = [v - factor * t for v, t in zip(work[r], top)]
+        for r in range(col + 1, k):
+            row = work[r]
+            if row[col]:
+                factor = row[col] / pivot
+                row[col + 1:] = [v - factor * t for v, t in zip(row[col + 1:], top[col + 1:])]
     return acc
 
 
@@ -75,7 +79,15 @@ def inv(rows, mode: str):
             for r, row in enumerate(rows)]
     if not _eliminate(work, k):
         raise InputError("frame matrix is singular (exact determinant is zero)")
-    return [row[k:] for row in work]
+    # back pass on [U | L]: solve U X = L from the last row up
+    for col in reversed(range(k)):
+        pivot = work[col][col]
+        work[col] = solved = [v / pivot for v in work[col][k:]]
+        for r in range(col):
+            factor = work[r][col]
+            if factor:
+                work[r][k:] = [v - factor * t for v, t in zip(work[r][k:], solved)]
+    return work
 
 
 def is_unitary(rows, mode: str, tol: float = 1e-9) -> bool:

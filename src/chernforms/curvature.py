@@ -96,9 +96,11 @@ class FactorMatrix:
     @functools.cached_property
     def product(self) -> tuple[tuple[Form, ...], ...]:
         """A ^ conj(A^t): entry (i, j) is sum_k A_ik ^ conj(A_jk), summed in
-        k order.  Built once per factor: ``bott_chern_curvature`` takes its
-        entries from here, and the witness check reads the same forms."""
+        k order, with each conj(A_jk) taken once for all rows i.  Built once
+        per factor: ``bott_chern_curvature`` takes its entries from here, and
+        the witness check reads the same forms."""
         a = self.entries
+        a_bar = [[f.conjugate() for f in row] for row in a]
         zero = Form.zero(self.n, self.mode)
         out = []
         for i in range(self.r):
@@ -106,7 +108,7 @@ class FactorMatrix:
             for j in range(self.r):
                 total = zero
                 for k in range(self.m):
-                    total = total + a[i][k].wedge(a[j][k].conjugate())
+                    total = total + a[i][k].wedge(a_bar[j][k])
                 row.append(total)
             out.append(tuple(row))
         return tuple(out)

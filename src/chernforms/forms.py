@@ -12,9 +12,13 @@ disjointness tests plus a sign.  The sign comes from sorting
 dz^{h1} dzbar^{a1} dz^{h2} dzbar^{a2} into canonical order: dzbar^{a1} hops
 over dz^{h2} (|a1| |h2| transpositions), then each family is merge-sorted
 (one transposition per inversion between the two masks).  ``Form.wedge``
-reads these parities from tables built once per call.  Coefficients live in
-one scalar mode (see ``scalars``): exact Gaussian rationals or float
-complex.  Forms are immutable.
+reads the disjointness tests, parities and output keys from a *pair plan*
+that depends only on the key orders of its two operands, so it is built
+once per pair of key orders and kept in a bounded LRU cache
+(``PLAN_CACHE_SIZE`` plans).  Key orders recur: every curvature entry of one
+instance has the same keys, and so has every Leibniz prefix of one depth.
+Coefficients live in one scalar mode (see ``scalars``): exact Gaussian
+rationals or float complex.  Forms are immutable.
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
@@ -40,6 +44,7 @@ standard complex normal tuples from a seeded counter-based stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -63,6 +68,10 @@ MAX_DIM = 14
 
 #: default sampling tolerance: minima down to -tol * scale still PASS
 DEFAULT_TOL = 1e-9
+
+#: pair plans kept by ``Form.wedge``, least recently used dropped first; one
+#: ``schur verify`` builds 11 at (n, r) = (4, 5) and 22 at (6, 6)
+PLAN_CACHE_SIZE = 128
 
 
 def _indices_to_mask(indices: Iterable[int], n: int) -> int:
@@ -95,6 +104,38 @@ def _inversions(x: int, y: int) -> int:
         count += (x >> low.bit_length()).bit_count()
         y ^= low
     return count
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pair_plan(keys1: tuple, keys2: tuple) -> tuple:
+    """The wedge of a form with keys ``keys1`` and one with keys ``keys2``,
+    both in dict order: one row per key of the first, listing
+    ``(out_key, j, odd)`` for each key j of the second whose dz and dzbar
+    masks are both disjoint from it, in order.  ``odd`` is the parity of
+    the sign that sorts the product into canonical order.
+
+    The parities come from tables over the distinct masks: for each
+    distinct (dz mask, parity of |dzbar mask|) of ``keys1``, ``rows`` lists
+    the keys of ``keys2`` whose dz mask is disjoint from it, in order, with
+    the dz part of the parity; ``dzbar_sign`` holds the dzbar part.
+    """
+    dz2 = {h for h, _ in keys2}
+    dzbar2 = {a for _, a in keys2}
+    dzbar_sign = {a1: {a2: _inversions(a1, a2) & 1 for a2 in dzbar2 if not a1 & a2}
+                  for a1 in {a for _, a in keys1}}
+    rows = {}
+    for h1, odd in {(h, a.bit_count() & 1) for h, a in keys1}:
+        sign = {h2: (_inversions(h1, h2) + odd * h2.bit_count()) & 1
+                for h2 in dz2 if not h1 & h2}
+        rows[h1, odd] = [(h1 | h2, j, a2, sign[h2])
+                         for j, (h2, a2) in enumerate(keys2) if h2 in sign]
+    plan = []
+    for h1, a1 in keys1:
+        a_sign = dzbar_sign[a1]
+        plan.append(tuple(((h, a1 | a2), j, h_sign ^ a_sign[a2])
+                          for h, j, a2, h_sign in rows[h1, a1.bit_count() & 1]
+                          if a2 in a_sign))
+    return tuple(plan)
 
 
 class Form:
@@ -245,34 +286,23 @@ class Form:
         zero is dropped (a later product re-inserts it at the end).  This
         order is part of the contract (see the module docstring).
 
-        The sign parities come from tables built once per call over the
-        distinct masks of the operands: for each distinct (dz mask, parity
-        of |dzbar mask|) of ``self``, ``rows`` lists the terms of ``other``
-        whose dz mask is disjoint from it, in order, with the dz part of the
-        parity; ``dzbar_sign`` holds the dzbar part.
+        The disjointness tests, signs and output keys come from
+        ``_pair_plan``, keyed by the two key orders ``(tuple(self.terms),
+        tuple(other.terms))`` and kept for the ``PLAN_CACHE_SIZE`` most
+        recently used pairs.  Forms with the same keys in another order get
+        another plan.
         """
         self._check_compatible(other, "wedge")
-        dz2 = {h for h, _ in other.terms}
-        dzbar2 = {a for _, a in other.terms}
-        dzbar_sign = {a1: {a2: _inversions(a1, a2) & 1 for a2 in dzbar2 if not a1 & a2}
-                      for a1 in {a for _, a in self.terms}}
-        rows = {}
-        for h1, odd in {(h, a.bit_count() & 1) for h, a in self.terms}:
-            sign = {h2: (_inversions(h1, h2) + odd * h2.bit_count()) & 1
-                    for h2 in dz2 if not h1 & h2}
-            rows[h1, odd] = [(h1 | h2, a2, c2, sign[h2])
-                             for (h2, a2), c2 in other.terms.items() if h2 in sign]
+        plan = _pair_plan(tuple(self.terms), tuple(other.terms))
+        coeffs = tuple(other.terms.values())
         out: dict = {}
-        for (h1, a1), c1 in self.terms.items():
-            a_sign = dzbar_sign[a1]
-            for h, a2, c2, h_sign in rows[h1, a1.bit_count() & 1]:
-                if a1 & a2:
-                    continue
-                c = c1 * c2
-                if h_sign ^ a_sign[a2]:
+        get = out.get
+        for c1, row in zip(self.terms.values(), plan):
+            for key, j, odd in row:
+                c = c1 * coeffs[j]
+                if odd:
                     c = -c
-                key = (h, a1 | a2)
-                acc = out.get(key)
+                acc = get(key)
                 total = c if acc is None else acc + c
                 if not total:
                     out.pop(key, None)

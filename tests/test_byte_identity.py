@@ -1,14 +1,17 @@
 """Byte-identity oracles for the hot paths and the polynomial core.
 
-``Form.wedge`` (per-call sign tables), ``chern.leibniz_det`` (depth-first
-Leibniz walk) and ``schur.evaluate_on_forms`` (products memoized on the
-``ChernFormSet``) must do the same float operations in the same order as the
-straightforward versions kept below as references: the wedge that computes
-an inversion-count sign for every pair of terms, the determinant that
-re-wedges every ``itertools.permutations`` product from scratch, and the
-evaluation that rebuilds every term of every polynomial.  Results are
-compared through ``repr(list(f.terms.items()))``, which sees key order,
-signed zeros and every bit of every coefficient.
+``Form.wedge`` (one cached pair plan per pair of key orders),
+``chern.leibniz_det`` (depth-first Leibniz walk) and
+``schur.evaluate_on_forms`` (products memoized on the ``ChernFormSet``) must
+do the same float operations in the same order as the straightforward
+versions kept below as references: the wedge that computes an
+inversion-count sign for every pair of terms, the wedge that rebuilt its sign
+tables on every call, the determinant that re-wedges every
+``itertools.permutations`` product from scratch, and the evaluation that
+rebuilds every term of every polynomial.  Results are compared through
+``repr(list(f.terms.items()))``, which sees key order, signed zeros and every
+bit of every coefficient.  A (4, 5) verify must build at most 11 plans, and
+repeating it none.
 
 ``polynomials.Polynomial`` must build every Schur, chain-step and Todd
 polynomial with the same terms in the same order as the two classes it
@@ -28,7 +31,8 @@ memo) the same products as the unmemoized loop.
 Fraction-pair class it replaced, kept below as a reference, in every part,
 float bit, string, hash and error; ``Form.from_literal`` (one pass) with
 the fold over ``Form.__add__`` it replaced.  Fixed sets of exact-mode and
-float-mode CLI ops are pinned by the sha256 of their output, and
+float-mode CLI ops, and the float ops at the benchmark's shapes, are pinned
+by the sha256 of their output, and
 ``cli.report_json`` must write what ``json.dumps(sort_keys=True,
 indent=2)`` writes.
 """
@@ -67,11 +71,12 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
+from chernforms import forms
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational, parse_scalar
-from chernforms.schur import chain_step_polynomials
+from chernforms.schur import chain_step_polynomials, verify_schur_nonnegativity
 
 from conftest import form_matrix_det, schur_and_chain_polynomials
 
@@ -120,6 +125,41 @@ def ref_wedge(x: Form, y: Form, events=None) -> Form:
             else:
                 if events is not None and acc is None and key in dropped:
                     events["reinsert"] += 1
+                out[key] = total
+    return Form._raw(x.n, x.mode, out)
+
+
+def ref_table_wedge(x: Form, y: Form) -> Form:
+    """The wedge with sign tables rebuilt on every call, over the distinct
+    masks of the operands: ``rows`` lists, for each distinct (dz mask,
+    parity of |dzbar mask|) of ``x``, the terms of ``y`` whose dz mask is
+    disjoint from it with the dz part of the parity; ``dzbar_sign`` holds
+    the dzbar part."""
+    dz2 = {h for h, _ in y.terms}
+    dzbar2 = {a for _, a in y.terms}
+    dzbar_sign = {a1: {a2: forms._inversions(a1, a2) & 1 for a2 in dzbar2 if not a1 & a2}
+                  for a1 in {a for _, a in x.terms}}
+    rows = {}
+    for h1, odd in {(h, a.bit_count() & 1) for h, a in x.terms}:
+        sign = {h2: (forms._inversions(h1, h2) + odd * h2.bit_count()) & 1
+                for h2 in dz2 if not h1 & h2}
+        rows[h1, odd] = [(h1 | h2, a2, c2, sign[h2])
+                         for (h2, a2), c2 in y.terms.items() if h2 in sign]
+    out: dict = {}
+    for (h1, a1), c1 in x.terms.items():
+        a_sign = dzbar_sign[a1]
+        for h, a2, c2, h_sign in rows[h1, a1.bit_count() & 1]:
+            if a1 & a2:
+                continue
+            c = c1 * c2
+            if h_sign ^ a_sign[a2]:
+                c = -c
+            key = (h, a1 | a2)
+            acc = out.get(key)
+            total = c if acc is None else acc + c
+            if not total:
+                out.pop(key, None)
+            else:
                 out[key] = total
     return Form._raw(x.n, x.mode, out)
 
@@ -254,6 +294,96 @@ class TestWedgeIdentity:
                 for e in range(5):
                     assert exact_repr(chern_product(cs, (j,) * e)) == \
                         exact_repr(ref_wedge_power(cs.form(j), e))
+
+
+def assert_planned(x: Form, y: Form) -> Form:
+    """x ^ y through the plan, equal in terms, key order and signed zeros
+    to both reference wedges."""
+    got = x.wedge(y)
+    assert exact_repr(got) == exact_repr(ref_table_wedge(x, y)) == exact_repr(ref_wedge(x, y))
+    return got
+
+
+@st.composite
+def form_pairs(draw, mode: str):
+    """Two forms on one base of dimension 0..4, keys in draw order, small
+    coefficients so partial sums cancel exactly; float parts include -0.0."""
+    n = draw(st.integers(0, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    if mode == EXACT:
+        part = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3),
+                                                       st.integers(1, 3)))
+        scalar = st.builds(GaussianRational, part, part)
+    else:
+        part = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                         st.floats(-4, 4, allow_nan=False))
+        scalar = st.builds(complex, part, part)
+    terms = st.lists(st.tuples(mask, mask, scalar), max_size=10)
+    return tuple(Form(n, mode, {(h, a): c for h, a, c in draw(terms)}) for _ in range(2))
+
+
+class TestPlannedWedge:
+    """``Form.wedge`` reads its keys and signs from a cached pair plan; it
+    must match the per-call tables and the per-pair signs it replaced."""
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_hypothesis_forms(self, mode, data):
+        x, y = data.draw(form_pairs(mode))
+        assert_planned(x, y)
+        assert_planned(y, x)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_cancellation_mid_loop_reinserts_at_the_end(self, mode):
+        # dz1 ^ dz2 puts dz1^dz2 first, dz2 ^ dz1 cancels it, and 1 ^ dz1^dz2
+        # puts it back after every key the dz3 row made
+        n = 3
+        dz = [Form.dz(n, i, mode) for i in (1, 2, 3)]
+        one = Form.constant(n, 1, mode)
+        x = dz[0] + dz[1] + dz[2] + one
+        y = dz[1] + dz[0] + Form.monomial(n, [1, 2], [], 1, mode)
+        got = assert_planned(x, y)
+        assert list(got.terms) == [(0b110, 0), (0b101, 0), (0b111, 0),
+                                   (0b010, 0), (0b001, 0), (0b011, 0)]
+        assert got.terms[0b011, 0] == 1
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_one_key_set_in_two_orders_gets_two_plans(self, mode):
+        rng = np.random.default_rng(5)
+        x = random_form(rng, 3, mode, 8, bidegree=(1, 1))
+        y = random_form(rng, 3, mode, 8, bidegree=(1, 0))
+        x_rev = Form(3, mode, dict(reversed(x.terms.items())))
+        y_rev = Form(3, mode, dict(reversed(y.terms.items())))
+        assert x_rev == x and list(x_rev.terms) != list(x.terms)
+        forms._pair_plan.cache_clear()
+        results = [assert_planned(a, b) for a, b in ((x, y), (x_rev, y), (x, y_rev),
+                                                     (x_rev, y_rev), (x, y), (x_rev, y))]
+        info = forms._pair_plan.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
+        assert len({tuple(r.terms) for r in results[:4]}) == 4
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_zero_and_constant_forms(self, mode):
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 3):
+            minus = complex(-0.0, -2.0) if mode == FLOAT else GaussianRational(0, -2)
+            operands = [Form.zero(n, mode), Form.constant(n, 1, mode),
+                        Form.constant(n, minus, mode),
+                        random_form(rng, n, mode, 6, integral=True)]
+            for x, y in itertools.product(operands, repeat=2):
+                assert_planned(x, y)
+
+    def test_plans_are_reused_within_and_across_ops(self):
+        # 11 plans serve every wedge of a (4, 5) verify: all r^2 curvature
+        # entries share one key order, and so do the Leibniz prefixes of
+        # one depth and the chained products of Chern forms
+        forms._pair_plan.cache_clear()
+        verify_schur_nonnegativity(random_tensor(4, 5, seed=0))
+        built = forms._pair_plan.cache_info().misses
+        assert 0 < built <= 11
+        verify_schur_nonnegativity(random_tensor(4, 5, seed=0))
+        assert forms._pair_plan.cache_info().misses == built
 
 
 # ----------------------------------------------------------------------
@@ -1128,6 +1258,29 @@ def float_cli_ops(workdir) -> list[list[str]]:
 
 def test_float_cli_reports_match_pinned_digest(tmp_path):
     assert cli_digest(float_cli_ops(str(tmp_path))) == FLOAT_CLI_DIGEST
+
+
+#: sha256 over the stdout and exit code of every op of
+#: ``benchmark_shape_cli_ops``, computed with the per-call sign tables of
+#: ``Form.wedge`` and kept since
+BENCHMARK_SHAPE_CLI_DIGEST = "e19d8f56b132ccfeb6a2bfa7a6237f0105dd3649d1b6684a10533d8c3fd23e9c"
+
+
+def benchmark_shape_cli_ops() -> list[list[str]]:
+    """``schur verify`` and ``bounds chain`` on ``--random`` instances at the
+    benchmark's shapes: (4, 5) with CLI seeds 0-1, and (5, 3) with CLI seeds
+    0 and 13 (the sampled false FAIL), each in JSON and text."""
+    ops = []
+    for (n, r), seeds in (((4, 5), (0, 1)), ((5, 3), (0, 13))):
+        for seed in seeds:
+            shape = ["--random", "--n", str(n), "--r", str(r), "--seed", str(seed)]
+            for argv in (["schur", "verify"] + shape, ["bounds", "chain"] + shape):
+                ops += [argv, argv + ["--output", "text"]]
+    return ops
+
+
+def test_benchmark_shape_cli_reports_match_pinned_digest():
+    assert cli_digest(benchmark_shape_cli_ops()) == BENCHMARK_SHAPE_CLI_DIGEST
 
 
 # ----------------------------------------------------------------------

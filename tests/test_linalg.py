@@ -1,6 +1,13 @@
-"""The exact elimination shared by ``_linalg.det`` and ``_linalg.inv``."""
+"""The exact elimination shared by ``_linalg.det`` and ``_linalg.inv``.
+
+``det`` runs only the forward pass and ``inv`` adds a back pass.  Both must
+give the same values as the Gauss-Jordan elimination they replaced, kept
+below as ``ref_gauss_jordan``, which clears every other row and divides
+each pivot row across the full width.
+"""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +30,37 @@ def ref_det(rows):
     return total
 
 
+def ref_gauss_jordan(work, k: int):
+    """The replaced elimination: in place on the leading k columns; an
+    augmented [M | I] ends as [I | M^-1].  Returns the determinant."""
+    acc = GaussianRational(1)
+    for col in range(k):
+        pivot_row = next((r for r in range(col, k) if work[r][col]), None)
+        if pivot_row is None:
+            return GaussianRational(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            acc = -acc
+        pivot = work[col][col]
+        acc = acc * pivot
+        work[col] = top = [v / pivot for v in work[col]]
+        for r in range(k):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [v - factor * t for v, t in zip(work[r], top)]
+    return acc
+
+
+def ref_inv(rows):
+    """M^-1 through ``ref_gauss_jordan`` on [M | I], or None if singular."""
+    k = len(rows)
+    work = [list(row) + [GaussianRational(int(c == r)) for c in range(k)]
+            for r, row in enumerate(rows)]
+    if not ref_gauss_jordan(work, k):
+        return None
+    return [row[k:] for row in work]
+
+
 def gaussian_matrix(rng, k: int, span: int = 2):
     """k x k Gaussian-integer matrix with parts in [-span, span]; about a
     third of the entries are zero, so zero pivots and singular draws occur."""
@@ -31,6 +69,22 @@ def gaussian_matrix(rng, k: int, span: int = 2):
     keep = rng.random((k, k)) < 0.65
     return [[GaussianRational(int(re[r, c] * keep[r, c]), int(im[r, c] * keep[r, c]))
              for c in range(k)] for r in range(k)]
+
+
+def rational_matrix(rng, k: int):
+    """k x k Gaussian-rational matrix: parts are fractions with denominators
+    up to 6, about a third of the entries are zero, and every fourth draw
+    repeats a row times a rational, so it is singular."""
+    def part():
+        return Fraction(int(rng.integers(-7, 8)), int(rng.integers(1, 7)))
+
+    rows = [[GaussianRational(part(), part()) if rng.random() < 0.65 else GaussianRational(0)
+             for _ in range(k)] for _ in range(k)]
+    if k > 1 and rng.random() < 0.25:
+        a, b = (int(v) for v in rng.choice(k, size=2, replace=False))
+        scale = GaussianRational(part(), part())
+        rows[b] = [scale * v for v in rows[a]]
+    return rows
 
 
 def swap_forcing(k: int):
@@ -111,3 +165,34 @@ class TestInv:
 
     def test_empty_matrix(self):
         assert _linalg.inv([], EXACT) == []
+
+
+class TestAgainstGaussJordan:
+    """Forward pass (``det``) and forward plus back pass (``inv``) against
+    the replaced Gauss-Jordan elimination on Gaussian-rational matrices."""
+
+    def matrices(self):
+        rng = np.random.default_rng(47)
+        out = [rational_matrix(rng, k) for k in range(0, 7) for _ in range(40)]
+        return out + seeded_matrices()
+
+    def test_det(self):
+        singular = 0
+        for rows in self.matrices():
+            value = _linalg.det(rows)
+            assert value == ref_gauss_jordan([row[:] for row in rows], len(rows)), rows
+            singular += not value
+        assert singular > 40
+
+    def test_inv(self):
+        inverted = singular = 0
+        for rows in self.matrices():
+            expected = ref_inv(rows)
+            if expected is None:
+                singular += 1
+                with pytest.raises(InputError, match="singular"):
+                    _linalg.inv(rows, EXACT)
+            else:
+                inverted += 1
+                assert _linalg.inv(rows, EXACT) == expected, rows
+        assert inverted > 200 and singular > 40
