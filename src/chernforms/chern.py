@@ -16,10 +16,11 @@ subsets: lexicographic order, all sizes 1..min(r, n) interleaved, so
 subsets in ``itertools.combinations`` order, and each minor still sums its
 permutations in ``itertools.permutations`` order, so every minor sum adds
 the same determinants in the same order as a loop over the subsets of each
-size.  Minors whose first rows agree share their prefix wedges: a product
-over rows S[:d+1] with a given column tuple is computed once (see
-``leibniz_det``'s ``memo``), and every product is one such a loop computes,
-bit for bit.
+size.  Minors whose first rows agree share their prefix wedges: each row
+subset hands its minor its parent's memo levels plus one fresh level (see
+``leibniz_det``'s ``memo``), so a product over rows S[:d+1] with a given
+column tuple is computed once, and every product is one such a loop
+computes, bit for bit.
 
 Two prefactor modes, tied to the scalar mode of Omega:
 
@@ -70,33 +71,24 @@ def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
     summed onto ``zero`` in permutation order, each negated when the
     permutation is odd.
 
-    ``memo`` keeps the prefix products: ``memo[d]`` is a pair (row, products)
-    whose dict maps a column tuple (c0, ..., cd) to the product over rows
-    ``subset[:d+1]``.  A call keeps the levels whose rows match the first
-    rows of ``subset`` and clears the rest, so the memo holds products of
-    the current row path only, and a caller that passes one list to calls
-    on one matrix's row subsets computes each shared prefix once.
-    A cached product is the one this walk would compute, bit for bit.  By
-    default each call has a memo of its own.
+    ``memo`` holds one dict per row of ``subset`` (default: fresh ones), and
+    ``memo[d]`` maps a column tuple (c0, ..., cd) to the product over rows
+    ``subset[:d+1]``, so calls handed the same levels for a shared row
+    prefix compute its products once, bit for bit as this walk would.
     """
     if subset is None:
         subset = range(len(entries))
-    if memo is None:
-        memo = []
     k = len(subset)
     if k == 0:
         return one
-    keep = 0
-    while keep < min(k, len(memo)) and memo[keep][0] == subset[keep]:
-        keep += 1
-    del memo[keep:]
-    memo.extend((row, {}) for row in subset[keep:])
+    if memo is None:
+        memo = [{} for _ in subset]
     total = zero
     free = list(subset)
 
     def walk(d: int, prod, odd: int, cols: tuple):
         nonlocal total
-        row, level = entries[subset[d]], memo[d][1]
+        row, level = entries[subset[d]], memo[d]
         for pos, col in enumerate(free):
             f = row[col]
             if f.is_zero():
@@ -117,6 +109,9 @@ def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
             free.insert(pos, col)
 
     walk(0, one, 0, ())
+    # walk refers to itself: drop it so the cycle does not keep ``memo``
+    # alive until the next garbage collection
+    del walk
     return total
 
 
@@ -212,20 +207,19 @@ def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
     k = min(r, base_n)
     one, zero = Form.constant(base_n, 1, mode), Form.zero(base_n, mode)
     minor_sums = [zero] * (k + 1)
-    memo: list = []
 
-    def visit(rows: tuple):
+    def visit(rows: tuple, memo: list):
         # depth first over the row subsets that extend ``rows``, in
         # lexicographic order; see the module docstring
         for s in range(rows[-1] + 1 if rows else 0, r):
-            sub = rows + (s,)
+            sub, sub_memo = rows + (s,), memo + [{}]
             i = len(sub)
             minor_sums[i] = minor_sums[i] + leibniz_det(omega.entries, one, zero, Form.wedge,
-                                                        sub, memo)
+                                                        sub, sub_memo)
             if i < k:
-                visit(sub)
+                visit(sub, sub_memo)
 
-    visit(())
+    visit((), [])
     out = [one]
     for i in range(1, k + 1):
         if mode == EXACT:

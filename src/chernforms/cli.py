@@ -208,6 +208,8 @@ def _check_sampling_flags(args):
         raise InputError("--trials must be >= 1")
     if args.tol < 0:
         raise InputError("--tol must be nonnegative")
+    if not math.isfinite(args.tol):
+        raise InputError("--tol must be finite")
 
 
 def _handle_schur_verify(args):

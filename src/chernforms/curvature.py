@@ -362,15 +362,15 @@ def random_tensor(n: int, r: int, m: Optional[int] = None, seed: int = 0) -> Cur
     return CurvatureTensor(complex_normal(rng, (n, r, m)))
 
 
-def random_exact_factor(n: int, r: int, m: Optional[int] = None, seed: int = 0,
-                        span: int = 2) -> FactorMatrix:
+def random_exact_factor(n: int, r: int, m: Optional[int] = None,
+                        seed: int = 0) -> FactorMatrix:
     """Exact-mode factor matrix with Gaussian-integer tensor entries drawn
-    uniformly from [-span, span]^2 (witnessed instances for identity suites)."""
+    uniformly from [-2, 2]^2 (witnessed instances for identity suites)."""
     rng = substream(seed, 102)
     if m is None:
         m = int(rng.integers(1, r + 2))
-    re = rng.integers(-span, span + 1, size=(n, r, m)).tolist()
-    im = rng.integers(-span, span + 1, size=(n, r, m)).tolist()
+    re = rng.integers(-2, 3, size=(n, r, m)).tolist()
+    im = rng.integers(-2, 3, size=(n, r, m)).tolist()
     return _factor((n, r, m), lambda p, i, k: GaussianRational(re[p][i][k], im[p][i][k]),
                    EXACT)
 
@@ -386,11 +386,11 @@ def random_unitary(r: int, seed: int = 0) -> np.ndarray:
     return q
 
 
-def random_invertible(r: int, seed: int = 0, cond_limit: float = 1e6) -> np.ndarray:
-    """Complex normal matrix, redrawn until comfortably well-conditioned."""
+def random_invertible(r: int, seed: int = 0) -> np.ndarray:
+    """Complex normal matrix, redrawn until its condition number is <= 1e6."""
     for attempt in range(64):
         z = complex_normal(substream(seed, 104, attempt), (r, r))
-        if np.linalg.cond(z) <= cond_limit:
+        if np.linalg.cond(z) <= 1e6:
             return z
     raise ConsistencyError("could not draw a well-conditioned matrix (improbable)")
 

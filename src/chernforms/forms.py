@@ -18,7 +18,7 @@ once per pair of key orders and kept in a bounded LRU cache
 (``PLAN_CACHE_SIZE`` plans).  Key orders recur: every curvature entry of one
 instance has the same keys, and so has every Leibniz prefix of one depth.
 Coefficients live in one scalar mode (see ``scalars``): exact Gaussian
-rationals or float complex.  Forms are immutable.
+rationals or float complex.  Forms are immutable by convention.
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
@@ -139,11 +139,11 @@ def _pair_plan(keys1: tuple, keys2: tuple) -> tuple:
 
 
 class Form:
-    """Immutable complex differential form at a point.
+    """Complex differential form at a point, immutable by convention.
 
-    Do not mutate ``terms`` after construction; all operations return new
-    forms.  Addition, wedge and comparison require matching ``n`` and
-    scalar mode.
+    Do not reassign ``n``, ``mode`` or ``terms`` or mutate ``terms`` after
+    construction; all operations return new forms.  Addition, wedge and
+    comparison require matching ``n`` and scalar mode.
     """
 
     __slots__ = ("n", "mode", "terms")
@@ -162,20 +162,17 @@ class Form:
                 c = coerce(c, mode)
                 if c:
                     clean[(h, a)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Form is immutable")
+        self.n = n
+        self.mode = mode
+        self.terms = clean
 
     @classmethod
     def _raw(cls, n: int, mode: str, terms: dict) -> "Form":
         # internal fast path: terms already coerced and zero-free
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "terms", terms)
+        self.n = n
+        self.mode = mode
+        self.terms = terms
         return self
 
     # ------------------------------------------------------------------
@@ -530,10 +527,6 @@ class VerdictReport:
         }
 
 
-def _witness_to_json(samples_row: np.ndarray) -> list:
-    return [[scalar_json(z) for z in vec] for vec in samples_row]
-
-
 def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> VerdictReport:
     """Sample-test pointwise nonnegativity of a real (p,p)-form.
@@ -542,11 +535,13 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
     the Philox stream keyed by ``seed`` and evaluates the form on each.  The
     check passes iff the minimum value is >= -tol * scale, where scale is
     max(1, largest coefficient magnitude).  The argmin tuple is reported as a
-    witness either way.  A form that is not (p,p) or not real within
-    tol * scale is rejected.
+    witness either way.  A NaN, infinite or negative ``tol`` is rejected, and
+    so is a form that is not (p,p) or not real within tol * scale.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if not 0 <= tol < np.inf:
+        raise InputError(f"tol must be a finite nonnegative number, got {tol!r}")
     if form.is_zero():
         return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
                              tol=tol, scale=1.0, degree=0)
@@ -569,7 +564,7 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
     reals = vals.real
     arg = int(np.argmin(reals))
     min_value = float(reals[arg])
-    max_imag = float(np.max(np.abs(vals.imag))) if trials else 0.0
+    max_imag = float(np.max(np.abs(vals.imag)))
     return VerdictReport(
         passed=bool(min_value >= -tol * scale),
         min_value=min_value,
@@ -578,6 +573,6 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
         tol=tol,
         scale=scale,
         degree=p,
-        witness=_witness_to_json(samples[arg]),
+        witness=[[scalar_json(z) for z in vec] for vec in samples[arg]],
         max_imag=max_imag,
     )

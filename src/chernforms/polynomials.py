@@ -27,6 +27,17 @@ def weighted_degree(exps: tuple[int, ...]) -> int:
     return sum(j * e for j, e in enumerate(exps, start=1))
 
 
+def _checked_caps(nvars: int, caps) -> Optional[tuple[int, ...]]:
+    """``caps`` as a tuple of ints, after checking ``nvars`` and ``caps``."""
+    if nvars < 0:
+        raise InputError("number of variables must be nonnegative")
+    if caps is not None:
+        caps = tuple(int(c) for c in caps)
+        if len(caps) != nvars:
+            raise InputError("polynomial caps need one entry per variable")
+    return caps
+
+
 class Polynomial:
     """Polynomial in ``nvars`` variables with int or Fraction coefficients.
 
@@ -42,12 +53,7 @@ class Polynomial:
 
     def __init__(self, nvars: int, terms: Optional[dict] = None,
                  caps: Optional[tuple[int, ...]] = None):
-        if nvars < 0:
-            raise InputError("number of variables must be nonnegative")
-        if caps is not None:
-            caps = tuple(int(c) for c in caps)
-            if len(caps) != nvars:
-                raise InputError("polynomial caps need one entry per variable")
+        caps = _checked_caps(nvars, caps)
         clean: dict = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -72,12 +78,19 @@ class Polynomial:
         return self
 
     @classmethod
+    def _monomial(cls, nvars: int, caps, exps: tuple[int, ...]) -> "Polynomial":
+        # coefficient 1, or zero beyond a nilpotency cap as in __init__
+        caps = _checked_caps(nvars, caps)
+        beyond = caps is not None and any(e > c for e, c in zip(exps, caps))
+        return cls._raw(nvars, caps, {} if beyond else {exps: 1})
+
+    @classmethod
     def zero(cls, nvars: int, caps: Optional[tuple[int, ...]] = None) -> "Polynomial":
-        return cls(nvars, {}, caps)
+        return cls._raw(nvars, _checked_caps(nvars, caps), {})
 
     @classmethod
     def one(cls, nvars: int, caps: Optional[tuple[int, ...]] = None) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: 1}, caps)
+        return cls._monomial(nvars, caps, (0,) * nvars)
 
     @classmethod
     def variable(cls, j: int, nvars: int,
@@ -85,7 +98,7 @@ class Polynomial:
         """The j-th variable, 1-based."""
         if not 1 <= j <= nvars:
             raise InputError(f"variable index {j} out of range 1..{nvars}")
-        return cls(nvars, {tuple(1 if k == j - 1 else 0 for k in range(nvars)): 1}, caps)
+        return cls._monomial(nvars, caps, tuple(int(k == j - 1) for k in range(nvars)))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -26,6 +26,7 @@ check, and at top degree i = n the scalar chain
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import operator
@@ -267,13 +268,6 @@ class ChainReport:
         }
 
 
-def _poly_product(factors: Sequence[Polynomial], r: int) -> Polynomial:
-    out = Polynomial.one(r)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial]]:
     """The factorized step differences proving c_i <= c_lambda <= c_1^i.
 
@@ -305,7 +299,8 @@ def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial
     done = Polynomial.one(r)
     done_exp = 0
     for a, part in enumerate(parts):
-        rest = _poly_product([chern_variable(p, r) for p in parts[a + 1:]], r)
+        rest = functools.reduce(operator.mul, (chern_variable(p, r) for p in parts[a + 1:]),
+                                Polynomial.one(r))
         rest_label = "*".join(f"c{p}" for p in parts[a + 1:])
         for t in range(part, 1, -1):
             diff = chern_variable(1, r) * chern_variable(t - 1, r) - chern_variable(t, r)

@@ -25,6 +25,8 @@ script exits 1, naming each set that differs, unless all of them match.
   ``model chern-numbers``, on every ``CATALOG`` model, JSON and text.
 
 This file is a script, not a test module: pytest does not collect it.
+``test_byte_identity`` runs the ``schur-table`` and ``models`` sets against
+their expected lines on every test run.
 """
 
 from __future__ import annotations
@@ -112,6 +114,12 @@ def model_ops() -> list[list[str]]:
     return ops
 
 
+def expected_lines() -> dict[str, str]:
+    """The lines of ``cli_digests.expected``, by op set name."""
+    return {line.split()[0]: line
+            for line in EXPECTED.read_text(encoding="utf-8").splitlines() if line}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         core = core_ops(workdir)
@@ -124,8 +132,7 @@ def main() -> None:
         lines = {name: f"{name} {len(ops)} {cli_digest(ops)}" for name, ops in sets}
     for line in lines.values():
         print(line)
-    expected = {line.split()[0]: line
-                for line in EXPECTED.read_text(encoding="utf-8").splitlines() if line}
+    expected = expected_lines()
     differ = [name for name, line in lines.items() if expected.get(name) != line]
     for name in differ:
         print(f"differs from {EXPECTED.name}: {name}", file=sys.stderr)

@@ -44,13 +44,13 @@ def diagonal_factor(n: int, mode: str = FLOAT) -> FactorMatrix:
     return FactorMatrix(tuple(rows))
 
 
-def integer_tensor_pair(n: int, r: int, m: int, seed: int, span: int = 2):
+def integer_tensor_pair(n: int, r: int, m: int, seed: int):
     """One Gaussian-integer tensor rendered both ways: the exact FactorMatrix
     of ``random_exact_factor`` and the float CurvatureTensor read off its
     entries."""
     from chernforms import CurvatureTensor, random_exact_factor
 
-    factor = random_exact_factor(n, r, m, seed=seed, span=span)
+    factor = random_exact_factor(n, r, m, seed=seed)
     a = np.zeros((n, r, m), dtype=complex)
     for i, row in enumerate(factor.entries):
         for k, entry in enumerate(row):

@@ -1283,6 +1283,17 @@ def test_benchmark_shape_cli_reports_match_pinned_digest():
     assert cli_digest(benchmark_shape_cli_ops()) == BENCHMARK_SHAPE_CLI_DIGEST
 
 
+@pytest.mark.parametrize("name", ["schur-table", "models"])
+def test_report_sets_match_cli_digests_expected(name):
+    # no digest above covers ``schur table`` or any ``model`` subcommand; the
+    # ops and their digests stay in cli_digests.py and cli_digests.expected
+    import cli_digests
+
+    ops = {"schur-table": cli_digests.schur_table_ops,
+           "models": cli_digests.model_ops}[name]()
+    assert f"{name} {len(ops)} {cli_digest(ops)}" == cli_digests.expected_lines()[name]
+
+
 # ----------------------------------------------------------------------
 # report_json against json.dumps(sort_keys=True, indent=2)
 

@@ -1,6 +1,7 @@
 """Chern forms: frozen diagonal examples, Whitney product, frame and mode
 agreement, and top-degree coefficient extraction."""
 
+import gc
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from chernforms import (
     random_tensor,
     top_coefficient,
 )
+from chernforms.chern import leibniz_det
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational
 
@@ -129,6 +131,19 @@ class TestChernForms:
         for i in range(1, cs.top_degree + 1):
             rep = nonnegative_sampled(cs.form(i), trials=40, seed=i)
             assert rep.passed, f"c_{i} dipped to {rep.min_value}"
+
+    def test_leibniz_walk_leaves_no_reference_cycle(self):
+        # a cycle through the walk would keep the memo levels, and every
+        # prefix product in them, alive until the next collection
+        omega = bott_chern_curvature(factor_from_tensor(random_tensor(3, 4, 2, seed=0)))
+        one, zero = Form.constant(3, 1), Form.zero(3)
+        gc.collect()
+        gc.disable()
+        try:
+            leibniz_det(omega.entries, one, zero, Form.wedge, (0, 1, 3), [{}, {}, {}])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_form_matrix_det_empty_and_identity(self):
         assert form_matrix_det([], 1, FLOAT) == Form.constant(1, 1)

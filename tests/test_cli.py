@@ -331,6 +331,18 @@ class TestSchurCommands:
         code, out, err = invoke(capsys, *command, flag)
         assert (code, out, err) == (2, "", message)
 
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    @pytest.mark.parametrize("tol,message", [
+        ("nan", "error: --tol must be finite\n"),
+        ("inf", "error: --tol must be finite\n"),
+        ("-inf", "error: --tol must be nonnegative\n"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_rejected(self, capsys, command, tol, message):
+        # with --tol nan every check would FAIL, with --tol inf every one PASS
+        code, out, err = invoke(capsys, *command, "--random", "--n", "2", "--r", "2",
+                                "--seed", "1", "--trials", "5", f"--tol={tol}")
+        assert (code, out, err) == (2, "", message)
+
 
 class TestBoundsChain:
     def test_random_instance(self, capsys):

@@ -331,7 +331,7 @@ class TestGenerators:
         assert nonzero_per_row == [1, 1, 1, 1]
 
     def test_exact_factor_entries_are_gaussian_integers(self):
-        f = random_exact_factor(2, 2, 2, seed=3, span=2)
+        f = random_exact_factor(2, 2, 2, seed=3)
         for row in f.entries:
             for entry in row:
                 for c in entry.terms.values():

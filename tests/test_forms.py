@@ -7,6 +7,7 @@ parity of the bubble sort that gets there.  This never touches bitmasks, so it
 is an independent cross-check of the fast path.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -463,6 +464,13 @@ class TestNonnegativeSampled:
     def test_trials_validation(self):
         with pytest.raises(InputError):
             nonnegative_sampled(Form.zero(1), trials=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tol_validation(self, tol):
+        # a NaN tol fails every check and an infinite one passes every check
+        for form in (Form.zero(1), Form.monomial(1, [1], [1], 1j)):
+            with pytest.raises(InputError, match="tol must be a finite nonnegative number"):
+                nonnegative_sampled(form, trials=5, tol=tol)
 
     def test_tolerance_is_relative_to_scale(self):
         # |X1|^2 - eps |X2|^2: indefinite, but for eps far below tol the dips

@@ -26,6 +26,7 @@ from chernforms import (
     chern_forms,
     evaluate_on_forms,
     factor_from_tensor,
+    nonnegative_sampled,
     partitions,
     random_exact_factor,
     random_tensor,
@@ -38,7 +39,7 @@ from chernforms.errors import InputError
 from chernforms.polynomials import weighted_degree
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
-from conftest import diagonal_factor, schur_and_chain_polynomials
+from conftest import diagonal_factor, integer_tensor_pair, schur_and_chain_polynomials
 
 
 def leibniz_det(rows):
@@ -206,6 +207,26 @@ class TestChernPolynomial:
     def test_power_validation(self):
         with pytest.raises(InputError):
             chern_variable(1, 1) ** -1
+
+    def test_unit_constructors_match_the_validating_init(self):
+        # zero, one and variable skip __init__ but build the same ring
+        # elements, caps of 0 and below included, and reject the same rings
+        for caps in (None, [0, 1, 2], (2, 0, -1)):
+            assert Polynomial.zero(3, caps) == Polynomial(3, {}, caps)
+            assert Polynomial.one(3, caps) == Polynomial(3, {(0, 0, 0): 1}, caps)
+            for j in (1, 2, 3):
+                exps = tuple(int(k == j - 1) for k in range(3))
+                assert Polynomial.variable(j, 3, caps) == Polynomial(3, {exps: 1}, caps)
+        for build in (Polynomial.zero, Polynomial.one,
+                      lambda nvars, caps=None: Polynomial.variable(1, nvars, caps)):
+            with pytest.raises(InputError, match="one entry per variable"):
+                build(2, (1,))
+        for build in (Polynomial.zero, Polynomial.one):
+            with pytest.raises(InputError, match="nonnegative"):
+                build(-1)
+        for j in (0, 3):
+            with pytest.raises(InputError, match="out of range"):
+                Polynomial.variable(j, 2)
 
 
 # ----------------------------------------------------------------------
@@ -450,6 +471,28 @@ class TestVerifySchur:
         back = CurvatureTensor.from_json(rep.instance)
         rep2 = verify_schur_nonnegativity(back, trials=20, seed=6)
         assert rep2.to_dict() == rep.to_dict()
+
+
+class TestSchurNegativeControls:
+    """The sampled check can say FAIL: on one witnessed instance with m >= n
+    every S_lambda, lambda in Gamma(i, r) with i <= n, is a nonzero form that
+    passes, and its negative fails, at the default trials and tol."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_each_negated_schur_form_fails(self, mode):
+        n, r, m = 5, 3, 5
+        factor, tensor = integer_tensor_pair(n, r, m, seed=0)
+        if mode == "float":
+            factor = factor_from_tensor(tensor)
+        cs = chern_forms(bott_chern_curvature(factor))
+        forms = {lam.parts: evaluate_on_forms(schur_polynomial(lam, r), cs)
+                 for i in range(1, n + 1) for lam in partitions(i, r)}
+        assert len(forms) == 15
+        # with at most m nonzero parts no S_lambda vanishes identically
+        assert [parts for parts, form in forms.items() if form.is_zero()] == []
+        for parts, form in forms.items():
+            assert nonnegative_sampled(form).passed, parts
+            assert not nonnegative_sampled(-form).passed, parts
 
 
 class TestChainSteps:
