@@ -10,10 +10,36 @@ Entries of Omega have even total degree, so they commute and the Leibniz
 determinant is unambiguous.  Forms of degree above min(r, n) vanish; the set
 stops there.
 
-``chern_forms`` expands the minors in one depth-first walk over the row
-subsets: lexicographic order, all sizes 1..min(r, n) interleaved, so
-(0), (0,1), (0,1,2), ..., (0,2), ..., (1), ...  Each size still meets its
-subsets in ``itertools.combinations`` order, and each minor still sums its
+``chern_forms`` takes one of two routes, chosen by the witness alone.
+
+*Gram route* (witnessed Omega = A ^ conj(A^t), A_ik = sum_p T[p, i, k] dz^p,
+A an r x m factor).  For a row subset S = (s_1 < ... < s_i) and a size-i
+multiset kappa of the m columns, let Phi_{S,kappa} be the (i,0)-form
+
+    Phi_{S,kappa} = sum over the distinct arrangements (k_1, ..., k_i) of
+                    kappa of A_{s_1 k_1} ^ ... ^ A_{s_i k_i},
+
+whose dz^J coefficient sums det(T[J, s_d, k_d]).  Expanding the minors and
+moving the odd factors of each product together gives
+
+    c_i = (sqrt(-1)/2*pi)^i (-1)^(i(i-1)/2)
+          * sum_{S,kappa} |Stab kappa| Phi_{S,kappa} ^ conj(Phi_{S,kappa}),
+
+and (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2).  So c_i is read off a
+C(n,i) x C(n,i) block G_i = sum |Stab kappa| Phi Phi^*, the coefficient of
+dz^J ^ dzbar^K being G_i[J, K] times that prefactor.  One depth-first walk
+over the row subsets grows the array Phi_S[kappa, J] one row at a time
+(Laplace along the new row) and adds each subset's term to its block; the
+index tables depend only on (n, m, |S|) and are cached.  Both scalar modes
+run the same numpy code: complex128 arrays, or object arrays of
+``GaussianRational``.  The forms list their keys in the order of the walk's
+forms (``_key_order``), so their products reuse the same wedge plans.
+
+*Leibniz walk* (unwitnessed Omega, e.g. ``omega`` literals).  The minors are
+expanded in one depth-first walk over the row subsets: lexicographic order,
+all sizes 1..min(r, n) interleaved, so (0), (0,1), (0,1,2), ..., (0,2),
+..., (1), ...  Each size still meets its subsets in
+``itertools.combinations`` order, and each minor still sums its
 permutations in ``itertools.permutations`` order, so every minor sum adds
 the same determinants in the same order as a loop over the subsets of each
 size.  Minors whose first rows agree share their prefix wedges: each row
@@ -21,6 +47,9 @@ subset hands its minor its parent's memo levels plus one fresh level (see
 ``leibniz_det``'s ``memo``), so a product over rows S[:d+1] with a given
 column tuple is computed once, and every product is one such a loop
 computes, bit for bit.
+
+On the same entries the routes agree exactly in exact mode and to rounding
+in float mode, where the Gram route sums in another order.
 
 Two prefactor modes, tied to the scalar mode of Omega:
 
@@ -41,9 +70,13 @@ prod_j sqrt(-1) dz^j ^ dzbar^j has coefficient 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .curvature import CurvatureMatrix
 from .errors import InputError
@@ -53,6 +86,10 @@ from .scalars import EXACT, FLOAT, GaussianRational
 #: exact phase (sqrt(-1))^i, i mod 4
 _PHASES = (GaussianRational(1), GaussianRational(0, 1),
            GaussianRational(-1), GaussianRational(0, -1))
+
+#: index tables kept by ``_gram_step``, least recently used dropped first;
+#: one instance needs one per degree below min(r, n) and scalar mode
+GRAM_CACHE_SIZE = 64
 
 
 def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
@@ -196,17 +233,12 @@ class ChernFormSet:
             mode=FLOAT, witnessed=self.witnessed)
 
 
-def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
-    """Chern forms of a curvature matrix, through degree min(r, n), n the
-    base dimension of its entries.  The result inherits the scalar mode of
-    ``omega`` and records whether ``omega`` was witnessed.
-    """
-    base_n = omega.n
-    r = omega.r
-    mode = omega.mode
-    k = min(r, base_n)
-    one, zero = Form.constant(base_n, 1, mode), Form.zero(base_n, mode)
-    minor_sums = [zero] * (k + 1)
+def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
+    """The sums of the principal i x i minors of ``omega``, i = 0..k, from one
+    depth-first walk over the row subsets (see the module docstring)."""
+    n, r, mode = omega.n, omega.r, omega.mode
+    one, zero = Form.constant(n, 1, mode), Form.zero(n, mode)
+    minor_sums = [one] + [zero] * k
 
     def visit(rows: tuple, memo: list):
         # depth first over the row subsets that extend ``rows``, in
@@ -220,15 +252,139 @@ def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
                 visit(sub, sub_memo)
 
     visit((), [])
-    out = [one]
-    for i in range(1, k + 1):
-        if mode == EXACT:
-            c_i = minor_sums[i].scale(_PHASES[i % 4])
-        else:
-            c_i = minor_sums[i].scale((1j / (2.0 * math.pi)) ** i)
-        out.append(c_i)
-    return ChernFormSet(n=base_n, r=r, forms=tuple(out), mode=mode,
-                        witnessed=omega.witnessed)
+    # visit refers to itself: drop it so the cycle does not keep
+    # ``minor_sums`` alive until the next garbage collection
+    del visit
+    return minor_sums
+
+
+@functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
+def _gram_step(n: int, m: int, d: int, dtype: np.dtype) -> tuple:
+    """Index tables that grow Phi over the rows S into Phi over S + (s,),
+    |S| = d, for ``_gram_blocks``.
+
+    Rows of Phi are the size-d multisets kappa of the m columns, in
+    ``combinations_with_replacement`` order, then one zero row; its columns
+    are the d-subsets J of the n directions, in ``combinations`` order.
+    Expanding the new row last,
+
+        Phi'[kappa', J'] = sum over distinct k in kappa' and p in J' of
+                           (-1)^(d - pos(p, J')) Phi[kappa' - {k}, J' - {p}] T[p, s, k].
+
+    Returns (kappa_src, col, j_src, direction, sign, weight):
+    ``kappa_src[a, t]`` and ``col[a, t]`` name the source row and the column k
+    of the t-th distinct k of kappa'_a (padded with the zero row),
+    ``j_src[b, t]``, ``direction[b, t]`` and ``sign[b, t]`` the source column,
+    the direction p and the sign of the t-th p of J'_b, and ``weight[a]`` is
+    |Stab kappa'_a| (0 on the zero row).  ``sign`` and ``weight`` hold scalars
+    of ``dtype``: Python ints for object arrays.
+    """
+    kappas = {kappa: a for a, kappa in
+              enumerate(itertools.combinations_with_replacement(range(m), d))}
+    subsets = {j: b for b, j in enumerate(itertools.combinations(range(n), d))}
+    pad, width = len(kappas), min(d + 1, m)
+    kappa_src, col, weight = [], [], []
+    for kappa in itertools.combinations_with_replacement(range(m), d + 1):
+        distinct = sorted(set(kappa))
+        # dropping the first copy of k keeps the multiset sorted
+        src = [kappas[kappa[:kappa.index(c)] + kappa[kappa.index(c) + 1:]] for c in distinct]
+        kappa_src.append(src + [pad] * (width - len(src)))
+        col.append(distinct + [0] * (width - len(distinct)))
+        weight.append(math.prod(math.factorial(kappa.count(c)) for c in distinct))
+    kappa_src.append([pad] * width)
+    col.append([0] * width)
+    weight.append(0)
+    j_src, direction, sign = [], [], []
+    for j in itertools.combinations(range(n), d + 1):
+        j_src.append([subsets[j[:t] + j[t + 1:]] for t in range(d + 1)])
+        direction.append(list(j))
+        # dz^p moves left past the d - t directions of J' above it
+        sign.append([(-1) ** (d - t) for t in range(d + 1)])
+    return (np.array(kappa_src), np.array(col), np.array(j_src), np.array(direction),
+            np.array(sign, dtype=dtype), np.array(weight, dtype=dtype))
+
+
+def _gram_blocks(tensor: np.ndarray, k: int) -> list:
+    """G_i = sum over row subsets S, |S| = i, and size-i column multisets
+    kappa of |Stab kappa| Phi_{S,kappa} Phi_{S,kappa}^*, i = 1..k, for the
+    factor tensor T[p, i, k] (see the module docstring)."""
+    n, r, m = tensor.shape
+    blocks = [None] + [np.zeros((math.comb(n, i),) * 2, tensor.dtype) for i in range(1, k + 1)]
+    phi = np.zeros((2, 1), tensor.dtype)
+    phi[0, 0] = 1
+    # (first row still free, depth, Phi over the rows taken), depth first
+    stack = [(0, 0, phi)]
+    while stack:
+        start, d, phi = stack.pop()
+        kappa_src, col, j_src, direction, sign, weight = _gram_step(n, m, d, tensor.dtype)
+        # Phi[kappa' - {k}, J' - {p}], shared by every next row s
+        gathered = phi[kappa_src][:, :, j_src]
+        signed = tensor[direction] * sign[:, :, None, None]
+        for s in range(start, r):
+            nxt = np.einsum("kajb,jbka->kj", gathered, signed[:, :, s][..., col])
+            blocks[d + 1] += np.einsum("kj,k,kl->jl", nxt, weight, nxt.conj())
+            if d + 1 < k:
+                stack.append((s + 1, d + 1, nxt))
+    return blocks
+
+
+@functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
+def _key_order(n: int, i: int) -> tuple:
+    """The (i,i) keys (h, a) in the order in which the left-to-right wedge
+    of i dense (1,1)-forms with keys in (p, q) order first meets them, the
+    key order of c_1^i and of the walk's c_i, each with the positions of h
+    and a in ``combinations`` order.  Chern forms in one key order share
+    the pair plans of ``Form.wedge``."""
+    pos = {sum(1 << p for p in j): b for b, j in enumerate(itertools.combinations(range(n), i))}
+    ones = [(1 << p, 1 << q) for p in range(n) for q in range(n)]
+    keys = [(0, 0)]
+    for _ in range(i):
+        keys = list(dict.fromkeys((h | h1, a | a1) for h, a in keys for h1, a1 in ones
+                                  if not (h & h1 or a & a1)))
+    return tuple((key, pos[key[0]], pos[key[1]]) for key in keys)
+
+
+def _factor_tensor(witness) -> np.ndarray:
+    """T[p, i, k] with A_ik = sum_p T[p, i, k] dz^p, read off the factor:
+    complex, or objects (``GaussianRational`` and the int 0) in exact mode."""
+    t = np.zeros((witness.n, witness.r, witness.m), object if witness.mode == EXACT else complex)
+    for i, row in enumerate(witness.entries):
+        for k, entry in enumerate(row):
+            for (h, _), c in entry.terms.items():
+                t[h.bit_length() - 1, i, k] = c
+    return t
+
+
+def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
+    """Chern forms of a curvature matrix, through degree min(r, n), n the
+    base dimension of its entries.  A witnessed ``omega`` takes its forms
+    from the Gram blocks of its factor, an unwitnessed one from the Leibniz
+    walk over its principal minors (see the module docstring).  The result
+    inherits the scalar mode of ``omega`` and records whether ``omega`` was
+    witnessed.
+    """
+    n, r, mode = omega.n, omega.r, omega.mode
+    k = min(r, n)
+    out = [Form.constant(n, 1, mode)]
+    if omega.witness is None:
+        minor_sums = _minor_sums(omega, k)
+        for i in range(1, k + 1):
+            if mode == EXACT:
+                out.append(minor_sums[i].scale(_PHASES[i % 4]))
+            else:
+                out.append(minor_sums[i].scale((1j / (2.0 * math.pi)) ** i))
+    else:
+        blocks = _gram_blocks(_factor_tensor(omega.witness), k)
+        for i in range(1, k + 1):
+            # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
+            if mode == EXACT:
+                scaled = blocks[i] * _PHASES[i & 1]
+            else:
+                scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
+            rows = scaled.tolist()
+            out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
+                                           if (c := rows[a][b])}))
+    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, witnessed=omega.witnessed)
 
 
 def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:

@@ -201,9 +201,13 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
                                tol: float = DEFAULT_TOL) -> SchurReport:
     """Sample-check S_lambda(c(Omega)) >= 0 for every lambda in Gamma(i, r).
 
-    ``degrees`` defaults to 1..n.  Every (degree, partition) pair gets its own
-    derived random stream, so the verdict does not depend on evaluation
-    order.  The report embeds the instance and its hash for reproducibility.
+    ``degrees`` defaults to 1..n.  A lambda with more than m nonzero parts
+    gets the zero form's report without its form being built: for the
+    factor's m columns, 1/c(Omega) has degree at most m, so
+    S_lambda(c(Omega)) is exactly zero there (CONVENTIONS.md).  Every
+    (degree, partition) pair gets its own derived random stream, so the
+    verdict does not depend on evaluation order.  The report embeds the
+    instance and its hash for reproducibility.
     """
     n, r = tensor.n, tensor.r
     if degrees is None:
@@ -217,7 +221,11 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     all_pass = True
     for i in degrees:
         for idx, lam in enumerate(partitions(i, r)):
-            form = evaluate_on_forms(schur_polynomial(lam, r), cs)
+            if len(lam.trimmed()) > tensor.m:
+                # S_lambda(c) = (-1)^|lambda| s_lambda(y_1, ..., y_m): zero
+                form = Form.zero(n)
+            else:
+                form = evaluate_on_forms(schur_polynomial(lam, r), cs)
             rep = nonnegative_sampled(form, trials, derive_seed(seed, 7, i, idx), tol)
             checks.append(SchurCheck(degree=i, partition=lam.parts, report=rep))
             all_pass = all_pass and rep.passed

@@ -10,6 +10,7 @@ checkouts that print the same lines print the same bytes on every op.  Input
 files go to a temporary directory, and no report prints their paths.  The
 lines are compared with ``cli_digests.expected`` next to this file; the
 script exits 1, naming each set that differs, unless all of them match.
+Lines of that file that start with ``#`` are comments.
 
 * ``core`` (365 ops): every op of the four benchmark pools at benchmark seed
   701 (77 ops, built by ``bench/workloads.py``, which is only read), then, for
@@ -117,7 +118,8 @@ def model_ops() -> list[list[str]]:
 def expected_lines() -> dict[str, str]:
     """The lines of ``cli_digests.expected``, by op set name."""
     return {line.split()[0]: line
-            for line in EXPECTED.read_text(encoding="utf-8").splitlines() if line}
+            for line in EXPECTED.read_text(encoding="utf-8").splitlines()
+            if line and not line.startswith("#")}
 
 
 def main() -> None:

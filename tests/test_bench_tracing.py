@@ -82,3 +82,17 @@ def test_dim_heavy_chain_op_passes_its_oracle(tmp_path):
     assert len(pool) == 2 * workloads.DIM_INSTANCES
     op = next(op for op in pool if op.argv[:2] == ("bounds", "chain"))
     assert op.check(*run_op(op.argv)) is None, op.argv
+
+
+def test_sampled_pools_pass_their_oracles(tmp_path):
+    # every op of the rank-heavy (6) and dim-heavy (32) pools at one
+    # benchmark seed; dim-heavy holds CLI seed 13 at (5, 3), whose
+    # S_(1,1,1,1,1) (five parts, m = 4 factor columns) was the sampled false
+    # FAIL until Schur forms with more parts than columns were reported as
+    # the zero form they are
+    workloads = load_bench("workloads")
+    pool = (workloads.rank_heavy(401, str(tmp_path), run_op)
+            + workloads.dim_heavy(301, str(tmp_path), run_op))
+    assert len(pool) == workloads.RANK_POOL + 2 * workloads.DIM_INSTANCES
+    failures = [(op.argv, op.check(*run_op(op.argv))) for op in pool]
+    assert [(argv, bad) for argv, bad in failures if bad is not None] == []

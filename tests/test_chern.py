@@ -134,13 +134,20 @@ class TestChernForms:
 
     def test_leibniz_walk_leaves_no_reference_cycle(self):
         # a cycle through the walk would keep the memo levels, and every
-        # prefix product in them, alive until the next collection
+        # prefix product in them, alive until the next collection; one
+        # through the subset walk of chern_forms would keep its minor sums,
+        # and the Gram route must leave none either
         omega = bott_chern_curvature(factor_from_tensor(random_tensor(3, 4, 2, seed=0)))
+        stripped = CurvatureMatrix(omega.entries)
         one, zero = Form.constant(3, 1), Form.zero(3)
         gc.collect()
         gc.disable()
         try:
             leibniz_det(omega.entries, one, zero, Form.wedge, (0, 1, 3), [{}, {}, {}])
+            assert gc.collect() == 0
+            chern_forms(stripped)
+            assert gc.collect() == 0
+            chern_forms(omega)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -149,6 +156,45 @@ class TestChernForms:
         assert form_matrix_det([], 1, FLOAT) == Form.constant(1, 1)
         ident = [[Form.constant(1, 1), Form.zero(1)], [Form.zero(1), Form.constant(1, 1)]]
         assert form_matrix_det(ident, 1, FLOAT) == Form.constant(1, 1)
+
+
+class TestGramRoute:
+    """A witnessed curvature takes its Chern forms from the Gram blocks of
+    its factor, an unwitnessed one from the Leibniz walk; on the same
+    entries the two agree, exactly in exact mode."""
+
+    @pytest.mark.parametrize("n,r,m", [
+        (4, 3, 1), (3, 3, 1),            # m = 1
+        (4, 4, 2), (5, 3, 2), (4, 4, 1),  # m < i for the top degrees
+        (3, 2, 4), (3, 4, 5), (2, 2, 3),  # m > r
+        (4, 3, 3), (5, 2, 2),            # n > r
+        (2, 4, 3), (1, 3, 2), (4, 5, 3),  # r > n
+    ])
+    def test_exact_gram_equals_walk(self, n, r, m):
+        for seed in range(2):
+            omega = bott_chern_curvature(random_exact_factor(n, r, m, seed=seed))
+            gram = chern_forms(omega)
+            walk = chern_forms(CurvatureMatrix(omega.entries))
+            assert gram.witnessed and not walk.witnessed
+            assert gram.forms == walk.forms
+
+    @pytest.mark.parametrize("n,r", [(4, 5), (5, 3), (3, 3), (2, 4), (4, 1), (6, 2)])
+    def test_float_gram_matches_walk(self, n, r):
+        for seed in range(4):
+            omega = bott_chern_curvature(factor_from_tensor(random_tensor(n, r, None, seed)))
+            gram = chern_forms(omega).forms
+            walk = chern_forms(CurvatureMatrix(omega.entries)).forms
+            assert len(gram) == len(walk) == min(n, r) + 1
+            for a, b in zip(gram, walk):
+                assert a.allclose(b, 1e-12)
+
+    def test_gram_forms_keep_the_walk_key_order(self):
+        # Chern forms in one key order share the wedge plans of their
+        # products, so the Gram route lists its keys as the walk does
+        omega = bott_chern_curvature(factor_from_tensor(random_tensor(4, 5, 5, seed=3)))
+        gram = chern_forms(omega).forms
+        walk = chern_forms(CurvatureMatrix(omega.entries)).forms
+        assert [list(f.terms) for f in gram] == [list(f.terms) for f in walk]
 
 
 class TestChernProduct:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from chernforms import (
     EXACT,
+    CurvatureMatrix,
     Form,
     Partition,
     Polynomial,
@@ -493,6 +494,39 @@ class TestSchurNegativeControls:
         for parts, form in forms.items():
             assert nonnegative_sampled(form).passed, parts
             assert not nonnegative_sampled(-form).passed, parts
+
+
+class TestSchurVanishing:
+    """det(I_r + t A A^*) det(I_m + t A^* A) = 1 for odd entries, so
+    1/c(Omega) has degree at most m and S_lambda(c(Omega)) vanishes when
+    lambda has more than m nonzero parts (CONVENTIONS.md)."""
+
+    @pytest.mark.parametrize("n,r,m", [(5, 3, 1), (5, 3, 2), (5, 3, 3), (5, 3, 4),
+                                       (4, 5, 1), (4, 5, 2), (4, 5, 3)])
+    def test_exact_schur_forms_beyond_m_parts_are_zero(self, n, r, m):
+        # Chern forms from the Leibniz walk, which never sees the factor
+        omega = bott_chern_curvature(random_exact_factor(n, r, m, seed=m))
+        cs = chern_forms(CurvatureMatrix(omega.entries))
+        nonzero = 0
+        for i in range(1, n + 1):
+            for lam in partitions(i, r):
+                form = evaluate_on_forms(schur_polynomial(lam, r), cs)
+                if len(lam.trimmed()) > m:
+                    assert form == Form.zero(n, EXACT), lam
+                else:
+                    nonzero += not form.is_zero()
+        assert nonzero
+
+    def test_verify_reports_the_zero_form_beyond_m_parts(self):
+        tensor = random_tensor(5, 3, 2, seed=4)
+        report = verify_schur_nonnegativity(tensor)
+        zero = nonnegative_sampled(Form.zero(5), 50, 0).to_dict()
+        beyond = [c for c in report.checks if sum(1 for p in c.partition if p) > 2]
+        assert beyond and report.passed
+        for chk in beyond:
+            rep = chk.report.to_dict()
+            assert rep["seed"] != 0
+            assert dict(rep, seed=0) == zero
 
 
 class TestChainSteps:
