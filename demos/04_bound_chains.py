@@ -9,10 +9,8 @@ Run:  python3 demos/04_bound_chains.py
 
 from chernforms import (
     Partition,
-    bott_chern_curvature,
     bounds_chain_check,
     chern_forms,
-    factor_from_tensor,
     parse_model,
     random_tensor,
     verify_number_bounds,
@@ -26,8 +24,8 @@ for label, poly in chain_step_polynomials(lam, 3):
 
 print("\n== sampled chain on a random instance (n = r = 3) ==")
 tensor = random_tensor(3, 3, 2, seed=11)
-cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
-report = bounds_chain_check(cs, lam, trials=50, seed=0)
+cs = chern_forms(tensor)
+report = bounds_chain_check(cs, lam, trials=50, seed=0, m=tensor.m)
 for step in report.steps:
     print(f"  {step.label}: min={step.report.min_value: .4e} "
           f"{'PASS' if step.report.passed else 'FAIL'}")

@@ -13,7 +13,11 @@ stops there.
 ``chern_forms`` takes one of two routes, chosen by the witness alone.
 
 *Gram route* (witnessed Omega = A ^ conj(A^t), A_ik = sum_p T[p, i, k] dz^p,
-A an r x m factor).  For a row subset S = (s_1 < ... < s_i) and a size-i
+A an r x m factor).  A ``CurvatureTensor`` is witnessed by construction:
+``chern_forms`` reads T off its array and builds neither A nor Omega as
+forms, and checks Omega's coefficients for overflow from T as
+``CurvatureMatrix`` checks its entries.  A witnessed ``CurvatureMatrix``
+gives T through its witness.  For a row subset S = (s_1 < ... < s_i) and a size-i
 multiset kappa of the m columns, let Phi_{S,kappa} be the (i,0)-form
 
     Phi_{S,kappa} = sum over the distinct arrangements (k_1, ..., k_i) of
@@ -78,7 +82,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import CurvatureMatrix
+from .curvature import CurvatureMatrix, CurvatureTensor
 from .errors import InputError
 from .forms import Form
 from .scalars import EXACT, FLOAT, GaussianRational
@@ -355,18 +359,51 @@ def _factor_tensor(witness) -> np.ndarray:
     return t
 
 
-def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
+def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
+    """T[p, i, k] of a tensor instance, as ``_factor_tensor`` reads it off
+    ``factor_from_tensor(tensor)``: a nonzero entry times the 1 + 0j of
+    dz^p, the multiply of ``Form.scale``, and an exactly zero one as 0j.
+
+    Raises the ``InputError`` of ``CurvatureMatrix`` when a coefficient
+    sum_k T[p, i, k] conj(T[q, j, k]) of Omega = A ^ conj(A^t) is not
+    finite, summed in k order as ``FactorMatrix.product`` sums it, naming
+    the first entry (i, j) in row-major order.
+    """
+    a = tensor.array
+    t = np.where(a == 0, 0j, a * (1 + 0j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # products[p, i, q, j, k] = T[p, i, k] conj(T[q, j, k])
+        products = t[:, :, None, None, :] * t.conj()[None, None]
+        total = products[..., 0]
+        for k in range(1, t.shape[2]):
+            total = total + products[..., k]
+    bad = np.argwhere(~np.isfinite(total).all(axis=(0, 2)))
+    if len(bad):
+        i, j = bad[0]
+        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
+    return t
+
+
+def chern_forms(omega: Union[CurvatureMatrix, CurvatureTensor]) -> ChernFormSet:
     """Chern forms of a curvature matrix, through degree min(r, n), n the
     base dimension of its entries.  A witnessed ``omega`` takes its forms
     from the Gram blocks of its factor, an unwitnessed one from the Leibniz
     walk over its principal minors (see the module docstring).  The result
     inherits the scalar mode of ``omega`` and records whether ``omega`` was
     witnessed.
+
+    A ``CurvatureTensor`` stands for the float curvature
+    ``bott_chern_curvature(factor_from_tensor(tensor))`` and gives the same
+    forms, bit for bit, without building it: it is witnessed by
+    construction, and its Gram route reads T off the tensor directly
+    (``_checked_tensor``, which also raises that curvature's overflow error).
     """
-    n, r, mode = omega.n, omega.r, omega.mode
+    tensor = isinstance(omega, CurvatureTensor)
+    n, r = omega.n, omega.r
+    mode = FLOAT if tensor else omega.mode
     k = min(r, n)
     out = [Form.constant(n, 1, mode)]
-    if omega.witness is None:
+    if not tensor and omega.witness is None:
         minor_sums = _minor_sums(omega, k)
         for i in range(1, k + 1):
             if mode == EXACT:
@@ -374,7 +411,8 @@ def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
             else:
                 out.append(minor_sums[i].scale((1j / (2.0 * math.pi)) ** i))
     else:
-        blocks = _gram_blocks(_factor_tensor(omega.witness), k)
+        t = _checked_tensor(omega) if tensor else _factor_tensor(omega.witness)
+        blocks = _gram_blocks(t, k)
         for i in range(1, k + 1):
             # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
             if mode == EXACT:
@@ -384,7 +422,8 @@ def chern_forms(omega: CurvatureMatrix) -> ChernFormSet:
             rows = scaled.tolist()
             out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
                                            if (c := rows[a][b])}))
-    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, witnessed=omega.witnessed)
+    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode,
+                        witnessed=tensor or omega.witnessed)
 
 
 def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:

@@ -234,12 +234,13 @@ def _handle_bounds_chain(args):
     degree = args.degree if args.degree is not None else tensor.n
     if degree < 1 or degree > tensor.n:
         raise InputError(f"--degree must lie in 1..n={tensor.n}")
-    cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
+    cs = chern_forms(tensor)
     reports = []
     all_pass = True
     for idx, lam in enumerate(partitions(degree, tensor.r)):
         rep = bounds_chain_check(cs, lam, trials=args.trials,
-                                 seed=derive_seed(args.seed, 13, idx), tol=args.tol)
+                                 seed=derive_seed(args.seed, 13, idx), tol=args.tol,
+                                 m=tensor.m)
         reports.append(rep)
         all_pass = all_pass and rep.passed
     inst = tensor.to_json()

@@ -478,20 +478,23 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
 
 def _evaluate_batch(form: Form, samples: np.ndarray) -> np.ndarray:
     """Evaluate a float-mode (p,p)-form on a (t, p, n) batch of vector tuples.
-    One batched determinant per distinct index subset."""
+    The determinants of every needed index subset come from one stacked
+    ``det`` call, and the terms c * det_h * conj(det_a) are summed onto 0j
+    in ``terms`` order."""
     t, p, n = samples.shape
     if form.is_zero():
         return np.zeros(t, dtype=complex)
     if p == 0:
         return np.full(t, form.terms.get((0, 0), 0j), dtype=complex)
-    needed = {h for (h, _) in form.terms} | {a for (_, a) in form.terms}
-    dets = {}
-    for mask in needed:
-        cols = [i - 1 for i in _mask_to_indices(mask)]
-        dets[mask] = np.linalg.det(samples[:, :, cols])
-    vals = np.zeros(t, dtype=complex)
-    for (h, a), c in form.terms.items():
-        vals += c * dets[h] * np.conj(dets[a])
+    row = {mask: b for b, mask in
+           enumerate({mask for key in form.terms for mask in key})}
+    cols = np.array([[i - 1 for i in _mask_to_indices(mask)] for mask in row])
+    # samples[:, :, cols] is (t, p, subsets, p): one p x p matrix per subset and tuple
+    dets = np.linalg.det(np.moveaxis(samples[:, :, cols], 2, 0))
+    h_rows = [row[h] for h, _ in form.terms]
+    a_rows = [row[a] for _, a in form.terms]
+    coeffs = np.array(list(form.terms.values()))[:, None]
+    vals = np.add.reduce(coeffs * dets[h_rows] * np.conj(dets[a_rows]), axis=0, initial=0j)
     return ((-1j) ** (p * p % 4)) * vals
 
 

@@ -33,11 +33,16 @@ import operator
 from typing import Iterator, Optional, Sequence, Union
 
 from .chern import ChernFormSet, chern_forms, chern_product, leibniz_det, top_coefficient
-from .curvature import CurvatureTensor, bott_chern_curvature, factor_from_tensor
+from .curvature import CurvatureTensor
 from .errors import InputError
 from .forms import DEFAULT_TOL, Form, VerdictReport, nonnegative_sampled
 from .polynomials import Polynomial, weighted_degree
 from .rng import derive_seed
+
+#: Schur and chain-step polynomials kept per (partition, r), least recently
+#: used dropped first; one ``schur verify`` and one ``bounds chain`` at
+#: (n, r) = (5, 3) ask for 15 partitions each
+POLY_CACHE_SIZE = 256
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +126,19 @@ def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> Polynomial
     Accepts padded or unpadded partitions (the determinant is invariant under
     zero-padding).  A part above r makes the polynomial identically zero via
     the c_{>r} = 0 convention.
+
+    Built once per (``Partition(lam)``, r) and shared after that, so callers
+    must not mutate the result.  A padded and an unpadded lambda are two
+    entries: their expansions are equal but may list their terms in another
+    order, and ``evaluate_on_forms`` sums in that order.
     """
     if not isinstance(lam, Partition):
         lam = Partition(tuple(lam))
+    return _schur_polynomial(lam, r)
+
+
+@functools.lru_cache(maxsize=POLY_CACHE_SIZE)
+def _schur_polynomial(lam: Partition, r: int) -> Polynomial:
     parts = lam.parts
     size = len(parts)
     entries = [[chern_variable(parts[j] - j + k, r) for k in range(size)]
@@ -215,8 +230,7 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     degrees = sorted(set(int(d) for d in degrees))
     if any(d < 1 or d > n for d in degrees):
         raise InputError(f"degrees must lie in 1..n={n}")
-    omega = bott_chern_curvature(factor_from_tensor(tensor))
-    cs = chern_forms(omega)
+    cs = chern_forms(tensor)
     checks = []
     all_pass = True
     for i in degrees:
@@ -276,7 +290,8 @@ class ChainReport:
         }
 
 
-def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial]]:
+@functools.lru_cache(maxsize=POLY_CACHE_SIZE)
+def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomial], ...]:
     """The factorized step differences proving c_i <= c_lambda <= c_1^i.
 
     Lower chain: peeling parts off lambda, each comparison
@@ -284,7 +299,8 @@ def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial
     product of parts already peeled.  Upper chain: each part lambda_a is
     raised to c_1^{lambda_a} through c_t <= c_{t-1} c_1, times the untouched
     parts.  Every returned polynomial is a product of Schur polynomials, so
-    each is a sampled-nonnegativity check in its own right.
+    each is a sampled-nonnegativity check in its own right.  Built once per
+    (lam, r), keyed on ``lam`` as passed, like ``schur_polynomial``.
     """
     parts = [p for p in lam.parts if p > 0]
     steps: list[tuple[str, Polynomial]] = []
@@ -326,18 +342,22 @@ def chain_step_polynomials(lam: Partition, r: int) -> list[tuple[str, Polynomial
             steps.append((label, mult * diff))
         done = done * chern_variable(1, r) ** part
         done_exp += part
-    return steps
+    return tuple(steps)
 
 
 def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
                        trials: int = 50, seed: int = 0,
-                       tol: float = DEFAULT_TOL) -> ChainReport:
+                       tol: float = DEFAULT_TOL, m: Optional[int] = None) -> ChainReport:
     """Sample-check every step of 0 <= c_i <= c_lambda <= c_1^i for one lambda.
 
     Requires a witnessed Chern set (the chain is a theorem only in factored
-    shape) with weight(lambda) <= n and parts <= r.  At top weight i = n the
-    scalar chain 0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is also
-    compared, within tol relative to the largest of the three.
+    shape) with weight(lambda) <= n and parts <= r.  ``m`` is the number of
+    columns of the factor, if known.  Every step has a Schur factor with two
+    nonzero parts, S_(w-j, j) or S_(t-1, 1), so for m < 2 every step is
+    exactly zero (CONVENTIONS.md) and gets the zero form's report without
+    being built.  At top weight i = n the scalar chain
+    0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is also compared, within
+    tol relative to the largest of the three.
     """
     if not isinstance(lam, Partition):
         lam = Partition(tuple(lam))
@@ -351,7 +371,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     steps = []
     all_pass = True
     for index, (label, poly) in enumerate(chain_step_polynomials(lam, cs.r)):
-        form = evaluate_on_forms(poly, num)
+        form = Form.zero(cs.n) if m is not None and m < 2 else evaluate_on_forms(poly, num)
         rep = nonnegative_sampled(form, trials, derive_seed(seed, 11, index), tol)
         steps.append(ChainStep(label=label, report=rep))
         all_pass = all_pass and rep.passed

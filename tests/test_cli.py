@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chernforms import CurvatureTensor, Form, random_tensor
+from chernforms import CurvatureTensor, FactorMatrix, Form, random_tensor
 from chernforms.cli import build_parser, run
 from chernforms.forms import VerdictReport
 from chernforms.schur import SchurCheck, SchurReport
@@ -114,16 +114,48 @@ class TestNonFiniteInput:
 
 
 class TestOverflowingInstance:
+    # ``curvature build`` checks the entries of the built curvature, and
+    # ``schur verify`` and ``bounds chain`` the same sums, taken from T
+    COMMANDS = [["curvature", "build"], ["schur", "verify", "--trials", "1"],
+                ["bounds", "chain", "--trials", "1"]]
+
     # a finite tensor entry whose curvature overflows: A ^ conj(A) is
     # 1e400 dz ^ dzbar, which is inf in float arithmetic
-    @pytest.mark.parametrize("argv", [["curvature", "build"],
-                                      ["schur", "verify", "--trials", "1"]])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_exits_two_naming_the_entry(self, capsys, tmp_path, argv):
         path = tmp_path / "instance.json"
         path.write_text('{"n": 1, "r": 1, "m": 1, "T": [[[{"re": 1e200, "im": 0}]]]}')
         code, out, err = invoke(capsys, *argv, "--instance", str(path))
         assert code == 2 and out == ""
         assert err == "error: curvature entry (1,1) is not finite\n"
+
+    # each product T[0, i, k] conj(T[0, j, k]) is 1e308, finite, and only
+    # their sum over the m = 2 columns overflows; entry (1,1) stays finite
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_only_the_column_sum_overflows(self, capsys, tmp_path, argv):
+        t = [[[{"re": 1e-3}, {"re": 0}], [{"re": 1e154}, {"re": 1e154}]]]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 1, "r": 2, "m": 2, "T": t}))
+        code, out, err = invoke(capsys, *argv, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: curvature entry (2,2) is not finite\n"
+
+
+class TestNoFormLevelFactor:
+    # tensor instances go to the Gram blocks from T: no op of these two
+    # commands builds A ^ conj(A^t)
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    def test_factor_product_is_never_built(self, capsys, monkeypatch, command):
+        def refuse(self):
+            raise AssertionError("FactorMatrix.product was built")
+
+        monkeypatch.setattr(FactorMatrix, "product", property(refuse))
+        for n, r in ((4, 5), (5, 3), (2, 2)):
+            code, out, err = invoke(capsys, *command, "--random", "--n", str(n),
+                                    "--r", str(r), "--seed", "1", "--trials", "5")
+            assert code == 0 and err == ""
 
 
 class TestBooleanIntegers:

@@ -262,6 +262,25 @@ class TestSchurPolynomial:
                 assert schur_polynomial(lam.trimmed(), r) == schur_polynomial(lam, r)
                 assert schur_polynomial(lam.trimmed() + (0, 0, 0), r) == schur_polynomial(lam, r)
 
+    def test_built_once_per_partition_as_passed(self):
+        # one entry per (Partition(lam), r): a tuple finds the entry of its
+        # Partition, and the padded and unpadded lambda keep separate
+        # entries, each in the term order of its own expansion
+        padded = schur_polynomial(Partition((2, 1, 0)), 3)
+        assert schur_polynomial(Partition((2, 1, 0)), 3) is padded
+        assert schur_polynomial([2, 1, 0], 3) is padded
+        unpadded = schur_polynomial((2, 1), 3)
+        assert unpadded is not padded and unpadded == padded
+        assert schur_polynomial((2, 1), 4) is not unpadded
+        for parts, poly in (((2, 1, 0), padded), ((2, 1), unpadded)):
+            fresh = schur._schur_polynomial.__wrapped__(Partition(parts), 3)
+            assert list(poly.terms.items()) == list(fresh.terms.items())
+
+    def test_chain_steps_built_once(self):
+        steps = chain_step_polynomials(Partition((2, 1)), 3)
+        assert isinstance(steps, tuple)
+        assert chain_step_polynomials(Partition((2, 1)), 3) is steps
+
     def test_part_above_rank_is_zero(self):
         assert schur_polynomial((3,), 2).is_zero()
         assert schur_polynomial((3, 1), 2).is_zero()
@@ -616,6 +635,23 @@ class TestBoundsChain:
         cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
         rep = bounds_chain_check(cs, (1, 1), trials=10, seed=0)
         assert rep.top is None and rep.weight == 2
+
+    @pytest.mark.parametrize("lam", [(3,), (2, 1), (1, 1, 1)])
+    def test_one_column_factor_steps_are_zero(self, lam):
+        # with m = 1 every step has a Schur factor S_(w-j, j) or S_(t-1, 1)
+        # with two parts > m: each gets the zero form's report, with its own
+        # seed, and the scalar top chain is still compared
+        cs = chern_forms(random_tensor(3, 3, 1, seed=2))
+        rep = bounds_chain_check(cs, lam, trials=10, seed=4, m=1)
+        sampled = bounds_chain_check(cs, lam, trials=10, seed=4)
+        assert [s.label for s in rep.steps] == [s.label for s in sampled.steps]
+        assert rep.steps
+        for index, step in enumerate(rep.steps):
+            zero = nonnegative_sampled(Form.zero(3), 10, schur.derive_seed(4, 11, index))
+            assert step.report == zero
+        assert rep.top == sampled.top and rep.top["passed"]
+        for m in (2, 3):
+            assert bounds_chain_check(cs, lam, trials=10, seed=4, m=m) == sampled
 
     def test_deterministic(self):
         t = random_tensor(2, 2, 2, seed=6)
