@@ -1,8 +1,9 @@
 """From a curvature factor to Chern forms and their top coefficients.
 
-A factored curvature Omega = A ^ conj(A^t) is nonnegative by construction;
-the factor travels with the matrix as a witness and survives unitary frame
-changes.  Run:  python3 demos/02_curvature_to_chern.py
+A factored curvature Omega = A ^ conj(A^t) is nonnegative by construction,
+and the factor A is its witness: the Chern forms come from A directly, and
+Omega, once built, is a plain matrix whose Chern forms do not move under a
+frame change.  Run:  python3 demos/02_curvature_to_chern.py
 """
 
 import numpy as np
@@ -26,12 +27,13 @@ tensor = CurvatureTensor(np.array([
 ]))
 print(f"instance: n={tensor.n}, r={tensor.r}, m={tensor.m}")
 
-omega = bott_chern_curvature(factor_from_tensor(tensor))
-print(f"curvature witnessed: {omega.witnessed}")
+factor = factor_from_tensor(tensor)
+omega = bott_chern_curvature(factor)
 print(f"Omega_11 = {omega.entries[0][0]}")
 
-cs = chern_forms(omega)
-print(f"\nChern forms up to degree {cs.top_degree}:")
+# the Gram route: Chern forms straight from the factor's m columns
+cs = chern_forms(factor)
+print(f"\nChern forms from the factor (m={cs.m}) up to degree {cs.top_degree}:")
 for i in range(cs.top_degree + 1):
     print(f"  c_{i} = {cs.form(i)}")
 
@@ -40,14 +42,12 @@ for lam in partitions(tensor.n, tensor.r):
     value = top_coefficient(chern_product(cs, lam))
     print(f"  top(c_{lam}) = {value:.6g}")
 
-# a unitary frame change conjugates Omega and transports the witness;
-# the Chern forms do not move
+# a frame change conjugates Omega to P^-1 Omega P; the Chern forms of the
+# moved matrix (Leibniz walk over its minors) match the factor's
 u = random_unitary(tensor.r, seed=1)
-moved = change_frame(omega, u)
-cs2 = chern_forms(moved)
+cs2 = chern_forms(change_frame(omega, u))
 drift = max(
     (cs.form(i) - cs2.form(i)).max_coefficient_magnitude()
     for i in range(1, cs.top_degree + 1)
 )
-print(f"\nafter a random unitary frame change: witnessed={moved.witnessed}, "
-      f"max Chern-form drift = {drift:.2e}")
+print(f"\nafter a random unitary frame change: max Chern-form drift = {drift:.2e}")

@@ -25,7 +25,7 @@ for label, poly in chain_step_polynomials(lam, 3):
 print("\n== sampled chain on a random instance (n = r = 3) ==")
 tensor = random_tensor(3, 3, 2, seed=11)
 cs = chern_forms(tensor)
-report = bounds_chain_check(cs, lam, trials=50, seed=0, m=tensor.m)
+report = bounds_chain_check(cs, lam, trials=50, seed=0)
 for step in report.steps:
     print(f"  {step.label}: min={step.report.min_value: .4e} "
           f"{'PASS' if step.report.passed else 'FAIL'}")

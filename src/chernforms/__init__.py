@@ -4,8 +4,10 @@ explicit curvature data.
 The package has three layers:
 
 * pointwise linear algebra -- exterior forms at a point (``forms``),
-  factored curvature matrices and frame changes (``curvature``);
-* characteristic forms -- Chern forms of a curvature (``chern``), Schur
+  factors, the curvature matrices they build, and frame changes
+  (``curvature``);
+* characteristic forms -- Chern forms of a factor or a curvature matrix
+  (``chern``), Schur
   polynomials and the sampled nonnegativity / inequality-chain engines
   (``schur``), over one exact sparse-polynomial class (``polynomials``);
 * closed-form models -- products of projective spaces and tori with exact

@@ -89,13 +89,3 @@ def inv(rows, mode: str):
                 work[r][k:] = [v - factor * t for v, t in zip(work[r][k:], solved)]
     return work
 
-
-def is_unitary(rows, mode: str) -> bool:
-    """conj(P)^t P == identity; exact equality in exact mode, within 1e-9 in float."""
-    k = len(rows)
-    if mode == FLOAT:
-        arr = np.array(rows, dtype=complex)
-        return bool(np.allclose(arr.conj().T @ arr, np.eye(k), atol=1e-9))
-    # sum() starts from int 0, which GaussianRational absorbs
-    return all(sum(rows[s][r].conjugate() * rows[s][c] for s in range(k)) == int(r == c)
-               for r in range(k) for c in range(k))

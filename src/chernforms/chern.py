@@ -1,4 +1,5 @@
-"""Chern forms of a curvature matrix and their top-degree coefficients.
+"""Chern forms of a curvature, from its factor or its matrix, and their
+top-degree coefficients.
 
 For an r x r curvature matrix Omega of (1,1)-forms on an n-dimensional base,
 the Chern forms are the coefficients of the characteristic polynomial
@@ -10,14 +11,14 @@ Entries of Omega have even total degree, so they commute and the Leibniz
 determinant is unambiguous.  Forms of degree above min(r, n) vanish; the set
 stops there.
 
-``chern_forms`` takes one of two routes, chosen by the witness alone.
+``chern_forms`` takes one of two routes, chosen by the type of its input.
 
-*Gram route* (witnessed Omega = A ^ conj(A^t), A_ik = sum_p T[p, i, k] dz^p,
-A an r x m factor).  A ``CurvatureTensor`` is witnessed by construction:
-``chern_forms`` reads T off its array and builds neither A nor Omega as
-forms, and checks Omega's coefficients for overflow from T as
-``CurvatureMatrix`` checks its entries.  A witnessed ``CurvatureMatrix``
-gives T through its witness.  For a row subset S = (s_1 < ... < s_i) and a size-i
+*Gram route* (a factor of Omega = A ^ conj(A^t), A_ik = sum_p T[p, i, k] dz^p,
+A an r x m factor).  A ``FactorMatrix`` gives T through its entries, in
+either scalar mode.  A ``CurvatureTensor`` is T: ``chern_forms`` reads it
+off the array and builds neither A nor Omega as forms, and checks Omega's
+coefficients for overflow from T as ``CurvatureMatrix`` checks its
+entries.  For a row subset S = (s_1 < ... < s_i) and a size-i
 multiset kappa of the m columns, let Phi_{S,kappa} be the (i,0)-form
 
     Phi_{S,kappa} = sum over the distinct arrangements (k_1, ..., k_i) of
@@ -39,7 +40,8 @@ run the same numpy code: complex128 arrays, or object arrays of
 ``GaussianRational``.  The forms list their keys in the order of the walk's
 forms (``_key_order``), so their products reuse the same wedge plans.
 
-*Leibniz walk* (unwitnessed Omega, e.g. ``omega`` literals).  The minors are
+*Leibniz walk* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
+``change_frame``).  The minors are
 expanded in one depth-first walk over the row subsets: lexicographic order,
 all sizes 1..min(r, n) interleaved, so (0), (0,1), (0,1,2), ..., (0,2),
 ..., (1), ...  Each size still meets its subsets in
@@ -52,8 +54,9 @@ subset hands its minor its parent's memo levels plus one fresh level (see
 column tuple is computed once, and every product is one such a loop
 computes, bit for bit.
 
-On the same entries the routes agree exactly in exact mode and to rounding
-in float mode, where the Gram route sums in another order.
+On a factor A and on ``bott_chern_curvature(A)`` the routes agree exactly in
+exact mode and to rounding in float mode, where the Gram route sums in
+another order.
 
 Two prefactor modes, tied to the scalar mode of Omega:
 
@@ -82,7 +85,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import CurvatureMatrix, CurvatureTensor
+from .curvature import CurvatureMatrix, CurvatureTensor, FactorMatrix
 from .errors import InputError
 from .forms import Form
 from .scalars import EXACT, FLOAT, GaussianRational
@@ -160,8 +163,10 @@ def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
 class ChernFormSet:
     """Chern forms c_0, ..., c_k of one curvature matrix, k = min(r, n).
 
-    ``witnessed`` records whether the source curvature carried a factor
-    witness; the nonnegativity engines demand it.  ``mode`` is the scalar
+    ``m`` is the column count of the source factor, or None when the set
+    came from a ``CurvatureMatrix``; the nonnegativity engines demand a
+    factor and read m for the vanishing of S_lambda beyond m parts.
+    ``mode`` is the scalar
     mode; in exact mode each stored form is (sqrt(-1))^i * (minor sum) and
     the symbolic residual prefactor is (2*pi)^(-i) (see module docstring).
 
@@ -175,7 +180,7 @@ class ChernFormSet:
     r: int
     forms: tuple[Form, ...]
     mode: str
-    witnessed: bool
+    m: Optional[int]
     memo: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
                                    repr=False)
 
@@ -234,7 +239,7 @@ class ChernFormSet:
         return ChernFormSet(
             n=self.n, r=self.r,
             forms=tuple(self.numeric_form(i) for i in range(self.top_degree + 1)),
-            mode=FLOAT, witnessed=self.witnessed)
+            mode=FLOAT, m=self.m)
 
 
 def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
@@ -348,11 +353,11 @@ def _key_order(n: int, i: int) -> tuple:
     return tuple((key, pos[key[0]], pos[key[1]]) for key in keys)
 
 
-def _factor_tensor(witness) -> np.ndarray:
+def _factor_tensor(factor: FactorMatrix) -> np.ndarray:
     """T[p, i, k] with A_ik = sum_p T[p, i, k] dz^p, read off the factor:
     complex, or objects (``GaussianRational`` and the int 0) in exact mode."""
-    t = np.zeros((witness.n, witness.r, witness.m), object if witness.mode == EXACT else complex)
-    for i, row in enumerate(witness.entries):
+    t = np.zeros((factor.n, factor.r, factor.m), object if factor.mode == EXACT else complex)
+    for i, row in enumerate(factor.entries):
         for k, entry in enumerate(row):
             for (h, _), c in entry.terms.items():
                 t[h.bit_length() - 1, i, k] = c
@@ -366,7 +371,7 @@ def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
 
     Raises the ``InputError`` of ``CurvatureMatrix`` when a coefficient
     sum_k T[p, i, k] conj(T[q, j, k]) of Omega = A ^ conj(A^t) is not
-    finite, summed in k order as ``FactorMatrix.product`` sums it, naming
+    finite, summed in k order as ``bott_chern_curvature`` sums it, naming
     the first entry (i, j) in row-major order.
     """
     a = tensor.array
@@ -384,34 +389,34 @@ def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
     return t
 
 
-def chern_forms(omega: Union[CurvatureMatrix, CurvatureTensor]) -> ChernFormSet:
-    """Chern forms of a curvature matrix, through degree min(r, n), n the
-    base dimension of its entries.  A witnessed ``omega`` takes its forms
-    from the Gram blocks of its factor, an unwitnessed one from the Leibniz
-    walk over its principal minors (see the module docstring).  The result
-    inherits the scalar mode of ``omega`` and records whether ``omega`` was
-    witnessed.
+def chern_forms(source: Union[CurvatureTensor, FactorMatrix, CurvatureMatrix]) -> ChernFormSet:
+    """Chern forms of a curvature, through degree min(r, n), n the base
+    dimension.  A ``CurvatureTensor`` or ``FactorMatrix`` takes its forms
+    from the Gram blocks of the factor, a ``CurvatureMatrix`` from the
+    Leibniz walk over its principal minors (see the module docstring).  The
+    result inherits the scalar mode of ``source`` (a tensor is float) and
+    records the factor's column count m, or None for a ``CurvatureMatrix``.
 
-    A ``CurvatureTensor`` stands for the float curvature
-    ``bott_chern_curvature(factor_from_tensor(tensor))`` and gives the same
-    forms, bit for bit, without building it: it is witnessed by
-    construction, and its Gram route reads T off the tensor directly
-    (``_checked_tensor``, which also raises that curvature's overflow error).
+    A ``CurvatureTensor`` gives the forms of ``factor_from_tensor(tensor)``,
+    bit for bit, without building it: its Gram route reads T off the tensor
+    directly (``_checked_tensor``, which also raises the overflow error of
+    ``bott_chern_curvature(factor_from_tensor(tensor))``).
     """
-    tensor = isinstance(omega, CurvatureTensor)
-    n, r = omega.n, omega.r
-    mode = FLOAT if tensor else omega.mode
+    tensor = isinstance(source, CurvatureTensor)
+    walk = isinstance(source, CurvatureMatrix)
+    n, r = source.n, source.r
+    mode = FLOAT if tensor else source.mode
     k = min(r, n)
     out = [Form.constant(n, 1, mode)]
-    if not tensor and omega.witness is None:
-        minor_sums = _minor_sums(omega, k)
+    if walk:
+        minor_sums = _minor_sums(source, k)
         for i in range(1, k + 1):
             if mode == EXACT:
                 out.append(minor_sums[i].scale(_PHASES[i % 4]))
             else:
                 out.append(minor_sums[i].scale((1j / (2.0 * math.pi)) ** i))
     else:
-        t = _checked_tensor(omega) if tensor else _factor_tensor(omega.witness)
+        t = _checked_tensor(source) if tensor else _factor_tensor(source)
         blocks = _gram_blocks(t, k)
         for i in range(1, k + 1):
             # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
@@ -423,7 +428,7 @@ def chern_forms(omega: Union[CurvatureMatrix, CurvatureTensor]) -> ChernFormSet:
             out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
                                            if (c := rows[a][b])}))
     return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode,
-                        witnessed=tensor or omega.witnessed)
+                        m=None if walk else source.m)
 
 
 def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:

@@ -158,14 +158,14 @@ def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[Cur
 def _handle_curvature_build(args):
     obj = _load_json(args.instance)
     omega, tensor = _curvature_from_input(obj, args.mode)
-    cs = chern_forms(omega)
+    cs = chern_forms(omega if tensor is None else tensor)
     payload = {
         "schema": 1,
         "kind": "curvature",
         "n": omega.n,
         "r": omega.r,
         "mode": args.mode,
-        "witnessed": omega.witnessed,
+        "witnessed": tensor is not None,
         "omega": [[f.to_literal() for f in row] for row in omega.entries],
         "chern": [
             {"i": i, "form": cs.form(i).to_literal(),
@@ -183,7 +183,7 @@ def _handle_curvature_build(args):
         value = top_coefficient(chern_product(num, lam))
         top_table.append({"partition": list(lam.parts), "top": value})
     payload["top"] = top_table
-    lines = [f"curvature {omega.r}x{omega.r} on n={omega.n}, witnessed={omega.witnessed}"]
+    lines = [f"curvature {omega.r}x{omega.r} on n={omega.n}, witnessed={tensor is not None}"]
     lines += [f"  top(c_{t['partition']}) = {t['top']:.6g}" for t in top_table]
     return 0, payload, lines
 
@@ -239,8 +239,7 @@ def _handle_bounds_chain(args):
     all_pass = True
     for idx, lam in enumerate(partitions(degree, tensor.r)):
         rep = bounds_chain_check(cs, lam, trials=args.trials,
-                                 seed=derive_seed(args.seed, 13, idx), tol=args.tol,
-                                 m=tensor.m)
+                                 seed=derive_seed(args.seed, 13, idx), tol=args.tol)
         reports.append(rep)
         all_pass = all_pass and rep.passed
     inst = tensor.to_json()

@@ -5,12 +5,11 @@ The central object is a factored curvature
     Omega_ij = sum_k A_ik ^ conj(A_jk),       A an r x m matrix of (1,0)-forms,
 
 the shape under which all nonnegativity statements in this package hold.
-``CurvatureMatrix`` optionally carries the factor ``A`` as a witness; a
-witness is verified on construction (exactly in exact mode, to 1e-12 * scale
-in float mode) and is transported through unitary frame changes as
-conj(P)^t A, since
-
-    P^-1 Omega P = (conj(P)^t A) ^ conj((conj(P)^t A)^t)    for unitary P.
+The factor ``A`` (a ``FactorMatrix``, or the ``CurvatureTensor`` it is
+built from) is the certificate of that shape and the one representation of
+a factored curvature: ``bott_chern_curvature(A)`` builds Omega as a plain
+``CurvatureMatrix``, which carries no factor.  ``change_frame`` conjugates
+a curvature matrix into another frame as P^-1 Omega P.
 
 A convenient source of factors is a curvature-type tensor T[p][i][k]
 (p = base direction 1..n, i = fiber index 1..r, k = factor column 1..m),
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,9 +35,6 @@ from .errors import ConsistencyError, InputError
 from .forms import Form
 from .rng import complex_normal, substream
 from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, parse_scalar, scalar_json
-
-#: float-mode tolerance for "witness reproduces the stored entries"
-WITNESS_RTOL = 1e-12
 
 #: relative tolerance for the two Griffiths routes to agree
 GRIFFITHS_RTOL = 1e-12
@@ -93,68 +88,29 @@ class FactorMatrix:
     def mode(self) -> str:
         return self.entries[0][0].mode
 
-    @functools.cached_property
-    def product(self) -> tuple[tuple[Form, ...], ...]:
-        """A ^ conj(A^t): entry (i, j) is sum_k A_ik ^ conj(A_jk), summed in
-        k order, with each conj(A_jk) taken once for all rows i.  Built once
-        per factor: ``bott_chern_curvature`` takes its entries from here, and
-        the witness check reads the same forms."""
-        a = self.entries
-        a_bar = [[f.conjugate() for f in row] for row in a]
-        zero = Form.zero(self.n, self.mode)
-        out = []
-        for i in range(self.r):
-            row = []
-            for j in range(self.r):
-                total = zero
-                for k in range(self.m):
-                    total = total + a[i][k].wedge(a_bar[j][k])
-                row.append(total)
-            out.append(tuple(row))
-        return tuple(out)
-
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureMatrix:
-    """r x r matrix of (1,1)-forms, optionally with a factor witness.
+    """r x r matrix of (1,1)-forms.
 
-    When a witness is present the constructor compares its product
-    A ^ conj(A^t) (``FactorMatrix.product``, built once per factor) with the
-    stored entries and rejects the matrix unless they agree (exact mode:
-    exactly; float mode: within WITNESS_RTOL * scale).  An entry that is the
-    product's own form, as in every ``bott_chern_curvature`` build, is checked
-    for finite coefficients instead: an overflow to inf or NaN is all that a
-    comparison with itself can catch.
+    Float entries must have finite coefficients: an overflow to inf or NaN,
+    as in a ``bott_chern_curvature`` build from huge factor entries, is
+    rejected naming the first such entry in row-major order.
     """
 
     entries: tuple[tuple[Form, ...], ...]
-    witness: Optional[FactorMatrix] = None
 
     def __post_init__(self):
         entries = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", entries)
-        n, mode = _common_shape(entries, "curvature matrix", 1, 1)
+        _, mode = _common_shape(entries, "curvature matrix", 1, 1)
         if len(entries) != len(entries[0]):
             raise InputError("curvature matrix must be square")
-        if self.witness is not None:
-            w = self.witness
-            if w.r != len(entries) or w.n != n or w.mode != mode:
-                raise InputError("witness shape or mode does not match the curvature matrix")
-            recomputed = w.product
-            for i in range(w.r):
-                for j in range(w.r):
-                    entry = entries[i][j]
-                    if recomputed[i][j] is entry:
-                        if mode == FLOAT and not all(map(cmath.isfinite, entry.terms.values())):
-                            raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
-                    elif mode == EXACT:
-                        if recomputed[i][j] != entry:
-                            raise InputError(
-                                f"witness does not reproduce entry ({i + 1},{j + 1}) exactly")
-                    elif not recomputed[i][j].allclose(entry, WITNESS_RTOL):
-                        raise InputError(
-                            f"witness does not reproduce entry ({i + 1},{j + 1}) "
-                            f"within {WITNESS_RTOL:g} * scale")
+        if mode == FLOAT:
+            for i, row in enumerate(entries):
+                for j, entry in enumerate(row):
+                    if not all(map(cmath.isfinite, entry.terms.values())):
+                        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
 
     @property
     def r(self) -> int:
@@ -168,14 +124,23 @@ class CurvatureMatrix:
     def mode(self) -> str:
         return self.entries[0][0].mode
 
-    @property
-    def witnessed(self) -> bool:
-        return self.witness is not None
-
 
 def bott_chern_curvature(factor: FactorMatrix) -> CurvatureMatrix:
-    """Omega = A ^ conj(A^t): the factored curvature with A attached as witness."""
-    return CurvatureMatrix(factor.product, witness=factor)
+    """Omega = A ^ conj(A^t): entry (i, j) is sum_k A_ik ^ conj(A_jk),
+    summed in k order, with each conj(A_jk) taken once for all rows i."""
+    a = factor.entries
+    a_bar = [[f.conjugate() for f in row] for row in a]
+    zero = Form.zero(factor.n, factor.mode)
+    out = []
+    for i in range(factor.r):
+        row = []
+        for j in range(factor.r):
+            total = zero
+            for k in range(factor.m):
+                total = total + a[i][k].wedge(a_bar[j][k])
+            row.append(total)
+        out.append(tuple(row))
+    return CurvatureMatrix(tuple(out))
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +245,7 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
     """Conjugate the curvature into a new frame: P^-1 Omega P.
 
     ``frame`` is an r x r matrix of scalars in the curvature's mode.  Singular
-    (exact) or ill-conditioned (float) frames are rejected.  If the frame is
-    unitary and the curvature carries a witness A, the result carries the
-    transported witness conj(P)^t A; otherwise the result is unwitnessed.
+    (exact) or ill-conditioned (float) frames are rejected.
     """
     mode = omega.mode
     rows = _linalg.as_rows(frame, mode)
@@ -297,16 +260,7 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
         tuple(_combine(entries, [inv_rows[i][a] * rows[b][j] for a, b in pairs], zero)
               for j in range(r))
         for i in range(r))
-
-    witness = None
-    if omega.witness is not None and _linalg.is_unitary(rows, mode):
-        a = omega.witness.entries
-        witness = FactorMatrix(tuple(
-            tuple(_combine([a[s][k] for s in range(r)],
-                           [rows[s][i].conjugate() for s in range(r)], zero)
-                  for k in range(omega.witness.m))
-            for i in range(r)))
-    return CurvatureMatrix(new_entries, witness=witness)
+    return CurvatureMatrix(new_entries)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +319,7 @@ def random_tensor(n: int, r: int, m: Optional[int] = None, seed: int = 0) -> Cur
 def random_exact_factor(n: int, r: int, m: Optional[int] = None,
                         seed: int = 0) -> FactorMatrix:
     """Exact-mode factor matrix with Gaussian-integer tensor entries drawn
-    uniformly from [-2, 2]^2 (witnessed instances for identity suites)."""
+    uniformly from [-2, 2]^2 (factored instances for identity suites)."""
     rng = substream(seed, 102)
     if m is None:
         m = int(rng.integers(1, r + 2))

@@ -235,7 +235,7 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     all_pass = True
     for i in degrees:
         for idx, lam in enumerate(partitions(i, r)):
-            if len(lam.trimmed()) > tensor.m:
+            if len(lam.trimmed()) > cs.m:
                 # S_lambda(c) = (-1)^|lambda| s_lambda(y_1, ..., y_m): zero
                 form = Form.zero(n)
             else:
@@ -347,22 +347,22 @@ def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomia
 
 def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
                        trials: int = 50, seed: int = 0,
-                       tol: float = DEFAULT_TOL, m: Optional[int] = None) -> ChainReport:
+                       tol: float = DEFAULT_TOL) -> ChainReport:
     """Sample-check every step of 0 <= c_i <= c_lambda <= c_1^i for one lambda.
 
-    Requires a witnessed Chern set (the chain is a theorem only in factored
-    shape) with weight(lambda) <= n and parts <= r.  ``m`` is the number of
-    columns of the factor, if known.  Every step has a Schur factor with two
-    nonzero parts, S_(w-j, j) or S_(t-1, 1), so for m < 2 every step is
-    exactly zero (CONVENTIONS.md) and gets the zero form's report without
-    being built.  At top weight i = n the scalar chain
+    Requires a Chern set built from a factor (the chain is a theorem only in
+    factored shape), so ``cs.m`` is known, with weight(lambda) <= n and
+    parts <= r.  Every step has a Schur factor with two nonzero parts,
+    S_(w-j, j) or S_(t-1, 1), so for m < 2 every step is exactly zero
+    (CONVENTIONS.md) and gets the zero form's report without being built.  At top weight i = n the scalar chain
     0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is also compared, within
     tol relative to the largest of the three.
     """
     if not isinstance(lam, Partition):
         lam = Partition(tuple(lam))
-    if not cs.witnessed:
-        raise InputError("bounds chain requires a witnessed instance (factored curvature)")
+    if cs.m is None:
+        raise InputError("bounds chain requires a witnessed instance: the Chern forms of a "
+                         "factor, not of a curvature matrix")
     if lam.weight > cs.n:
         raise InputError(f"partition weight {lam.weight} exceeds base dimension {cs.n}")
     if any(p > cs.r for p in lam.parts):
@@ -371,7 +371,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     steps = []
     all_pass = True
     for index, (label, poly) in enumerate(chain_step_polynomials(lam, cs.r)):
-        form = Form.zero(cs.n) if m is not None and m < 2 else evaluate_on_forms(poly, num)
+        form = Form.zero(cs.n) if cs.m < 2 else evaluate_on_forms(poly, num)
         rep = nonnegative_sampled(form, trials, derive_seed(seed, 11, index), tol)
         steps.append(ChainStep(label=label, report=rep))
         all_pass = all_pass and rep.passed

@@ -153,7 +153,7 @@ def test_criterion_3_inequality_chains(instance_batch):
     steps = 0
     failures = []
     for idx, tensor in enumerate(instance_batch):
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
+        cs = chern_forms(tensor)
         for lam_idx, lam in enumerate(partitions(tensor.n, tensor.r)):
             rep = bounds_chain_check(
                 cs, lam, trials=TRIALS,
@@ -182,7 +182,8 @@ def test_criterion_4_frame_invariance():
         frame = random_signed_phase_permutation(r, seed=derive_seed(MASTER_SEED, 9, case))
         from chernforms import change_frame
 
-        cs_a = chern_forms(omega)
+        # Gram route in the first frame, Leibniz walk in the second
+        cs_a = chern_forms(factor)
         cs_b = chern_forms(change_frame(omega, frame))
         for i in range(cs_a.top_degree + 1):
             assert cs_a.form(i) == cs_b.form(i), (case, i)
@@ -198,7 +199,7 @@ def test_criterion_4_frame_invariance():
         tensor = random_tensor(n, r, seed=derive_seed(MASTER_SEED, 11, case))
         omega = bott_chern_curvature(factor_from_tensor(tensor))
         frame = random_invertible(r, seed=derive_seed(MASTER_SEED, 12, case))
-        cs_a = chern_forms(omega)
+        cs_a = chern_forms(tensor)
         cs_b = chern_forms(change_frame(omega, frame))
         for i in range(1, cs_a.top_degree + 1):
             a, b = cs_a.form(i), cs_b.form(i)
@@ -315,7 +316,7 @@ def test_criterion_8_determinism_and_runtime(instance_batch, capsys):
     b = verify_schur_nonnegativity(tensor, trials=30, seed=77, tol=TOL_SAMPLED)
     assert a.to_dict() == b.to_dict()
 
-    cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
+    cs = chern_forms(tensor)
     lam = partitions(tensor.n, tensor.r)[0]
     ca = bounds_chain_check(cs, lam, trials=30, seed=78, tol=TOL_SAMPLED)
     cb = bounds_chain_check(cs, lam, trials=30, seed=78, tol=TOL_SAMPLED)

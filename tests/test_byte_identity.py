@@ -21,7 +21,7 @@ polynomial (whose constructor dropped zero sums) with its inline
 (whose constructor made every coefficient a Fraction).  The term order
 matters because ``evaluate_on_forms`` sums float forms in that order.
 
-``chern.chern_forms`` on an unwitnessed curvature (one depth-first walk
+``chern.chern_forms`` on a curvature matrix (one depth-first walk
 over the row subsets, sharing prefix wedges between minors) must give the
 same c_i, bit for bit, as the loop that expands every principal minor on
 its own, kept below, with fewer ``Form.wedge`` calls;
@@ -290,8 +290,8 @@ class TestWedgeIdentity:
 
     def test_wedge_power(self):
         # c_j^e through the set's memo, against e fresh wedges from 1
-        for cs in (chern_forms(_omega(4, 3, 5)),
-                   chern_forms(bott_chern_curvature(random_exact_factor(3, 3, 2, seed=5)))):
+        for cs in (chern_forms(random_tensor(4, 3, None, 5)),
+                   chern_forms(random_exact_factor(3, 3, 2, seed=5))):
             for j in range(cs.r + 1):
                 for e in range(5):
                     assert exact_repr(chern_product(cs, (j,) * e)) == \
@@ -448,7 +448,7 @@ def parent_chern_forms(omega) -> list:
 
 
 def _sparse_omega(rng, n: int, r: int, mode: str) -> CurvatureMatrix:
-    """Unwitnessed r x r matrix of (1,1)-forms with a third of its entries
+    """r x r matrix of (1,1)-forms with a third of its entries
     zero and the rest one or two monomials, so many prefixes vanish."""
     return CurvatureMatrix(tuple(
         tuple(Form.zero(n, mode) if rng.random() < 0.3
@@ -472,20 +472,19 @@ def count_wedges(monkeypatch, build) -> tuple:
 
 
 class TestChernFormsIdentity:
-    # a witnessed curvature takes the Gram route; the walk is tested on the
-    # same entries with the witness stripped
+    # a curvature matrix takes the Leibniz walk, a tensor or factor the Gram
+    # route
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
                                           (1, 3, 3), (3, 1, 4)])
     def test_float_curvatures(self, n, r, seed):
-        omega = CurvatureMatrix(_omega(n, r, seed).entries)
+        omega = _omega(n, r, seed)
         assert [exact_repr(f) for f in chern_forms(omega).forms] == \
             [exact_repr(f) for f in parent_chern_forms(omega)]
 
     @pytest.mark.parametrize("n,r,seed", [(3, 3, 4), (2, 4, 5), (3, 4, 6)])
     def test_exact_curvatures(self, n, r, seed):
-        omega = CurvatureMatrix(bott_chern_curvature(random_exact_factor(n, r, 2, seed=seed))
-                                .entries)
+        omega = bott_chern_curvature(random_exact_factor(n, r, 2, seed=seed))
         assert [exact_repr(f) for f in chern_forms(omega).forms] == \
             [exact_repr(f) for f in parent_chern_forms(omega)]
 
@@ -502,10 +501,10 @@ class TestChernFormsIdentity:
                                           (3, 1, 4)])
     def test_tensor_route(self, n, r, seed):
         # a tensor takes T straight off its array: the same forms, bit for
-        # bit, as its built curvature
+        # bit, as its built factor
         tensor = random_tensor(n, r, None, seed)
         assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
-            [exact_repr(f) for f in chern_forms(_omega(n, r, seed)).forms]
+            [exact_repr(f) for f in chern_forms(factor_from_tensor(tensor)).forms]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tensor_route_signed_and_exact_zeros(self, seed):
@@ -517,13 +516,13 @@ class TestChernFormsIdentity:
             a.real = rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
             a.imag = rng.choice([0.0, -0.0, 0.5, -1.0], size=shape)
             tensor = CurvatureTensor(a)
-            built = bott_chern_curvature(factor_from_tensor(tensor))
+            built = factor_from_tensor(tensor)
             assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
                 [exact_repr(f) for f in chern_forms(built).forms]
 
     @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 355), (5, 3, 30, 22)])
     def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):
-        omega = CurvatureMatrix(_omega(n, r, 1).entries)
+        omega = _omega(n, r, 1)
         ref, ref_calls = count_wedges(monkeypatch, lambda: parent_chern_forms(omega))
         got, calls = count_wedges(monkeypatch, lambda: chern_forms(omega))
         assert (ref_calls, calls) == (before, after)
@@ -549,7 +548,7 @@ class TestChernProductIdentity:
         # (1, j, ..., j) that chern_product reads, and its term keys hold
         # (j, e) pairs, which no product of raw c_j aliases; the prefix (3,)
         # of (3, 2) is reused by (3, 1, 1)
-        cs = chern_forms(_omega(n, r, seed))
+        cs = chern_forms(random_tensor(n, r, None, seed))
         for poly in schur_and_chain_polynomials(n, r):
             evaluate_on_forms(poly, cs)
         lams = [lam.parts for i in range(1, n + 1) for lam in partitions(i, r)]
@@ -567,7 +566,7 @@ class TestChernProductIdentity:
         one = Form.constant(3, 1)
         c1 = Form(3, FLOAT, {(0b001, 0b001): 1j})
         c2 = Form(3, FLOAT, {(0b110, 0b110): complex(-0.0, -1.0)})
-        cs = ChernFormSet(n=3, r=2, forms=(one, c1, c2), mode=FLOAT, witnessed=False)
+        cs = ChernFormSet(n=3, r=2, forms=(one, c1, c2), mode=FLOAT, m=None)
         raw = cs.product(1, [1, 2])
         pair = cs.product(1, [(1, 1), (2, 1)])
         assert exact_repr(raw) == exact_repr(ref_wedge(ref_wedge(one, c1), c2))
@@ -602,19 +601,19 @@ def test_wedges_per_op(monkeypatch, argv, wedges):
 class TestEvaluateIdentity:
     @pytest.mark.parametrize("n,r,seed", [(3, 2, 0), (4, 3, 1), (5, 3, 13), (3, 5, 2)])
     def test_float_sets(self, n, r, seed):
-        cs = chern_forms(_omega(n, r, seed))
+        cs = chern_forms(random_tensor(n, r, None, seed))
         for poly in schur_and_chain_polynomials(n, r):
             assert exact_repr(evaluate_on_forms(poly, cs)) == \
                 exact_repr(ref_evaluate_on_forms(poly, cs))
 
     def test_exact_set(self):
-        cs = chern_forms(bott_chern_curvature(random_exact_factor(3, 3, 2, seed=5)))
+        cs = chern_forms(random_exact_factor(3, 3, 2, seed=5))
         for poly in schur_and_chain_polynomials(3, 3):
             assert exact_repr(evaluate_on_forms(poly, cs)) == \
                 exact_repr(ref_evaluate_on_forms(poly, cs))
 
     def test_fraction_coefficients_and_variables_above_rank(self):
-        cs = chern_forms(_omega(3, 2, 7))
+        cs = chern_forms(random_tensor(3, 2, None, 7))
         poly = Polynomial(4, {(1, 1, 0, 0): Fraction(1, 3), (3, 0, 0, 0): -2,
                               (0, 0, 1, 0): 5, (1, 0, 0, 0): Fraction(7, 2)})
         assert exact_repr(evaluate_on_forms(poly, cs)) == \

@@ -37,15 +37,13 @@ TWO_PI = 2.0 * math.pi
 class TestChernForms:
     def test_rank_one_is_scaled_trace(self):
         # A = [2 dz]: Omega = 4 dz dzbar, c_1 = (i/2pi) * Omega
-        omega = bott_chern_curvature(FactorMatrix(((Form.dz(1, 1).scale(2),),)))
-        cs = chern_forms(omega)
+        cs = chern_forms(FactorMatrix(((Form.dz(1, 1).scale(2),),)))
         assert cs.form(0) == Form.constant(1, 1)
         assert cs.form(1).coefficient([1], [1]) == pytest.approx(4j / TWO_PI)
-        assert cs.witnessed
+        assert cs.m == 1
 
     def test_zero_curvature(self):
-        omega = bott_chern_curvature(FactorMatrix(((Form.zero(2),),)))
-        cs = chern_forms(omega)
+        cs = chern_forms(FactorMatrix(((Form.zero(2),),)))
         assert cs.form(0) == Form.constant(2, 1)
         assert cs.form(1).is_zero()
         assert cs.form(5).is_zero()
@@ -63,20 +61,20 @@ class TestChernForms:
     def test_degree_truncation(self):
         # r = 3 bundle on a 2-dimensional base: forms stop at degree 2
         t = random_tensor(2, 3, 2, seed=4)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         assert cs.top_degree == 2
         assert cs.form(3).is_zero()
 
     def test_unwitnessed_source(self):
         m = CurvatureMatrix(((Form.monomial(1, [1], [1], -2.0),),))
         cs = chern_forms(m)
-        assert not cs.witnessed
+        assert cs.m is None
         assert cs.form(1).coefficient([1], [1]) == pytest.approx(-2j / TWO_PI)
 
     def test_exact_mode_reality(self):
         # stored exact forms are conjugation-invariant on the nose
         factor = random_exact_factor(2, 3, 2, seed=11)
-        cs = chern_forms(bott_chern_curvature(factor))
+        cs = chern_forms(factor)
         assert cs.mode == EXACT
         for i in range(cs.top_degree + 1):
             assert conjugate(cs.form(i)) == cs.form(i)
@@ -84,7 +82,7 @@ class TestChernForms:
 
     def test_float_mode_reality(self):
         t = random_tensor(3, 3, 2, seed=12)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         for i in range(1, cs.top_degree + 1):
             f = cs.form(i)
             assert f.imag_part_magnitude() <= 1e-12 * max(1.0, f.max_coefficient_magnitude())
@@ -95,8 +93,8 @@ class TestChernForms:
         rng = np.random.default_rng(seed)
         n, r, m = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
         factor, tensor = integer_tensor_pair(n, r, m, seed=seed)
-        exact_cs = chern_forms(bott_chern_curvature(factor))
-        float_cs = chern_forms(bott_chern_curvature(factor_from_tensor(tensor)))
+        exact_cs = chern_forms(factor)
+        float_cs = chern_forms(factor_from_tensor(tensor))
         for i in range(min(n, r) + 1):
             a = exact_cs.numeric_form(i)
             b = float_cs.form(i)
@@ -116,9 +114,9 @@ class TestChernForms:
             block_rows.append((zero,) * f1.m + tuple(row))
         block = FactorMatrix(tuple(block_rows))
 
-        cs = chern_forms(bott_chern_curvature(block))
-        cs1 = chern_forms(bott_chern_curvature(f1))
-        cs2 = chern_forms(bott_chern_curvature(f2))
+        cs = chern_forms(block)
+        cs1 = chern_forms(f1)
+        cs2 = chern_forms(f2)
         for i in range(min(n, 3) + 1):
             expected = Form.zero(n, EXACT)
             for a in range(i + 1):
@@ -127,7 +125,7 @@ class TestChernForms:
 
     def test_sampled_nonnegativity_of_chern_forms(self):
         t = random_tensor(3, 2, 2, seed=30)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         for i in range(1, cs.top_degree + 1):
             rep = nonnegative_sampled(cs.form(i), trials=40, seed=i)
             assert rep.passed, f"c_{i} dipped to {rep.min_value}"
@@ -137,17 +135,17 @@ class TestChernForms:
         # prefix product in them, alive until the next collection; one
         # through the subset walk of chern_forms would keep its minor sums,
         # and the Gram route must leave none either
-        omega = bott_chern_curvature(factor_from_tensor(random_tensor(3, 4, 2, seed=0)))
-        stripped = CurvatureMatrix(omega.entries)
+        factor = factor_from_tensor(random_tensor(3, 4, 2, seed=0))
+        omega = bott_chern_curvature(factor)
         one, zero = Form.constant(3, 1), Form.zero(3)
         gc.collect()
         gc.disable()
         try:
             leibniz_det(omega.entries, one, zero, Form.wedge, (0, 1, 3), [{}, {}, {}])
             assert gc.collect() == 0
-            chern_forms(stripped)
-            assert gc.collect() == 0
             chern_forms(omega)
+            assert gc.collect() == 0
+            chern_forms(factor)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -159,9 +157,9 @@ class TestChernForms:
 
 
 class TestGramRoute:
-    """A witnessed curvature takes its Chern forms from the Gram blocks of
-    its factor, an unwitnessed one from the Leibniz walk; on the same
-    entries the two agree, exactly in exact mode."""
+    """A factor gives its Chern forms through its Gram blocks, a curvature
+    matrix through the Leibniz walk; on a factor and the matrix it builds
+    the two agree, exactly in exact mode."""
 
     @pytest.mark.parametrize("n,r,m", [
         (4, 3, 1), (3, 3, 1),            # m = 1
@@ -172,18 +170,18 @@ class TestGramRoute:
     ])
     def test_exact_gram_equals_walk(self, n, r, m):
         for seed in range(2):
-            omega = bott_chern_curvature(random_exact_factor(n, r, m, seed=seed))
-            gram = chern_forms(omega)
-            walk = chern_forms(CurvatureMatrix(omega.entries))
-            assert gram.witnessed and not walk.witnessed
+            factor = random_exact_factor(n, r, m, seed=seed)
+            gram = chern_forms(factor)
+            walk = chern_forms(bott_chern_curvature(factor))
+            assert gram.m == m and walk.m is None
             assert gram.forms == walk.forms
 
     @pytest.mark.parametrize("n,r", [(4, 5), (5, 3), (3, 3), (2, 4), (4, 1), (6, 2)])
     def test_float_gram_matches_walk(self, n, r):
         for seed in range(4):
-            omega = bott_chern_curvature(factor_from_tensor(random_tensor(n, r, None, seed)))
-            gram = chern_forms(omega).forms
-            walk = chern_forms(CurvatureMatrix(omega.entries)).forms
+            factor = factor_from_tensor(random_tensor(n, r, None, seed))
+            gram = chern_forms(factor).forms
+            walk = chern_forms(bott_chern_curvature(factor)).forms
             assert len(gram) == len(walk) == min(n, r) + 1
             for a, b in zip(gram, walk):
                 assert a.allclose(b, 1e-12)
@@ -191,9 +189,9 @@ class TestGramRoute:
     def test_gram_forms_keep_the_walk_key_order(self):
         # Chern forms in one key order share the wedge plans of their
         # products, so the Gram route lists its keys as the walk does
-        omega = bott_chern_curvature(factor_from_tensor(random_tensor(4, 5, 5, seed=3)))
-        gram = chern_forms(omega).forms
-        walk = chern_forms(CurvatureMatrix(omega.entries)).forms
+        factor = factor_from_tensor(random_tensor(4, 5, 5, seed=3))
+        gram = chern_forms(factor).forms
+        walk = chern_forms(bott_chern_curvature(factor)).forms
         assert [list(f.terms) for f in gram] == [list(f.terms) for f in walk]
 
 
@@ -216,7 +214,7 @@ class TestChernProduct:
     def test_part_above_base_dimension_is_zero(self):
         # rank 3 bundle on n = 2: c_3 is a legal symbol but vanishes
         t = random_tensor(2, 3, 1, seed=2)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         assert chern_product(cs, (3,)).is_zero()
 
 
@@ -239,7 +237,7 @@ class TestTopCoefficient:
 
     def test_exact_top_is_fraction(self):
         factor = diagonal_factor(2, EXACT)
-        cs = chern_forms(bott_chern_curvature(factor))
+        cs = chern_forms(factor)
         value = top_coefficient(cs.form(2))
         assert value == 1  # times the residual (2 pi)^-2
         assert not isinstance(value, float)

@@ -62,7 +62,7 @@ class TestBottChern:
         a = FactorMatrix(((Form.dz(1, 1).scale(2),),))
         omega = bott_chern_curvature(a)
         assert omega.entries[0][0].coefficient([1], [1]) == 4
-        assert omega.witnessed
+        assert chern_forms(a).m == 1
 
     def test_tensor_example_with_cross_terms(self):
         # n=2, r=1, m=1, A_11 = dz1 + i dz2:
@@ -103,46 +103,27 @@ class TestBottChern:
 
 
 class TestCurvatureMatrixWitness:
-    def test_witness_verified_on_construction(self):
-        a = FactorMatrix(((Form.dz(1, 1),),))
-        good = Form.monomial(1, [1], [1], 1)
-        CurvatureMatrix(((good,),), witness=a)  # fine
-        doctored = Form.monomial(1, [1], [1], 2)
-        with pytest.raises(InputError, match="witness"):
-            CurvatureMatrix(((doctored,),), witness=a)
+    """A curvature matrix carries no factor: the factor is the witness, and
+    a matrix keeps one rule of its own, finite float coefficients."""
 
-    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
-    @pytest.mark.parametrize("built_first", [False, True])
-    def test_mismatched_witness_rejected(self, mode, built_first):
-        # the check compares against FactorMatrix.product whether or not a
-        # bott_chern_curvature call has already built and cached it
-        if mode == EXACT:
-            factor = random_exact_factor(2, 2, 2, seed=5)
-        else:
-            factor = factor_from_tensor(random_tensor(2, 2, 2, seed=5))
-        if built_first:
-            omega = bott_chern_curvature(factor)
-            assert all(a is b for row, prod in zip(omega.entries, factor.product)
-                       for a, b in zip(row, prod))
-        entries = [list(row) for row in factor.product]
-        CurvatureMatrix(entries, witness=factor)  # fine
-        nudge = 1e-6 if mode == FLOAT else 1
-        entries[1][0] = entries[1][0] + Form.monomial(2, [1], [2], nudge, mode)
-        with pytest.raises(InputError, match=r"witness does not reproduce entry \(2,1\)"):
-            CurvatureMatrix(entries, witness=factor)
+    def test_non_finite_entry_rejected(self):
+        # |1e200|^2 overflows: the built entry has an infinite coefficient
+        with pytest.raises(InputError, match=r"curvature entry \(1,1\) is not finite"):
+            bott_chern_curvature(factor_from_tensor(CurvatureTensor([[[1e200]]])))
+        inf = Form.monomial(1, [1], [1], complex(float("inf"), 0))
+        with pytest.raises(InputError, match=r"curvature entry \(1,1\) is not finite"):
+            CurvatureMatrix(((inf,),))
+        one, zero = Form.monomial(1, [1], [1], 1), Form.zero(1)
+        with pytest.raises(InputError, match=r"curvature entry \(2,1\) is not finite"):
+            CurvatureMatrix(((one, zero), (inf, one)))
 
     def test_unwitnessed_matrix_is_allowed(self):
         m = CurvatureMatrix(((Form.monomial(1, [1], [1], -1),),))
-        assert not m.witnessed
+        assert chern_forms(m).m is None
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
             CurvatureMatrix(((Form.monomial(1, [1], [1], 1), Form.monomial(1, [1], [1], 1)),))
-
-    def test_witness_shape_mismatch(self):
-        a = diagonal_factor(2)
-        with pytest.raises(InputError):
-            CurvatureMatrix(((Form.monomial(2, [1], [1], 1),),), witness=a)
 
 
 class TestCurvatureTensor:
@@ -184,7 +165,9 @@ class TestChangeFrame:
         for i in range(2):
             for j in range(2):
                 assert out.entries[i][j].allclose(diag2.entries[i][j], 1e-12)
-        assert out.witnessed  # identity is unitary, witness transported
+        # the factor's Chern forms still describe the moved matrix
+        for got, want in zip(chern_forms(out).forms, chern_forms(diagonal_factor(2)).forms):
+            assert got.allclose(want, 1e-12)
 
     def test_scalar_frame_commutes(self):
         a = FactorMatrix(((Form.dz(1, 1).scale(3),),))
@@ -193,27 +176,17 @@ class TestChangeFrame:
             if omega.mode == EXACT else change_frame(omega, np.array([[2.0 + 0j]]))
         assert out.entries[0][0].allclose(omega.entries[0][0], 1e-12)
 
-    def test_non_unitary_drops_witness(self, diag2):
-        p = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
-        out = change_frame(diag2, p)
-        assert not out.witnessed
-
-    def test_unitary_transports_witness(self, diag2):
-        u = random_unitary(2, seed=4)
-        out = change_frame(diag2, u)
-        assert out.witnessed
-        # transported witness must satisfy the factorization, which the
-        # constructor recomputes; also check the formula conj(P)^t A directly
-        expected_first = diag2.witness.entries[0][0].scale(complex(np.conj(u[0, 0]))) \
-            + diag2.witness.entries[1][0].scale(complex(np.conj(u[1, 0])))
-        assert out.witness.entries[0][0].allclose(expected_first, 1e-12)
-
-    def test_exact_unitary_transport(self):
-        factor = random_exact_factor(2, 2, 2, seed=7)
-        omega = bott_chern_curvature(factor)
-        p = random_signed_phase_permutation(2, seed=8)
-        out = change_frame(omega, p)
-        assert out.witnessed and out.mode == EXACT
+    def test_unitary_frame_moves_the_factor(self):
+        # for unitary P, P^-1 Omega P is the curvature of the factor conj(P)^t A
+        factor = random_exact_factor(2, 3, 2, seed=7)
+        p = random_signed_phase_permutation(3, seed=8)
+        a, zero = factor.entries, Form.zero(2, EXACT)
+        moved = FactorMatrix(tuple(
+            tuple(sum((a[s][k].scale(p[s][i].conjugate()) for s in range(3)), zero)
+                  for k in range(2))
+            for i in range(3)))
+        out = change_frame(bott_chern_curvature(factor), p)
+        assert out.entries == bott_chern_curvature(moved).entries
 
     def test_singular_frame_rejected_exact(self):
         factor = random_exact_factor(1, 2, 1, seed=2)
@@ -241,9 +214,10 @@ class TestChangeFrame:
         rng = np.random.default_rng(seed)
         n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         t = random_tensor(n, r, seed=seed)
-        omega = bott_chern_curvature(factor_from_tensor(t))
+        factor = factor_from_tensor(t)
+        omega = bott_chern_curvature(factor)
         p = random_invertible(r, seed=seed + 1)
-        cs_a = chern_forms(omega)
+        cs_a = chern_forms(factor)
         cs_b = chern_forms(change_frame(omega, p))
         for i in range(1, min(n, r) + 1):
             assert cs_a.form(i).allclose(cs_b.form(i), 1e-10)
@@ -256,7 +230,7 @@ class TestChangeFrame:
         factor = random_exact_factor(n, r, seed=seed)
         omega = bott_chern_curvature(factor)
         p = random_signed_phase_permutation(r, seed=seed + 1)
-        cs_a = chern_forms(omega)
+        cs_a = chern_forms(factor)
         cs_b = chern_forms(change_frame(omega, p))
         for i in range(1, min(n, r) + 1):
             assert cs_a.form(i) == cs_b.form(i)

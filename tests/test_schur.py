@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from chernforms import (
     EXACT,
-    CurvatureMatrix,
     Form,
     Partition,
     Polynomial,
@@ -347,7 +346,7 @@ class TestEvaluateOnForms:
 
     def test_exact_mode_grading(self):
         factor = random_exact_factor(2, 2, 2, seed=3)
-        cs = chern_forms(bott_chern_curvature(factor))
+        cs = chern_forms(factor)
         f = evaluate_on_forms(schur_polynomial((1, 1), 2), cs)
         assert f.is_zero() or f.bidegree() == (2, 2)
         assert f.mode == EXACT
@@ -355,11 +354,11 @@ class TestEvaluateOnForms:
 
 class TestChernFormSetMemo:
     @staticmethod
-    def _omega(seed=2):
-        return bott_chern_curvature(factor_from_tensor(random_tensor(4, 3, 2, seed=seed)))
+    def _factor(seed=2):
+        return factor_from_tensor(random_tensor(4, 3, 2, seed=seed))
 
     def test_equality_hash_and_repr_ignore_memo(self):
-        filled, fresh = chern_forms(self._omega()), chern_forms(self._omega())
+        filled, fresh = chern_forms(self._factor()), chern_forms(self._factor())
         evaluate_on_forms(schur_polynomial((2, 1), 3), filled)
         assert filled.memo and not fresh.memo
         assert filled == fresh
@@ -369,17 +368,17 @@ class TestChernFormSetMemo:
 
     def test_evaluation_order_does_not_change_bits(self):
         polys = schur_and_chain_polynomials(4, 3)
-        forward, backward = chern_forms(self._omega()), chern_forms(self._omega())
+        forward, backward = chern_forms(self._factor()), chern_forms(self._factor())
         got_fwd = [repr(list(evaluate_on_forms(p, forward).terms.items())) for p in polys]
         got_bwd = [repr(list(evaluate_on_forms(p, backward).terms.items()))
                    for p in reversed(polys)][::-1]
-        got_fresh = [repr(list(evaluate_on_forms(p, chern_forms(self._omega())).terms.items()))
+        got_fresh = [repr(list(evaluate_on_forms(p, chern_forms(self._factor())).terms.items()))
                      for p in polys]
         assert got_fwd == got_bwd == got_fresh
 
     def test_power_matches_wedge_power(self):
         # the pair (j, e) stands for 1 ^ c_j ^ ... ^ c_j (e factors)
-        cs = chern_forms(self._omega())
+        cs = chern_forms(self._factor())
         for j in range(cs.top_degree + 2):
             want = Form.constant(cs.n, 1, cs.mode)
             for e in range(4):
@@ -390,7 +389,7 @@ class TestChernFormSetMemo:
         assert cs.product(1, (1, 1, 1)) is cs.product(1, (1, 1, 1))
 
     def test_float_to_numeric_shares_the_memo(self):
-        cs = chern_forms(self._omega())
+        cs = chern_forms(self._factor())
         assert cs.to_numeric() is cs
         for lam in partitions(4, 3):
             bounds_chain_check(cs, lam, trials=5, seed=0)
@@ -399,7 +398,7 @@ class TestChernFormSetMemo:
     def test_chain_top_reads_the_memo_entry_of_one_to_the_n(self, monkeypatch):
         # the top chain's c_1^n is the product of the partition (1^n): one
         # memo entry, wedged once per set
-        cs = chern_forms(self._omega())
+        cs = chern_forms(self._factor())
         tops = []
 
         def recording(form, tol=1e-9):
@@ -413,7 +412,7 @@ class TestChernFormSetMemo:
         assert tops[1] is cs.memo[(1, 2, 1, 1)]
 
     def test_exact_to_numeric_starts_empty(self):
-        cs = chern_forms(bott_chern_curvature(random_exact_factor(2, 2, 2, seed=3)))
+        cs = chern_forms(random_exact_factor(2, 2, 2, seed=3))
         evaluate_on_forms(schur_polynomial((1, 1), 2), cs)
         num = cs.to_numeric()
         assert num is not cs and cs.memo and not num.memo
@@ -504,7 +503,7 @@ class TestSchurNegativeControls:
         factor, tensor = integer_tensor_pair(n, r, m, seed=0)
         if mode == "float":
             factor = factor_from_tensor(tensor)
-        cs = chern_forms(bott_chern_curvature(factor))
+        cs = chern_forms(factor)
         forms = {lam.parts: evaluate_on_forms(schur_polynomial(lam, r), cs)
                  for i in range(1, n + 1) for lam in partitions(i, r)}
         assert len(forms) == 15
@@ -524,8 +523,7 @@ class TestSchurVanishing:
                                        (4, 5, 1), (4, 5, 2), (4, 5, 3)])
     def test_exact_schur_forms_beyond_m_parts_are_zero(self, n, r, m):
         # Chern forms from the Leibniz walk, which never sees the factor
-        omega = bott_chern_curvature(random_exact_factor(n, r, m, seed=m))
-        cs = chern_forms(CurvatureMatrix(omega.entries))
+        cs = chern_forms(bott_chern_curvature(random_exact_factor(n, r, m, seed=m)))
         nonzero = 0
         for i in range(1, n + 1):
             for lam in partitions(i, r):
@@ -604,14 +602,14 @@ class TestBoundsChain:
             bounds_chain_check(cs, (1,))
 
     def test_weight_and_part_validation(self):
-        cs = chern_forms(bott_chern_curvature(diagonal_factor(2)))
+        cs = chern_forms(diagonal_factor(2))
         with pytest.raises(InputError):
             bounds_chain_check(cs, (2, 1))  # weight 3 > n = 2
         with pytest.raises(InputError):
             bounds_chain_check(cs, (3,))  # part 3 > r = 2
 
     def test_diagonal_instance_chain(self):
-        cs = chern_forms(bott_chern_curvature(diagonal_factor(2)))
+        cs = chern_forms(diagonal_factor(2))
         rep = bounds_chain_check(cs, (1, 1), trials=30, seed=2)
         assert rep.passed
         assert rep.top is not None and rep.top["passed"]
@@ -625,14 +623,14 @@ class TestBoundsChain:
     def test_random_instances_pass(self):
         for seed in (1, 2, 3):
             t = random_tensor(3, 3, 2, seed=seed)
-            cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+            cs = chern_forms(factor_from_tensor(t))
             for lam in partitions(3, 3):
                 rep = bounds_chain_check(cs, lam, trials=30, seed=seed)
                 assert rep.passed, (seed, lam.parts)
 
     def test_below_top_weight_has_no_scalar_block(self):
         t = random_tensor(3, 2, 2, seed=4)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         rep = bounds_chain_check(cs, (1, 1), trials=10, seed=0)
         assert rep.top is None and rep.weight == 2
 
@@ -642,20 +640,23 @@ class TestBoundsChain:
         # with two parts > m: each gets the zero form's report, with its own
         # seed, and the scalar top chain is still compared
         cs = chern_forms(random_tensor(3, 3, 1, seed=2))
-        rep = bounds_chain_check(cs, lam, trials=10, seed=4, m=1)
-        sampled = bounds_chain_check(cs, lam, trials=10, seed=4)
-        assert [s.label for s in rep.steps] == [s.label for s in sampled.steps]
+        assert cs.m == 1
+        rep = bounds_chain_check(cs, lam, trials=10, seed=4)
+        labels = [label for label, _ in chain_step_polynomials(Partition(lam), 3)]
+        assert [s.label for s in rep.steps] == labels
         assert rep.steps
         for index, step in enumerate(rep.steps):
             zero = nonnegative_sampled(Form.zero(3), 10, schur.derive_seed(4, 11, index))
             assert step.report == zero
-        assert rep.top == sampled.top and rep.top["passed"]
-        for m in (2, 3):
-            assert bounds_chain_check(cs, lam, trials=10, seed=4, m=m) == sampled
+        num = cs.to_numeric()
+        tops = [top_coefficient(f) for f in (num.form(3), chern_product(num, lam),
+                                             chern_product(num, (1, 1, 1)))]
+        assert [rep.top["c_n"], rep.top["c_lambda"], rep.top["c_1^n"]] == tops
+        assert rep.top["passed"]
 
     def test_deterministic(self):
         t = random_tensor(2, 2, 2, seed=6)
-        cs = chern_forms(bott_chern_curvature(factor_from_tensor(t)))
+        cs = chern_forms(factor_from_tensor(t))
         a = bounds_chain_check(cs, (1, 1), trials=20, seed=5)
         b = bounds_chain_check(cs, (1, 1), trials=20, seed=5)
         assert a.to_dict() == b.to_dict()
