@@ -1,7 +1,8 @@
-"""From a curvature factor to Chern forms and their top coefficients.
+"""From a factor tensor to Chern forms and their top coefficients.
 
-A factored curvature Omega = A ^ conj(A^t) is nonnegative by construction,
-and the factor A is its witness: the Chern forms come from A directly, and
+A factored curvature Omega = A ^ conj(A^t) is nonnegative by construction.
+Its factor A_ik = sum_p T[p][i][k] dz^p is held as the tensor T, in either
+scalar mode, and is its witness: the Chern forms come from T directly, and
 Omega, once built, is a plain matrix whose Chern forms do not move under a
 frame change.  Run:  python3 demos/02_curvature_to_chern.py
 """
@@ -14,7 +15,6 @@ from chernforms import (
     change_frame,
     chern_forms,
     chern_product,
-    factor_from_tensor,
     partitions,
     random_unitary,
     top_coefficient,
@@ -27,12 +27,12 @@ tensor = CurvatureTensor(np.array([
 ]))
 print(f"instance: n={tensor.n}, r={tensor.r}, m={tensor.m}")
 
-factor = factor_from_tensor(tensor)
-omega = bott_chern_curvature(factor)
+print(f"A_22 = {tensor.entries[1][1]}")
+omega = bott_chern_curvature(tensor)
 print(f"Omega_11 = {omega.entries[0][0]}")
 
 # the Gram route: Chern forms straight from the factor's m columns
-cs = chern_forms(factor)
+cs = chern_forms(tensor)
 print(f"\nChern forms from the factor (m={cs.m}) up to degree {cs.top_degree}:")
 for i in range(cs.top_degree + 1):
     print(f"  c_{i} = {cs.form(i)}")
@@ -51,3 +51,9 @@ drift = max(
     for i in range(1, cs.top_degree + 1)
 )
 print(f"\nafter a random unitary frame change: max Chern-form drift = {drift:.2e}")
+
+# an object array is an exact tensor: the same route over Gaussian
+# rationals, with the (2 pi)^-i of c_i left symbolic
+exact = CurvatureTensor(np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=object))
+ce = chern_forms(exact)
+print(f"\nexact tensor ({exact.mode} mode): c_2 = {ce.form(2)} times (2 pi)^-2")

@@ -4,9 +4,9 @@ explicit curvature data.
 The package has three layers:
 
 * pointwise linear algebra -- exterior forms at a point (``forms``),
-  factors, the curvature matrices they build, and frame changes
+  factor tensors, the curvature matrices they build, and frame changes
   (``curvature``);
-* characteristic forms -- Chern forms of a factor or a curvature matrix
+* characteristic forms -- Chern forms of a factor tensor or a curvature matrix
   (``chern``), Schur
   polynomials and the sampled nonnegativity / inequality-chain engines
   (``schur``), over one exact sparse-polynomial class (``polynomials``);
@@ -31,7 +31,6 @@ from .forms import (
 from .curvature import (
     CurvatureMatrix,
     CurvatureTensor,
-    FactorMatrix,
     bott_chern_curvature,
     change_frame,
     factor_from_tensor,

@@ -1,4 +1,4 @@
-"""Chern forms of a curvature, from its factor or its matrix, and their
+"""Chern forms of a curvature, from its factor tensor or its matrix, and their
 top-degree coefficients.
 
 For an r x r curvature matrix Omega of (1,1)-forms on an n-dimensional base,
@@ -13,13 +13,13 @@ stops there.
 
 ``chern_forms`` takes one of two routes, chosen by the type of its input.
 
-*Gram route* (a factor of Omega = A ^ conj(A^t), A_ik = sum_p T[p, i, k] dz^p,
-A an r x m factor).  A ``FactorMatrix`` gives T through its entries, in
-either scalar mode.  A ``CurvatureTensor`` is T: ``chern_forms`` reads it
-off the array and builds neither A nor Omega as forms, and checks Omega's
-coefficients for overflow from T as ``CurvatureMatrix`` checks its
-entries.  For a row subset S = (s_1 < ... < s_i) and a size-i
-multiset kappa of the m columns, let Phi_{S,kappa} be the (i,0)-form
+*Gram route* (a ``CurvatureTensor``: the factor of Omega = A ^ conj(A^t),
+A_ik = sum_p T[p, i, k] dz^p, A an r x m factor).  ``chern_forms`` reads T
+off the tensor's array, in either scalar mode, and builds neither A nor
+Omega as forms; a float T is first checked for overflow in Omega's
+coefficients, as ``CurvatureMatrix`` checks its entries.  For a row subset
+S = (s_1 < ... < s_i) and a size-i multiset kappa of the m columns, let
+Phi_{S,kappa} be the (i,0)-form
 
     Phi_{S,kappa} = sum over the distinct arrangements (k_1, ..., k_i) of
                     kappa of A_{s_1 k_1} ^ ... ^ A_{s_i k_i},
@@ -54,8 +54,8 @@ subset hands its minor its parent's memo levels plus one fresh level (see
 column tuple is computed once, and every product is one such a loop
 computes, bit for bit.
 
-On a factor A and on ``bott_chern_curvature(A)`` the routes agree exactly in
-exact mode and to rounding in float mode, where the Gram route sums in
+On a tensor and on ``bott_chern_curvature(tensor)`` the routes agree exactly
+in exact mode and to rounding in float mode, where the Gram route sums in
 another order.
 
 Two prefactor modes, tied to the scalar mode of Omega:
@@ -85,7 +85,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import CurvatureMatrix, CurvatureTensor, FactorMatrix
+from .curvature import CurvatureMatrix, CurvatureTensor
 from .errors import InputError
 from .forms import Form
 from .scalars import EXACT, FLOAT, GaussianRational
@@ -353,21 +353,10 @@ def _key_order(n: int, i: int) -> tuple:
     return tuple((key, pos[key[0]], pos[key[1]]) for key in keys)
 
 
-def _factor_tensor(factor: FactorMatrix) -> np.ndarray:
-    """T[p, i, k] with A_ik = sum_p T[p, i, k] dz^p, read off the factor:
-    complex, or objects (``GaussianRational`` and the int 0) in exact mode."""
-    t = np.zeros((factor.n, factor.r, factor.m), object if factor.mode == EXACT else complex)
-    for i, row in enumerate(factor.entries):
-        for k, entry in enumerate(row):
-            for (h, _), c in entry.terms.items():
-                t[h.bit_length() - 1, i, k] = c
-    return t
-
-
 def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
-    """T[p, i, k] of a tensor instance, as ``_factor_tensor`` reads it off
-    ``factor_from_tensor(tensor)``: a nonzero entry times the 1 + 0j of
-    dz^p, the multiply of ``Form.scale``, and an exactly zero one as 0j.
+    """T[p, i, k] of a float tensor as ``factor_from_tensor(tensor)`` holds
+    it: a nonzero entry times the 1 + 0j of dz^p, the multiply of
+    ``Form.scale``, and an exactly zero one as 0j.
 
     Raises the ``InputError`` of ``CurvatureMatrix`` when a coefficient
     sum_k T[p, i, k] conj(T[q, j, k]) of Omega = A ^ conj(A^t) is not
@@ -389,46 +378,43 @@ def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
     return t
 
 
-def chern_forms(source: Union[CurvatureTensor, FactorMatrix, CurvatureMatrix]) -> ChernFormSet:
+def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet:
     """Chern forms of a curvature, through degree min(r, n), n the base
-    dimension.  A ``CurvatureTensor`` or ``FactorMatrix`` takes its forms
-    from the Gram blocks of the factor, a ``CurvatureMatrix`` from the
-    Leibniz walk over its principal minors (see the module docstring).  The
-    result inherits the scalar mode of ``source`` (a tensor is float) and
-    records the factor's column count m, or None for a ``CurvatureMatrix``.
+    dimension, in the scalar mode of ``source``.  A ``CurvatureTensor``
+    takes its forms from the Gram blocks of its factor, a
+    ``CurvatureMatrix`` from the Leibniz walk over its principal minors (see
+    the module docstring).  The set records the factor's column count m, or
+    None for a ``CurvatureMatrix``.
 
-    A ``CurvatureTensor`` gives the forms of ``factor_from_tensor(tensor)``,
-    bit for bit, without building it: its Gram route reads T off the tensor
-    directly (``_checked_tensor``, which also raises the overflow error of
-    ``bott_chern_curvature(factor_from_tensor(tensor))``).
+    An exact tensor is read as its array.  A float one is read through
+    ``_checked_tensor``, which raises the overflow error of
+    ``bott_chern_curvature(tensor)``, and gives the forms of
+    ``factor_from_tensor(tensor)``, bit for bit, without building it.
     """
-    tensor = isinstance(source, CurvatureTensor)
-    walk = isinstance(source, CurvatureMatrix)
-    n, r = source.n, source.r
-    mode = FLOAT if tensor else source.mode
+    if not isinstance(source, (CurvatureTensor, CurvatureMatrix)):
+        raise TypeError("chern_forms takes a CurvatureTensor or a CurvatureMatrix")
+    n, r, mode = source.n, source.r, source.mode
     k = min(r, n)
     out = [Form.constant(n, 1, mode)]
-    if walk:
+    if isinstance(source, CurvatureMatrix):
         minor_sums = _minor_sums(source, k)
         for i in range(1, k + 1):
             if mode == EXACT:
                 out.append(minor_sums[i].scale(_PHASES[i % 4]))
             else:
                 out.append(minor_sums[i].scale((1j / (2.0 * math.pi)) ** i))
-    else:
-        t = _checked_tensor(source) if tensor else _factor_tensor(source)
-        blocks = _gram_blocks(t, k)
-        for i in range(1, k + 1):
-            # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
-            if mode == EXACT:
-                scaled = blocks[i] * _PHASES[i & 1]
-            else:
-                scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
-            rows = scaled.tolist()
-            out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
-                                           if (c := rows[a][b])}))
-    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode,
-                        m=None if walk else source.m)
+        return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=None)
+    blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
+    for i in range(1, k + 1):
+        # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
+        if mode == EXACT:
+            scaled = blocks[i] * _PHASES[i & 1]
+        else:
+            scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
+        rows = scaled.tolist()
+        out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
+                                       if (c := rows[a][b])}))
+    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=source.m)
 
 
 def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:

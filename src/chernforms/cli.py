@@ -33,8 +33,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .chern import chern_forms, chern_product, top_coefficient
-from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, \
-    factor_from_tensor, random_tensor
+from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, random_tensor
 from .errors import ConsistencyError, InputError
 from .forms import DEFAULT_TOL, Form, evaluate
 from .models import chern_number, euler_characteristic, kodaira_leading, \
@@ -141,7 +140,7 @@ def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[Cur
                 "tensor instances are float-mode; exact curvatures take the "
                 "explicit 'omega' Form-literal shape")
         tensor = CurvatureTensor.from_json(obj)
-        return bott_chern_curvature(factor_from_tensor(tensor)), tensor
+        return bott_chern_curvature(tensor), tensor
     if isinstance(obj, dict) and "omega" in obj:
         entries = obj["omega"]
         if not isinstance(entries, list) or not entries:

@@ -1,19 +1,21 @@
-"""Curvature matrices in factored (manifestly nonnegative) shape.
+"""Factored curvatures: the factor tensor, the curvature matrix it builds,
+and frame changes.
 
 The central object is a factored curvature
 
-    Omega_ij = sum_k A_ik ^ conj(A_jk),       A an r x m matrix of (1,0)-forms,
+    Omega_ij = sum_k A_ik ^ conj(A_jk),       A_ik = sum_p T[p][i][k] dz^p,
 
-the shape under which all nonnegativity statements in this package hold.
-The factor ``A`` (a ``FactorMatrix``, or the ``CurvatureTensor`` it is
-built from) is the certificate of that shape and the one representation of
-a factored curvature: ``bott_chern_curvature(A)`` builds Omega as a plain
-``CurvatureMatrix``, which carries no factor.  ``change_frame`` conjugates
-a curvature matrix into another frame as P^-1 Omega P.
-
-A convenient source of factors is a curvature-type tensor T[p][i][k]
+an r x r matrix of (1,1)-forms from an r x m matrix A of (1,0)-forms
 (p = base direction 1..n, i = fiber index 1..r, k = factor column 1..m),
-giving A_ik = sum_p T[p][i][k] dz^p.  For such data the Griffiths form
+the shape under which all nonnegativity statements in this package hold.
+The coefficient tensor T, a ``CurvatureTensor`` in either scalar mode, is
+the one representation of a factored curvature and the certificate of
+that shape.  ``factor_from_tensor`` (``tensor.entries``) builds A as forms,
+and ``bott_chern_curvature`` builds Omega as a plain ``CurvatureMatrix``,
+which carries no factor.  ``change_frame`` conjugates a curvature matrix
+into another frame as P^-1 Omega P.
+
+For a float tensor the Griffiths form
 
     sum_{i,j,p,q} R_{i,j,p,q} xi^i conj(xi^j) eta^p conj(eta^q),
     R_{i,j,p,q} = sum_k T[p][i][k] conj(T[q][j][k])
@@ -34,67 +36,19 @@ from . import _linalg
 from .errors import ConsistencyError, InputError
 from .forms import Form
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, GaussianRational, check_same_mode, parse_scalar, scalar_json
+from .scalars import EXACT, FLOAT, I_EXACT, GaussianRational, check_same_mode, coerce, \
+    parse_scalar, scalar_json
 
 #: relative tolerance for the two Griffiths routes to agree
 GRIFFITHS_RTOL = 1e-12
 
 
-def _common_shape(entries, kind: str, p: int, q: int):
-    """Validate a rectangular matrix of homogeneous (p,q)-forms; return (n, mode)."""
-    if not entries or not entries[0]:
-        raise InputError(f"{kind} must be a nonempty matrix of forms")
-    n = entries[0][0].n
-    mode = entries[0][0].mode
-    width = len(entries[0])
-    for row in entries:
-        if len(row) != width:
-            raise InputError(f"{kind} rows must have equal length")
-        for f in row:
-            if not isinstance(f, Form):
-                raise InputError(f"{kind} entries must be forms")
-            if f.n != n:
-                raise InputError(f"{kind} entries must share one base dimension")
-            check_same_mode(f.mode, mode, f"{kind} entries")
-            if not f.is_homogeneous(p, q):
-                raise InputError(f"{kind} entries must be homogeneous ({p},{q})-forms")
-    return n, mode
-
-
-@dataclasses.dataclass(frozen=True)
-class FactorMatrix:
-    """r x m matrix A of (1,0)-forms, the factor of a nonnegative curvature."""
-
-    entries: tuple[tuple[Form, ...], ...]
-
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        _common_shape(entries, "factor matrix", 1, 0)
-
-    @property
-    def r(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def n(self) -> int:
-        return self.entries[0][0].n
-
-    @property
-    def mode(self) -> str:
-        return self.entries[0][0].mode
-
-
 @dataclasses.dataclass(frozen=True)
 class CurvatureMatrix:
-    """r x r matrix of (1,1)-forms.
+    """r x r matrix of (1,1)-forms sharing one base dimension and mode.
 
     Float entries must have finite coefficients: an overflow to inf or NaN,
-    as in a ``bott_chern_curvature`` build from huge factor entries, is
+    as in a ``bott_chern_curvature`` build from huge tensor entries, is
     rejected naming the first such entry in row-major order.
     """
 
@@ -103,14 +57,22 @@ class CurvatureMatrix:
     def __post_init__(self):
         entries = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", entries)
-        _, mode = _common_shape(entries, "curvature matrix", 1, 1)
-        if len(entries) != len(entries[0]):
-            raise InputError("curvature matrix must be square")
-        if mode == FLOAT:
-            for i, row in enumerate(entries):
-                for j, entry in enumerate(row):
-                    if not all(map(cmath.isfinite, entry.terms.values())):
-                        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
+        if not entries or not entries[0]:
+            raise InputError("curvature matrix must be a nonempty matrix of forms")
+        n, mode = entries[0][0].n, entries[0][0].mode
+        for i, row in enumerate(entries):
+            if len(row) != len(entries):
+                raise InputError("curvature matrix must be square")
+            for j, f in enumerate(row):
+                if not isinstance(f, Form):
+                    raise InputError("curvature matrix entries must be forms")
+                if f.n != n:
+                    raise InputError("curvature matrix entries must share one base dimension")
+                check_same_mode(f.mode, mode, "curvature matrix entries")
+                if not f.is_homogeneous(1, 1):
+                    raise InputError("curvature matrix entries must be homogeneous (1,1)-forms")
+                if mode == FLOAT and not all(map(cmath.isfinite, f.terms.values())):
+                    raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
 
     @property
     def r(self) -> int:
@@ -125,40 +87,34 @@ class CurvatureMatrix:
         return self.entries[0][0].mode
 
 
-def bott_chern_curvature(factor: FactorMatrix) -> CurvatureMatrix:
-    """Omega = A ^ conj(A^t): entry (i, j) is sum_k A_ik ^ conj(A_jk),
-    summed in k order, with each conj(A_jk) taken once for all rows i."""
-    a = factor.entries
-    a_bar = [[f.conjugate() for f in row] for row in a]
-    zero = Form.zero(factor.n, factor.mode)
-    out = []
-    for i in range(factor.r):
-        row = []
-        for j in range(factor.r):
-            total = zero
-            for k in range(factor.m):
-                total = total + a[i][k].wedge(a_bar[j][k])
-            row.append(total)
-        out.append(tuple(row))
-    return CurvatureMatrix(tuple(out))
-
-
 # ----------------------------------------------------------------------
-# tensor-shaped input
+# the factor tensor
 
 
 class CurvatureTensor:
-    """Dense tensor T[p][i][k] of complex numbers defining a factor matrix
-    A_ik = sum_p T[p][i][k] dz^p.  Stored as a (n, r, m) complex array."""
+    """Tensor T[p][i][k] of a factor A_ik = sum_p T[p][i][k] dz^p, stored as
+    an (n, r, m) array with n, r, m >= 1.
+
+    An object array is exact mode: its entries are coerced to
+    ``GaussianRational`` (int and Fraction are, float and complex are
+    refused).  Any other array is float mode, read as complex and checked
+    finite.
+    """
 
     __slots__ = ("array",)
 
     def __init__(self, array):
-        arr = np.asarray(array, dtype=complex)
+        arr = np.asarray(array)
         if arr.ndim != 3:
             raise InputError("curvature tensor must be indexed [p][i][k]")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("curvature tensor entries must be finite")
+        if 0 in arr.shape:
+            raise InputError("curvature tensor needs n, r and m >= 1")
+        if arr.dtype == object:
+            arr = np.frompyfunc(lambda z: coerce(z, EXACT), 1, 1)(arr)
+        else:
+            arr = arr.astype(complex, copy=False)
+            if not np.all(np.isfinite(arr)):
+                raise InputError("curvature tensor entries must be finite")
         self.array = arr
 
     @property
@@ -172,6 +128,15 @@ class CurvatureTensor:
     @property
     def m(self) -> int:
         return self.array.shape[2]
+
+    @property
+    def mode(self) -> str:
+        return EXACT if self.array.dtype == object else FLOAT
+
+    @property
+    def entries(self) -> tuple[tuple[Form, ...], ...]:
+        """The factor A, built on each access by ``factor_from_tensor``."""
+        return factor_from_tensor(self)
 
     def __eq__(self, other):
         if not isinstance(other, CurvatureTensor):
@@ -188,6 +153,7 @@ class CurvatureTensor:
 
     @classmethod
     def from_json(cls, obj) -> "CurvatureTensor":
+        """A float tensor from the ``{n, r, m, T}`` shape ``to_json`` writes."""
         if not isinstance(obj, dict):
             raise InputError("instance must be an object with fields n, r, m, T")
         for key in ("n", "r", "m"):
@@ -220,21 +186,34 @@ def _combine(forms: Sequence[Form], coeffs: Sequence, zero: Form) -> Form:
     return total
 
 
-def _factor(shape: tuple[int, int, int], coeff, mode: str) -> FactorMatrix:
-    """A_ik = sum_p coeff(p, i, k) dz^p for (n, r, m) = ``shape``; ``coeff``
-    returns scalars in ``mode``."""
-    n, r, m = shape
+def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
+    """A_ik = sum_p T[p][i][k] dz^p, summed in p order over the nonzero
+    entries, as an r x m matrix of (1,0)-forms in the tensor's mode."""
+    n, mode, t = tensor.n, tensor.mode, tensor.array.tolist()
     dz = [Form.dz(n, p + 1, mode) for p in range(n)]
     zero = Form.zero(n, mode)
-    return FactorMatrix(tuple(
-        tuple(_combine(dz, [coeff(p, i, k) for p in range(n)], zero) for k in range(m))
-        for i in range(r)))
+    return tuple(tuple(_combine(dz, [t[p][i][k] for p in range(n)], zero)
+                       for k in range(tensor.m))
+                 for i in range(tensor.r))
 
 
-def factor_from_tensor(tensor: CurvatureTensor) -> FactorMatrix:
-    """A_ik = sum_p T[p][i][k] dz^p as a float-mode factor matrix."""
-    t = tensor.array.tolist()
-    return _factor(tensor.array.shape, lambda p, i, k: t[p][i][k], FLOAT)
+def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
+    """Omega = A ^ conj(A^t) for the factor A of ``tensor``: entry (i, j) is
+    sum_k A_ik ^ conj(A_jk), summed in k order, with each conj(A_jk) taken
+    once for all rows i."""
+    a = factor_from_tensor(tensor)
+    a_bar = [[f.conjugate() for f in row] for row in a]
+    zero = Form.zero(tensor.n, tensor.mode)
+    out = []
+    for i in range(tensor.r):
+        row = []
+        for j in range(tensor.r):
+            total = zero
+            for k in range(tensor.m):
+                total = total + a[i][k].wedge(a_bar[j][k])
+            row.append(total)
+        out.append(tuple(row))
+    return CurvatureMatrix(tuple(out))
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +248,7 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
 
 def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
                     eta: Sequence[complex]) -> float:
-    """Griffiths form of a factored curvature at fiber vector xi, base vector eta.
+    """Griffiths form of a float tensor at fiber vector xi, base vector eta.
 
     Computes both the curvature contraction
         sum R_{i,j,p,q} xi^i conj(xi^j) eta^p conj(eta^q)
@@ -278,6 +257,8 @@ def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
     raises ConsistencyError if they disagree beyond GRIFFITHS_RTOL * scale,
     and returns the (nonnegative) sum-of-squares value.
     """
+    if tensor.mode != FLOAT:
+        raise InputError("griffiths_value is a float oracle: it takes a float tensor")
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     if xi.shape != (tensor.r,):
@@ -317,16 +298,15 @@ def random_tensor(n: int, r: int, m: Optional[int] = None, seed: int = 0) -> Cur
 
 
 def random_exact_factor(n: int, r: int, m: Optional[int] = None,
-                        seed: int = 0) -> FactorMatrix:
-    """Exact-mode factor matrix with Gaussian-integer tensor entries drawn
-    uniformly from [-2, 2]^2 (factored instances for identity suites)."""
+                        seed: int = 0) -> CurvatureTensor:
+    """Exact tensor with Gaussian-integer entries drawn uniformly from
+    [-2, 2]^2 (factored instances for identity suites)."""
     rng = substream(seed, 102)
     if m is None:
         m = int(rng.integers(1, r + 2))
-    re = rng.integers(-2, 3, size=(n, r, m)).tolist()
-    im = rng.integers(-2, 3, size=(n, r, m)).tolist()
-    return _factor((n, r, m), lambda p, i, k: GaussianRational(re[p][i][k], im[p][i][k]),
-                   EXACT)
+    re = rng.integers(-2, 3, size=(n, r, m)).astype(object)
+    im = rng.integers(-2, 3, size=(n, r, m)).astype(object)
+    return CurvatureTensor(re + im * I_EXACT)
 
 
 def random_unitary(r: int, seed: int = 0) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chernforms import FLOAT, FactorMatrix, Form
+from chernforms import EXACT, FLOAT, CurvatureTensor, Form, random_exact_factor
 
 # ----------------------------------------------------------------------
 # acceptance bookkeeping: test_acceptance records one verdict per criterion,
@@ -34,31 +34,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # instance builders
 
 
-def diagonal_factor(n: int, mode: str = FLOAT) -> FactorMatrix:
-    """A = diag(dz^1, ..., dz^n): the simplest witnessed r = n instance."""
-    rows = []
+def diagonal_tensor(n: int, mode: str = FLOAT) -> CurvatureTensor:
+    """T[p, i, k] = 1 exactly when p = i = k, so A = diag(dz^1, ..., dz^n):
+    the simplest factored r = n instance."""
+    t = np.zeros((n, n, n), object if mode == EXACT else complex)
     for i in range(n):
-        row = [Form.dz(n, i + 1, mode) if k == i else Form.zero(n, mode)
-               for k in range(n)]
-        rows.append(tuple(row))
-    return FactorMatrix(tuple(rows))
+        t[i, i, i] = 1
+    return CurvatureTensor(t)
 
 
 def integer_tensor_pair(n: int, r: int, m: int, seed: int):
-    """One Gaussian-integer tensor rendered both ways: the exact FactorMatrix
-    of ``random_exact_factor`` and the float CurvatureTensor read off its
-    entries."""
-    from chernforms import CurvatureTensor, random_exact_factor
+    """One Gaussian-integer tensor in both modes: the exact tensor of
+    ``random_exact_factor`` and its float view."""
+    exact = random_exact_factor(n, r, m, seed=seed)
+    return exact, CurvatureTensor(exact.array.astype(complex))
 
-    factor = random_exact_factor(n, r, m, seed=seed)
-    a = np.zeros((n, r, m), dtype=complex)
-    for i, row in enumerate(factor.entries):
+
+def factor_tensor(factor) -> np.ndarray:
+    """T[p, i, k] read off the coefficients of a factor's entries, A_ik =
+    sum_p T[p, i, k] dz^p: complex, or objects (``GaussianRational`` and the
+    int 0) in exact mode.  The oracle for what the Gram route reads."""
+    n, mode = factor[0][0].n, factor[0][0].mode
+    t = np.zeros((n, len(factor), len(factor[0])), object if mode == EXACT else complex)
+    for i, row in enumerate(factor):
         for k, entry in enumerate(row):
-            for p in range(n):
-                c = entry.terms.get((1 << p, 0))
-                if c is not None:
-                    a[p, i, k] = complex(c)
-    return factor, CurvatureTensor(a)
+            for (h, _), c in entry.terms.items():
+                t[h.bit_length() - 1, i, k] = c
+    return t
 
 
 def form_matrix_det(entries, n: int, mode: str) -> Form:
@@ -82,7 +84,7 @@ def schur_and_chain_polynomials(n: int, r: int) -> list:
 
 @pytest.fixture
 def diag2():
-    """Diagonal r = 2 witnessed curvature used by several frozen checks."""
+    """Diagonal r = 2 factored curvature used by several frozen checks."""
     from chernforms import bott_chern_curvature
 
-    return bott_chern_curvature(diagonal_factor(2))
+    return bott_chern_curvature(diagonal_tensor(2))

@@ -45,7 +45,6 @@ from chernforms import (
     chern_number,
     complex_torus,
     euler_characteristic,
-    factor_from_tensor,
     griffiths_value,
     kodaira_leading,
     line_class,
@@ -197,7 +196,7 @@ def test_criterion_4_frame_invariance():
         n = int(dims.integers(1, 5))
         r = int(dims.integers(1, 5))
         tensor = random_tensor(n, r, seed=derive_seed(MASTER_SEED, 11, case))
-        omega = bott_chern_curvature(factor_from_tensor(tensor))
+        omega = bott_chern_curvature(tensor)
         frame = random_invertible(r, seed=derive_seed(MASTER_SEED, 12, case))
         cs_a = chern_forms(tensor)
         cs_b = chern_forms(change_frame(omega, frame))

@@ -73,14 +73,14 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms import forms
+from chernforms import chern, forms
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational, parse_scalar
 from chernforms.schur import chain_step_polynomials, verify_schur_nonnegativity
 
-from conftest import form_matrix_det, schur_and_chain_polynomials
+from conftest import factor_tensor, form_matrix_det, schur_and_chain_polynomials
 
 
 def exact_repr(form: Form) -> str:
@@ -393,7 +393,7 @@ class TestPlannedWedge:
 
 
 def _omega(n, r, seed):
-    return bott_chern_curvature(factor_from_tensor(random_tensor(n, r, None, seed)))
+    return bott_chern_curvature(random_tensor(n, r, None, seed))
 
 
 class TestDeterminantIdentity:
@@ -471,9 +471,22 @@ def count_wedges(monkeypatch, build) -> tuple:
     return result, calls[0]
 
 
+def assert_reads_its_factor(monkeypatch, tensor):
+    """A float tensor gives the Gram route what its built factor holds, bit
+    for bit: T read off ``factor_from_tensor(tensor)``, and so the forms the
+    Gram route gives on that T."""
+    got = chern._checked_tensor(tensor)
+    want = factor_tensor(factor_from_tensor(tensor))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(chern, "_checked_tensor", lambda t: factor_tensor(factor_from_tensor(t)))
+        built = chern_forms(tensor)
+    assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
+        [exact_repr(f) for f in built.forms]
+
+
 class TestChernFormsIdentity:
-    # a curvature matrix takes the Leibniz walk, a tensor or factor the Gram
-    # route
+    # a curvature matrix takes the Leibniz walk, a tensor the Gram route
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
                                           (1, 3, 3), (3, 1, 4)])
@@ -499,15 +512,13 @@ class TestChernFormsIdentity:
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (1, 3, 3),
                                           (3, 1, 4)])
-    def test_tensor_route(self, n, r, seed):
+    def test_tensor_route(self, monkeypatch, n, r, seed):
         # a tensor takes T straight off its array: the same forms, bit for
         # bit, as its built factor
-        tensor = random_tensor(n, r, None, seed)
-        assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
-            [exact_repr(f) for f in chern_forms(factor_from_tensor(tensor)).forms]
+        assert_reads_its_factor(monkeypatch, random_tensor(n, r, None, seed))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_tensor_route_signed_and_exact_zeros(self, seed):
+    def test_tensor_route_signed_and_exact_zeros(self, monkeypatch, seed):
         # parts of -0.0, and entries that are exactly zero (0j or -0j),
         # which the factor builder skips
         rng = np.random.default_rng(300 + seed)
@@ -515,10 +526,7 @@ class TestChernFormsIdentity:
             a = np.empty(shape, complex)
             a.real = rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
             a.imag = rng.choice([0.0, -0.0, 0.5, -1.0], size=shape)
-            tensor = CurvatureTensor(a)
-            built = factor_from_tensor(tensor)
-            assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
-                [exact_repr(f) for f in chern_forms(built).forms]
+            assert_reads_its_factor(monkeypatch, CurvatureTensor(a))
 
     @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 355), (5, 3, 30, 22)])
     def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):

@@ -13,7 +13,7 @@ from chernforms import (
     EXACT,
     FLOAT,
     CurvatureMatrix,
-    FactorMatrix,
+    CurvatureTensor,
     Form,
     bott_chern_curvature,
     chern_forms,
@@ -29,7 +29,7 @@ from chernforms.chern import leibniz_det
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_factor, form_matrix_det, integer_tensor_pair
+from conftest import diagonal_tensor, form_matrix_det, integer_tensor_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,13 +37,13 @@ TWO_PI = 2.0 * math.pi
 class TestChernForms:
     def test_rank_one_is_scaled_trace(self):
         # A = [2 dz]: Omega = 4 dz dzbar, c_1 = (i/2pi) * Omega
-        cs = chern_forms(FactorMatrix(((Form.dz(1, 1).scale(2),),)))
+        cs = chern_forms(CurvatureTensor([[[2.0]]]))
         assert cs.form(0) == Form.constant(1, 1)
         assert cs.form(1).coefficient([1], [1]) == pytest.approx(4j / TWO_PI)
         assert cs.m == 1
 
     def test_zero_curvature(self):
-        cs = chern_forms(FactorMatrix(((Form.zero(2),),)))
+        cs = chern_forms(CurvatureTensor(np.zeros((2, 1, 1))))
         assert cs.form(0) == Form.constant(2, 1)
         assert cs.form(1).is_zero()
         assert cs.form(5).is_zero()
@@ -61,9 +61,14 @@ class TestChernForms:
     def test_degree_truncation(self):
         # r = 3 bundle on a 2-dimensional base: forms stop at degree 2
         t = random_tensor(2, 3, 2, seed=4)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         assert cs.top_degree == 2
         assert cs.form(3).is_zero()
+
+    def test_takes_a_tensor_or_a_matrix(self):
+        # a factor reaches chern_forms as its tensor, not as its forms
+        with pytest.raises(TypeError, match="CurvatureTensor or a CurvatureMatrix"):
+            chern_forms(factor_from_tensor(random_tensor(2, 2, 1, seed=0)))
 
     def test_unwitnessed_source(self):
         m = CurvatureMatrix(((Form.monomial(1, [1], [1], -2.0),),))
@@ -82,7 +87,7 @@ class TestChernForms:
 
     def test_float_mode_reality(self):
         t = random_tensor(3, 3, 2, seed=12)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         for i in range(1, cs.top_degree + 1):
             f = cs.form(i)
             assert f.imag_part_magnitude() <= 1e-12 * max(1.0, f.max_coefficient_magnitude())
@@ -94,7 +99,7 @@ class TestChernForms:
         n, r, m = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
         factor, tensor = integer_tensor_pair(n, r, m, seed=seed)
         exact_cs = chern_forms(factor)
-        float_cs = chern_forms(factor_from_tensor(tensor))
+        float_cs = chern_forms(tensor)
         for i in range(min(n, r) + 1):
             a = exact_cs.numeric_form(i)
             b = float_cs.form(i)
@@ -105,16 +110,11 @@ class TestChernForms:
         n = 2
         f1 = random_exact_factor(n, 1, 2, seed=21)
         f2 = random_exact_factor(n, 2, 1, seed=22)
-        zero = Form.zero(n, EXACT)
+        block = np.zeros((n, 3, 3), object)
+        block[:, :1, :2] = f1.array
+        block[:, 1:, 2:] = f2.array
 
-        block_rows = []
-        for row in f1.entries:
-            block_rows.append(tuple(row) + (zero,) * f2.m)
-        for row in f2.entries:
-            block_rows.append((zero,) * f1.m + tuple(row))
-        block = FactorMatrix(tuple(block_rows))
-
-        cs = chern_forms(block)
+        cs = chern_forms(CurvatureTensor(block))
         cs1 = chern_forms(f1)
         cs2 = chern_forms(f2)
         for i in range(min(n, 3) + 1):
@@ -125,7 +125,7 @@ class TestChernForms:
 
     def test_sampled_nonnegativity_of_chern_forms(self):
         t = random_tensor(3, 2, 2, seed=30)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         for i in range(1, cs.top_degree + 1):
             rep = nonnegative_sampled(cs.form(i), trials=40, seed=i)
             assert rep.passed, f"c_{i} dipped to {rep.min_value}"
@@ -135,8 +135,8 @@ class TestChernForms:
         # prefix product in them, alive until the next collection; one
         # through the subset walk of chern_forms would keep its minor sums,
         # and the Gram route must leave none either
-        factor = factor_from_tensor(random_tensor(3, 4, 2, seed=0))
-        omega = bott_chern_curvature(factor)
+        tensor = random_tensor(3, 4, 2, seed=0)
+        omega = bott_chern_curvature(tensor)
         one, zero = Form.constant(3, 1), Form.zero(3)
         gc.collect()
         gc.disable()
@@ -145,7 +145,7 @@ class TestChernForms:
             assert gc.collect() == 0
             chern_forms(omega)
             assert gc.collect() == 0
-            chern_forms(factor)
+            chern_forms(tensor)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -176,10 +176,19 @@ class TestGramRoute:
             assert gram.m == m and walk.m is None
             assert gram.forms == walk.forms
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exact_gram_equals_walk_on_the_grid(self, n):
+        # every (n, r) <= 4, m drawn, at seeds 0-2
+        for r in range(1, 5):
+            for seed in range(3):
+                tensor = random_exact_factor(n, r, seed=seed)
+                assert chern_forms(tensor).forms == \
+                    chern_forms(bott_chern_curvature(tensor)).forms
+
     @pytest.mark.parametrize("n,r", [(4, 5), (5, 3), (3, 3), (2, 4), (4, 1), (6, 2)])
     def test_float_gram_matches_walk(self, n, r):
         for seed in range(4):
-            factor = factor_from_tensor(random_tensor(n, r, None, seed))
+            factor = random_tensor(n, r, None, seed)
             gram = chern_forms(factor).forms
             walk = chern_forms(bott_chern_curvature(factor)).forms
             assert len(gram) == len(walk) == min(n, r) + 1
@@ -189,7 +198,7 @@ class TestGramRoute:
     def test_gram_forms_keep_the_walk_key_order(self):
         # Chern forms in one key order share the wedge plans of their
         # products, so the Gram route lists its keys as the walk does
-        factor = factor_from_tensor(random_tensor(4, 5, 5, seed=3))
+        factor = random_tensor(4, 5, 5, seed=3)
         gram = chern_forms(factor).forms
         walk = chern_forms(bott_chern_curvature(factor)).forms
         assert [list(f.terms) for f in gram] == [list(f.terms) for f in walk]
@@ -214,7 +223,7 @@ class TestChernProduct:
     def test_part_above_base_dimension_is_zero(self):
         # rank 3 bundle on n = 2: c_3 is a legal symbol but vanishes
         t = random_tensor(2, 3, 1, seed=2)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         assert chern_product(cs, (3,)).is_zero()
 
 
@@ -236,7 +245,7 @@ class TestTopCoefficient:
         assert top_coefficient(c1sq) == pytest.approx(2 * TWO_PI ** -2)
 
     def test_exact_top_is_fraction(self):
-        factor = diagonal_factor(2, EXACT)
+        factor = diagonal_tensor(2, EXACT)
         cs = chern_forms(factor)
         value = top_coefficient(cs.form(2))
         assert value == 1  # times the residual (2 pi)^-2

@@ -148,7 +148,7 @@ class TestNoFormLevelFactor:
     # commands builds A ^ conj(A^t)
     @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
     def test_factor_product_is_never_built(self, capsys, monkeypatch, command):
-        def refuse(factor):
+        def refuse(tensor):
             raise AssertionError("bott_chern_curvature was called")
 
         # the CLI binds the name on import, so refuse it there as well

@@ -1,6 +1,9 @@
-"""Factored curvature matrices, frame changes, and the quadratic form."""
+"""Factor tensors, the curvature matrices they build, frame changes, and the
+quadratic form."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from chernforms import (
     FLOAT,
     CurvatureMatrix,
     CurvatureTensor,
-    FactorMatrix,
     Form,
     bott_chern_curvature,
     change_frame,
@@ -29,37 +31,31 @@ from chernforms import (
 from chernforms.errors import ConsistencyError, InputError
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_factor, integer_tensor_pair
+from conftest import diagonal_tensor, integer_tensor_pair
 
 
 class TestFactorMatrix:
-    def test_shape_properties(self):
-        f = diagonal_factor(2)
-        assert (f.r, f.m, f.n, f.mode) == (2, 2, 2, FLOAT)
+    """The factor matrix A of a tensor, ``tensor.entries``."""
 
-    def test_entries_must_be_one_zero_forms(self):
-        with pytest.raises(InputError):
-            FactorMatrix(((Form.dzbar(1, 1),),))
-        with pytest.raises(InputError):
-            FactorMatrix(((Form.constant(1, 1),),))
+    def test_shape_properties(self):
+        f = diagonal_tensor(2)
+        assert (f.r, f.m, f.n, f.mode) == (2, 2, 2, FLOAT)
+        a = f.entries
+        assert [len(row) for row in a] == [2, 2]
+        assert a[0][0] == Form.dz(2, 1) and a[1][1] == Form.dz(2, 2)
+        assert a[0][1].is_zero() and a[1][0].is_zero()
 
     def test_zero_entries_allowed(self):
-        f = FactorMatrix(((Form.zero(2), Form.dz(2, 1)),))
+        # T[:, 0, 0] = 0: a zero column entry next to A_12 = dz^1
+        f = CurvatureTensor([[[0, 1]], [[0, 0]]])
         assert f.m == 2
-
-    def test_ragged_rejected(self):
-        with pytest.raises(InputError):
-            FactorMatrix(((Form.dz(1, 1),), (Form.dz(1, 1), Form.dz(1, 1))))
-
-    def test_mixed_dimension_rejected(self):
-        with pytest.raises(InputError):
-            FactorMatrix(((Form.dz(1, 1), Form.dz(2, 1)),))
+        assert f.entries[0][0].is_zero() and f.entries[0][1] == Form.dz(2, 1)
 
 
 class TestBottChern:
     def test_rank_one_example(self):
         # A = [2 dz]  =>  Omega = 4 dz ^ dzbar
-        a = FactorMatrix(((Form.dz(1, 1).scale(2),),))
+        a = CurvatureTensor([[[2.0]]])
         omega = bott_chern_curvature(a)
         assert omega.entries[0][0].coefficient([1], [1]) == 4
         assert chern_forms(a).m == 1
@@ -68,7 +64,7 @@ class TestBottChern:
         # n=2, r=1, m=1, A_11 = dz1 + i dz2:
         # Omega_11 = dz1 dzbar1 - i dz1 dzbar2 + i dz2 dzbar1 + dz2 dzbar2
         t = CurvatureTensor(np.array([[[1.0]], [[1j]]]))
-        omega = bott_chern_curvature(factor_from_tensor(t))
+        omega = bott_chern_curvature(t)
         e = omega.entries[0][0]
         assert e.coefficient([1], [1]) == pytest.approx(1)
         assert e.coefficient([1], [2]) == pytest.approx(-1j)
@@ -88,7 +84,7 @@ class TestBottChern:
     @settings(max_examples=30, deadline=None)
     def test_skew_conjugate_symmetry(self, seed, n, r, m):
         # conj(Omega_ij) = -Omega_ji for any factored curvature
-        omega = bott_chern_curvature(factor_from_tensor(random_tensor(n, r, m, seed=seed)))
+        omega = bott_chern_curvature(random_tensor(n, r, m, seed=seed))
         for i in range(r):
             for j in range(r):
                 assert conjugate(omega.entries[i][j]).allclose(
@@ -109,7 +105,7 @@ class TestCurvatureMatrixWitness:
     def test_non_finite_entry_rejected(self):
         # |1e200|^2 overflows: the built entry has an infinite coefficient
         with pytest.raises(InputError, match=r"curvature entry \(1,1\) is not finite"):
-            bott_chern_curvature(factor_from_tensor(CurvatureTensor([[[1e200]]])))
+            bott_chern_curvature(CurvatureTensor([[[1e200]]]))
         inf = Form.monomial(1, [1], [1], complex(float("inf"), 0))
         with pytest.raises(InputError, match=r"curvature entry \(1,1\) is not finite"):
             CurvatureMatrix(((inf,),))
@@ -155,8 +151,52 @@ class TestCurvatureTensor:
             CurvatureTensor.from_json("not an object")
 
     def test_factor_from_tensor_is_float_mode(self):
-        f = factor_from_tensor(random_tensor(2, 2, 2, seed=1))
-        assert f.mode == FLOAT and f.r == 2 and f.m == 2
+        a = factor_from_tensor(random_tensor(2, 2, 3, seed=1))
+        assert [len(row) for row in a] == [3, 3]
+        assert all(f.mode == FLOAT and f.is_homogeneous(1, 0) for row in a for f in row)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (0, 2, 1), (2, 0, 1)])
+    def test_empty_axis_rejected(self, shape):
+        for dtype in (complex, object):
+            with pytest.raises(InputError, match="n, r and m >= 1"):
+                CurvatureTensor(np.zeros(shape, dtype))
+
+
+class TestExactTensor:
+    """An object array is an exact tensor of ``GaussianRational`` entries."""
+
+    def test_int_and_fraction_entries_are_coerced(self):
+        t = CurvatureTensor(np.array([[[1, Fraction(1, 2)]], [[0, GaussianRational(0, -3)]]],
+                                     dtype=object))
+        assert t.mode == EXACT and (t.n, t.r, t.m) == (2, 1, 2)
+        assert all(type(z) is GaussianRational for z in t.array.flat)
+        assert t.array.tolist() == [[[GaussianRational(1), GaussianRational(Fraction(1, 2))]],
+                                    [[GaussianRational(0), GaussianRational(0, -3)]]]
+
+    @pytest.mark.parametrize("bad", [0.5, 1j, np.float64(2.0), "1"])
+    def test_float_and_complex_entries_refused(self, bad):
+        with pytest.raises(InputError, match="exact mode cannot absorb"):
+            CurvatureTensor(np.array([[[1, bad]]], dtype=object))
+
+    def test_mode_follows_the_array(self):
+        assert random_exact_factor(2, 2, 2, seed=0).mode == EXACT
+        assert random_tensor(2, 2, 2, seed=0).mode == FLOAT
+        assert CurvatureTensor([[[1, 2]]]).mode == FLOAT
+
+    def test_entries_are_exact_one_zero_forms(self):
+        # the shape bench/workloads.py reads: A_ik.terms[(1 << p, 0)] = T[p, i, k]
+        t = random_exact_factor(4, 3, 3, seed=501)
+        a = t.entries
+        for i, row in enumerate(a):
+            for k, entry in enumerate(row):
+                assert entry.mode == EXACT
+                assert set(entry.terms) <= {(1 << p, 0) for p in range(t.n)}
+                for p in range(t.n):
+                    assert entry.terms.get((1 << p, 0), 0) == t.array[p, i, k]
+
+    def test_exact_tensor_round_trips_its_float_view(self):
+        exact, floats = integer_tensor_pair(2, 3, 2, seed=4)
+        assert CurvatureTensor.from_json(exact.to_json()) == floats
 
 
 class TestChangeFrame:
@@ -166,12 +206,11 @@ class TestChangeFrame:
             for j in range(2):
                 assert out.entries[i][j].allclose(diag2.entries[i][j], 1e-12)
         # the factor's Chern forms still describe the moved matrix
-        for got, want in zip(chern_forms(out).forms, chern_forms(diagonal_factor(2)).forms):
+        for got, want in zip(chern_forms(out).forms, chern_forms(diagonal_tensor(2)).forms):
             assert got.allclose(want, 1e-12)
 
     def test_scalar_frame_commutes(self):
-        a = FactorMatrix(((Form.dz(1, 1).scale(3),),))
-        omega = bott_chern_curvature(a)
+        omega = bott_chern_curvature(CurvatureTensor([[[3.0]]]))
         out = change_frame(omega, [[GaussianRational(2, 0)]]) \
             if omega.mode == EXACT else change_frame(omega, np.array([[2.0 + 0j]]))
         assert out.entries[0][0].allclose(omega.entries[0][0], 1e-12)
@@ -180,11 +219,8 @@ class TestChangeFrame:
         # for unitary P, P^-1 Omega P is the curvature of the factor conj(P)^t A
         factor = random_exact_factor(2, 3, 2, seed=7)
         p = random_signed_phase_permutation(3, seed=8)
-        a, zero = factor.entries, Form.zero(2, EXACT)
-        moved = FactorMatrix(tuple(
-            tuple(sum((a[s][k].scale(p[s][i].conjugate()) for s in range(3)), zero)
-                  for k in range(2))
-            for i in range(3)))
+        moved = CurvatureTensor(np.einsum("si,psk->pik", np.conj(np.array(p, object)),
+                                          factor.array))
         out = change_frame(bott_chern_curvature(factor), p)
         assert out.entries == bott_chern_curvature(moved).entries
 
@@ -214,10 +250,9 @@ class TestChangeFrame:
         rng = np.random.default_rng(seed)
         n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         t = random_tensor(n, r, seed=seed)
-        factor = factor_from_tensor(t)
-        omega = bott_chern_curvature(factor)
+        omega = bott_chern_curvature(t)
         p = random_invertible(r, seed=seed + 1)
-        cs_a = chern_forms(factor)
+        cs_a = chern_forms(t)
         cs_b = chern_forms(change_frame(omega, p))
         for i in range(1, min(n, r) + 1):
             assert cs_a.form(i).allclose(cs_b.form(i), 1e-10)
@@ -257,6 +292,11 @@ class TestGriffithsValue:
             griffiths_value(t, [1.0], [1.0, 0.0])  # xi needs length r=3
         with pytest.raises(InputError):
             griffiths_value(t, [1.0, 0.0, 0.0], [1.0])  # eta needs length n=2
+
+    def test_exact_tensor_rejected(self):
+        # a float oracle: an exact tensor is refused, not fed to numpy
+        with pytest.raises(InputError, match="float oracle"):
+            griffiths_value(random_exact_factor(2, 2, 1, seed=0), [1, 0], [1, 0])
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -311,3 +351,31 @@ class TestGenerators:
                 for c in entry.terms.values():
                     assert c.re.denominator == 1 and c.im.denominator == 1
                     assert abs(c.re) <= 2 and abs(c.im) <= 2
+
+
+def _bench_view(tensor) -> list:
+    """(n, r, m) and every (p, i, k, re, im) read off ``tensor.entries``, the
+    way bench/workloads.py reads an exact-build instance."""
+    cells = []
+    for i, row in enumerate(tensor.entries):
+        for k, entry in enumerate(row):
+            for p in range(tensor.n):
+                c = entry.terms.get((1 << p, 0))
+                if c is not None:
+                    cells.append([p, i, k, int(c.re), int(c.im)])
+    return [tensor.n, tensor.r, tensor.m, sorted(cells)]
+
+
+@pytest.mark.parametrize("cases,digest", [
+    # the exact-build pool of the benchmark
+    ([(4, 3, 3, seed) for seed in range(501, 507)],
+     "ee30673e8c74c8585296407ef5f17ab06023f279a655bef04ae1e9cc945b9fc9"),
+    # every n, r <= 4 with m drawn, seeds 0-2
+    ([(n, r, None, seed) for n in range(1, 5) for r in range(1, 5) for seed in range(3)],
+     "9f9ee3226de489538228c5afd78cfa4fc073eabb218851650d5eadacf28952bd"),
+], ids=["exact-build-pool", "grid"])
+def test_exact_factor_draws_are_pinned(cases, digest):
+    # pinned from the factor matrices random_exact_factor built before it
+    # returned a tensor: the draws, and so the benchmark's input, must not move
+    views = [_bench_view(random_exact_factor(n, r, m, seed=seed)) for n, r, m, seed in cases]
+    assert hashlib.sha256(json.dumps(views).encode()).hexdigest() == digest

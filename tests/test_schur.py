@@ -25,7 +25,6 @@ from chernforms import (
     bounds_chain_check,
     chern_forms,
     evaluate_on_forms,
-    factor_from_tensor,
     nonnegative_sampled,
     partitions,
     random_exact_factor,
@@ -39,7 +38,7 @@ from chernforms.errors import InputError
 from chernforms.polynomials import weighted_degree
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
-from conftest import diagonal_factor, integer_tensor_pair, schur_and_chain_polynomials
+from conftest import diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
 
 
 def leibniz_det(rows):
@@ -354,11 +353,11 @@ class TestEvaluateOnForms:
 
 class TestChernFormSetMemo:
     @staticmethod
-    def _factor(seed=2):
-        return factor_from_tensor(random_tensor(4, 3, 2, seed=seed))
+    def _tensor(seed=2):
+        return random_tensor(4, 3, 2, seed=seed)
 
     def test_equality_hash_and_repr_ignore_memo(self):
-        filled, fresh = chern_forms(self._factor()), chern_forms(self._factor())
+        filled, fresh = chern_forms(self._tensor()), chern_forms(self._tensor())
         evaluate_on_forms(schur_polynomial((2, 1), 3), filled)
         assert filled.memo and not fresh.memo
         assert filled == fresh
@@ -368,17 +367,17 @@ class TestChernFormSetMemo:
 
     def test_evaluation_order_does_not_change_bits(self):
         polys = schur_and_chain_polynomials(4, 3)
-        forward, backward = chern_forms(self._factor()), chern_forms(self._factor())
+        forward, backward = chern_forms(self._tensor()), chern_forms(self._tensor())
         got_fwd = [repr(list(evaluate_on_forms(p, forward).terms.items())) for p in polys]
         got_bwd = [repr(list(evaluate_on_forms(p, backward).terms.items()))
                    for p in reversed(polys)][::-1]
-        got_fresh = [repr(list(evaluate_on_forms(p, chern_forms(self._factor())).terms.items()))
+        got_fresh = [repr(list(evaluate_on_forms(p, chern_forms(self._tensor())).terms.items()))
                      for p in polys]
         assert got_fwd == got_bwd == got_fresh
 
     def test_power_matches_wedge_power(self):
         # the pair (j, e) stands for 1 ^ c_j ^ ... ^ c_j (e factors)
-        cs = chern_forms(self._factor())
+        cs = chern_forms(self._tensor())
         for j in range(cs.top_degree + 2):
             want = Form.constant(cs.n, 1, cs.mode)
             for e in range(4):
@@ -389,7 +388,7 @@ class TestChernFormSetMemo:
         assert cs.product(1, (1, 1, 1)) is cs.product(1, (1, 1, 1))
 
     def test_float_to_numeric_shares_the_memo(self):
-        cs = chern_forms(self._factor())
+        cs = chern_forms(self._tensor())
         assert cs.to_numeric() is cs
         for lam in partitions(4, 3):
             bounds_chain_check(cs, lam, trials=5, seed=0)
@@ -398,7 +397,7 @@ class TestChernFormSetMemo:
     def test_chain_top_reads_the_memo_entry_of_one_to_the_n(self, monkeypatch):
         # the top chain's c_1^n is the product of the partition (1^n): one
         # memo entry, wedged once per set
-        cs = chern_forms(self._factor())
+        cs = chern_forms(self._tensor())
         tops = []
 
         def recording(form, tol=1e-9):
@@ -500,10 +499,8 @@ class TestSchurNegativeControls:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_each_negated_schur_form_fails(self, mode):
         n, r, m = 5, 3, 5
-        factor, tensor = integer_tensor_pair(n, r, m, seed=0)
-        if mode == "float":
-            factor = factor_from_tensor(tensor)
-        cs = chern_forms(factor)
+        exact, floats = integer_tensor_pair(n, r, m, seed=0)
+        cs = chern_forms(exact if mode == "exact" else floats)
         forms = {lam.parts: evaluate_on_forms(schur_polynomial(lam, r), cs)
                  for i in range(1, n + 1) for lam in partitions(i, r)}
         assert len(forms) == 15
@@ -602,14 +599,14 @@ class TestBoundsChain:
             bounds_chain_check(cs, (1,))
 
     def test_weight_and_part_validation(self):
-        cs = chern_forms(diagonal_factor(2))
+        cs = chern_forms(diagonal_tensor(2))
         with pytest.raises(InputError):
             bounds_chain_check(cs, (2, 1))  # weight 3 > n = 2
         with pytest.raises(InputError):
             bounds_chain_check(cs, (3,))  # part 3 > r = 2
 
     def test_diagonal_instance_chain(self):
-        cs = chern_forms(diagonal_factor(2))
+        cs = chern_forms(diagonal_tensor(2))
         rep = bounds_chain_check(cs, (1, 1), trials=30, seed=2)
         assert rep.passed
         assert rep.top is not None and rep.top["passed"]
@@ -623,14 +620,14 @@ class TestBoundsChain:
     def test_random_instances_pass(self):
         for seed in (1, 2, 3):
             t = random_tensor(3, 3, 2, seed=seed)
-            cs = chern_forms(factor_from_tensor(t))
+            cs = chern_forms(t)
             for lam in partitions(3, 3):
                 rep = bounds_chain_check(cs, lam, trials=30, seed=seed)
                 assert rep.passed, (seed, lam.parts)
 
     def test_below_top_weight_has_no_scalar_block(self):
         t = random_tensor(3, 2, 2, seed=4)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         rep = bounds_chain_check(cs, (1, 1), trials=10, seed=0)
         assert rep.top is None and rep.weight == 2
 
@@ -656,7 +653,7 @@ class TestBoundsChain:
 
     def test_deterministic(self):
         t = random_tensor(2, 2, 2, seed=6)
-        cs = chern_forms(factor_from_tensor(t))
+        cs = chern_forms(t)
         a = bounds_chain_check(cs, (1, 1), trials=20, seed=5)
         b = bounds_chain_check(cs, (1, 1), trials=20, seed=5)
         assert a.to_dict() == b.to_dict()
