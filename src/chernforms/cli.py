@@ -36,7 +36,7 @@ from .chern import chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, random_tensor
 from .errors import ConsistencyError, InputError
 from .forms import DEFAULT_TOL, Form, evaluate
-from .models import chern_number, euler_characteristic, kodaira_leading, \
+from .models import chern_number, evaluate_rr_polynomial, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
 from .rng import derive_seed
 from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, scalar_json
@@ -304,7 +304,7 @@ def _handle_model_rr(args):
     table = []
     lines = [f"chi({model.label}, ({args.line})^m)"]
     for m in _parse_m_range(args.m):
-        chi = euler_characteristic(model, ell, m)
+        chi = evaluate_rr_polynomial(model, coeffs, m)
         table.append({"m": m, "chi": chi})
         lines.append(f"  m={m}: chi={chi}")
     payload = {

@@ -104,7 +104,11 @@ class CurvatureTensor:
     __slots__ = ("array",)
 
     def __init__(self, array):
-        arr = np.asarray(array)
+        try:
+            arr = np.asarray(array)
+        except ValueError:
+            raise InputError("curvature tensor must be a rectangular [p][i][k] array; "
+                             "its nested lists are ragged") from None
         if arr.ndim != 3:
             raise InputError("curvature tensor must be indexed [p][i][k]")
         if 0 in arr.shape:
@@ -284,16 +288,21 @@ def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
 # seeded instance generators
 
 
+def _require_positive(generator: str, **sizes: int):
+    """Refuse a size below 1, naming the field, before numpy sees it."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise InputError(f"{generator} needs {name} >= 1, got {name}={value}")
+
+
 def random_tensor(n: int, r: int, m: Optional[int] = None, seed: int = 0) -> CurvatureTensor:
     """Random instance with i.i.d. standard complex normal entries.
     When m is omitted it is drawn uniformly from 1..r+1."""
-    if n < 1 or r < 1:
-        raise InputError("random tensor needs n >= 1 and r >= 1")
+    _require_positive("random tensor", n=n, r=r)
     rng = substream(seed, 101)
     if m is None:
         m = int(rng.integers(1, r + 2))
-    if m < 1:
-        raise InputError("random tensor needs m >= 1")
+    _require_positive("random tensor", m=m)
     return CurvatureTensor(complex_normal(rng, (n, r, m)))
 
 
@@ -301,9 +310,11 @@ def random_exact_factor(n: int, r: int, m: Optional[int] = None,
                         seed: int = 0) -> CurvatureTensor:
     """Exact tensor with Gaussian-integer entries drawn uniformly from
     [-2, 2]^2 (factored instances for identity suites)."""
+    _require_positive("random exact factor", n=n, r=r)
     rng = substream(seed, 102)
     if m is None:
         m = int(rng.integers(1, r + 2))
+    _require_positive("random exact factor", m=m)
     re = rng.integers(-2, 3, size=(n, r, m)).astype(object)
     im = rng.integers(-2, 3, size=(n, r, m)).astype(object)
     return CurvatureTensor(re + im * I_EXACT)

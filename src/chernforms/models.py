@@ -36,6 +36,12 @@ from .polynomials import Polynomial, weighted_degree
 from .schur import Partition, chern_variable, partitions
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True and False are refused where the
+    models layer counts or twists."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def degree_part(elem: Polynomial, d: int) -> Polynomial:
     """The part of a model-ring element of degree d, where every generator
     x_j has degree 1."""
@@ -58,7 +64,7 @@ class ModelManifold:
 
     def __post_init__(self):
         for kind, k in self.factors:
-            if kind not in ("CP", "T") or not isinstance(k, int) or k < 1:
+            if kind not in ("CP", "T") or not _is_int(k) or k < 1:
                 raise InputError(f"bad model factor {(kind, k)!r}")
 
     @property
@@ -131,13 +137,13 @@ class ModelManifold:
 
 
 def projective_space(k: int) -> ModelManifold:
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InputError("projective space needs k >= 1")
     return ModelManifold((("CP", k),))
 
 
 def complex_torus(k: int) -> ModelManifold:
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InputError("complex torus needs k >= 1")
     return ModelManifold((("T", k),))
 
@@ -390,16 +396,24 @@ def rr_polynomial(model: ModelManifold, line_c1: Polynomial) -> tuple[Fraction, 
     return tuple(out)
 
 
-def euler_characteristic(model: ModelManifold, line_c1: Polynomial, m: int) -> int:
-    """chi(M, L^m) by Riemann-Roch; rejects a non-integer outcome as a bug."""
-    if not isinstance(m, int):
+def evaluate_rr_polynomial(model: ModelManifold, coeffs: Sequence[Fraction], m: int) -> int:
+    """chi(M, L^m) = sum a_j m^j from the coefficients ``rr_polynomial``
+    returns; a non-int m is an InputError and a non-integer value a
+    ConsistencyError (a Todd or ring bug), never rounded."""
+    if not _is_int(m):
         raise InputError("the twisting power m must be an integer")
-    coeffs = rr_polynomial(model, line_c1)
     value = sum(a * m ** j for j, a in enumerate(coeffs))
     if value.denominator != 1:
         raise ConsistencyError(
             f"chi({model.label}) = {value} is not an integer; Todd or ring bug")
     return int(value)
+
+
+def euler_characteristic(model: ModelManifold, line_c1: Polynomial, m: int) -> int:
+    """chi(M, L^m) by Riemann-Roch, one twist at a time; a caller that
+    evaluates many twists builds ``rr_polynomial`` once and calls
+    ``evaluate_rr_polynomial`` per m."""
+    return evaluate_rr_polynomial(model, rr_polynomial(model, line_c1), m)
 
 
 def kodaira_leading(model: ModelManifold) -> Fraction:

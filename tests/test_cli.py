@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chernforms import CurvatureTensor, Form, cli, curvature, random_tensor
+from chernforms import CurvatureTensor, Form, cli, curvature, models, random_tensor
 from chernforms.cli import build_parser, run
 from chernforms.forms import VerdictReport
 from chernforms.schur import SchurCheck, SchurReport
@@ -483,6 +483,36 @@ class TestModelCommands:
                               "--line", "K", "--m", "3", "--output", "text")
         assert code == 0
         assert "m=3: chi=-5" in out
+
+    @pytest.mark.parametrize("model", models.CATALOG, ids=lambda m: m.label)
+    def test_rr_table_matches_euler_characteristic(self, capsys, model):
+        ones = "O(" + ",".join("1" for _ in model.proj_dims) + ")"
+        for line in ("K", ones):
+            payload = invoke_json(capsys, "model", "rr", "--model", model.label,
+                                  "--line", line, "--m=-5..5")
+            ell = models.line_class(model, line)
+            assert payload["chi"] == [
+                {"m": m, "chi": models.euler_characteristic(model, ell, m)}
+                for m in range(-5, 6)], (model.label, line)
+
+    def test_rr_builds_one_polynomial_per_op(self, capsys, monkeypatch):
+        # wrap every name the handler and the models layer look up
+        calls = {"rr_polynomial": 0, "todd_class": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        rr = counted("rr_polynomial", models.rr_polynomial)
+        monkeypatch.setattr(cli, "rr_polynomial", rr)
+        monkeypatch.setattr(models, "rr_polynomial", rr)
+        monkeypatch.setattr(models, "todd_class", counted("todd_class", models.todd_class))
+        payload = invoke_json(capsys, "model", "rr", "--model", "CP1xCP1xCP1",
+                              "--line", "K", "--m=-5..5")
+        assert len(payload["chi"]) == 11
+        assert calls == {"rr_polynomial": 1, "todd_class": 1}
 
 
 class TestFlagTable:

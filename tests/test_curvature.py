@@ -161,6 +161,34 @@ class TestCurvatureTensor:
             with pytest.raises(InputError, match="n, r and m >= 1"):
                 CurvatureTensor(np.zeros(shape, dtype))
 
+    @pytest.mark.parametrize("ragged", [
+        [[[1, 2]], [[1]]],              # rows of different lengths across planes
+        [[[1], [1, 2]]],                # rows of different lengths within a plane
+        [[[Fraction(1)]], [[Fraction(1)], [Fraction(2)]]],
+    ])
+    def test_ragged_nested_list_rejected(self, ragged):
+        with pytest.raises(InputError, match=r"rectangular \[p\]\[i\]\[k\]"):
+            CurvatureTensor(ragged)
+
+
+class TestRandomExactFactorSizes:
+    """A size below 1 is refused by name before numpy sees it."""
+
+    @pytest.mark.parametrize("field, sizes", [
+        ("n", (-1, 2, 2)), ("r", (2, -1, 2)), ("m", (2, 2, -1)),
+        ("n", (0, 2, 2)), ("m", (2, 2, 0)),
+    ])
+    def test_negative_or_zero_size_names_the_field(self, field, sizes):
+        with pytest.raises(InputError, match=rf"random exact factor needs {field} >= 1"):
+            random_exact_factor(*sizes, seed=0)
+
+    @pytest.mark.parametrize("field, sizes", [
+        ("n", (-1, 2, 2)), ("r", (2, -1, 2)), ("m", (2, 2, -1)),
+    ])
+    def test_random_tensor_names_the_field(self, field, sizes):
+        with pytest.raises(InputError, match=rf"random tensor needs {field} >= 1"):
+            random_tensor(*sizes, seed=0)
+
 
 class TestExactTensor:
     """An object array is an exact tensor of ``GaussianRational`` entries."""

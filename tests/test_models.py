@@ -31,7 +31,7 @@ from chernforms import (
     verify_number_bounds,
 )
 from chernforms.errors import ConsistencyError, InputError
-from chernforms.models import degree_part
+from chernforms.models import degree_part, evaluate_rr_polynomial
 from chernforms.schur import chern_variable
 
 
@@ -170,6 +170,19 @@ class TestModelStructure:
             complex_torus(-1)
         with pytest.raises(InputError):
             ModelManifold((("XX", 1),))
+
+    @pytest.mark.parametrize("kind", ["CP", "T"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_factor_dimension_refused(self, kind, flag):
+        # True is an int to Python and would build "CPTrue" of dimension 1
+        with pytest.raises(InputError, match="bad model factor"):
+            ModelManifold(((kind, flag),))
+
+    def test_bool_space_dimension_refused(self):
+        with pytest.raises(InputError, match="projective space"):
+            projective_space(True)
+        with pytest.raises(InputError, match="complex torus"):
+            complex_torus(True)
 
     def test_global_generation_flags(self):
         assert projective_space(2).globally_generated_tangent
@@ -405,6 +418,27 @@ class TestRiemannRoch:
         cp1 = projective_space(1)
         with pytest.raises(InputError):
             euler_characteristic(cp1, line_class(cp1, "O(1)"), 1.5)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_twist_rejected(self, flag):
+        # True is an int to Python and would read as m = 1
+        cp1 = projective_space(1)
+        ell = line_class(cp1, "O(1)")
+        with pytest.raises(InputError, match="twisting power"):
+            euler_characteristic(cp1, ell, flag)
+        with pytest.raises(InputError, match="twisting power"):
+            evaluate_rr_polynomial(cp1, rr_polynomial(cp1, ell), flag)
+
+    def test_shared_check_refuses_non_integral_values(self):
+        cp1 = projective_space(1)
+        # m/2 is integral at even m only; the check runs per twist
+        coeffs = (Fraction(0), Fraction(1, 2))
+        assert evaluate_rr_polynomial(cp1, coeffs, 4) == 2
+        for m in (1, -3):
+            with pytest.raises(ConsistencyError, match=r"chi\(CP1\) = .* not an integer"):
+                evaluate_rr_polynomial(cp1, coeffs, m)
+        with pytest.raises(ConsistencyError):
+            evaluate_rr_polynomial(cp1, (Fraction(1, 3),), 0)
 
     def test_line_class_validation(self):
         cp2 = projective_space(2)
