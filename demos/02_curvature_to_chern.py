@@ -46,8 +46,9 @@ for lam in partitions(tensor.n, tensor.r):
 # moved matrix (Leibniz walk over its minors) match the factor's
 u = random_unitary(tensor.r, seed=1)
 cs2 = chern_forms(change_frame(omega, u))
+# each c_i is a coefficient block, rows dz^J and columns dzbar^K
 drift = max(
-    (cs.form(i) - cs2.form(i)).max_coefficient_magnitude()
+    np.abs(cs.form(i).block - cs2.form(i).block).max()
     for i in range(1, cs.top_degree + 1)
 )
 print(f"\nafter a random unitary frame change: max Chern-form drift = {drift:.2e}")

@@ -3,7 +3,8 @@ explicit curvature data.
 
 The package has three layers:
 
-* pointwise linear algebra -- exterior forms at a point (``forms``),
+* pointwise linear algebra -- exterior forms at a point, sparse or as
+  (p,p) coefficient blocks (``forms``),
   factor tensors, the curvature matrices they build, and frame changes
   (``curvature``);
 * characteristic forms -- Chern forms of a factor tensor or a curvature matrix
@@ -22,6 +23,7 @@ from .forms import (
     DEFAULT_TOL,
     MAX_DIM,
     Form,
+    PPForm,
     VerdictReport,
     conjugate,
     evaluate,

@@ -37,8 +37,8 @@ over the row subsets grows the array Phi_S[kappa, J] one row at a time
 (Laplace along the new row) and adds each subset's term to its block; the
 index tables depend only on (n, m, |S|) and are cached.  Both scalar modes
 run the same numpy code: complex128 arrays, or object arrays of
-``GaussianRational``.  The forms list their keys in the order of the walk's
-forms (``_key_order``), so their products reuse the same wedge plans.
+``GaussianRational``.  Each scaled G_i is the coefficient block of c_i, a
+``PPForm``.
 
 *Leibniz walk* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
 ``change_frame``).  The minors are
@@ -52,7 +52,8 @@ size.  Minors whose first rows agree share their prefix wedges: each row
 subset hands its minor its parent's memo levels plus one fresh level (see
 ``leibniz_det``'s ``memo``), so a product over rows S[:d+1] with a given
 column tuple is computed once, and every product is one such a loop
-computes, bit for bit.
+computes, bit for bit.  Each minor sum, scaled, is then read into its
+block.
 
 On a tensor and on ``bott_chern_curvature(tensor)`` the routes agree exactly
 in exact mode and to rounding in float mode, where the Gram route sums in
@@ -87,7 +88,7 @@ import numpy as np
 
 from .curvature import CurvatureMatrix, CurvatureTensor
 from .errors import InputError
-from .forms import Form
+from .forms import Form, PPForm
 from .scalars import EXACT, FLOAT, GaussianRational
 
 #: exact phase (sqrt(-1))^i, i mod 4
@@ -170,15 +171,16 @@ class ChernFormSet:
     mode; in exact mode each stored form is (sqrt(-1))^i * (minor sum) and
     the symbolic residual prefactor is (2*pi)^(-i) (see module docstring).
 
-    ``memo`` holds the wedge products of these forms that ``product``
-    builds, each computed once and shared by every Chern number and every
-    polynomial evaluated on the set.  It lives and dies with the set, and
-    equality, hashing and repr ignore it.
+    ``forms`` holds the coefficient blocks of c_0, ..., c_k.  ``memo`` holds
+    the wedge products of these forms that ``product`` builds, each
+    computed once and shared by every Chern number and every polynomial
+    evaluated on the set.  It lives and dies with the set, and equality,
+    hashing and repr ignore it.
     """
 
     n: int
     r: int
-    forms: tuple[Form, ...]
+    forms: tuple[PPForm, ...]
     mode: str
     m: Optional[int]
     memo: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
@@ -188,13 +190,13 @@ class ChernFormSet:
     def top_degree(self) -> int:
         return len(self.forms) - 1
 
-    def form(self, i: int) -> Form:
+    def form(self, i: int) -> PPForm:
         """c_i; identically zero outside 0 <= i <= min(r, n)."""
         if i < 0 or i > self.top_degree:
-            return Form.zero(self.n, self.mode)
+            return PPForm.zero(self.n, max(i, 0), self.mode)
         return self.forms[i]
 
-    def product(self, head, factors: Sequence) -> Form:
+    def product(self, head, factors: Sequence) -> PPForm:
         """head ^ f_1 ^ ... ^ f_k, wedged left to right from the constant
         ``head``.
 
@@ -208,7 +210,7 @@ class ChernFormSet:
         key = (head,)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = Form.constant(self.n, head, self.mode)
+            out = self.memo[key] = PPForm.constant(self.n, head, self.mode)
         for f in factors:
             if out.is_zero():
                 break
@@ -226,7 +228,7 @@ class ChernFormSet:
         true Chern form; 0 in float mode where everything is folded in."""
         return i if self.mode == EXACT else 0
 
-    def numeric_form(self, i: int) -> Form:
+    def numeric_form(self, i: int) -> PPForm:
         """c_i as a float-mode form with all prefactors folded in."""
         f = self.form(i)
         if self.mode == FLOAT:
@@ -331,26 +333,10 @@ def _gram_blocks(tensor: np.ndarray, k: int) -> list:
         signed = tensor[direction] * sign[:, :, None, None]
         for s in range(start, r):
             nxt = np.einsum("kajb,jbka->kj", gathered, signed[:, :, s][..., col])
-            blocks[d + 1] += np.einsum("kj,k,kl->jl", nxt, weight, nxt.conj())
+            blocks[d + 1] += (nxt * weight[:, None]).T @ nxt.conj()
             if d + 1 < k:
                 stack.append((s + 1, d + 1, nxt))
     return blocks
-
-
-@functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
-def _key_order(n: int, i: int) -> tuple:
-    """The (i,i) keys (h, a) in the order in which the left-to-right wedge
-    of i dense (1,1)-forms with keys in (p, q) order first meets them, the
-    key order of c_1^i and of the walk's c_i, each with the positions of h
-    and a in ``combinations`` order.  Chern forms in one key order share
-    the pair plans of ``Form.wedge``."""
-    pos = {sum(1 << p for p in j): b for b, j in enumerate(itertools.combinations(range(n), i))}
-    ones = [(1 << p, 1 << q) for p in range(n) for q in range(n)]
-    keys = [(0, 0)]
-    for _ in range(i):
-        keys = list(dict.fromkeys((h | h1, a | a1) for h, a in keys for h1, a1 in ones
-                                  if not (h & h1 or a & a1)))
-    return tuple((key, pos[key[0]], pos[key[1]]) for key in keys)
 
 
 def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
@@ -395,14 +381,12 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
         raise TypeError("chern_forms takes a CurvatureTensor or a CurvatureMatrix")
     n, r, mode = source.n, source.r, source.mode
     k = min(r, n)
-    out = [Form.constant(n, 1, mode)]
+    out = [PPForm.constant(n, 1, mode)]
     if isinstance(source, CurvatureMatrix):
         minor_sums = _minor_sums(source, k)
         for i in range(1, k + 1):
-            if mode == EXACT:
-                out.append(minor_sums[i].scale(_PHASES[i % 4]))
-            else:
-                out.append(minor_sums[i].scale((1j / (2.0 * math.pi)) ** i))
+            phase = _PHASES[i % 4] if mode == EXACT else (1j / (2.0 * math.pi)) ** i
+            out.append(PPForm.from_form(minor_sums[i].scale(phase), i))
         return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=None)
     blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
     for i in range(1, k + 1):
@@ -411,13 +395,11 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
             scaled = blocks[i] * _PHASES[i & 1]
         else:
             scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
-        rows = scaled.tolist()
-        out.append(Form._raw(n, mode, {key: c for key, a, b in _key_order(n, i)
-                                       if (c := rows[a][b])}))
+        out.append(PPForm(n, i, mode, scaled))
     return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=source.m)
 
 
-def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:
+def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> PPForm:
     """c_lambda = c_{lambda_1} ^ ... ^ c_{lambda_l}  (zero parts are skipped).
 
     Parts above r are rejected: c_j is not a variable of the rank-r problem.
@@ -431,9 +413,9 @@ def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> Form:
     return cs.product(1, [part for part in parts if part])
 
 
-def top_coefficient(form: Form, tol: float = 1e-9) -> Union[Fraction, float]:
+def top_coefficient(form: PPForm, tol: float = 1e-9) -> Union[Fraction, float]:
     """Scalar t with phi = t * prod_j (sqrt(-1) dz^j ^ dzbar^j) for an
-    (n,n)-form phi.
+    (n,n)-form phi, read off its 1 x 1 block.
 
     Exact mode returns a Fraction and demands exact reality; float mode
     returns a float and tolerates an imaginary part up to tol * scale.
@@ -442,17 +424,16 @@ def top_coefficient(form: Form, tol: float = 1e-9) -> Union[Fraction, float]:
     n = form.n
     if form.is_zero():
         return Fraction(0) if form.mode == EXACT else 0.0
-    if not form.is_homogeneous(n, n):
+    if form.p != n:
         raise InputError(f"top coefficient requires an ({n},{n})-form")
-    full = (1 << n) - 1
-    raw = form.terms[(full, full)]
+    raw = form.block[0, 0]
     # evaluate on the standard basis tuple: (-i)^(n^2) * raw
     if form.mode == EXACT:
         value = _PHASES[(-(n * n)) % 4] * raw
         if value.im != 0:
             raise InputError("top coefficient of an exact form must be real")
         return value.re
-    value = ((-1j) ** (n * n % 4)) * raw
+    value = ((-1j) ** (n * n % 4)) * complex(raw)
     scale = max(1.0, abs(value))
     if abs(value.imag) > tol * scale:
         raise InputError(f"top coefficient has imaginary part {value.imag:.3e} beyond tolerance")

@@ -167,7 +167,7 @@ def _handle_curvature_build(args):
         "witnessed": tensor is not None,
         "omega": [[f.to_literal() for f in row] for row in omega.entries],
         "chern": [
-            {"i": i, "form": cs.form(i).to_literal(),
+            {"i": i, "form": cs.form(i).to_form().to_literal(),
              "residual_prefactor_power": cs.residual_prefactor_power(i)}
             for i in range(cs.top_degree + 1)
         ],

@@ -116,7 +116,11 @@ class CurvatureTensor:
         if arr.dtype == object:
             arr = np.frompyfunc(lambda z: coerce(z, EXACT), 1, 1)(arr)
         else:
-            arr = arr.astype(complex, copy=False)
+            try:
+                arr = arr.astype(complex, copy=False)
+            except (TypeError, ValueError):
+                raise InputError(f"curvature tensor entries must be numbers, got an array of "
+                                 f"{arr.dtype}") from None
             if not np.all(np.isfinite(arr)):
                 raise InputError("curvature tensor entries must be finite")
         self.array = arr
@@ -289,8 +293,11 @@ def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
 
 
 def _require_positive(generator: str, **sizes: int):
-    """Refuse a size below 1, naming the field, before numpy sees it."""
+    """Refuse a size that is not an int (bools included) or is below 1,
+    naming the field, before numpy sees it."""
     for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{generator} needs an integer {name}, got {name}={value!r}")
         if value < 1:
             raise InputError(f"{generator} needs {name} >= 1, got {name}={value}")
 

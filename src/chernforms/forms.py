@@ -20,6 +20,20 @@ instance has the same keys, and so has every Leibniz prefix of one depth.
 Coefficients live in one scalar mode (see ``scalars``): exact Gaussian
 rationals or float complex.  Forms are immutable by convention.
 
+A homogeneous (p,p)-form also has a dense representation, ``PPForm``: its
+C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
+dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Chern, Schur
+and chain-step forms compute as blocks; ``Form`` stays the type of literals
+and of the Leibniz walk over curvature entries.  The wedge of a (p,p)- and a
+(q,q)-block is
+
+    (F ^ G)[I u J, K u L] = (-1)^(pq) eps(I, J) eps(K, L) F[I, K] G[J, L],
+
+summed over the disjoint pairs, eps the sign that sorts the concatenation
+(CONVENTIONS.md, "Coefficient blocks").  ``PPForm.wedge`` gathers every
+pair's product from flat index tables cached per (n, p, q) and sums them
+with numpy, in either scalar mode.
+
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
 float sum, and with them the bits of every report.  Reports are
@@ -38,6 +52,9 @@ standard volume normalization holds:
 
     evaluate(prod_j sqrt(-1) dz^j ^ dzbar^j, (e_1, ..., e_n)) = 1.
 
+On a block this is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p
+minors d_J = det(X_b^{j_a}) over every p-subset J.
+
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.
 """
@@ -45,8 +62,10 @@ standard complex normal tuples from a seeded counter-based stream.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,9 +88,13 @@ MAX_DIM = 14
 #: default sampling tolerance: minima down to -tol * scale still PASS
 DEFAULT_TOL = 1e-9
 
-#: pair plans kept by ``Form.wedge``, least recently used dropped first; one
-#: ``schur verify`` builds 11 at (n, r) = (4, 5) and 22 at (6, 6)
+#: pair plans kept by ``Form.wedge``, least recently used dropped first; the
+#: Leibniz walk of a (4, 5) curvature matrix builds 5, of a (6, 6) one 7
 PLAN_CACHE_SIZE = 128
+
+#: shuffle tables kept by ``PPForm.wedge``, least recently used dropped
+#: first; n = 8 has 28 pairs (p, q), and one ``schur verify`` there builds 23
+SHUFFLE_CACHE_SIZE = 64
 
 
 def _indices_to_mask(indices: Iterable[int], n: int) -> int:
@@ -429,6 +452,180 @@ def conjugate(a: Form) -> Form:
 
 
 # ----------------------------------------------------------------------
+# (p,p)-forms as coefficient blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _masks(n: int, p: int) -> tuple[int, ...]:
+    """The mask of each p-subset of the n directions, in ``combinations``
+    order: the row and column labels of a (p,p)-block."""
+    return tuple(sum(1 << i for i in subset)
+                 for subset in itertools.combinations(range(n), p))
+
+
+@functools.lru_cache(maxsize=SHUFFLE_CACHE_SIZE)
+def _shuffle(n: int, p: int, q: int) -> tuple:
+    """Gather tables for the wedge of a (p,p)- and a (q,q)-block, p, q >= 1
+    and p + q <= n.
+
+    Each of the C(n, p+q) unions U of a p-subset I and a q-subset J is
+    split in C(p+q, p) ways, one per I in ``combinations`` order.  For
+    unions u, v and splits a, b, entry ((u * C(n, p+q) + v) * C(p+q, p) + a)
+    * C(p+q, p) + b of ``f_index`` is the position of F[I_ua, I_vb] in the
+    flat [F, -F], in the negated copy when (-1)^(pq) eps(I_ua, J_ua)
+    eps(I_vb, J_vb) is -1, and that entry of ``g_index`` is the position of
+    G[J_ua, J_vb] in the flat G.  Returns (f_index, g_index, C(n, p+q),
+    C(p+q, p)).
+    """
+    outer, inner = math.comb(n, p + q), math.comb(p + q, p)
+    # I takes the positions ``split`` of the sorted union and J the positions
+    # ``rest``, so eps(I, J) depends on the split alone
+    split = list(itertools.combinations(range(p + q), p))
+    rest = [[x for x in range(p + q) if x not in s] for s in split]
+    odd = np.array([sum(a > b for a in s for b in r) & 1 for s, r in zip(split, rest)])
+    union = np.array(list(itertools.combinations(range(n), p + q)))
+    rank = np.zeros(1 << n, dtype=np.intp)
+    for k in (p, q):
+        rank[list(_masks(n, k))] = np.arange(math.comb(n, k))
+    f = rank[(1 << union[:, split]).sum(axis=2)]
+    g = rank[(1 << union[:, rest]).sum(axis=2)]
+    # axes (u, v, a, b): the splits of one (u, v) are adjacent
+    f, g = f.reshape(outer, 1, inner, 1), g.reshape(outer, 1, inner, 1)
+    negate = odd[:, None] ^ odd[None, :] ^ (p * q & 1)
+    size_f, size_g = math.comb(n, p), math.comb(n, q)
+    f_index = ((negate * size_f + f) * size_f + f.transpose(1, 0, 3, 2)).ravel()
+    g_index = (g * size_g + g.transpose(1, 0, 3, 2)).ravel()
+    return f_index, g_index, outer, inner
+
+
+class PPForm:
+    """Homogeneous (p,p)-form at a point, stored as its coefficient block.
+
+    ``block`` is a C(n,p) x C(n,p) array: entry [J, K] is the coefficient of
+    dz^J ^ dzbar^K, with J and K the p-subsets of the n directions in
+    ``combinations`` order.  It is complex128 in float mode and an object
+    array of ``GaussianRational`` in exact mode.  The zero form of any
+    degree is the zero of every degree: it adds to a form of another degree.
+    Immutable by convention, like ``Form``.
+    """
+
+    __slots__ = ("n", "p", "mode", "block")
+
+    def __init__(self, n: int, p: int, mode: str, block: np.ndarray):
+        size = math.comb(n, p)
+        if block.shape != (size, size):
+            raise InputError(f"a ({p},{p})-block on n={n} must be {size} x {size}, "
+                             f"got {block.shape}")
+        self.n = n
+        self.p = p
+        self.mode = mode
+        self.block = block
+
+    @classmethod
+    def zero(cls, n: int, p: int, mode: str = FLOAT) -> "PPForm":
+        size = math.comb(n, p)
+        return cls(n, p, mode, np.full((size, size), coerce(0, mode),
+                                       object if mode == EXACT else complex))
+
+    @classmethod
+    def constant(cls, n: int, value, mode: str = FLOAT) -> "PPForm":
+        return cls(n, 0, mode, np.full((1, 1), coerce(value, mode),
+                                       object if mode == EXACT else complex))
+
+    @classmethod
+    def from_form(cls, form: Form, p: Optional[int] = None) -> "PPForm":
+        """The block of a homogeneous (p,p)-form.  A zero form has every
+        degree and takes ``p`` (default 0); a nonzero one must have degree
+        ``p`` when it is given."""
+        degs = form.bidegrees()
+        if len(degs) > 1 or any(a != b for a, b in degs):
+            raise InputError(f"a coefficient block needs a homogeneous (p,p)-form, "
+                             f"got bidegrees {sorted(degs)}")
+        if degs:
+            (deg, _), = degs
+            if p is not None and p != deg:
+                raise InputError(f"expected a ({p},{p})-form, got ({deg},{deg})")
+            p = deg
+        out = cls.zero(form.n, p or 0, form.mode)
+        row = {mask: b for b, mask in enumerate(_masks(form.n, out.p))}
+        for (h, a), c in form.terms.items():
+            out.block[row[h], row[a]] = c
+        return out
+
+    def to_form(self) -> Form:
+        """The same form as a ``Form``, its keys in block order."""
+        masks = _masks(self.n, self.p)
+        return Form._raw(self.n, self.mode, {
+            (h, a): c for h, row in zip(masks, self.block.tolist())
+            for a, c in zip(masks, row) if c})
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients keyed by (dz mask, dzbar mask), as a
+        ``Form`` holds them; built on each access."""
+        return self.to_form().terms
+
+    def is_zero(self) -> bool:
+        return not self.block.any()
+
+    def _check_compatible(self, other: "PPForm", what: str):
+        if not isinstance(other, PPForm):
+            raise InputError(f"{what} requires two coefficient blocks, got {type(other).__name__}")
+        if self.n != other.n:
+            raise InputError(f"{what} requires matching base dimension: {self.n} vs {other.n}")
+        check_same_mode(self.mode, other.mode, what)
+
+    def __add__(self, other: "PPForm") -> "PPForm":
+        self._check_compatible(other, "addition")
+        if self.p != other.p:
+            if other.is_zero():
+                return self
+            if self.is_zero():
+                return other
+            raise InputError(f"addition of a ({self.p},{self.p})- and a "
+                             f"({other.p},{other.p})-form")
+        return PPForm(self.n, self.p, self.mode, self.block + other.block)
+
+    def scale(self, value) -> "PPForm":
+        """Multiply every coefficient by a scalar of this form's mode."""
+        return PPForm(self.n, self.p, self.mode, self.block * coerce(value, self.mode))
+
+    def wedge(self, other: "PPForm") -> "PPForm":
+        """self ^ other: H = (-1)^(pq) S^T (F[i1, i1] o G[i2, i2]) S for the
+        signed shuffle S of ``_shuffle`` (module docstring)."""
+        self._check_compatible(other, "wedge")
+        n, p, q = self.n, self.p, other.p
+        if p == 0:
+            return PPForm(n, q, self.mode, self.block[0, 0] * other.block)
+        if q == 0:
+            return PPForm(n, p, self.mode, self.block * other.block[0, 0])
+        if p + q > n:
+            return PPForm.zero(n, p + q, self.mode)
+        f_index, g_index, outer, inner = _shuffle(n, p, q)
+        flat = self.block.ravel()
+        signed = np.concatenate((flat, -flat))
+        products = signed.take(f_index) * other.block.ravel().take(g_index)
+        block = products.reshape(outer * outer, inner * inner).sum(axis=1)
+        return PPForm(n, p + q, self.mode, block.reshape(outer, outer))
+
+    def to_float(self) -> "PPForm":
+        if self.mode == FLOAT:
+            return self
+        return PPForm(self.n, self.p, FLOAT, self.block.astype(complex))
+
+    def __eq__(self, other):
+        if not isinstance(other, PPForm):
+            return NotImplemented
+        return self.n == other.n and self.mode == other.mode and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, self.mode, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return repr(self.to_form())
+
+
+# ----------------------------------------------------------------------
 # evaluation
 
 
@@ -462,7 +659,7 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
 
     if form.mode == FLOAT:
         arr = np.array(vecs, dtype=complex).reshape(1, p, form.n)
-        return complex(_evaluate_batch(form, arr)[0])
+        return complex(_pairing(PPForm.from_form(form), arr)[0])
 
     needed = {h for (h, _) in form.terms} | {a for (_, a) in form.terms}
     dets = {mask: _linalg.det([[v[i - 1] for v in vecs] for i in _mask_to_indices(mask)])
@@ -476,25 +673,23 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
     return total
 
 
-def _evaluate_batch(form: Form, samples: np.ndarray) -> np.ndarray:
-    """Evaluate a float-mode (p,p)-form on a (t, p, n) batch of vector tuples.
-    The determinants of every needed index subset come from one stacked
-    ``det`` call, and the terms c * det_h * conj(det_a) are summed onto 0j
-    in ``terms`` order."""
+@functools.lru_cache(maxsize=None)
+def _columns(n: int, p: int) -> np.ndarray:
+    """The p-subsets of the n directions as a (C(n,p), p) index array, in
+    ``combinations`` order."""
+    return np.array(list(itertools.combinations(range(n), p)), dtype=np.intp)
+
+
+def _pairing(form: PPForm, samples: np.ndarray) -> np.ndarray:
+    """Evaluate a float block on a (t, p, n) batch of vector tuples:
+    (-sqrt(-1))^(p^2) d^T H conj(d) per tuple, with the minors d of every
+    p-subset from one stacked ``det`` call."""
     t, p, n = samples.shape
-    if form.is_zero():
-        return np.zeros(t, dtype=complex)
     if p == 0:
-        return np.full(t, form.terms.get((0, 0), 0j), dtype=complex)
-    row = {mask: b for b, mask in
-           enumerate({mask for key in form.terms for mask in key})}
-    cols = np.array([[i - 1 for i in _mask_to_indices(mask)] for mask in row])
+        return np.full(t, form.block[0, 0], dtype=complex)
     # samples[:, :, cols] is (t, p, subsets, p): one p x p matrix per subset and tuple
-    dets = np.linalg.det(np.moveaxis(samples[:, :, cols], 2, 0))
-    h_rows = [row[h] for h, _ in form.terms]
-    a_rows = [row[a] for _, a in form.terms]
-    coeffs = np.array(list(form.terms.values()))[:, None]
-    vals = np.add.reduce(coeffs * dets[h_rows] * np.conj(dets[a_rows]), axis=0, initial=0j)
+    minors = np.linalg.det(np.moveaxis(samples[:, :, _columns(n, p)], 2, 1))
+    vals = ((minors @ form.block) * minors.conj()).sum(axis=1)
     return ((-1j) ** (p * p % 4)) * vals
 
 
@@ -530,7 +725,7 @@ class VerdictReport:
         }
 
 
-def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
+def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> VerdictReport:
     """Sample-test pointwise nonnegativity of a real (p,p)-form.
 
@@ -539,7 +734,8 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
     check passes iff the minimum value is >= -tol * scale, where scale is
     max(1, largest coefficient magnitude).  The argmin tuple is reported as a
     witness either way.  A NaN, infinite or negative ``tol`` is rejected, and
-    so is a form that is not (p,p) or not real within tol * scale.
+    so is a form that is not (p,p) or not real within tol * scale.  A
+    ``Form`` is converted to its block first.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -548,14 +744,13 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
     if form.is_zero():
         return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
                              tol=tol, scale=1.0, degree=0)
+    if isinstance(form, Form):
+        form = PPForm.from_form(form)
     f = form.to_float()
-    if not f.is_homogeneous():
-        raise InputError("sampled nonnegativity requires a homogeneous form")
-    p, q = f.bidegree()
-    if p != q:
-        raise InputError(f"sampled nonnegativity requires a (p,p)-form, got ({p},{q})")
-    scale = max(1.0, f.max_coefficient_magnitude())
-    imag_norm = f.imag_part_magnitude()
+    p, block = f.p, f.block
+    scale = max(1.0, float(np.abs(block).max()))
+    # the conjugate form's block is (-1)^p H^*: Im is half the difference
+    imag_norm = 0.5 * float(np.abs(block - (-1) ** p * block.conj().T).max())
     if imag_norm > tol * scale:
         raise InputError(
             f"form is not real: max imaginary coefficient {imag_norm:.3e} "
@@ -563,7 +758,7 @@ def nonnegative_sampled(form: Form, trials: int = 50, seed: int = 0,
 
     rng = substream(seed, 0)
     samples = complex_normal(rng, (trials, p, f.n))
-    vals = _evaluate_batch(f, samples)
+    vals = _pairing(f, samples)
     reals = vals.real
     arg = int(np.argmin(reals))
     min_value = float(reals[arg])

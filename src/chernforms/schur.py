@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .chern import ChernFormSet, chern_forms, chern_product, leibniz_det, top_coefficient
 from .curvature import CurvatureTensor
 from .errors import InputError
-from .forms import DEFAULT_TOL, Form, VerdictReport, nonnegative_sampled
+from .forms import DEFAULT_TOL, PPForm, VerdictReport, nonnegative_sampled
 from .polynomials import Polynomial, weighted_degree
 from .rng import derive_seed
 
@@ -56,6 +56,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(p, bool) for p in self.parts):
+            raise InputError("partition parts must be integers, not bools")
         parts = tuple(int(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if any(p < 0 for p in parts):
@@ -127,38 +129,40 @@ def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> Polynomial
     zero-padding).  A part above r makes the polynomial identically zero via
     the c_{>r} = 0 convention.
 
-    Built once per (``Partition(lam)``, r) and shared after that, so callers
-    must not mutate the result.  A padded and an unpadded lambda are two
-    entries: their expansions are equal but may list their terms in another
-    order, and ``evaluate_on_forms`` sums in that order.
+    Built once per (``Partition(lam).trimmed()``, r), from the trimmed
+    parts, and shared after that, so callers must not mutate the result.
     """
     if not isinstance(lam, Partition):
         lam = Partition(tuple(lam))
-    return _schur_polynomial(lam, r)
+    return _schur_polynomial(lam.trimmed(), r)
 
 
 @functools.lru_cache(maxsize=POLY_CACHE_SIZE)
-def _schur_polynomial(lam: Partition, r: int) -> Polynomial:
-    parts = lam.parts
+def _schur_polynomial(parts: tuple[int, ...], r: int) -> Polynomial:
     size = len(parts)
     entries = [[chern_variable(parts[j] - j + k, r) for k in range(size)]
                for j in range(size)]
     return leibniz_det(entries, Polynomial.one(r), Polynomial.zero(r), operator.mul)
 
 
-def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> Form:
-    """Substitute the Chern forms of ``cs`` into a polynomial.
+def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
+    """Substitute the Chern forms of ``cs`` into a homogeneous polynomial.
 
-    Terms of graded degree above n vanish and are skipped.  In exact mode the
-    result inherits the stored-prefactor convention: a weight-i homogeneous
-    polynomial evaluates to (sqrt(-1))^i times the integer-coefficient form,
-    with (2*pi)^(-i) left symbolic.
+    A weight-i polynomial gives an (i,i)-block, summed in term order; the
+    zero polynomial gives the (0,0) zero, and a weight above n the zero
+    form.  In exact mode the result inherits the stored-prefactor
+    convention: a weight-i polynomial evaluates to (sqrt(-1))^i times the
+    integer-coefficient form, with (2*pi)^(-i) left symbolic.
     """
-    n = cs.n
-    result = Form.zero(n, cs.mode)
+    weights = {weighted_degree(exps) for exps in poly.terms}
+    if len(weights) > 1:
+        raise InputError(f"evaluation on forms needs a homogeneous polynomial, "
+                         f"got weights {sorted(weights)}")
+    degree = weights.pop() if weights else 0
+    result = PPForm.zero(cs.n, degree, cs.mode)
+    if degree > cs.n:
+        return result
     for exps, coeff in poly.terms.items():
-        if weighted_degree(exps) > n:
-            continue
         result = result + cs.product(coeff, [(j, e) for j, e in enumerate(exps, start=1) if e])
     return result
 
@@ -237,7 +241,7 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
         for idx, lam in enumerate(partitions(i, r)):
             if len(lam.trimmed()) > cs.m:
                 # S_lambda(c) = (-1)^|lambda| s_lambda(y_1, ..., y_m): zero
-                form = Form.zero(n)
+                form = PPForm.zero(n, i)
             else:
                 form = evaluate_on_forms(schur_polynomial(lam, r), cs)
             rep = nonnegative_sampled(form, trials, derive_seed(seed, 7, i, idx), tol)
@@ -371,7 +375,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     steps = []
     all_pass = True
     for index, (label, poly) in enumerate(chain_step_polynomials(lam, cs.r)):
-        form = Form.zero(cs.n) if cs.m < 2 else evaluate_on_forms(poly, num)
+        form = PPForm.zero(cs.n, lam.weight) if cs.m < 2 else evaluate_on_forms(poly, num)
         rep = nonnegative_sampled(form, trials, derive_seed(seed, 11, index), tol)
         steps.append(ChainStep(label=label, report=rep))
         all_pass = all_pass and rep.passed

@@ -201,7 +201,7 @@ def test_criterion_4_frame_invariance():
         cs_a = chern_forms(tensor)
         cs_b = chern_forms(change_frame(omega, frame))
         for i in range(1, cs_a.top_degree + 1):
-            a, b = cs_a.form(i), cs_b.form(i)
+            a, b = cs_a.form(i).to_form(), cs_b.form(i).to_form()
             scale = max(1.0, a.max_coefficient_magnitude())
             diff = (a - b).max_coefficient_magnitude() / scale
             worst = max(worst, diff)

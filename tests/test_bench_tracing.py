@@ -96,3 +96,23 @@ def test_sampled_pools_pass_their_oracles(tmp_path):
     assert len(pool) == workloads.RANK_POOL + 2 * workloads.DIM_INSTANCES
     failures = [(op.argv, op.check(*run_op(op.argv))) for op in pool]
     assert [(argv, bad) for argv, bad in failures if bad is not None] == []
+
+
+def test_counters_read_the_forms_of_sampled_ops(tmp_path):
+    # COUNTERS read the terms of chern_forms(...).forms and of
+    # nonnegative_sampled's first argument; one op of each sampled pool must
+    # count some, and print under the tracer what it prints without it
+    tracing = load_bench("tracing")
+    workloads = load_bench("workloads")
+    for pool in (workloads.rank_heavy(401, str(tmp_path), run_op),
+                 workloads.dim_heavy(301, str(tmp_path), run_op)):
+        argv = pool[0].argv
+        plain = run_op(argv)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = run_op(argv)
+        finally:
+            tracer.uninstall()
+        assert traced == plain, argv
+        assert tracer.counts["chern.terms"] > 0 and tracer.counts["schur.form_terms"] > 0, argv

@@ -1,17 +1,23 @@
-"""Byte-identity oracles for the hot paths and the polynomial core.
+"""Identity oracles for the hot paths and the polynomial core.
 
-``Form.wedge`` (one cached pair plan per pair of key orders),
-``chern.leibniz_det`` (depth-first Leibniz walk) and
-``schur.evaluate_on_forms`` (products memoized on the ``ChernFormSet``) must
-do the same float operations in the same order as the straightforward
-versions kept below as references: the wedge that computes an
-inversion-count sign for every pair of terms, the wedge that rebuilt its sign
-tables on every call, the determinant that re-wedges every
-``itertools.permutations`` product from scratch, and the evaluation that
-rebuilds every term of every polynomial.  Results are compared through
-``repr(list(f.terms.items()))``, which sees key order, signed zeros and every
-bit of every coefficient.  A (4, 5) verify must build at most 11 plans, and
-repeating it none.
+``Form.wedge`` (one cached pair plan per pair of key orders) and
+``chern.leibniz_det`` (depth-first Leibniz walk) must do the same float
+operations in the same order as the straightforward versions kept below as
+references: the wedge that computes an inversion-count sign for every pair
+of terms, the wedge that rebuilt its sign tables on every call, and the
+determinant that re-wedges every ``itertools.permutations`` product from
+scratch.  Results are compared through ``repr(list(f.terms.items()))``,
+which sees key order, signed zeros and every bit of every coefficient, or
+through ``canonical_repr``, the same with the keys sorted.
+
+The coefficient blocks (``PPForm``) of Chern, Schur and chain-step forms
+sum in another order than those dict wedges, so ``PPForm.wedge``,
+``ChernFormSet.product`` (prefixes memoized on the set),
+``schur.evaluate_on_forms`` and the sampled pairing d^T H conj(d) are
+compared with the dict references below, and with exact
+``forms.evaluate``: equal in exact mode, and within ``FLOAT_RTOL`` of the
+scale in float mode.  A sampled op wedges no ``Form`` and builds no pair
+plan.
 
 ``polynomials.Polynomial`` must build every Schur, chain-step and Todd
 polynomial with the same terms in the same order as the two classes it
@@ -24,9 +30,7 @@ matters because ``evaluate_on_forms`` sums float forms in that order.
 ``chern.chern_forms`` on a curvature matrix (one depth-first walk
 over the row subsets, sharing prefix wedges between minors) must give the
 same c_i, bit for bit, as the loop that expands every principal minor on
-its own, kept below, with fewer ``Form.wedge`` calls;
-``chern.chern_product`` (prefixes kept in the set's memo) the same products
-as the unmemoized loop.
+its own, kept below, with fewer ``Form.wedge`` calls.
 
 ``GaussianRational`` (three normalised ints) must agree with the
 Fraction-pair class it replaced, kept below as a reference, in every part,
@@ -60,6 +64,7 @@ from chernforms import (
     CurvatureMatrix,
     CurvatureTensor,
     Form,
+    PPForm,
     Polynomial,
     bott_chern_curvature,
     chern_forms,
@@ -85,6 +90,27 @@ from conftest import factor_tensor, form_matrix_det, schur_and_chain_polynomials
 
 def exact_repr(form: Form) -> str:
     return repr(list(form.terms.items()))
+
+
+def canonical_repr(form) -> str:
+    """``exact_repr`` with the keys sorted: every bit, not the key order."""
+    return repr(sorted(form.terms.items()))
+
+
+#: float block results against the dict references: rounding only
+FLOAT_RTOL = 1e-12
+
+
+def assert_same_form(got: PPForm, want: Form, scale: float = 1.0):
+    """A block equals a dict-built form: exactly in exact mode, and in float
+    mode within ``FLOAT_RTOL`` of ``scale``, of 1 and of the largest
+    coefficient of either."""
+    assert got.n == want.n and got.mode == want.mode
+    assert want.is_zero() or want.bidegree() == (got.p, got.p)
+    if got.mode == EXACT:
+        assert got.to_form() == want
+    else:
+        assert got.to_form().allclose(want, FLOAT_RTOL * scale)
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +221,10 @@ def ref_form_matrix_det(entries, n: int, mode: str) -> Form:
     return total
 
 
-def ref_evaluate_on_forms(poly: Polynomial, cs) -> Form:
-    """Substitution that rebuilds every term, with no memo."""
+def ref_evaluate_on_forms(poly: Polynomial, cs, magnitudes: list = None) -> Form:
+    """Substitution that rebuilds every term, with no memo.  ``magnitudes``
+    collects |coefficient| * (largest coefficient of the product) per term:
+    a sum whose terms cancel is exact only to rounding of their size."""
     n, mode = cs.n, cs.mode
     result = Form.zero(n, mode)
     for exps, coeff in poly.terms.items():
@@ -209,11 +237,21 @@ def ref_evaluate_on_forms(poly: Polynomial, cs) -> Form:
             if j > cs.r:
                 term = Form.zero(n, mode)
                 break
-            term = ref_wedge(term, ref_wedge_power(cs.form(j), e))
+            term = ref_wedge(term, ref_wedge_power(cs.form(j).to_form(), e))
             if term.is_zero():
                 break
+        if magnitudes is not None:
+            magnitudes.append(term.to_float().max_coefficient_magnitude())
         result = result + term
     return result
+
+
+def assert_evaluates_as_reference(poly: Polynomial, cs):
+    """``evaluate_on_forms`` against the dict substitution, to rounding of
+    the size of the terms it sums."""
+    magnitudes = []
+    want = ref_evaluate_on_forms(poly, cs, magnitudes)
+    assert_same_form(evaluate_on_forms(poly, cs), want, sum(magnitudes))
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +327,13 @@ class TestWedgeIdentity:
             assert exact_repr(x.wedge(y)) == exact_repr(ref_wedge(x, y))
 
     def test_wedge_power(self):
-        # c_j^e through the set's memo, against e fresh wedges from 1
+        # c_j^e through the set's memo, against e fresh dict wedges from 1
         for cs in (chern_forms(random_tensor(4, 3, None, 5)),
                    chern_forms(random_exact_factor(3, 3, 2, seed=5))):
             for j in range(cs.r + 1):
                 for e in range(5):
-                    assert exact_repr(chern_product(cs, (j,) * e)) == \
-                        exact_repr(ref_wedge_power(cs.form(j), e))
+                    assert_same_form(chern_product(cs, (j,) * e),
+                                     ref_wedge_power(cs.form(j).to_form(), e))
 
 
 def assert_planned(x: Form, y: Form) -> Form:
@@ -306,22 +344,41 @@ def assert_planned(x: Form, y: Form) -> Form:
     return got
 
 
-@st.composite
-def form_pairs(draw, mode: str):
-    """Two forms on one base of dimension 0..4, keys in draw order, small
-    coefficients so partial sums cancel exactly; float parts include -0.0."""
-    n = draw(st.integers(0, 4))
-    mask = st.integers(0, (1 << n) - 1)
+def small_scalars(mode: str):
+    """Small coefficients, so partial sums cancel exactly; float parts
+    include -0.0."""
     if mode == EXACT:
         part = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3),
                                                        st.integers(1, 3)))
-        scalar = st.builds(GaussianRational, part, part)
-    else:
-        part = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
-                         st.floats(-4, 4, allow_nan=False))
-        scalar = st.builds(complex, part, part)
-    terms = st.lists(st.tuples(mask, mask, scalar), max_size=10)
+        return st.builds(GaussianRational, part, part)
+    part = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                     st.floats(-4, 4, allow_nan=False))
+    return st.builds(complex, part, part)
+
+
+@st.composite
+def form_pairs(draw, mode: str):
+    """Two forms on one base of dimension 0..4, keys in draw order, with
+    ``small_scalars`` coefficients."""
+    n = draw(st.integers(0, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    terms = st.lists(st.tuples(mask, mask, small_scalars(mode)), max_size=10)
     return tuple(Form(n, mode, {(h, a): c for h, a, c in draw(terms)}) for _ in range(2))
+
+
+@st.composite
+def block_pairs(draw, mode: str):
+    """A (p,p)- and a (q,q)-form on one base of dimension 0..5, p and q in
+    0..n, so constants and p + q > n occur, each with up to 12 terms of
+    ``small_scalars`` coefficients (none for a zero form)."""
+    n = draw(st.integers(0, 5))
+    out = []
+    for _ in range(2):
+        p = draw(st.integers(0, n))
+        mask = st.sampled_from([m for m in range(1 << n) if m.bit_count() == p])
+        terms = draw(st.lists(st.tuples(mask, mask, small_scalars(mode)), max_size=12))
+        out += [Form(n, mode, {(h, a): c for h, a, c in terms}), p]
+    return tuple(out)
 
 
 class TestPlannedWedge:
@@ -376,16 +433,30 @@ class TestPlannedWedge:
             for x, y in itertools.product(operands, repeat=2):
                 assert_planned(x, y)
 
-    def test_plans_are_reused_within_and_across_ops(self):
-        # 11 plans serve every wedge of a (4, 5) verify: all r^2 curvature
-        # entries share one key order, and so do the Leibniz prefixes of
-        # one depth and the chained products of Chern forms
+    def test_sampled_ops_build_no_pair_plan(self):
+        # the Chern, Schur and chain-step forms of a tensor instance are
+        # blocks: no op of either sampled command wedges a Form
         forms._pair_plan.cache_clear()
-        verify_schur_nonnegativity(random_tensor(4, 5, seed=0))
-        built = forms._pair_plan.cache_info().misses
-        assert 0 < built <= 11
-        verify_schur_nonnegativity(random_tensor(4, 5, seed=0))
-        assert forms._pair_plan.cache_info().misses == built
+        for argv in (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "0"],
+                     ["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+        assert forms._pair_plan.cache_info().currsize == 0
+
+
+class TestBlockWedge:
+    """``PPForm.wedge``, the signed shuffle product of coefficient blocks,
+    against the dict wedge ``ref_wedge``."""
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_hypothesis_blocks(self, mode, data):
+        x, p, y, q = data.draw(block_pairs(mode))
+        got = PPForm.from_form(x, p).wedge(PPForm.from_form(y, q))
+        assert got.p == p + q
+        assert_same_form(got, ref_wedge(x, y))
+        assert PPForm.from_form(got.to_form(), p + q) == got
 
 
 # ----------------------------------------------------------------------
@@ -486,20 +557,22 @@ def assert_reads_its_factor(monkeypatch, tensor):
 
 
 class TestChernFormsIdentity:
-    # a curvature matrix takes the Leibniz walk, a tensor the Gram route
+    # a curvature matrix takes the Leibniz walk, a tensor the Gram route;
+    # the walk's minor sums are read into blocks, which list their keys in
+    # block order, so the walk is compared key by key
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
                                           (1, 3, 3), (3, 1, 4)])
     def test_float_curvatures(self, n, r, seed):
         omega = _omega(n, r, seed)
-        assert [exact_repr(f) for f in chern_forms(omega).forms] == \
-            [exact_repr(f) for f in parent_chern_forms(omega)]
+        assert [canonical_repr(f) for f in chern_forms(omega).forms] == \
+            [canonical_repr(f) for f in parent_chern_forms(omega)]
 
     @pytest.mark.parametrize("n,r,seed", [(3, 3, 4), (2, 4, 5), (3, 4, 6)])
     def test_exact_curvatures(self, n, r, seed):
         omega = bott_chern_curvature(random_exact_factor(n, r, 2, seed=seed))
-        assert [exact_repr(f) for f in chern_forms(omega).forms] == \
-            [exact_repr(f) for f in parent_chern_forms(omega)]
+        assert [canonical_repr(f) for f in chern_forms(omega).forms] == \
+            [canonical_repr(f) for f in parent_chern_forms(omega)]
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     @pytest.mark.parametrize("seed", range(4))
@@ -507,8 +580,8 @@ class TestChernFormsIdentity:
         rng = np.random.default_rng(200 + seed)
         for n, r in ((2, 4), (3, 4), (3, 5), (4, 3)):
             omega = _sparse_omega(rng, n, r, mode)
-            assert [exact_repr(f) for f in chern_forms(omega).forms] == \
-                [exact_repr(f) for f in parent_chern_forms(omega)]
+            assert [canonical_repr(f) for f in chern_forms(omega).forms] == \
+                [canonical_repr(f) for f in parent_chern_forms(omega)]
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (1, 3, 3),
                                           (3, 1, 4)])
@@ -534,16 +607,17 @@ class TestChernFormsIdentity:
         ref, ref_calls = count_wedges(monkeypatch, lambda: parent_chern_forms(omega))
         got, calls = count_wedges(monkeypatch, lambda: chern_forms(omega))
         assert (ref_calls, calls) == (before, after)
-        assert [exact_repr(f) for f in got.forms] == [exact_repr(f) for f in ref]
+        assert [canonical_repr(f) for f in got.forms] == [canonical_repr(f) for f in ref]
 
 
 def parent_chern_product(cs, parts) -> Form:
-    """c_lambda wedged from 1 on every call, with no memo."""
+    """c_lambda wedged from 1 with the dict wedge on every call, with no
+    memo."""
     result = Form.constant(cs.n, 1, cs.mode)
     for part in parts:
         if part == 0:
             continue
-        result = result.wedge(cs.form(part))
+        result = ref_wedge(result, cs.form(part).to_form())
         if result.is_zero():
             break
     return result
@@ -561,26 +635,44 @@ class TestChernProductIdentity:
             evaluate_on_forms(poly, cs)
         lams = [lam.parts for i in range(1, n + 1) for lam in partitions(i, r)]
         for parts in lams + [parts + (0,) for parts in lams]:
-            assert exact_repr(chern_product(cs, parts)) == \
-                exact_repr(parent_chern_product(cs, parts))
+            assert_same_form(chern_product(cs, parts), parent_chern_product(cs, parts))
         products = {key for key in cs.memo
                     if key[0] == 1 and all(isinstance(f, int) for f in key)}
         assert (1, 1) in products and len(products) < sum(map(len, lams))
 
     def test_power_factors_keep_their_own_unit(self):
         # a pair (j, e) is 1 ^ c_j ^ ... (e factors) and an int j is the raw
-        # c_j: here 1 ^ c_2 turns the -0.0 real part of c_2 into 0.0, and the
-        # next product keeps the difference in the sign of a zero
-        one = Form.constant(3, 1)
-        c1 = Form(3, FLOAT, {(0b001, 0b001): 1j})
-        c2 = Form(3, FLOAT, {(0b110, 0b110): complex(-0.0, -1.0)})
+        # c_j: the two products are memo entries of their own, each the
+        # left-to-right wedge it names
+        one = PPForm.constant(3, 1)
+        c1 = PPForm.from_form(Form(3, FLOAT, {(0b001, 0b001): 1j}))
+        c2 = PPForm.from_form(Form(3, FLOAT, {(0b110, 0b110): complex(-0.0, -1.0)}))
         cs = ChernFormSet(n=3, r=2, forms=(one, c1, c2), mode=FLOAT, m=None)
         raw = cs.product(1, [1, 2])
         pair = cs.product(1, [(1, 1), (2, 1)])
-        assert exact_repr(raw) == exact_repr(ref_wedge(ref_wedge(one, c1), c2))
-        assert exact_repr(pair) == exact_repr(
-            ref_wedge(ref_wedge(one, ref_wedge(one, c1)), ref_wedge(one, c2)))
-        assert exact_repr(raw) != exact_repr(pair)
+        assert exact_repr(raw) == exact_repr(one.wedge(c1).wedge(c2))
+        assert exact_repr(pair) == exact_repr(one.wedge(one.wedge(c1)).wedge(one.wedge(c2)))
+        assert cs.memo[(1, 1, 2)] is raw and cs.memo[(1, (1, 1), (2, 1))] is pair
+        assert_same_form(raw, ref_wedge(ref_wedge(one.to_form(), c1.to_form()), c2.to_form()))
+
+
+def count_products(monkeypatch, build) -> tuple:
+    """(result, ``PPForm.wedge`` calls, ``Form.wedge`` calls) of ``build()``."""
+    calls = {PPForm: 0, Form: 0}
+    originals = {cls: cls.wedge for cls in calls}
+
+    def counting(cls):
+        def wedge(self, other):
+            calls[cls] += 1
+            return originals[cls](self, other)
+        return wedge
+
+    for cls in calls:
+        monkeypatch.setattr(cls, "wedge", counting(cls))
+    result = build()
+    for cls, original in originals.items():
+        monkeypatch.setattr(cls, "wedge", original)
+    return result, calls[PPForm], calls[Form]
 
 
 @pytest.mark.parametrize("argv,wedges", [
@@ -589,17 +681,17 @@ class TestChernProductIdentity:
     (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "1"], 25),
 ])
 def test_wedges_per_op(monkeypatch, argv, wedges):
-    # every product of Chern forms of one op, each prefix wedged once through
-    # ChernFormSet.product; the Chern forms of these tensor instances come
-    # from Gram blocks of T and wedge nothing, no factor or A ^ conj(A^t) is
-    # built as forms, and a Schur form with more parts than the factor has
-    # columns is not built
+    # every product of Chern forms of one op is a block product, each prefix
+    # wedged once through ChernFormSet.product; the Chern forms of these
+    # tensor instances are Gram blocks of T, no factor or A ^ conj(A^t) is
+    # built as forms, a Schur form with more parts than the factor has
+    # columns is not built, and no Form is wedged
     def op():
         with contextlib.redirect_stdout(io.StringIO()):
             return run(argv)
 
-    code, calls = count_wedges(monkeypatch, op)
-    assert (code, calls) == (0, wedges)
+    code, blocks, dicts = count_products(monkeypatch, op)
+    assert (code, blocks, dicts) == (0, wedges, 0)
 
 
 # ----------------------------------------------------------------------
@@ -611,21 +703,22 @@ class TestEvaluateIdentity:
     def test_float_sets(self, n, r, seed):
         cs = chern_forms(random_tensor(n, r, None, seed))
         for poly in schur_and_chain_polynomials(n, r):
-            assert exact_repr(evaluate_on_forms(poly, cs)) == \
-                exact_repr(ref_evaluate_on_forms(poly, cs))
+            assert_evaluates_as_reference(poly, cs)
 
     def test_exact_set(self):
         cs = chern_forms(random_exact_factor(3, 3, 2, seed=5))
         for poly in schur_and_chain_polynomials(3, 3):
-            assert exact_repr(evaluate_on_forms(poly, cs)) == \
-                exact_repr(ref_evaluate_on_forms(poly, cs))
+            assert_evaluates_as_reference(poly, cs)
 
     def test_fraction_coefficients_and_variables_above_rank(self):
+        # a block has one degree, so the polynomial must be homogeneous
         cs = chern_forms(random_tensor(3, 2, None, 7))
         poly = Polynomial(4, {(1, 1, 0, 0): Fraction(1, 3), (3, 0, 0, 0): -2,
-                              (0, 0, 1, 0): 5, (1, 0, 0, 0): Fraction(7, 2)})
-        assert exact_repr(evaluate_on_forms(poly, cs)) == \
-            exact_repr(ref_evaluate_on_forms(poly, cs))
+                              (0, 0, 1, 0): 5})
+        assert_evaluates_as_reference(poly, cs)
+        mixed = poly + Polynomial(4, {(1, 0, 0, 0): Fraction(7, 2)})
+        with pytest.raises(InputError, match="homogeneous polynomial"):
+            evaluate_on_forms(mixed, cs)
 
 
 def ref_evaluate_batch(form: Form, samples: np.ndarray) -> np.ndarray:
@@ -644,17 +737,40 @@ def ref_evaluate_batch(form: Form, samples: np.ndarray) -> np.ndarray:
 class TestEvaluateBatchIdentity:
     @pytest.mark.parametrize("n,r,seed", [(5, 3, 13), (4, 5, 1), (3, 3, 2)])
     def test_schur_and_chain_forms(self, n, r, seed):
-        # one stacked det and one reduce give the bytes of the per-subset loop
+        # d^T H conj(d) over every p-subset gives the per-term sum of the
+        # loop over the form's index subsets, to rounding
         cs = chern_forms(random_tensor(n, r, None, seed))
         rng = np.random.default_rng(seed)
         for poly in schur_and_chain_polynomials(n, r):
             form = evaluate_on_forms(poly, cs)
             if form.is_zero():
                 continue
-            p = form.bidegree()[0]
-            samples = rng.standard_normal((7, p, n)) + 1j * rng.standard_normal((7, p, n))
-            got = forms._evaluate_batch(form, samples)
-            assert got.tobytes() == ref_evaluate_batch(form, samples).tobytes()
+            samples = rng.standard_normal((7, form.p, n)) + \
+                1j * rng.standard_normal((7, form.p, n))
+            got = forms._pairing(form, samples)
+            want = ref_evaluate_batch(form.to_form(), samples)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=FLOAT_RTOL * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("n,r,m", [(3, 3, 2), (4, 2, 3), (4, 4, 1)])
+    def test_pairing_matches_exact_evaluate(self, n, r, m):
+        # exact Schur forms on Gaussian-integer tuples: the float pairing of
+        # the float block against exact forms.evaluate of the exact form
+        cs = chern_forms(random_exact_factor(n, r, m, seed=n + r))
+        rng = np.random.default_rng(n * r)
+        checked = 0
+        for i in range(1, n + 1):
+            for lam in partitions(i, r):
+                form = evaluate_on_forms(schur_polynomial(lam, r), cs)
+                parts = rng.integers(-3, 4, size=(2, i, n))
+                vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
+                           for row in zip(*parts)]
+                want = complex(forms.evaluate(form.to_form(), vectors))
+                samples = (parts[0] + 1j * parts[1]).reshape(1, i, n)
+                got = forms._pairing(form.to_float(), samples)[0] if form.p == i else 0j
+                assert abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want)), (lam.parts, got, want)
+                checked += want != 0
+        assert checked
 
 
 # ----------------------------------------------------------------------
@@ -1193,8 +1309,17 @@ class TestGaussianRationalAgainstFractionPairs:
 # exact CLI reports: a fixed op set whose stdout and exit codes are pinned
 
 #: sha256 over the stdout and exit code of every op of ``exact_cli_ops``,
-#: computed on the Fraction-pair GaussianRational and kept since
-EXACT_CLI_DIGEST = "b3a9bf6c2828e4905e6d1c720f25703f441b7a65327b41711fd3bf62a8553834"
+#: computed on the Fraction-pair GaussianRational and kept until products of
+#: Chern forms came to be block products: the float ``top`` values of
+#: ``curvature build`` come from products of the numeric forms, summed in
+#: another order (14 of the 54 JSON values moved, by at most 2.3e-16 of the
+#: largest top of their instance); ``EXACT_CLI_NO_TOPS_DIGEST`` shows every
+#: other byte unmoved
+EXACT_CLI_DIGEST = "820bbf7ecb169323be4eb961305535f26ad080a20c3933833d5075cac7019438"
+
+#: ``cli_digest(exact_cli_ops(...), without_float_tops)``, the same before and
+#: after block products
+EXACT_CLI_NO_TOPS_DIGEST = "7d8a54980fc4f0599a62b7857e3079e1f2c6f8872946bb93f3382179e9536cd8"
 
 
 def _part(value: int, kind: str):
@@ -1284,18 +1409,41 @@ def exact_cli_ops(workdir) -> list[list[str]]:
     return ops
 
 
-def cli_digest(ops) -> str:
+def cli_digest(ops, view=None) -> str:
+    """sha256 over the stdout and exit code of every op, stdout seen
+    through ``view`` when one is given."""
     digest = hashlib.sha256()
     for argv in ops:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
-        digest.update(f"{out.getvalue()}#exit {code}\n".encode())
+        text = out.getvalue() if view is None else view(out.getvalue())
+        digest.update(f"{text}#exit {code}\n".encode())
     return digest.hexdigest()
 
 
 def test_exact_cli_reports_match_pinned_digest(tmp_path):
     assert cli_digest(exact_cli_ops(str(tmp_path))) == EXACT_CLI_DIGEST
+
+
+def without_float_tops(out: str) -> str:
+    """A report of ``exact_cli_ops`` with the float value of every top-table
+    row blanked, in JSON and in text; every other byte as printed."""
+    if not out.startswith("{"):
+        return "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("  top("))
+    payload = json.loads(out)
+    assert report_json(payload) + "\n" == out
+    for row in payload.get("top", ()):
+        row["top"] = None
+    return report_json(payload) + "\n"
+
+
+def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
+    # the exact Chern forms and every byte but the float top values, which
+    # come from float products of the numeric forms, as at the digest above
+    assert cli_digest(exact_cli_ops(str(tmp_path)), without_float_tops) == \
+        EXACT_CLI_NO_TOPS_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -1307,8 +1455,11 @@ def test_exact_cli_reports_match_pinned_digest(tmp_path):
 #: and no check verdict moved), and again when every ``bounds chain`` step
 #: on an instance with m = 1 came to get the zero form's report, since each
 #: step has a Schur factor with two nonzero parts (no exit code, step
-#: verdict or top value moved)
-FLOAT_CLI_DIGEST = "938a16170b9146fdc8451680b2965fa763dbe654a4804ac2c184220477c317c8"
+#: verdict or top value moved), and again when products of Chern forms and
+#: the sampled evaluation came to run on coefficient blocks and each Gram
+#: block came to be accumulated by matrix products, which sums all three in
+#: another order (no exit code or check verdict moved)
+FLOAT_CLI_DIGEST = "0f7d65f2c6f040c4af614caa7751d704afd09bdd2d736fe5ef02e687f60f693f"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -1338,8 +1489,11 @@ def test_float_cli_reports_match_pinned_digest(tmp_path):
 #: curvatures came to be summed as Gram blocks of the factor, and a Schur
 #: form with more parts than the factor has columns came to be reported as
 #: the zero form: S_(1,1,1,1,1) of CLI seed 13 at (5, 3), m = 4, was the
-#: sampled false FAIL and now PASSes, and no other verdict moved
-BENCHMARK_SHAPE_CLI_DIGEST = "00bc2916473beefe9da80e3718d2f57313a456fcb9602a50e16317c77ccbc167"
+#: sampled false FAIL and now PASSes, and no other verdict moved; moved
+#: again when products of Chern forms and the sampled evaluation came to run
+#: on coefficient blocks and Gram blocks came to be accumulated by matrix
+#: products, in another float order (no exit code or check verdict moved)
+BENCHMARK_SHAPE_CLI_DIGEST = "4386a60be97a4c55e1f3f91c4472f695d0072137904d06d23607f90037bda08e"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:
