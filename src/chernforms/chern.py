@@ -41,19 +41,19 @@ run the same numpy code: complex128 arrays, or object arrays of
 ``PPForm``.
 
 *Leibniz walk* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
-``change_frame``).  The minors are
-expanded in one depth-first walk over the row subsets: lexicographic order,
-all sizes 1..min(r, n) interleaved, so (0), (0,1), (0,1,2), ..., (0,2),
-..., (1), ...  Each size still meets its subsets in
-``itertools.combinations`` order, and each minor still sums its
-permutations in ``itertools.permutations`` order, so every minor sum adds
-the same determinants in the same order as a loop over the subsets of each
-size.  Minors whose first rows agree share their prefix wedges: each row
+``change_frame``).  Each entry is read once into its (1,1)-block, and the
+minors are expanded over blocks with ``PPForm.wedge`` in one depth-first
+walk over the row subsets: lexicographic order, all sizes 1..min(r, n)
+interleaved, so (0), (0,1), (0,1,2), ..., (0,2), ..., (1), ...  Each size
+still meets its subsets in ``itertools.combinations`` order, and each minor
+still sums its permutations in ``itertools.permutations`` order, so every
+minor sum adds the same determinants in the same order as a loop over the
+subsets of each size.  Minors whose first rows agree share their prefix wedges: each row
 subset hands its minor its parent's memo levels plus one fresh level (see
 ``leibniz_det``'s ``memo``), so a product over rows S[:d+1] with a given
 column tuple is computed once, and every product is one such a loop
-computes, bit for bit.  Each minor sum, scaled, is then read into its
-block.
+computes, bit for bit.  Each minor sum is an (i,i)-block, the zero block
+when it vanishes, and its scaling gives the block of c_i.
 
 On a tensor and on ``bott_chern_curvature(tensor)`` the routes agree exactly
 in exact mode and to rounding in float mode, where the Gram route sums in
@@ -88,7 +88,7 @@ import numpy as np
 
 from .curvature import CurvatureMatrix, CurvatureTensor
 from .errors import InputError
-from .forms import Form, PPForm
+from .forms import PPForm
 from .scalars import EXACT, FLOAT, GaussianRational
 
 #: exact phase (sqrt(-1))^i, i mod 4
@@ -106,8 +106,8 @@ def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
     its principal minor on the indices ``subset`` (default: all of them).
 
     Entries need ``is_zero()``, ``+`` and unary ``-``; ``mul`` multiplies
-    two ring elements (``Form.wedge`` for even-degree forms, which commute,
-    or ``operator.mul``); ``one`` and ``zero`` are the ring's 1 and 0.
+    two ring elements (``PPForm.wedge`` for (1,1)-blocks, which commute, or
+    ``operator.mul``); ``one`` and ``zero`` are the ring's 1 and 0.
     Row d of the minor is row ``subset[d]``, and its columns are ``subset``
     in order.  Permutations are walked depth-first in
     ``itertools.permutations`` order, row by row, so each prefix product
@@ -245,11 +245,13 @@ class ChernFormSet:
 
 
 def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
-    """The sums of the principal i x i minors of ``omega``, i = 0..k, from one
-    depth-first walk over the row subsets (see the module docstring)."""
+    """The sums of the principal i x i minors of ``omega``, i = 0..k, as
+    (i,i)-blocks from one depth-first walk over the row subsets (see the
+    module docstring)."""
     n, r, mode = omega.n, omega.r, omega.mode
-    one, zero = Form.constant(n, 1, mode), Form.zero(n, mode)
-    minor_sums = [one] + [zero] * k
+    entries = [[PPForm.from_form(f, 1) for f in row] for row in omega.entries]
+    one, zero = PPForm.constant(n, 1, mode), PPForm.zero(n, 0, mode)
+    minor_sums = [one] + [PPForm.zero(n, i, mode) for i in range(1, k + 1)]
 
     def visit(rows: tuple, memo: list):
         # depth first over the row subsets that extend ``rows``, in
@@ -257,12 +259,13 @@ def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
         for s in range(rows[-1] + 1 if rows else 0, r):
             sub, sub_memo = rows + (s,), memo + [{}]
             i = len(sub)
-            minor_sums[i] = minor_sums[i] + leibniz_det(omega.entries, one, zero, Form.wedge,
+            minor_sums[i] = minor_sums[i] + leibniz_det(entries, one, zero, PPForm.wedge,
                                                         sub, sub_memo)
             if i < k:
                 visit(sub, sub_memo)
 
-    visit((), [])
+    if k:
+        visit((), [])
     # visit refers to itself: drop it so the cycle does not keep
     # ``minor_sums`` alive until the next garbage collection
     del visit
@@ -386,7 +389,7 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
         minor_sums = _minor_sums(source, k)
         for i in range(1, k + 1):
             phase = _PHASES[i % 4] if mode == EXACT else (1j / (2.0 * math.pi)) ** i
-            out.append(PPForm.from_form(minor_sums[i].scale(phase), i))
+            out.append(minor_sums[i].scale(phase))
         return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=None)
     blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
     for i in range(1, k + 1):

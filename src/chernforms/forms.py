@@ -11,21 +11,17 @@ of bitmasks ``(h, a)`` -- bit ``i-1`` of ``h`` set iff dz^i occurs, bit
 disjointness tests plus a sign.  The sign comes from sorting
 dz^{h1} dzbar^{a1} dz^{h2} dzbar^{a2} into canonical order: dzbar^{a1} hops
 over dz^{h2} (|a1| |h2| transpositions), then each family is merge-sorted
-(one transposition per inversion between the two masks).  ``Form.wedge``
-reads the disjointness tests, parities and output keys from a *pair plan*
-that depends only on the key orders of its two operands, so it is built
-once per pair of key orders and kept in a bounded LRU cache
-(``PLAN_CACHE_SIZE`` plans).  Key orders recur: every curvature entry of one
-instance has the same keys, and so has every Leibniz prefix of one depth.
-Coefficients live in one scalar mode (see ``scalars``): exact Gaussian
-rationals or float complex.  Forms are immutable by convention.
+(one transposition per inversion between the two masks).  Coefficients live
+in one scalar mode (see ``scalars``): exact Gaussian rationals or float
+complex.  Forms are immutable by convention.
 
 A homogeneous (p,p)-form also has a dense representation, ``PPForm``: its
 C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
 dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Chern, Schur
-and chain-step forms compute as blocks; ``Form`` stays the type of literals
-and of the Leibniz walk over curvature entries.  The wedge of a (p,p)- and a
-(q,q)-block is
+and chain-step forms compute as blocks, the Leibniz walk over the entries
+of a curvature matrix included; ``Form`` is the type of literals, and
+``Form.wedge`` builds ``bott_chern_curvature``.  The wedge of a (p,p)- and
+a (q,q)-block is
 
     (F ^ G)[I u J, K u L] = (-1)^(pq) eps(I, J) eps(K, L) F[I, K] G[J, L],
 
@@ -88,10 +84,6 @@ MAX_DIM = 14
 #: default sampling tolerance: minima down to -tol * scale still PASS
 DEFAULT_TOL = 1e-9
 
-#: pair plans kept by ``Form.wedge``, least recently used dropped first; the
-#: Leibniz walk of a (4, 5) curvature matrix builds 5, of a (6, 6) one 7
-PLAN_CACHE_SIZE = 128
-
 #: shuffle tables kept by ``PPForm.wedge``, least recently used dropped
 #: first; n = 8 has 28 pairs (p, q), and one ``schur verify`` there builds 23
 SHUFFLE_CACHE_SIZE = 64
@@ -127,38 +119,6 @@ def _inversions(x: int, y: int) -> int:
         count += (x >> low.bit_length()).bit_count()
         y ^= low
     return count
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pair_plan(keys1: tuple, keys2: tuple) -> tuple:
-    """The wedge of a form with keys ``keys1`` and one with keys ``keys2``,
-    both in dict order: one row per key of the first, listing
-    ``(out_key, j, odd)`` for each key j of the second whose dz and dzbar
-    masks are both disjoint from it, in order.  ``odd`` is the parity of
-    the sign that sorts the product into canonical order.
-
-    The parities come from tables over the distinct masks: for each
-    distinct (dz mask, parity of |dzbar mask|) of ``keys1``, ``rows`` lists
-    the keys of ``keys2`` whose dz mask is disjoint from it, in order, with
-    the dz part of the parity; ``dzbar_sign`` holds the dzbar part.
-    """
-    dz2 = {h for h, _ in keys2}
-    dzbar2 = {a for _, a in keys2}
-    dzbar_sign = {a1: {a2: _inversions(a1, a2) & 1 for a2 in dzbar2 if not a1 & a2}
-                  for a1 in {a for _, a in keys1}}
-    rows = {}
-    for h1, odd in {(h, a.bit_count() & 1) for h, a in keys1}:
-        sign = {h2: (_inversions(h1, h2) + odd * h2.bit_count()) & 1
-                for h2 in dz2 if not h1 & h2}
-        rows[h1, odd] = [(h1 | h2, j, a2, sign[h2])
-                         for j, (h2, a2) in enumerate(keys2) if h2 in sign]
-    plan = []
-    for h1, a1 in keys1:
-        a_sign = dzbar_sign[a1]
-        plan.append(tuple(((h, a1 | a2), j, h_sign ^ a_sign[a2])
-                          for h, j, a2, h_sign in rows[h1, a1.bit_count() & 1]
-                          if a2 in a_sign))
-    return tuple(plan)
 
 
 class Form:
@@ -301,28 +261,24 @@ class Form:
         """self ^ other.
 
         Pairs of monomials are visited outer over ``self.terms``, inner over
-        ``other.terms``, each in dict order.  Each product is negated when
-        its sign is odd and added to its key, and a key whose sum is exactly
-        zero is dropped (a later product re-inserts it at the end).  This
-        order is part of the contract (see the module docstring).
-
-        The disjointness tests, signs and output keys come from
-        ``_pair_plan``, keyed by the two key orders ``(tuple(self.terms),
-        tuple(other.terms))`` and kept for the ``PLAN_CACHE_SIZE`` most
-        recently used pairs.  Forms with the same keys in another order get
-        another plan.
+        ``other.terms``, each in dict order; pairs that share a dz or a dzbar
+        index are skipped.  Each product is negated when its sign is odd and
+        added to its key, and a key whose sum is exactly zero is dropped (a
+        later product re-inserts it at the end).  This order is part of the
+        contract (see the module docstring).
         """
         self._check_compatible(other, "wedge")
-        plan = _pair_plan(tuple(self.terms), tuple(other.terms))
-        coeffs = tuple(other.terms.values())
         out: dict = {}
-        get = out.get
-        for c1, row in zip(self.terms.values(), plan):
-            for key, j, odd in row:
-                c = c1 * coeffs[j]
-                if odd:
+        for (h1, a1), c1 in self.terms.items():
+            for (h2, a2), c2 in other.terms.items():
+                if h1 & h2 or a1 & a2:
+                    continue
+                c = c1 * c2
+                if (a1.bit_count() * h2.bit_count() + _inversions(h1, h2)
+                        + _inversions(a1, a2)) & 1:
                     c = -c
-                acc = get(key)
+                key = (h1 | h2, a1 | a2)
+                acc = out.get(key)
                 total = c if acc is None else acc + c
                 if not total:
                     out.pop(key, None)
@@ -367,11 +323,6 @@ class Form:
         if self.mode == FLOAT:
             return self
         return Form._raw(self.n, FLOAT, {k: complex(c) for k, c in self.terms.items()})
-
-    def imag_part_magnitude(self) -> float:
-        """max |coefficient| of (phi - conj(phi)) / 2: how far from real."""
-        diff = self.to_float() - self.conjugate().to_float()
-        return 0.5 * diff.max_coefficient_magnitude()
 
     # ------------------------------------------------------------------
     # serialization (the Form literal)
@@ -585,6 +536,9 @@ class PPForm:
             raise InputError(f"addition of a ({self.p},{self.p})- and a "
                              f"({other.p},{other.p})-form")
         return PPForm(self.n, self.p, self.mode, self.block + other.block)
+
+    def __neg__(self) -> "PPForm":
+        return PPForm(self.n, self.p, self.mode, -self.block)
 
     def scale(self, value) -> "PPForm":
         """Multiply every coefficient by a scalar of this form's mode."""

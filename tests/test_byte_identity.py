@@ -1,14 +1,15 @@
 """Identity oracles for the hot paths and the polynomial core.
 
-``Form.wedge`` (one cached pair plan per pair of key orders) and
+``Form.wedge`` (a double loop over the two term dicts) and
 ``chern.leibniz_det`` (depth-first Leibniz walk) must do the same float
 operations in the same order as the straightforward versions kept below as
 references: the wedge that computes an inversion-count sign for every pair
-of terms, the wedge that rebuilt its sign tables on every call, and the
-determinant that re-wedges every ``itertools.permutations`` product from
-scratch.  Results are compared through ``repr(list(f.terms.items()))``,
-which sees key order, signed zeros and every bit of every coefficient, or
-through ``canonical_repr``, the same with the keys sorted.
+of terms, the wedge that rebuilds its sign tables over the distinct masks on
+every call, and the determinant that re-wedges every
+``itertools.permutations`` product from scratch.  Results are compared
+through ``repr(list(f.terms.items()))``, which sees key order, signed zeros
+and every bit of every coefficient, or through ``canonical_repr``, the same
+with the keys sorted.
 
 The coefficient blocks (``PPForm``) of Chern, Schur and chain-step forms
 sum in another order than those dict wedges, so ``PPForm.wedge``,
@@ -16,8 +17,8 @@ sum in another order than those dict wedges, so ``PPForm.wedge``,
 ``schur.evaluate_on_forms`` and the sampled pairing d^T H conj(d) are
 compared with the dict references below, and with exact
 ``forms.evaluate``: equal in exact mode, and within ``FLOAT_RTOL`` of the
-scale in float mode.  A sampled op wedges no ``Form`` and builds no pair
-plan.
+scale in float mode.  A sampled op and a ``curvature build`` on an
+``omega`` literal wedge no ``Form``.
 
 ``polynomials.Polynomial`` must build every Schur, chain-step and Todd
 polynomial with the same terms in the same order as the two classes it
@@ -27,10 +28,11 @@ polynomial (whose constructor dropped zero sums) with its inline
 (whose constructor made every coefficient a Fraction).  The term order
 matters because ``evaluate_on_forms`` sums float forms in that order.
 
-``chern.chern_forms`` on a curvature matrix (one depth-first walk
-over the row subsets, sharing prefix wedges between minors) must give the
-same c_i, bit for bit, as the loop that expands every principal minor on
-its own, kept below, with fewer ``Form.wedge`` calls.
+``chern.chern_forms`` on a curvature matrix (one depth-first walk over the
+row subsets on (1,1)-blocks, sharing prefix wedges between minors) must give
+the c_i of the dict loop that expands every principal minor on its own, kept
+below: equal in exact mode and within ``FLOAT_RTOL`` in float mode, with
+fewer wedges.
 
 ``GaussianRational`` (three normalised ints) must agree with the
 Fraction-pair class it replaced, kept below as a reference, in every part,
@@ -337,8 +339,8 @@ class TestWedgeIdentity:
 
 
 def assert_planned(x: Form, y: Form) -> Form:
-    """x ^ y through the plan, equal in terms, key order and signed zeros
-    to both reference wedges."""
+    """x ^ y, equal in terms, key order and signed zeros to both reference
+    wedges."""
     got = x.wedge(y)
     assert exact_repr(got) == exact_repr(ref_table_wedge(x, y)) == exact_repr(ref_wedge(x, y))
     return got
@@ -382,8 +384,8 @@ def block_pairs(draw, mode: str):
 
 
 class TestPlannedWedge:
-    """``Form.wedge`` reads its keys and signs from a cached pair plan; it
-    must match the per-call tables and the per-pair signs it replaced."""
+    """``Form.wedge``, one double loop over the two term dicts, must match
+    the per-call sign tables and the per-pair signs."""
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     @settings(deadline=None, max_examples=150)
@@ -408,21 +410,6 @@ class TestPlannedWedge:
         assert got.terms[0b011, 0] == 1
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
-    def test_one_key_set_in_two_orders_gets_two_plans(self, mode):
-        rng = np.random.default_rng(5)
-        x = random_form(rng, 3, mode, 8, bidegree=(1, 1))
-        y = random_form(rng, 3, mode, 8, bidegree=(1, 0))
-        x_rev = Form(3, mode, dict(reversed(x.terms.items())))
-        y_rev = Form(3, mode, dict(reversed(y.terms.items())))
-        assert x_rev == x and list(x_rev.terms) != list(x.terms)
-        forms._pair_plan.cache_clear()
-        results = [assert_planned(a, b) for a, b in ((x, y), (x_rev, y), (x, y_rev),
-                                                     (x_rev, y_rev), (x, y), (x_rev, y))]
-        info = forms._pair_plan.cache_info()
-        assert (info.misses, info.hits) == (4, 2)
-        assert len({tuple(r.terms) for r in results[:4]}) == 4
-
-    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     def test_zero_and_constant_forms(self, mode):
         rng = np.random.default_rng(8)
         for n in (0, 1, 3):
@@ -433,15 +420,25 @@ class TestPlannedWedge:
             for x, y in itertools.product(operands, repeat=2):
                 assert_planned(x, y)
 
-    def test_sampled_ops_build_no_pair_plan(self):
+    def test_sampled_ops_and_omega_builds_wedge_no_form(self, monkeypatch, tmp_path):
         # the Chern, Schur and chain-step forms of a tensor instance are
-        # blocks: no op of either sampled command wedges a Form
-        forms._pair_plan.cache_clear()
-        for argv in (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "0"],
-                     ["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert run(argv) == 0
-        assert forms._pair_plan.cache_info().currsize == 0
+        # blocks, and the Leibniz walk of an omega literal wedges (1,1)-blocks:
+        # no op of the sampled commands or of such a build wedges a Form
+        ops = [["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "0"],
+               ["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"]]
+        for mode, omega in ((FLOAT, _omega(4, 3, 2)),
+                            (EXACT, bott_chern_curvature(random_exact_factor(4, 3, 3, seed=2)))):
+            path = tmp_path / f"omega-{mode}.json"
+            path.write_text(json.dumps(omega_literal(omega)), encoding="utf-8")
+            ops.append(["curvature", "build", "--mode", mode, "--instance", str(path)])
+
+        def run_ops():
+            for argv in ops:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run(argv) == 0
+
+        _, blocks, dicts = count_products(monkeypatch, run_ops)
+        assert blocks > 0 and dicts == 0
 
 
 class TestBlockWedge:
@@ -465,6 +462,11 @@ class TestBlockWedge:
 
 def _omega(n, r, seed):
     return bott_chern_curvature(random_tensor(n, r, None, seed))
+
+
+def omega_literal(omega: CurvatureMatrix) -> dict:
+    """An instance file's ``omega`` field holding the entries of ``omega``."""
+    return {"omega": [[f.to_literal() for f in row] for row in omega.entries]}
 
 
 class TestDeterminantIdentity:
@@ -528,20 +530,6 @@ def _sparse_omega(rng, n: int, r: int, mode: str) -> CurvatureMatrix:
               for _ in range(r)) for _ in range(r)))
 
 
-def count_wedges(monkeypatch, build) -> tuple:
-    calls = [0]
-    wedge = Form.wedge
-
-    def counting(self, other):
-        calls[0] += 1
-        return wedge(self, other)
-
-    monkeypatch.setattr(Form, "wedge", counting)
-    result = build()
-    monkeypatch.setattr(Form, "wedge", wedge)
-    return result, calls[0]
-
-
 def assert_reads_its_factor(monkeypatch, tensor):
     """A float tensor gives the Gram route what its built factor holds, bit
     for bit: T read off ``factor_from_tensor(tensor)``, and so the forms the
@@ -556,17 +544,27 @@ def assert_reads_its_factor(monkeypatch, tensor):
         [exact_repr(f) for f in built.forms]
 
 
+def assert_same_chern_forms(got: ChernFormSet, want: list):
+    """The walk's blocks against the dict loop's c_i, degree by degree: each
+    c_i an (i,i)-block, ``==`` in exact mode and within ``FLOAT_RTOL`` in
+    float mode (``assert_same_form``)."""
+    assert len(got.forms) == len(want)
+    for i, (block, form) in enumerate(zip(got.forms, want)):
+        assert block.p == i
+        assert_same_form(block, form)
+
+
 class TestChernFormsIdentity:
     # a curvature matrix takes the Leibniz walk, a tensor the Gram route;
-    # the walk's minor sums are read into blocks, which list their keys in
-    # block order, so the walk is compared key by key
+    # the walk wedges (1,1)-blocks, which sum each product in another order
+    # than the dict wedge, so float forms agree to rounding; blocks list
+    # their keys in block order, so exact forms are compared key by key
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
                                           (1, 3, 3), (3, 1, 4)])
     def test_float_curvatures(self, n, r, seed):
         omega = _omega(n, r, seed)
-        assert [canonical_repr(f) for f in chern_forms(omega).forms] == \
-            [canonical_repr(f) for f in parent_chern_forms(omega)]
+        assert_same_chern_forms(chern_forms(omega), parent_chern_forms(omega))
 
     @pytest.mark.parametrize("n,r,seed", [(3, 3, 4), (2, 4, 5), (3, 4, 6)])
     def test_exact_curvatures(self, n, r, seed):
@@ -580,8 +578,7 @@ class TestChernFormsIdentity:
         rng = np.random.default_rng(200 + seed)
         for n, r in ((2, 4), (3, 4), (3, 5), (4, 3)):
             omega = _sparse_omega(rng, n, r, mode)
-            assert [canonical_repr(f) for f in chern_forms(omega).forms] == \
-                [canonical_repr(f) for f in parent_chern_forms(omega)]
+            assert_same_chern_forms(chern_forms(omega), parent_chern_forms(omega))
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (1, 3, 3),
                                           (3, 1, 4)])
@@ -603,11 +600,14 @@ class TestChernFormsIdentity:
 
     @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 355), (5, 3, 30, 22)])
     def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):
+        # the dict loop makes ``before`` Form wedges, the walk ``after``
+        # block wedges and no Form wedge
         omega = _omega(n, r, 1)
-        ref, ref_calls = count_wedges(monkeypatch, lambda: parent_chern_forms(omega))
-        got, calls = count_wedges(monkeypatch, lambda: chern_forms(omega))
-        assert (ref_calls, calls) == (before, after)
-        assert [canonical_repr(f) for f in got.forms] == [canonical_repr(f) for f in ref]
+        ref, ref_blocks, ref_dicts = count_products(monkeypatch, lambda: parent_chern_forms(omega))
+        got, blocks, dicts = count_products(monkeypatch, lambda: chern_forms(omega))
+        assert (ref_blocks, ref_dicts) == (0, before)
+        assert (blocks, dicts) == (after, 0)
+        assert_same_chern_forms(got, ref)
 
 
 def parent_chern_product(cs, parts) -> Form:
@@ -1482,6 +1482,41 @@ def float_cli_ops(workdir) -> list[list[str]]:
 
 def test_float_cli_reports_match_pinned_digest(tmp_path):
     assert cli_digest(float_cli_ops(str(tmp_path))) == FLOAT_CLI_DIGEST
+
+
+def curvature_build(path) -> dict:
+    """The JSON report of ``curvature build`` on the instance at ``path``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["curvature", "build", "--instance", str(path)]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
+    # no op of float_cli_ops runs the float Leibniz walk: each of its
+    # tensors, written as the omega literal of its curvature, must build the
+    # same omega, and Chern forms and top values that the Gram route gives
+    # to rounding; top values are scaled like coefficients, by max(1, |top|),
+    # because a c_lambda that vanishes (r = 1, n >= 2) rounds to about 1e-18
+    # on either route
+    tensor_path, omega_path = tmp_path / "tensor.json", tmp_path / "omega.json"
+    for r in range(1, 5):
+        for seed in (0, 1):
+            tensor = random_tensor(n, r, None, seed)
+            tensor_path.write_text(json.dumps(tensor.to_json()), encoding="utf-8")
+            omega_path.write_text(json.dumps(omega_literal(bott_chern_curvature(tensor))),
+                                  encoding="utf-8")
+            want, got = curvature_build(tensor_path), curvature_build(omega_path)
+            assert json.dumps(got["omega"]) == json.dumps(want["omega"])
+            assert [c["i"] for c in got["chern"]] == [c["i"] for c in want["chern"]]
+            for g, w in zip(got["chern"], want["chern"]):
+                assert Form.from_literal(g["form"]).allclose(Form.from_literal(w["form"]),
+                                                             FLOAT_RTOL)
+            assert [t["partition"] for t in got["top"]] == [t["partition"] for t in want["top"]]
+            for g, w in zip(got["top"], want["top"]):
+                assert abs(g["top"] - w["top"]) <= \
+                    FLOAT_RTOL * max(1.0, abs(g["top"]), abs(w["top"]))
 
 
 #: sha256 over the stdout and exit code of every op of

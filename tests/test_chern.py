@@ -88,11 +88,32 @@ class TestChernForms:
         assert cs.residual_prefactor_power(2) == 2
 
     def test_float_mode_reality(self):
+        # the conjugate form's block is (-1)^p H^*: Im is half the difference
         t = random_tensor(3, 3, 2, seed=12)
         cs = chern_forms(t)
         for i in range(1, cs.top_degree + 1):
-            f = cs.form(i).to_form()
-            assert f.imag_part_magnitude() <= 1e-12 * max(1.0, f.max_coefficient_magnitude())
+            f = cs.form(i)
+            imag = 0.5 * np.abs(f.block - (-1) ** f.p * f.block.conj().T).max()
+            assert imag <= 1e-12 * max(1.0, np.abs(f.block).max())
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_walk_gives_each_degree_its_block(self, mode):
+        # a vanishing minor sum is still the (i,i) zero block: all-zero
+        # entries, n = 1 < r with a traceless diagonal (c_1 = 0) or full
+        # entries, and n = 0, where only c_0 is left
+        def matrix(n, coeffs):
+            return CurvatureMatrix(tuple(
+                tuple(Form.monomial(n, [1], [1], c, mode) if c else Form.zero(n, mode)
+                      for c in row) for row in coeffs))
+
+        zeros = matrix(3, [[0] * 4] * 4)
+        traceless = matrix(1, [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+        full = matrix(1, [[1, 2], [3, 4]])
+        empty = CurvatureMatrix(((Form.zero(0, mode),),))
+        for omega, vanish in ((zeros, [1, 2, 3]), (traceless, [1]), (full, []), (empty, [])):
+            cs = chern_forms(omega)
+            assert [f.p for f in cs.forms] == list(range(min(omega.r, omega.n) + 1))
+            assert [i for i, f in enumerate(cs.forms) if f.is_zero()] == vanish
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

@@ -252,6 +252,16 @@ class TestCurvatureBuild:
         assert payload["witnessed"] is False
         assert "instance" not in payload
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_omega_on_a_point(self, capsys, tmp_path, mode):
+        # n = 0: only c_0 = 1, and the empty partition's top value is 1
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps({"omega": [[{"n": 0, "terms": []}]]}))
+        payload = invoke_json(capsys, "curvature", "build", "--mode", mode,
+                              "--instance", str(path))
+        assert [c["i"] for c in payload["chern"]] == [0]
+        assert [(row["partition"], row["top"]) for row in payload["top"]] == [([], 1)]
+
     def test_exact_mode_rejects_tensor(self, capsys, tensor_file):
         path, _ = tensor_file
         code, _, err = invoke(capsys, "curvature", "build", "--instance", path,
