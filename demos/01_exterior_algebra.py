@@ -45,3 +45,6 @@ bad = nonnegative_sampled(phi.scale(-1), trials=50, seed=0)
 print(f"negated:         min over 50 samples = {bad.min_value:.4g} -> "
       f"{'PASS' if bad.passed else 'FAIL'}")
 print(f"witness vectors recorded in the report: {bad.witness is not None}")
+# a PASS names its argmin tuple by index; the seed's batch regenerates it
+print(f"passing check: argmin = tuple {good.argmin} of the batch, "
+      f"witness printed: {good.witness is not None}, margin = {good.margin:.3g}")

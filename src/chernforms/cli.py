@@ -205,8 +205,8 @@ def _check_sampling_flags(args):
     """The checks on the two sampling flags, before any input is read."""
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
-    if args.tol < 0:
-        raise InputError("--tol must be nonnegative")
+    if args.tol <= 0:
+        raise InputError("--tol must be positive")
     if not math.isfinite(args.tol):
         raise InputError("--tol must be finite")
 
@@ -243,7 +243,7 @@ def _handle_bounds_chain(args):
         all_pass = all_pass and rep.passed
     inst = tensor.to_json()
     payload = {
-        "schema": 1,
+        "schema": 2,
         "kind": "bounds-chains",
         "instance": inst,
         "instance_hash": instance_digest(inst),

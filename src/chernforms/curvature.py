@@ -207,19 +207,39 @@ def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
 
 def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
     """Omega = A ^ conj(A^t) for the factor A of ``tensor``: entry (i, j) is
-    sum_k A_ik ^ conj(A_jk), summed in k order, with each conj(A_jk) taken
-    once for all rows i."""
-    a = factor_from_tensor(tensor)
-    a_bar = [[f.conjugate() for f in row] for row in a]
-    zero = Form.zero(tensor.n, tensor.mode)
+    sum_k A_ik ^ conj(A_jk), summed in k order.
+
+    Each term a_p conj(b_q) dz^p ^ dzbar^q of A_ik ^ conj(A_jk) has sign +1,
+    so the terms are written straight from the coefficients of A, in the
+    order and with the rules of ``Form.wedge`` and ``Form.__add__``: k, then
+    p, then q; an exactly zero product is skipped, and a key whose sum is
+    exactly zero is dropped, a later term re-inserting it at the end.
+    """
+    # A_ik = sum_p a_p dz^p as (dz mask, a_p) pairs, and conj(A_jk) =
+    # sum_q conj(b_q) dzbar^q as (dzbar mask, conj(b_q)), taken once for all i
+    a = [[[(h, c) for (h, _), c in f.terms.items()] for f in row]
+         for row in factor_from_tensor(tensor)]
+    a_bar = [[[(g, c.conjugate()) for g, c in terms] for terms in row] for row in a]
+    n, mode = tensor.n, tensor.mode
     out = []
-    for i in range(tensor.r):
+    for left in a:
         row = []
-        for j in range(tensor.r):
-            total = zero
-            for k in range(tensor.m):
-                total = total + a[i][k].wedge(a_bar[j][k])
-            row.append(total)
+        for right in a_bar:
+            terms: dict = {}
+            for a_k, b_k in zip(left, right):
+                for h, c1 in a_k:
+                    for g, c2 in b_k:
+                        c = c1 * c2
+                        if not c:
+                            continue
+                        key = (h, g)
+                        acc = terms.get(key)
+                        total = c if acc is None else acc + c
+                        if not total:
+                            del terms[key]
+                        else:
+                            terms[key] = total
+            row.append(Form._raw(n, mode, terms))
         out.append(tuple(row))
     return CurvatureMatrix(tuple(out))
 

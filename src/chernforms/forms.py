@@ -20,7 +20,8 @@ C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
 dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Chern, Schur
 and chain-step forms compute as blocks, the Leibniz walk over the entries
 of a curvature matrix included; ``Form`` is the type of literals, and
-``Form.wedge`` builds ``bott_chern_curvature``.  The wedge of a (p,p)- and
+``Form.wedge`` multiplies literals (``bott_chern_curvature`` writes its
+terms in the same order, without it).  The wedge of a (p,p)- and
 a (q,q)-block is
 
     (F ^ G)[I u J, K u L] = (-1)^(pq) eps(I, J) eps(K, L) F[I, K] G[J, L],
@@ -653,7 +654,17 @@ def _pairing(form: PPForm, samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """Outcome of a sampled pointwise-nonnegativity check."""
+    """Outcome of a sampled pointwise-nonnegativity check (report schema 2).
+
+    ``method`` names what decided it: ``"sampled"``, or ``"exact-zero"`` for
+    a form that is exactly zero and so was not sampled.  ``argmin`` is the
+    index of the minimizing tuple in the batch that ``seed`` draws (None
+    when nothing was sampled); the tuple itself, as [[{re, im}, ...], ...],
+    is the ``witness`` of a failed check only, since
+    ``complex_normal(substream(seed, 0), (trials, degree, n))[argmin]``
+    regenerates it bit for bit.  ``margin`` is min_value / (tol * scale):
+    below -1 is a FAIL.
+    """
 
     passed: bool
     min_value: float
@@ -662,18 +673,27 @@ class VerdictReport:
     tol: float
     scale: float
     degree: int
-    witness: Optional[list] = None          # argmin tuple, [[{re,im}, ...], ...]
+    witness: Optional[list] = None          # argmin tuple of a FAIL, [[{re,im}, ...], ...]
     max_imag: float = 0.0                   # largest |Im| seen across samples
+    argmin: Optional[int] = None            # index of the argmin tuple in the batch
+    method: str = "sampled"
+
+    @property
+    def margin(self) -> float:
+        return self.min_value / (self.tol * self.scale)
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
+            "method": self.method,
             "min_value": self.min_value,
+            "margin": self.margin,
             "trials": self.trials,
             "seed": self.seed,
             "tol": self.tol,
             "scale": self.scale,
             "degree": self.degree,
+            "argmin": self.argmin,
             "witness": self.witness,
             "max_imag": self.max_imag,
         }
@@ -686,18 +706,20 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
     Draws ``trials`` p-tuples of standard complex normal tangent vectors from
     the Philox stream keyed by ``seed`` and evaluates the form on each.  The
     check passes iff the minimum value is >= -tol * scale, where scale is
-    max(1, largest coefficient magnitude).  The argmin tuple is reported as a
-    witness either way.  A NaN, infinite or negative ``tol`` is rejected, and
-    so is a form that is not (p,p) or not real within tol * scale.  A
-    ``Form`` is converted to its block first.
+    max(1, largest coefficient magnitude).  The report names the argmin
+    tuple by its index in the batch; a failed check also carries the tuple
+    as its witness.  An exactly zero form passes with method
+    ``"exact-zero"``, unsampled.  A ``tol`` that is not finite and positive
+    is rejected, and so is a form that is not (p,p) or not real within
+    tol * scale.  A ``Form`` is converted to its block first.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if not 0 <= tol < np.inf:
-        raise InputError(f"tol must be a finite nonnegative number, got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be a finite positive number, got {tol!r}")
     if form.is_zero():
         return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
-                             tol=tol, scale=1.0, degree=0)
+                             tol=tol, scale=1.0, degree=0, method="exact-zero")
     if isinstance(form, Form):
         form = PPForm.from_form(form)
     f = form.to_float()
@@ -717,14 +739,16 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
     arg = int(np.argmin(reals))
     min_value = float(reals[arg])
     max_imag = float(np.max(np.abs(vals.imag)))
+    passed = bool(min_value >= -tol * scale)
     return VerdictReport(
-        passed=bool(min_value >= -tol * scale),
+        passed=passed,
         min_value=min_value,
         trials=trials,
         seed=seed,
         tol=tol,
         scale=scale,
         degree=p,
-        witness=[[scalar_json(z) for z in vec] for vec in samples[arg]],
+        argmin=arg,
+        witness=None if passed else [[scalar_json(z) for z in vec] for vec in samples[arg]],
         max_imag=max_imag,
     )

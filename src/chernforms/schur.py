@@ -202,7 +202,7 @@ class SchurReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "schur-nonnegativity",
             "instance": self.instance,
             "instance_hash": self.instance_hash,
@@ -281,7 +281,7 @@ class ChainReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "kind": "bounds-chain",
             "partition": list(self.partition),
             "weight": self.weight,

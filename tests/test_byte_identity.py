@@ -41,7 +41,9 @@ the fold over ``Form.__add__`` it replaced.  Fixed sets of exact-mode and
 float-mode CLI ops, and the float ops at the benchmark's shapes, are pinned
 by the sha256 of their output, and
 ``cli.report_json`` must write what ``json.dumps(sort_keys=True,
-indent=2)`` writes.
+indent=2)`` writes.  Seen through ``schema1_view``, which turns a schema-2
+sampled report back into schema 1 by regenerating each passing witness
+from its ``argmin``, the float sets keep their schema-1 digests.
 """
 
 import contextlib
@@ -84,8 +86,9 @@ from chernforms import chern, forms
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
-from chernforms.scalars import GaussianRational, parse_scalar
-from chernforms.schur import chain_step_polynomials, verify_schur_nonnegativity
+from chernforms.rng import complex_normal, substream
+from chernforms.scalars import GaussianRational, parse_scalar, scalar_json
+from chernforms.schur import Partition, chain_step_polynomials, verify_schur_nonnegativity
 
 from conftest import factor_tensor, form_matrix_det, schur_and_chain_polynomials
 
@@ -1458,8 +1461,15 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: verdict or top value moved), and again when products of Chern forms and
 #: the sampled evaluation came to run on coefficient blocks and each Gram
 #: block came to be accumulated by matrix products, which sums all three in
-#: another order (no exit code or check verdict moved)
-FLOAT_CLI_DIGEST = "0f7d65f2c6f040c4af614caa7751d704afd09bdd2d736fe5ef02e687f60f693f"
+#: another order (no exit code or check verdict moved), and again when the
+#: sampled reports went to schema 2 (``argmin``, ``method`` and ``margin``
+#: added, the witness printed on a FAIL only); ``FLOAT_CLI_SCHEMA1_DIGEST``
+#: shows every other byte unmoved
+FLOAT_CLI_DIGEST = "33a6f2d84a5e068d41319a1f3e38b8bf1fa9f7804b1edb333f5015c3a2a505cf"
+
+#: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
+#: of the schema-1 reports, before and after schema 2
+FLOAT_CLI_SCHEMA1_DIGEST = "0f7d65f2c6f040c4af614caa7751d704afd09bdd2d736fe5ef02e687f60f693f"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -1482,6 +1492,92 @@ def float_cli_ops(workdir) -> list[list[str]]:
 
 def test_float_cli_reports_match_pinned_digest(tmp_path):
     assert cli_digest(float_cli_ops(str(tmp_path))) == FLOAT_CLI_DIGEST
+
+
+def sampled_reports(payload: dict) -> list:
+    """Every sampled report of a ``schur verify`` or ``bounds chain`` payload:
+    the checks, then the chain steps chain by chain."""
+    reports = [c["report"] for c in payload.get("checks", ())]
+    for chain in payload.get("chains", ()):
+        reports += [step["report"] for step in chain["steps"]]
+    return reports
+
+
+def schema1_view(out: str) -> str:
+    """A report as the schema-1 writer printed it: ``argmin``, ``method`` and
+    ``margin`` popped from every sampled report, the witness of each PASS
+    regenerated from (seed, trials, degree, instance n, argmin), and the
+    ``schema`` of the sampled kinds set back to 1.  Text output and the
+    other kinds pass through as printed."""
+    if not out.startswith("{"):
+        return out
+    payload = json.loads(out)
+    assert report_json(payload) + "\n" == out
+    if payload["kind"] not in ("schur-nonnegativity", "bounds-chains"):
+        assert payload["schema"] == 1
+        return out
+    assert payload["schema"] == 2
+    payload["schema"] = 1
+    for chain in payload.get("chains", ()):
+        assert chain["schema"] == 2
+        chain["schema"] = 1
+    n = payload["instance"]["n"]
+    for rep in sampled_reports(payload):
+        argmin, method, margin = rep.pop("argmin"), rep.pop("method"), rep.pop("margin")
+        assert margin == rep["min_value"] / (rep["tol"] * rep["scale"])
+        if argmin is None:
+            assert method == "exact-zero" and rep["passed"] and rep["witness"] is None
+            continue
+        assert method == "sampled"
+        batch = complex_normal(substream(rep["seed"], 0), (rep["trials"], rep["degree"], n))
+        witness = [[scalar_json(z) for z in vec] for vec in batch[argmin]]
+        if rep["passed"]:
+            assert rep["witness"] is None
+            rep["witness"] = witness
+        else:
+            assert rep["witness"] == witness
+    return report_json(payload) + "\n"
+
+
+def test_float_cli_schema1_view_is_unchanged(tmp_path):
+    # every byte but the schema-2 fields, with the witness of each PASS
+    # regenerated from its argmin, as at the digest before schema 2
+    assert cli_digest(float_cli_ops(str(tmp_path)), schema1_view) == FLOAT_CLI_SCHEMA1_DIGEST
+
+
+def test_argmin_indexes_the_minimum_of_the_redrawn_batch(tmp_path):
+    # a PASS report carries no tuple: redrawing the batch of its seed and
+    # evaluating its form there must give min_value at entry argmin, bit for
+    # bit; the whole batch is evaluated, as the check does, since one tuple
+    # on its own may round differently
+    seen = 0
+    for argv in float_cli_ops(str(tmp_path)):
+        if argv[0] == "curvature" or "--output" in argv:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        payload = json.loads(out.getvalue())
+        tensor = CurvatureTensor.from_json(payload["instance"])
+        cs = chern_forms(tensor)
+        polys = [schur_polynomial(c["partition"], tensor.r) for c in payload.get("checks", ())]
+        for chain in payload.get("chains", ()):
+            polys += [poly for _, poly in
+                      chain_step_polynomials(Partition(tuple(chain["partition"])), tensor.r)]
+        reports = sampled_reports(payload)
+        assert len(polys) == len(reports)
+        for poly, rep in zip(polys, reports):
+            if rep["argmin"] is None:
+                continue
+            assert rep["passed"] and rep["witness"] is None
+            form = evaluate_on_forms(poly, cs.to_numeric()).to_float()
+            batch = complex_normal(substream(rep["seed"], 0),
+                                   (rep["trials"], rep["degree"], tensor.n))
+            values = forms._pairing(form, batch).real
+            assert values[rep["argmin"]].tobytes() == np.float64(rep["min_value"]).tobytes()
+            assert int(np.argmin(values)) == rep["argmin"]
+            seen += 1
+    assert seen > 0
 
 
 def curvature_build(path) -> dict:
@@ -1527,8 +1623,15 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
 #: sampled false FAIL and now PASSes, and no other verdict moved; moved
 #: again when products of Chern forms and the sampled evaluation came to run
 #: on coefficient blocks and Gram blocks came to be accumulated by matrix
-#: products, in another float order (no exit code or check verdict moved)
-BENCHMARK_SHAPE_CLI_DIGEST = "4386a60be97a4c55e1f3f91c4472f695d0072137904d06d23607f90037bda08e"
+#: products, in another float order (no exit code or check verdict moved);
+#: moved again when the sampled reports went to schema 2, and
+#: ``BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST`` shows every other byte unmoved
+BENCHMARK_SHAPE_CLI_DIGEST = "058fc0bb3e094642ebe1534b37181bcae132f56bf324aa274646119aea1d6f03"
+
+#: ``cli_digest(benchmark_shape_cli_ops(), schema1_view)``: the
+#: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports
+BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST = \
+    "4386a60be97a4c55e1f3f91c4472f695d0072137904d06d23607f90037bda08e"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:
@@ -1547,6 +1650,11 @@ def benchmark_shape_cli_ops() -> list[list[str]]:
 
 def test_benchmark_shape_cli_reports_match_pinned_digest():
     assert cli_digest(benchmark_shape_cli_ops()) == BENCHMARK_SHAPE_CLI_DIGEST
+
+
+def test_benchmark_shape_cli_schema1_view_is_unchanged():
+    assert cli_digest(benchmark_shape_cli_ops(), schema1_view) == \
+        BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST
 
 
 @pytest.mark.parametrize("name", ["schur-table", "models"])

@@ -362,12 +362,13 @@ class TestSchurCommands:
         assert code == 2 and err == "error: --trials must be >= 1\n"
         code, _, err = invoke(capsys, "schur", "verify", "--instance", path,
                               "--tol=-1e-9")
-        assert code == 2 and err == "error: --tol must be nonnegative\n"
+        assert code == 2 and err == "error: --tol must be positive\n"
 
     @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
     @pytest.mark.parametrize("flag,message", [
         ("--trials=0", "error: --trials must be >= 1\n"),
-        ("--tol=-1e-9", "error: --tol must be nonnegative\n"),
+        ("--tol=-1e-9", "error: --tol must be positive\n"),
+        ("--tol=0", "error: --tol must be positive\n"),
     ])
     def test_sampling_flags_are_checked_before_the_instance(self, capsys, command, flag,
                                                             message):
@@ -379,13 +380,23 @@ class TestSchurCommands:
     @pytest.mark.parametrize("tol,message", [
         ("nan", "error: --tol must be finite\n"),
         ("inf", "error: --tol must be finite\n"),
-        ("-inf", "error: --tol must be nonnegative\n"),
+        ("-inf", "error: --tol must be positive\n"),
     ], ids=["nan", "inf", "-inf"])
     def test_non_finite_tol_is_rejected(self, capsys, command, tol, message):
         # with --tol nan every check would FAIL, with --tol inf every one PASS
         code, out, err = invoke(capsys, *command, "--random", "--n", "2", "--r", "2",
                                 "--seed", "1", "--trials", "5", f"--tol={tol}")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    @pytest.mark.parametrize("tol", ["0", "-0.0"])
+    def test_zero_tol_is_rejected(self, capsys, command, tol):
+        # with tol 0, roundoff in the imaginary part of a real form was
+        # reported as "form is not real", and margin min_value / (tol * scale)
+        # has no value
+        code, out, err = invoke(capsys, *command, "--random", "--n", "2", "--r", "2",
+                                "--seed", "1", "--trials", "5", f"--tol={tol}")
+        assert (code, out, err) == (2, "", "error: --tol must be positive\n")
 
 
 class TestBoundsChain:

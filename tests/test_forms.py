@@ -19,6 +19,7 @@ from chernforms import (
     EXACT,
     FLOAT,
     Form,
+    PPForm,
     conjugate,
     evaluate,
     nonnegative_sampled,
@@ -26,7 +27,8 @@ from chernforms import (
 )
 from chernforms.errors import InputError
 from chernforms.forms import DEFAULT_TOL, MAX_DIM
-from chernforms.scalars import GaussianRational
+from chernforms.rng import complex_normal, substream
+from chernforms.scalars import GaussianRational, scalar_json
 
 DZ, DZBAR = 0, 1
 
@@ -444,6 +446,31 @@ class TestNonnegativeSampled:
         # witness reproduces the reported minimum
         vec = [complex(c["re"], c["im"]) for c in rep.witness[0]]
         assert evaluate(omega, [vec]).real == pytest.approx(rep.min_value)
+        # and it is the argmin tuple of the seed's batch
+        batch = complex_normal(substream(3, 0), (40, 1, 1))
+        assert rep.witness == [[scalar_json(z) for z in batch[rep.argmin][0]]]
+        assert rep.method == "sampled" and rep.margin < -1
+
+    def test_pass_names_its_argmin_without_a_witness(self):
+        omega = Form.monomial(2, [1], [1], 1j) + Form.monomial(2, [2], [2], 3j)
+        rep = nonnegative_sampled(omega, trials=25, seed=11)
+        assert rep.passed and rep.witness is None and rep.method == "sampled"
+        assert rep.margin == rep.min_value / (rep.tol * rep.scale) > 0
+        # the argmin tuple is regenerated from (seed, trials, degree, n)
+        batch = complex_normal(substream(11, 0), (25, 1, 2))
+        values = [evaluate(omega, vecs).real for vecs in batch]
+        assert rep.argmin == int(np.argmin(values))
+        assert values[rep.argmin] == pytest.approx(rep.min_value, rel=1e-12)
+        d = rep.to_dict()
+        assert (d["argmin"], d["witness"], d["method"], d["margin"]) == \
+            (rep.argmin, None, "sampled", rep.margin)
+
+    def test_zero_form_is_decided_exactly(self):
+        for form in (Form.zero(2), PPForm.zero(3, 2)):
+            rep = nonnegative_sampled(form, trials=5, seed=1)
+            assert (rep.passed, rep.method, rep.argmin, rep.witness) == \
+                (True, "exact-zero", None, None)
+            assert (rep.min_value, rep.scale, rep.degree, rep.margin) == (0.0, 1.0, 0, 0.0)
 
     def test_non_real_form_rejected(self):
         with pytest.raises(InputError, match="[Ii]mag"):
@@ -465,11 +492,13 @@ class TestNonnegativeSampled:
         with pytest.raises(InputError):
             nonnegative_sampled(Form.zero(1), trials=0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, 0.0, -0.0])
     def test_tol_validation(self, tol):
-        # a NaN tol fails every check and an infinite one passes every check
+        # a NaN tol fails every check and an infinite one passes every check;
+        # a zero tol reads roundoff as a non-real form and leaves the margin
+        # min_value / (tol * scale) undefined
         for form in (Form.zero(1), Form.monomial(1, [1], [1], 1j)):
-            with pytest.raises(InputError, match="tol must be a finite nonnegative number"):
+            with pytest.raises(InputError, match="tol must be a finite positive number"):
                 nonnegative_sampled(form, trials=5, tol=tol)
 
     def test_tolerance_is_relative_to_scale(self):
