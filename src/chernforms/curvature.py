@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import ConsistencyError, InputError
-from .forms import Form
+from .forms import MAX_DIM, Form
 from .rng import complex_normal, substream
 from .scalars import EXACT, FLOAT, I_EXACT, GaussianRational, check_same_mode, coerce, \
     parse_scalar, scalar_json
@@ -93,7 +93,7 @@ class CurvatureMatrix:
 
 class CurvatureTensor:
     """Tensor T[p][i][k] of a factor A_ik = sum_p T[p][i][k] dz^p, stored as
-    an (n, r, m) array with n, r, m >= 1.
+    an (n, r, m) array with n, r, m >= 1 and n <= ``MAX_DIM``.
 
     An object array is exact mode: its entries are coerced to
     ``GaussianRational`` (int and Fraction are, float and complex are
@@ -113,6 +113,9 @@ class CurvatureTensor:
             raise InputError("curvature tensor must be indexed [p][i][k]")
         if 0 in arr.shape:
             raise InputError("curvature tensor needs n, r and m >= 1")
+        if arr.shape[0] > MAX_DIM:
+            raise InputError(f"curvature tensor has n = {arr.shape[0]} directions; "
+                             f"the base dimension is at most {MAX_DIM}")
         if arr.dtype == object:
             arr = np.frompyfunc(lambda z: coerce(z, EXACT), 1, 1)(arr)
         else:

@@ -50,7 +50,11 @@ standard volume normalization holds:
     evaluate(prod_j sqrt(-1) dz^j ^ dzbar^j, (e_1, ..., e_n)) = 1.
 
 On a block this is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p
-minors d_J = det(X_b^{j_a}) over every p-subset J.
+minors d_J = det(X_b^{j_a}) over every p-subset J.  ``_minors`` computes d
+in one row-by-row Laplace pass, in either scalar mode: the minors of rows
+0..k come from those of rows 0..k-1 by expanding along row k, with index
+tables cached per (n, k).  A float tuple with p = n has the one minor
+``np.linalg.det`` gives.
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.
@@ -66,7 +70,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _linalg
 from .errors import InputError
 from .rng import complex_normal, substream
 from .scalars import (
@@ -611,39 +614,76 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
     if p != q:
         raise InputError(f"evaluation requires a (p,p)-form, got ({p},{q})")
     vecs = _coerce_vectors(vectors, p, form.n, form.mode)
-
+    if p == 0:
+        return form.terms[(0, 0)]
     if form.mode == FLOAT:
         arr = np.array(vecs, dtype=complex).reshape(1, p, form.n)
         return complex(_pairing(PPForm.from_form(form), arr)[0])
 
-    needed = {h for (h, _) in form.terms} | {a for (_, a) in form.terms}
-    dets = {mask: _linalg.det([[v[i - 1] for v in vecs] for i in _mask_to_indices(mask)])
-            for mask in needed}
+    # sum over the form's terms, not its C(n,p)^2 block: a literal may have
+    # few terms, and exact block products cost a scalar product per entry
+    minors = _minors(np.array(vecs, dtype=object).reshape(1, p, form.n))[0]
+    minor = dict(zip(_masks(form.n, p), minors))
     total = GaussianRational(0)
     for (h, a), c in form.terms.items():
-        total = total + c * dets[h] * dets[a].conjugate()
+        total = total + c * minor[h] * minor[a].conjugate()
     # (-i)^(p^2): 1 for even p, -i for odd p
-    if p & 1:
-        total = total * GaussianRational(0, -1)
-    return total
+    return total * GaussianRational(0, -1) if p & 1 else total
 
 
+# one entry per (n, k) and dtype, so n <= MAX_DIM bounds the cache
 @functools.lru_cache(maxsize=None)
-def _columns(n: int, p: int) -> np.ndarray:
-    """The p-subsets of the n directions as a (C(n,p), p) index array, in
-    ``combinations`` order."""
-    return np.array(list(itertools.combinations(range(n), p)), dtype=np.intp)
+def _laplace_step(n: int, k: int, dtype: np.dtype) -> tuple:
+    """Index tables that grow the k x k minors of rows 0..k-1 of a tuple of
+    vectors in n directions into the (k+1) x (k+1) minors of rows 0..k,
+    1 <= k < n.
+
+    Expanding the new row k along the columns j_0 < ... < j_k of J',
+
+        d'[J'] = sum over t of (-1)^(k+t) X[k, j_t] d[J' - {j_t}].
+
+    Returns (src, direction, sign): ``src[b, t]``, ``direction[b, t]`` and
+    ``sign[b, t]`` are the position of J'_b - {j_t} among the k-subsets,
+    j_t, and (-1)^(k+t), with J'_b the b-th (k+1)-subset in ``combinations``
+    order.  ``sign`` holds scalars of ``dtype``: Python ints for object
+    arrays.
+    """
+    subsets = {j: b for b, j in enumerate(itertools.combinations(range(n), k))}
+    src, direction, sign = [], [], []
+    for j in itertools.combinations(range(n), k + 1):
+        src.append([subsets[j[:t] + j[t + 1:]] for t in range(k + 1)])
+        direction.append(list(j))
+        sign.append([(-1) ** (k + t) for t in range(k + 1)])
+    return np.array(src), np.array(direction), np.array(sign, dtype=dtype)
+
+
+def _minors(samples: np.ndarray) -> np.ndarray:
+    """The p x p minors d_J = det(X_b^{j_a}) of a (t, p, n) batch of tuples,
+    p >= 1, over every p-subset J in ``combinations`` order: a (t, C(n,p))
+    array of the batch's dtype (complex, or object in exact mode).
+
+    One Laplace pass: the minors of row 0 are its entries, and row k grows
+    the minors of rows 0..k-1 into those of rows 0..k (``_laplace_step``).
+    A float batch with p = n has one minor, the determinant of the tuple,
+    and takes it from ``np.linalg.det``."""
+    t, p, n = samples.shape
+    if p == n and samples.dtype != object:
+        return np.linalg.det(samples)[:, None]
+    minors = samples[:, 0, :]
+    for k in range(1, p):
+        src, direction, sign = _laplace_step(n, k, samples.dtype)
+        minors = (samples[:, k, direction] * minors[:, src] * sign).sum(axis=2)
+    return minors
 
 
 def _pairing(form: PPForm, samples: np.ndarray) -> np.ndarray:
     """Evaluate a float block on a (t, p, n) batch of vector tuples:
     (-sqrt(-1))^(p^2) d^T H conj(d) per tuple, with the minors d of every
-    p-subset from one stacked ``det`` call."""
+    p-subset from one Laplace pass (``_minors``)."""
     t, p, n = samples.shape
     if p == 0:
         return np.full(t, form.block[0, 0], dtype=complex)
-    # samples[:, :, cols] is (t, p, subsets, p): one p x p matrix per subset and tuple
-    minors = np.linalg.det(np.moveaxis(samples[:, :, _columns(n, p)], 2, 1))
+    minors = _minors(samples)
     vals = ((minors @ form.block) * minors.conj()).sum(axis=1)
     return ((-1j) ** (p * p % 4)) * vals
 

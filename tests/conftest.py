@@ -82,6 +82,39 @@ def schur_and_chain_polynomials(n: int, r: int) -> list:
     return polys
 
 
+# ----------------------------------------------------------------------
+# references for the minors of ``forms._minors``
+
+
+def gather_minors(samples: np.ndarray) -> np.ndarray:
+    """The p x p minors of a float (t, p, n) batch over every p-subset, in
+    ``combinations`` order: each submatrix copied out and handed to one
+    stacked ``np.linalg.det``."""
+    import itertools
+
+    t, p, n = samples.shape
+    cols = np.array(list(itertools.combinations(range(n), p)), dtype=np.intp)
+    # samples[:, :, cols] is (t, p, subsets, p): one p x p matrix per subset and tuple
+    return np.linalg.det(np.moveaxis(samples[:, :, cols], 2, 1))
+
+
+def mask_det_evaluate(form: Form, vectors):
+    """Exact ``evaluate`` of a homogeneous (p,p)-form on p exact vectors:
+    one ``_linalg.det`` per index mask of the form's terms, and one sum
+    over its terms, times (-i)^(p^2)."""
+    from chernforms import _linalg
+    from chernforms.scalars import GaussianRational
+
+    p, _ = form.bidegree()
+    needed = {h for (h, _) in form.terms} | {a for (_, a) in form.terms}
+    dets = {mask: _linalg.det([[v[i] for v in vectors] for i in range(form.n) if mask >> i & 1])
+            for mask in needed}
+    total = GaussianRational(0)
+    for (h, a), c in form.terms.items():
+        total = total + c * dets[h] * dets[a].conjugate()
+    return total * GaussianRational(0, -1) if p & 1 else total
+
+
 @pytest.fixture
 def diag2():
     """Diagonal r = 2 factored curvature used by several frozen checks."""

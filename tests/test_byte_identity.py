@@ -90,7 +90,8 @@ from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, parse_scalar, scalar_json
 from chernforms.schur import Partition, chain_step_polynomials, verify_schur_nonnegativity
 
-from conftest import factor_tensor, form_matrix_det, schur_and_chain_polynomials
+from conftest import factor_tensor, form_matrix_det, mask_det_evaluate, \
+    schur_and_chain_polynomials
 
 
 def exact_repr(form: Form) -> str:
@@ -757,8 +758,9 @@ class TestEvaluateBatchIdentity:
 
     @pytest.mark.parametrize("n,r,m", [(3, 3, 2), (4, 2, 3), (4, 4, 1)])
     def test_pairing_matches_exact_evaluate(self, n, r, m):
-        # exact Schur forms on Gaussian-integer tuples: the float pairing of
-        # the float block against exact forms.evaluate of the exact form
+        # exact Schur forms on Gaussian-integer tuples: exact forms.evaluate
+        # of the exact form, and the float pairing of the float block,
+        # against one _linalg.det per index mask of the form's terms
         cs = chern_forms(random_exact_factor(n, r, m, seed=n + r))
         rng = np.random.default_rng(n * r)
         checked = 0
@@ -768,9 +770,12 @@ class TestEvaluateBatchIdentity:
                 parts = rng.integers(-3, 4, size=(2, i, n))
                 vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
                            for row in zip(*parts)]
-                want = complex(forms.evaluate(form.to_form(), vectors))
+                exact = form.to_form()
+                want = mask_det_evaluate(exact, vectors) if exact.terms else GaussianRational(0)
+                assert forms.evaluate(exact, vectors) == want, lam.parts
                 samples = (parts[0] + 1j * parts[1]).reshape(1, i, n)
                 got = forms._pairing(form.to_float(), samples)[0] if form.p == i else 0j
+                want = complex(want)
                 assert abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want)), (lam.parts, got, want)
                 checked += want != 0
         assert checked
@@ -1464,12 +1469,19 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: another order (no exit code or check verdict moved), and again when the
 #: sampled reports went to schema 2 (``argmin``, ``method`` and ``margin``
 #: added, the witness printed on a FAIL only); ``FLOAT_CLI_SCHEMA1_DIGEST``
-#: shows every other byte unmoved
-FLOAT_CLI_DIGEST = "33a6f2d84a5e068d41319a1f3e38b8bf1fa9f7804b1edb333f5015c3a2a505cf"
+#: shows every other byte unmoved; and again when the sampled evaluation
+#: came to take the p x p minors of each tuple from one Laplace pass
+#: (``forms._minors``) instead of a ``det`` per gathered submatrix: 20 JSON
+#: ``schur verify`` reports moved in ``min_value`` (relative change at most
+#: 6e-15), ``margin`` and ``max_imag``, and no exit code, check verdict,
+#: ``argmin``, text report, ``bounds chain`` or ``curvature build`` report
+#: moved
+FLOAT_CLI_DIGEST = "b4d367a79de4d439c790ba8ccc69bcbbc320ba9348a6b9fa87aa99490613d111"
 
 #: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
-#: of the schema-1 reports, before and after schema 2
-FLOAT_CLI_SCHEMA1_DIGEST = "0f7d65f2c6f040c4af614caa7751d704afd09bdd2d736fe5ef02e687f60f693f"
+#: of the schema-1 reports, before and after schema 2; moved with it when
+#: the minors came from the Laplace pass
+FLOAT_CLI_SCHEMA1_DIGEST = "f7e6c101c27838dd9b3e028380c060be7e6bafb3a8a45cc41b1d8ac94da776f6"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -1625,13 +1637,18 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
 #: on coefficient blocks and Gram blocks came to be accumulated by matrix
 #: products, in another float order (no exit code or check verdict moved);
 #: moved again when the sampled reports went to schema 2, and
-#: ``BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST`` shows every other byte unmoved
-BENCHMARK_SHAPE_CLI_DIGEST = "058fc0bb3e094642ebe1534b37181bcae132f56bf324aa274646119aea1d6f03"
+#: ``BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST`` shows every other byte unmoved;
+#: moved again when the p x p minors of each sampled tuple came from one
+#: Laplace pass (``forms._minors``): the 4 JSON ``schur verify`` reports
+#: moved in ``min_value``, ``margin`` and ``max_imag``, and no exit code,
+#: check verdict, ``argmin``, text report or ``bounds chain`` report moved
+BENCHMARK_SHAPE_CLI_DIGEST = "855bdda462ded7f5bc69588b09c0b1bc689539df9739f383cb0f1e0b0a5d94df"
 
 #: ``cli_digest(benchmark_shape_cli_ops(), schema1_view)``: the
-#: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports
+#: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports; moved with it
+#: when the minors came from the Laplace pass
 BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST = \
-    "4386a60be97a4c55e1f3f91c4472f695d0072137904d06d23607f90037bda08e"
+    "f3b1d687925b8fe575ede0f731c5386cd989232ce4ba3dbb48033fc89d536173"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:

@@ -355,6 +355,17 @@ class TestSchurCommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path} is not UTF-8 text:")
 
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    def test_base_dimension_over_the_cap(self, capsys, tmp_path, command):
+        # exit 2 before any Chern block is built, from --random and --instance
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 15, "r": 1, "m": 1,
+                                    "T": [[[{"re": 1.0, "im": 0.0}]]] * 15}))
+        message = ("error: curvature tensor has n = 15 directions; "
+                   "the base dimension is at most 14\n")
+        for source in (["--random", "--n", "15", "--r", "2"], ["--instance", str(path)]):
+            assert invoke(capsys, *command, *source) == (2, "", message)
+
     def test_invalid_trials_and_tol(self, capsys, tensor_file):
         path, _ = tensor_file
         code, _, err = invoke(capsys, "schur", "verify", "--instance", path,

@@ -29,6 +29,7 @@ from chernforms import (
     random_unitary,
 )
 from chernforms.errors import ConsistencyError, InputError
+from chernforms.forms import MAX_DIM
 from chernforms.scalars import GaussianRational
 
 from conftest import diagonal_tensor, integer_tensor_pair
@@ -169,6 +170,16 @@ class TestCurvatureTensor:
     def test_ragged_nested_list_rejected(self, ragged):
         with pytest.raises(InputError, match=r"rectangular \[p\]\[i\]\[k\]"):
             CurvatureTensor(ragged)
+
+    def test_base_dimension_is_capped(self):
+        # the Gram route builds no Form, so the tensor itself enforces MAX_DIM
+        cap = f"n = {MAX_DIM + 1} directions; the base dimension is at most {MAX_DIM}"
+        for dtype in (complex, object):
+            with pytest.raises(InputError, match=cap):
+                CurvatureTensor(np.zeros((MAX_DIM + 1, 1, 1), dtype))
+        with pytest.raises(InputError, match=cap):
+            random_tensor(MAX_DIM + 1, 1, 1)
+        assert CurvatureTensor(np.zeros((MAX_DIM, 1, 1))).n == MAX_DIM
 
     def test_non_numeric_entries_rejected(self):
         # numpy reads the strings as a unicode array, which has no complex view

@@ -7,6 +7,7 @@ parity of the bubble sort that gets there.  This never touches bitmasks, so it
 is an independent cross-check of the fast path.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,10 +26,13 @@ from chernforms import (
     nonnegative_sampled,
     wedge,
 )
+from chernforms import _linalg, forms
 from chernforms.errors import InputError
 from chernforms.forms import DEFAULT_TOL, MAX_DIM
 from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, scalar_json
+
+from conftest import gather_minors, mask_det_evaluate
 
 DZ, DZBAR = 0, 1
 
@@ -419,6 +423,52 @@ class TestEvaluate:
             x = rng.normal(size=2) + 1j * rng.normal(size=2)
             v = evaluate(f, [x])
             assert abs(v.imag) < 1e-12 * max(1.0, abs(v))
+
+
+class TestMinors:
+    """``forms._minors`` against minors computed one submatrix at a time."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_float_matches_gathered_dets(self, n):
+        # relative to the largest minor of each tuple: a small minor that
+        # cancels is as accurate in absolute terms on either route
+        for p in range(1, n + 1):
+            samples = complex_normal(substream(n, p), (4, p, n))
+            got, want = forms._minors(samples), gather_minors(samples)
+            assert got.shape == want.shape == (4, math.comb(n, p))
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * scale).all(), (n, p)
+
+    def test_top_degree_is_the_tuple_det(self):
+        # one minor at p = n, bit for bit the determinant of the tuple
+        samples = complex_normal(substream(3, 0), (6, 4, 4))
+        assert forms._minors(samples).tobytes() == np.linalg.det(samples)[:, None].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exact_matches_elimination(self, n):
+        rng = np.random.default_rng(n)
+        for p in range(1, n + 1):
+            parts = rng.integers(-3, 4, size=(2, p, n))
+            vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
+                       for row in zip(*parts)]
+            minors = forms._minors(np.array(vectors, dtype=object).reshape(1, p, n))[0]
+            for subset, got in zip(itertools.combinations(range(n), p), minors):
+                assert got == _linalg.det([[v[i] for v in vectors] for i in subset])
+
+    def test_exact_evaluate_matches_mask_dets(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                form = Form.zero(n, EXACT)
+                for h in itertools.combinations(range(1, n + 1), p):
+                    for a in itertools.combinations(range(1, n + 1), p):
+                        # a nonzero real part keeps every term, so the form is never zero
+                        re, im = int(rng.integers(1, 3)), int(rng.integers(-2, 3))
+                        form = form + Form.monomial(n, h, a, GaussianRational(re, im), EXACT)
+                parts = rng.integers(-3, 4, size=(2, p, n))
+                vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
+                           for row in zip(*parts)]
+                assert evaluate(form, vectors) == mask_det_evaluate(form, vectors)
 
 
 # ----------------------------------------------------------------------
