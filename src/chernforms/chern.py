@@ -7,7 +7,7 @@ the Chern forms are the coefficients of the characteristic polynomial
     det(t I_r + (sqrt(-1)/2*pi) Omega) = sum_i c_i(Omega) t^{r-i},
 
 i.e. c_i = (sqrt(-1)/2*pi)^i * (sum of principal i x i minors of Omega).
-Entries of Omega have even total degree, so they commute and the Leibniz
+Entries of Omega have even total degree, so they commute and the
 determinant is unambiguous.  Forms of degree above min(r, n) vanish; the set
 stops there.
 
@@ -34,26 +34,23 @@ and (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2).  So c_i is read off a
 C(n,i) x C(n,i) block G_i = sum |Stab kappa| Phi Phi^*, the coefficient of
 dz^J ^ dzbar^K being G_i[J, K] times that prefactor.  One depth-first walk
 over the row subsets grows the array Phi_S[kappa, J] one row at a time
-(Laplace along the new row) and adds each subset's term to its block; the
-index tables depend only on (n, m, |S|) and are cached.  Both scalar modes
-run the same numpy code: complex128 arrays, or object arrays of
-``GaussianRational``.  Each scaled G_i is the coefficient block of c_i, a
-``PPForm``.
+(Laplace along the new row, with the tables of ``forms._laplace_step``
+over J and cached tables over kappa) and adds each subset's term to its
+block.  Both scalar modes run the same numpy code: complex128 arrays, or
+object arrays of ``GaussianRational``.  Each scaled G_i is the coefficient
+block of c_i, a ``PPForm``.
 
-*Leibniz walk* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
-``change_frame``).  Each entry is read once into its (1,1)-block, and the
-minors are expanded over blocks with ``PPForm.wedge`` in one depth-first
-walk over the row subsets: lexicographic order, all sizes 1..min(r, n)
-interleaved, so (0), (0,1), (0,1,2), ..., (0,2), ..., (1), ...  Each size
-still meets its subsets in ``itertools.combinations`` order, and each minor
-still sums its permutations in ``itertools.permutations`` order, so every
-minor sum adds the same determinants in the same order as a loop over the
-subsets of each size.  Minors whose first rows agree share their prefix wedges: each row
-subset hands its minor its parent's memo levels plus one fresh level (see
-``leibniz_det``'s ``memo``), so a product over rows S[:d+1] with a given
-column tuple is computed once, and every product is one such a loop
-computes, bit for bit.  Each minor sum is an (i,i)-block, the zero block
-when it vanishes, and its scaling gives the block of c_i.
+*Laplace route* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
+``change_frame``).  Each entry is read once into its (1,1)-block, and each
+minor is expanded along its last row over blocks, d = |rows| - 1,
+
+    det Omega[rows, cols] = sum over t of (-1)^(d+t)
+                            det Omega[rows[:-1], cols - {cols[t]}] ^ Omega[rows[-1], cols[t]],
+
+computing each (rows, cols) minor once per call and skipping zero entries
+and zero sub-minors.  The principal minors of each size are summed in
+``itertools.combinations`` order onto the (i,i) zero block, and the scaled
+sum is the block of c_i.
 
 On a tensor and on ``bott_chern_curvature(tensor)`` the routes agree exactly
 in exact mode and to rounding in float mode, where the Gram route sums in
@@ -77,6 +74,7 @@ prod_j sqrt(-1) dz^j ^ dzbar^j has coefficient 1.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -88,7 +86,7 @@ import numpy as np
 
 from .curvature import CurvatureMatrix, CurvatureTensor
 from .errors import InputError
-from .forms import PPForm
+from .forms import PPForm, _laplace_step
 from .scalars import EXACT, FLOAT, GaussianRational
 
 #: exact phase (sqrt(-1))^i, i mod 4
@@ -100,64 +98,42 @@ _PHASES = (GaussianRational(1), GaussianRational(0, 1),
 GRAM_CACHE_SIZE = 64
 
 
-def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable,
-                subset: Optional[Sequence[int]] = None, memo: Optional[list] = None):
-    """Leibniz determinant of a square matrix over a commutative ring, or of
-    its principal minor on the indices ``subset`` (default: all of them).
+def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable):
+    """Leibniz determinant of a square matrix over a commutative ring.
 
     Entries need ``is_zero()``, ``+`` and unary ``-``; ``mul`` multiplies
-    two ring elements (``PPForm.wedge`` for (1,1)-blocks, which commute, or
-    ``operator.mul``); ``one`` and ``zero`` are the ring's 1 and 0.
-    Row d of the minor is row ``subset[d]``, and its columns are ``subset``
-    in order.  Permutations are walked depth-first in
-    ``itertools.permutations`` order, row by row, so each prefix product
-    mul(...mul(one, e[s0][c0])..., e[sd][cd]) is computed once.  A zero
-    entry or a zero prefix prunes every permutation below it.  Terms are
-    summed onto ``zero`` in permutation order, each negated when the
-    permutation is odd.
-
-    ``memo`` holds one dict per row of ``subset`` (default: fresh ones), and
-    ``memo[d]`` maps a column tuple (c0, ..., cd) to the product over rows
-    ``subset[:d+1]``, so calls handed the same levels for a shared row
-    prefix compute its products once, bit for bit as this walk would.
+    two ring elements (``operator.mul`` for the Jacobi-Trudi polynomials of
+    ``schur``); ``one`` and ``zero`` are the ring's 1 and 0.  Permutations
+    are walked depth-first in ``itertools.permutations`` order, row by row,
+    so each prefix product mul(...mul(one, e[0][c0])..., e[d][cd]) is
+    computed once.  A zero entry or a zero prefix prunes every permutation
+    below it.  Terms are summed onto ``zero`` in permutation order, each
+    negated when the permutation is odd.
     """
-    if subset is None:
-        subset = range(len(entries))
-    k = len(subset)
-    if k == 0:
+    if not entries:
         return one
-    if memo is None:
-        memo = [{} for _ in subset]
-    total = zero
-    free = list(subset)
+    return sum(_leibniz_terms(entries, mul, list(range(len(entries))), one, 0), zero)
 
-    def walk(d: int, prod, odd: int, cols: tuple):
-        nonlocal total
-        row, level = entries[subset[d]], memo[d]
-        for pos, col in enumerate(free):
-            f = row[col]
-            if f.is_zero():
-                continue
-            key = cols + (col,)
-            nxt = level.get(key)
-            if nxt is None:
-                nxt = level[key] = mul(prod, f)
-            if nxt.is_zero():
-                continue
-            # columns still free left of col each form one inversion with it
-            parity = odd ^ (pos & 1)
-            if d + 1 == k:
-                total = total + (-nxt if parity else nxt)
-                continue
-            del free[pos]
-            walk(d + 1, nxt, parity, key)
-            free.insert(pos, col)
 
-    walk(0, one, 0, ())
-    # walk refers to itself: drop it so the cycle does not keep ``memo``
-    # alive until the next garbage collection
-    del walk
-    return total
+def _leibniz_terms(entries: Sequence[Sequence], mul: Callable, free: list, prod, odd: int):
+    """The signed nonzero terms of ``leibniz_det`` whose rows above
+    len(entries) - len(free) took the other columns, with product ``prod``
+    and parity ``odd`` so far, in permutation order."""
+    d = len(entries) - len(free)
+    row = entries[d]
+    for pos, col in enumerate(free):
+        f = row[col]
+        if f.is_zero():
+            continue
+        nxt = mul(prod, f)
+        if nxt.is_zero():
+            continue
+        # columns still free left of col each form one inversion with it
+        parity = odd ^ (pos & 1)
+        if d + 1 == len(entries):
+            yield -nxt if parity else nxt
+        else:
+            yield from _leibniz_terms(entries, mul, free[:pos] + free[pos + 1:], nxt, parity)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,38 +220,52 @@ class ChernFormSet:
             mode=FLOAT, m=self.m)
 
 
+def _minor(entries: list, rows: tuple, cols: tuple, minors: dict) -> Optional[PPForm]:
+    """det entries[rows, cols] by Laplace expansion along its last row, or
+    None when it vanishes; a zero entry is None too.  Each minor of two or
+    more rows is computed once and kept in ``minors`` under (rows, cols)."""
+    row = entries[rows[-1]]
+    if len(rows) == 1:
+        return row[cols[0]]
+    key = rows, cols
+    if key in minors:
+        return minors[key]
+    d, head, total = len(rows) - 1, rows[:-1], None
+    for t, col in enumerate(cols):
+        entry = row[col]
+        if entry is None:
+            continue
+        sub = _minor(entries, head, cols[:t] + cols[t + 1:], minors)
+        if sub is None:
+            continue
+        term = -sub.wedge(entry) if (d + t) & 1 else sub.wedge(entry)
+        total = term if total is None else total + term
+    minors[key] = None if total is None or total.is_zero() else total
+    return minors[key]
+
+
 def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
     """The sums of the principal i x i minors of ``omega``, i = 0..k, as
-    (i,i)-blocks from one depth-first walk over the row subsets (see the
-    module docstring)."""
+    (i,i)-blocks, each minor from ``_minor`` (see the module docstring)."""
     n, r, mode = omega.n, omega.r, omega.mode
-    entries = [[PPForm.from_form(f, 1) for f in row] for row in omega.entries]
-    one, zero = PPForm.constant(n, 1, mode), PPForm.zero(n, 0, mode)
-    minor_sums = [one] + [PPForm.zero(n, i, mode) for i in range(1, k + 1)]
-
-    def visit(rows: tuple, memo: list):
-        # depth first over the row subsets that extend ``rows``, in
-        # lexicographic order; see the module docstring
-        for s in range(rows[-1] + 1 if rows else 0, r):
-            sub, sub_memo = rows + (s,), memo + [{}]
-            i = len(sub)
-            minor_sums[i] = minor_sums[i] + leibniz_det(entries, one, zero, PPForm.wedge,
-                                                        sub, sub_memo)
-            if i < k:
-                visit(sub, sub_memo)
-
-    if k:
-        visit((), [])
-    # visit refers to itself: drop it so the cycle does not keep
-    # ``minor_sums`` alive until the next garbage collection
-    del visit
+    entries = [[None if f.is_zero() else PPForm.from_form(f, 1) for f in row]
+               for row in omega.entries]
+    minors = {}
+    minor_sums = [PPForm.constant(n, 1, mode)]
+    for i in range(1, k + 1):
+        total = PPForm.zero(n, i, mode)
+        for subset in itertools.combinations(range(r), i):
+            det = _minor(entries, subset, subset, minors)
+            if det is not None:
+                total = total + det
+        minor_sums.append(total)
     return minor_sums
 
 
 @functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
-def _gram_step(n: int, m: int, d: int, dtype: np.dtype) -> tuple:
-    """Index tables that grow Phi over the rows S into Phi over S + (s,),
-    |S| = d, for ``_gram_blocks``.
+def _gram_step(m: int, d: int, dtype: np.dtype) -> tuple:
+    """Index tables that grow the rows of Phi over S into those of Phi over
+    S + (s,), |S| = d, for ``_gram_blocks``.
 
     Rows of Phi are the size-d multisets kappa of the m columns, in
     ``combinations_with_replacement`` order, then one zero row; its columns
@@ -283,19 +273,18 @@ def _gram_step(n: int, m: int, d: int, dtype: np.dtype) -> tuple:
     Expanding the new row last,
 
         Phi'[kappa', J'] = sum over distinct k in kappa' and p in J' of
-                           (-1)^(d - pos(p, J')) Phi[kappa' - {k}, J' - {p}] T[p, s, k].
+                           (-1)^(d - pos(p, J')) Phi[kappa' - {k}, J' - {p}] T[p, s, k],
 
-    Returns (kappa_src, col, j_src, direction, sign, weight):
-    ``kappa_src[a, t]`` and ``col[a, t]`` name the source row and the column k
-    of the t-th distinct k of kappa'_a (padded with the zero row),
-    ``j_src[b, t]``, ``direction[b, t]`` and ``sign[b, t]`` the source column,
-    the direction p and the sign of the t-th p of J'_b, and ``weight[a]`` is
-    |Stab kappa'_a| (0 on the zero row).  ``sign`` and ``weight`` hold scalars
-    of ``dtype``: Python ints for object arrays.
+    and the tables over J' are those of ``forms._laplace_step(n, d, dtype)``,
+    since (-1)^(d - t) = (-1)^(d + t).
+
+    Returns (kappa_src, col, weight): ``kappa_src[a, t]`` and ``col[a, t]``
+    name the source row and the column k of the t-th distinct k of kappa'_a
+    (padded with the zero row), and ``weight[a]`` is |Stab kappa'_a| (0 on
+    the zero row), a scalar of ``dtype``: a Python int for object arrays.
     """
     kappas = {kappa: a for a, kappa in
               enumerate(itertools.combinations_with_replacement(range(m), d))}
-    subsets = {j: b for b, j in enumerate(itertools.combinations(range(n), d))}
     pad, width = len(kappas), min(d + 1, m)
     kappa_src, col, weight = [], [], []
     for kappa in itertools.combinations_with_replacement(range(m), d + 1):
@@ -308,14 +297,7 @@ def _gram_step(n: int, m: int, d: int, dtype: np.dtype) -> tuple:
     kappa_src.append([pad] * width)
     col.append([0] * width)
     weight.append(0)
-    j_src, direction, sign = [], [], []
-    for j in itertools.combinations(range(n), d + 1):
-        j_src.append([subsets[j[:t] + j[t + 1:]] for t in range(d + 1)])
-        direction.append(list(j))
-        # dz^p moves left past the d - t directions of J' above it
-        sign.append([(-1) ** (d - t) for t in range(d + 1)])
-    return (np.array(kappa_src), np.array(col), np.array(j_src), np.array(direction),
-            np.array(sign, dtype=dtype), np.array(weight, dtype=dtype))
+    return np.array(kappa_src), np.array(col), np.array(weight, dtype=dtype)
 
 
 def _gram_blocks(tensor: np.ndarray, k: int) -> list:
@@ -330,7 +312,8 @@ def _gram_blocks(tensor: np.ndarray, k: int) -> list:
     stack = [(0, 0, phi)]
     while stack:
         start, d, phi = stack.pop()
-        kappa_src, col, j_src, direction, sign, weight = _gram_step(n, m, d, tensor.dtype)
+        kappa_src, col, weight = _gram_step(m, d, tensor.dtype)
+        j_src, direction, sign = _laplace_step(n, d, tensor.dtype)
         # Phi[kappa' - {k}, J' - {p}], shared by every next row s
         gathered = phi[kappa_src][:, :, j_src]
         signed = tensor[direction] * sign[:, :, None, None]
@@ -371,35 +354,44 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
     """Chern forms of a curvature, through degree min(r, n), n the base
     dimension, in the scalar mode of ``source``.  A ``CurvatureTensor``
     takes its forms from the Gram blocks of its factor, a
-    ``CurvatureMatrix`` from the Leibniz walk over its principal minors (see
+    ``CurvatureMatrix`` from the Laplace expansion of its principal minors (see
     the module docstring).  The set records the factor's column count m, or
     None for a ``CurvatureMatrix``.
 
     An exact tensor is read as its array.  A float one is read through
     ``_checked_tensor``, which raises the overflow error of
     ``bott_chern_curvature(tensor)``, and gives the forms of
-    ``factor_from_tensor(tensor)``, bit for bit, without building it.
+    ``factor_from_tensor(tensor)``, bit for bit, without building it.  A
+    float Chern form whose coefficients overflow to inf or NaN, from finite
+    curvature entries, raises ``InputError``.
     """
     if not isinstance(source, (CurvatureTensor, CurvatureMatrix)):
         raise TypeError("chern_forms takes a CurvatureTensor or a CurvatureMatrix")
     n, r, mode = source.n, source.r, source.mode
     k = min(r, n)
     out = [PPForm.constant(n, 1, mode)]
-    if isinstance(source, CurvatureMatrix):
-        minor_sums = _minor_sums(source, k)
-        for i in range(1, k + 1):
-            phase = _PHASES[i % 4] if mode == EXACT else (1j / (2.0 * math.pi)) ** i
-            out.append(minor_sums[i].scale(phase))
-        return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=None)
-    blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
-    for i in range(1, k + 1):
-        # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
-        if mode == EXACT:
-            scaled = blocks[i] * _PHASES[i & 1]
+    # an overflow is reported below, as an InputError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(source, CurvatureMatrix):
+            minor_sums, m = _minor_sums(source, k), None
+            for i in range(1, k + 1):
+                phase = _PHASES[i % 4] if mode == EXACT else (1j / (2.0 * math.pi)) ** i
+                out.append(minor_sums[i].scale(phase))
         else:
-            scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
-        out.append(PPForm(n, i, mode, scaled))
-    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=source.m)
+            blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
+            m = source.m
+            for i in range(1, k + 1):
+                # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2
+                if mode == EXACT:
+                    scaled = blocks[i] * _PHASES[i & 1]
+                else:
+                    scaled = blocks[i] * ((1j if i & 1 else 1.0) * (2.0 * math.pi) ** -i)
+                out.append(PPForm(n, i, mode, scaled))
+    if mode == FLOAT:
+        for i, form in enumerate(out):
+            if not np.isfinite(form.block).all():
+                raise InputError(f"Chern form c_{i} is not finite: its coefficients overflow")
+    return ChernFormSet(n=n, r=r, forms=tuple(out), mode=mode, m=m)
 
 
 def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> PPForm:
@@ -421,8 +413,8 @@ def top_coefficient(form: PPForm, tol: float = 1e-9) -> Union[Fraction, float]:
     (n,n)-form phi, read off its 1 x 1 block.
 
     Exact mode returns a Fraction and demands exact reality; float mode
-    returns a float and tolerates an imaginary part up to tol * scale.
-    The zero form gives 0.
+    returns a float, tolerates an imaginary part up to tol * scale and
+    refuses a value that is not finite.  The zero form gives 0.
     """
     n = form.n
     if form.is_zero():
@@ -437,6 +429,8 @@ def top_coefficient(form: PPForm, tol: float = 1e-9) -> Union[Fraction, float]:
             raise InputError("top coefficient of an exact form must be real")
         return value.re
     value = ((-1j) ** (n * n % 4)) * complex(raw)
+    if not cmath.isfinite(value):
+        raise InputError("top coefficient is not finite: the form overflows")
     scale = max(1.0, abs(value))
     if abs(value.imag) > tol * scale:
         raise InputError(f"top coefficient has imaginary part {value.imag:.3e} beyond tolerance")

@@ -175,16 +175,18 @@ class CurvatureTensor:
         t = obj.get("T")
         if not isinstance(t, list) or len(t) != n:
             raise InputError(f"instance field 'T': expected a list of length n={n}")
-        arr = np.zeros((n, r, m), dtype=complex)
+        # the cells are parsed into a list as T's lengths are checked, so no
+        # array is sized from n, r and m before T has that many entries
+        cells = []
         for p, plane in enumerate(t):
             if not isinstance(plane, list) or len(plane) != r:
                 raise InputError(f"instance field T[{p}]: expected a list of length r={r}")
             for i, row in enumerate(plane):
                 if not isinstance(row, list) or len(row) != m:
                     raise InputError(f"instance field T[{p}][{i}]: expected a list of length m={m}")
-                for k, cell in enumerate(row):
-                    arr[p, i, k] = parse_scalar(cell, FLOAT, f"instance field T[{p}][{i}][{k}]")
-        return cls(arr)
+                cells += [parse_scalar(cell, FLOAT, f"instance field T[{p}][{i}][{k}]")
+                          for k, cell in enumerate(row)]
+        return cls(np.array(cells, dtype=complex).reshape(n, r, m))
 
 
 def _combine(forms: Sequence[Form], coeffs: Sequence, zero: Form) -> Form:

@@ -18,7 +18,7 @@ complex.  Forms are immutable by convention.
 A homogeneous (p,p)-form also has a dense representation, ``PPForm``: its
 C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
 dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Chern, Schur
-and chain-step forms compute as blocks, the Leibniz walk over the entries
+and chain-step forms compute as blocks, the Laplace expansion of the minors
 of a curvature matrix included; ``Form`` is the type of literals, and
 ``Form.wedge`` multiplies literals (``bott_chern_curvature`` writes its
 terms in the same order, without it).  The wedge of a (p,p)- and
@@ -636,7 +636,8 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
 def _laplace_step(n: int, k: int, dtype: np.dtype) -> tuple:
     """Index tables that grow the k x k minors of rows 0..k-1 of a tuple of
     vectors in n directions into the (k+1) x (k+1) minors of rows 0..k,
-    1 <= k < n.
+    0 <= k < n; at k = 0 the one 0 x 0 minor is 1.  ``_minors`` and the Gram
+    route of ``chern`` (``_gram_blocks``, from k = 0) read them.
 
     Expanding the new row k along the columns j_0 < ... < j_k of J',
 
@@ -750,8 +751,10 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
     tuple by its index in the batch; a failed check also carries the tuple
     as its witness.  An exactly zero form passes with method
     ``"exact-zero"``, unsampled.  A ``tol`` that is not finite and positive
-    is rejected, and so is a form that is not (p,p) or not real within
-    tol * scale.  A ``Form`` is converted to its block first.
+    is rejected, and so is a form that is not (p,p), has a coefficient that
+    is not finite, or is not real within tol * scale; a min_value or
+    max_imag that overflows raises too.  A ``Form`` is converted to its
+    block first.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -764,7 +767,10 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
         form = PPForm.from_form(form)
     f = form.to_float()
     p, block = f.p, f.block
-    scale = max(1.0, float(np.abs(block).max()))
+    peak = float(np.abs(block).max())
+    if not math.isfinite(peak):
+        raise InputError(f"form is not finite: largest coefficient magnitude {peak}")
+    scale = max(1.0, peak)
     # the conjugate form's block is (-1)^p H^*: Im is half the difference
     imag_norm = 0.5 * float(np.abs(block - (-1) ** p * block.conj().T).max())
     if imag_norm > tol * scale:
@@ -779,6 +785,9 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
     arg = int(np.argmin(reals))
     min_value = float(reals[arg])
     max_imag = float(np.max(np.abs(vals.imag)))
+    if not (math.isfinite(min_value) and math.isfinite(max_imag)):
+        raise InputError(f"sampled values overflow: min_value {min_value}, "
+                         f"max |Im| {max_imag}")
     passed = bool(min_value >= -tol * scale)
     return VerdictReport(
         passed=passed,

@@ -6,7 +6,7 @@ coefficients in one of two scalar modes:
 * ``EXACT``  -- Gaussian rationals: complex numbers (x + y*i) / d with
   arbitrary-precision int x, y, d, kept in lowest terms.  Closed under
   +, -, *, / and conjugation, so identity checks (frame invariance, Whitney,
-  Gram route against Leibniz walk) can demand bit-for-bit equality.  The parts read
+  Gram route against Laplace route) can demand bit-for-bit equality.  The parts read
   back as ``fractions.Fraction`` values.
 * ``FLOAT``  -- the builtin ``complex``.  Used for sampling and anything with
   a 2*pi in it.

@@ -26,8 +26,8 @@ Lines of that file that start with ``#`` are comments.
   ``model chern-numbers``, on every ``CATALOG`` model, JSON and text.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs the ``schur-table`` and ``models`` sets against
-their expected lines on every test run.
+``test_byte_identity`` runs each of the four sets against its expected line
+on every test run.
 """
 
 from __future__ import annotations
@@ -122,16 +122,22 @@ def expected_lines() -> dict[str, str]:
             if line and not line.startswith("#")}
 
 
+def op_sets(workdir: str) -> dict[str, list[list[str]]]:
+    """The four op sets by name, in the order of the expected lines; the
+    ``core`` ops read input files written to ``workdir``."""
+    core = core_ops(workdir)
+    return {
+        "core": core,
+        "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
+        "schur-table": schur_table_ops(),
+        "models": model_ops(),
+    }
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        core = core_ops(workdir)
-        sets = [
-            ("core", core),
-            ("core-without-bounds-chain", [argv for argv in core if argv[0] != "bounds"]),
-            ("schur-table", schur_table_ops()),
-            ("models", model_ops()),
-        ]
-        lines = {name: f"{name} {len(ops)} {cli_digest(ops)}" for name, ops in sets}
+        lines = {name: f"{name} {len(ops)} {cli_digest(ops)}"
+                 for name, ops in op_sets(workdir).items()}
     for line in lines.values():
         print(line)
     expected = expected_lines()

@@ -181,7 +181,7 @@ def test_criterion_4_frame_invariance():
         frame = random_signed_phase_permutation(r, seed=derive_seed(MASTER_SEED, 9, case))
         from chernforms import change_frame
 
-        # Gram route in the first frame, Leibniz walk in the second
+        # Gram route in the first frame, Laplace route in the second
         cs_a = chern_forms(factor)
         cs_b = chern_forms(change_frame(omega, frame))
         for i in range(cs_a.top_degree + 1):

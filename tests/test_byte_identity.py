@@ -28,8 +28,8 @@ polynomial (whose constructor dropped zero sums) with its inline
 (whose constructor made every coefficient a Fraction).  The term order
 matters because ``evaluate_on_forms`` sums float forms in that order.
 
-``chern.chern_forms`` on a curvature matrix (one depth-first walk over the
-row subsets on (1,1)-blocks, sharing prefix wedges between minors) must give
+``chern.chern_forms`` on a curvature matrix (a Laplace expansion of the
+principal minors on (1,1)-blocks, each (rows, cols) minor computed once) must give
 the c_i of the dict loop that expands every principal minor on its own, kept
 below: equal in exact mode and within ``FLOAT_RTOL`` in float mode, with
 fewer wedges.
@@ -426,7 +426,7 @@ class TestPlannedWedge:
 
     def test_sampled_ops_and_omega_builds_wedge_no_form(self, monkeypatch, tmp_path):
         # the Chern, Schur and chain-step forms of a tensor instance are
-        # blocks, and the Leibniz walk of an omega literal wedges (1,1)-blocks:
+        # blocks, and the Laplace route of an omega literal wedges (1,1)-blocks:
         # no op of the sampled commands or of such a build wedges a Form
         ops = [["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "0"],
                ["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"]]
@@ -504,7 +504,7 @@ class TestDeterminantIdentity:
 
 
 # ----------------------------------------------------------------------
-# chern_forms: one walk over the row subsets against one walk per minor
+# chern_forms: one memoized Laplace expansion against one walk per minor
 
 
 def parent_chern_forms(omega) -> list:
@@ -549,9 +549,9 @@ def assert_reads_its_factor(monkeypatch, tensor):
 
 
 def assert_same_chern_forms(got: ChernFormSet, want: list):
-    """The walk's blocks against the dict loop's c_i, degree by degree: each
-    c_i an (i,i)-block, ``==`` in exact mode and within ``FLOAT_RTOL`` in
-    float mode (``assert_same_form``)."""
+    """The Laplace route's blocks against the dict loop's c_i, degree by
+    degree: each c_i an (i,i)-block, ``==`` in exact mode and within
+    ``FLOAT_RTOL`` in float mode (``assert_same_form``)."""
     assert len(got.forms) == len(want)
     for i, (block, form) in enumerate(zip(got.forms, want)):
         assert block.p == i
@@ -559,10 +559,10 @@ def assert_same_chern_forms(got: ChernFormSet, want: list):
 
 
 class TestChernFormsIdentity:
-    # a curvature matrix takes the Leibniz walk, a tensor the Gram route;
-    # the walk wedges (1,1)-blocks, which sum each product in another order
-    # than the dict wedge, so float forms agree to rounding; blocks list
-    # their keys in block order, so exact forms are compared key by key
+    # a curvature matrix takes the Laplace route, a tensor the Gram route;
+    # the expansion wedges (1,1)-blocks, which sum each product in another
+    # order than the dict wedge, so float forms agree to rounding; blocks
+    # list their keys in block order, so exact forms are compared key by key
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (3, 3, 2),
                                           (1, 3, 3), (3, 1, 4)])
@@ -602,16 +602,28 @@ class TestChernFormsIdentity:
             a.imag = rng.choice([0.0, -0.0, 0.5, -1.0], size=shape)
             assert_reads_its_factor(monkeypatch, CurvatureTensor(a))
 
-    @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 355), (5, 3, 30, 22)])
+    @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 165), (5, 3, 30, 13)])
     def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):
-        # the dict loop makes ``before`` Form wedges, the walk ``after``
-        # block wedges and no Form wedge
+        # the dict loop makes ``before`` Form wedges, the Laplace expansion
+        # ``after`` block wedges and no Form wedge.  The Leibniz walk it
+        # replaced made 355 and 22: it wedged each 1 x 1 minor onto the
+        # unit, and it kept one product per ordered column tuple of a row
+        # prefix, where the expansion keeps one minor per column set
         omega = _omega(n, r, 1)
         ref, ref_blocks, ref_dicts = count_products(monkeypatch, lambda: parent_chern_forms(omega))
         got, blocks, dicts = count_products(monkeypatch, lambda: chern_forms(omega))
         assert (ref_blocks, ref_dicts) == (0, before)
         assert (blocks, dicts) == (after, 0)
         assert_same_chern_forms(got, ref)
+
+    @pytest.mark.parametrize("n,r,after", [(1, 16, 0), (2, 12, 132)])
+    def test_tall_matrices(self, monkeypatch, n, r, after):
+        # r >> n, a shape no benchmark workload has: a 1 x 1 minor is its
+        # entry, and each 2 x 2 principal minor takes two wedges
+        omega = bott_chern_curvature(random_tensor(n, r, 2, seed=1))
+        got, blocks, dicts = count_products(monkeypatch, lambda: chern_forms(omega))
+        assert (blocks, dicts) == (after, 0)
+        assert_same_chern_forms(got, parent_chern_forms(omega))
 
 
 def parent_chern_product(cs, parts) -> Form:
@@ -1602,7 +1614,7 @@ def curvature_build(path) -> dict:
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
-    # no op of float_cli_ops runs the float Leibniz walk: each of its
+    # no op of float_cli_ops runs the float Laplace route: each of its
     # tensors, written as the omega literal of its curvature, must build the
     # same omega, and Chern forms and top values that the Gram route gives
     # to rounding; top values are scaled like coefficients, by max(1, |top|),
@@ -1674,14 +1686,14 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
         BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST
 
 
-@pytest.mark.parametrize("name", ["schur-table", "models"])
-def test_report_sets_match_cli_digests_expected(name):
-    # no digest above covers ``schur table`` or any ``model`` subcommand; the
-    # ops and their digests stay in cli_digests.py and cli_digests.expected
+@pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "schur-table", "models"])
+def test_report_sets_match_cli_digests_expected(name, tmp_path):
+    # no digest above covers the benchmark pools, the exact builds over
+    # n, r <= 5, ``schur table`` or any ``model`` subcommand; the ops and
+    # their digests stay in cli_digests.py and cli_digests.expected
     import cli_digests
 
-    ops = {"schur-table": cli_digests.schur_table_ops,
-           "models": cli_digests.model_ops}[name]()
+    ops = cli_digests.op_sets(str(tmp_path))[name]
     assert f"{name} {len(ops)} {cli_digest(ops)}" == cli_digests.expected_lines()[name]
 
 

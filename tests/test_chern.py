@@ -154,17 +154,17 @@ class TestChernForms:
             assert rep.passed, f"c_{i} dipped to {rep.min_value}"
 
     def test_leibniz_walk_leaves_no_reference_cycle(self):
-        # a cycle through the walk would keep the memo levels, and every
-        # prefix product in them, alive until the next collection; one
-        # through the subset walk of chern_forms would keep its minor sums,
-        # and the Gram route must leave none either
+        # a cycle through the walk would keep every prefix product alive
+        # until the next collection; one through the minor expansion of
+        # chern_forms would keep its minors, and the Gram route must leave
+        # none either
         tensor = random_tensor(3, 4, 2, seed=0)
         omega = bott_chern_curvature(tensor)
         one, zero = Form.constant(3, 1), Form.zero(3)
         gc.collect()
         gc.disable()
         try:
-            leibniz_det(omega.entries, one, zero, Form.wedge, (0, 1, 3), [{}, {}, {}])
+            leibniz_det(omega.entries, one, zero, Form.wedge)
             assert gc.collect() == 0
             chern_forms(omega)
             assert gc.collect() == 0
@@ -181,7 +181,7 @@ class TestChernForms:
 
 class TestGramRoute:
     """A factor gives its Chern forms through its Gram blocks, a curvature
-    matrix through the Leibniz walk; on a factor and the matrix it builds
+    matrix through the Laplace route; on a factor and the matrix it builds
     the two agree, exactly in exact mode."""
 
     @pytest.mark.parametrize("n,r,m", [

@@ -143,6 +143,59 @@ class TestOverflowingInstance:
         assert err == "error: curvature entry (2,2) is not finite\n"
 
 
+class TestOverflowingChernForms:
+    # finite curvature entries whose Chern forms, or products of them,
+    # overflow: each command exits 2 instead of a FAIL or a NaN report
+    COMMANDS = TestOverflowingInstance.COMMANDS
+    CHERN = "error: Chern form c_2 is not finite: its coefficients overflow\n"
+
+    # Omega = diag(1e200 dz1 ^ dzbar1, 1e200 dz2 ^ dzbar2) is finite, and
+    # c_2 is about 1e400
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_tensor_chern_form(self, capsys, tmp_path, argv):
+        zero, big = {"re": 0, "im": 0}, {"re": 1e100, "im": 0}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 2, "r": 2, "m": 1,
+                                    "T": [[[big], [zero]], [[zero], [big]]]}))
+        assert invoke(capsys, *argv, "--instance", str(path)) == (2, "", self.CHERN)
+
+    @pytest.mark.filterwarnings("error")
+    def test_omega_literal_chern_form(self, capsys, tmp_path):
+        def entry(i):
+            return {"n": 2, "terms": [{"dz": [i], "dzbar": [i], "re": 1e200}]}
+        empty = {"n": 2, "terms": []}
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps({"omega": [[entry(1), empty], [empty, entry(2)]]}))
+        assert invoke(capsys, "curvature", "build", "--instance", str(path)) == \
+            (2, "", self.CHERN)
+
+    # r = 1 and m = 2: c_1 = (sqrt(-1)/2 pi) 1e200 (dz1 ^ dzbar1 + dz2 ^ dzbar2)
+    # is finite, and c_1 ^ c_1, the form S_(1,1) and the top of c_(1,1), is not
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_product_of_chern_forms(self, capsys, tmp_path, argv):
+        zero, big = {"re": 0, "im": 0}, {"re": 1e100, "im": 0}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 2, "r": 1, "m": 2,
+                                    "T": [[[big, zero]], [[zero, big]]]}))
+        message = ("top coefficient is not finite: the form overflows" if argv[0] == "curvature"
+                   else "form is not finite: largest coefficient magnitude inf")
+        assert invoke(capsys, *argv, "--instance", str(path)) == (2, "", f"error: {message}\n")
+
+
+class TestInstanceLengths:
+    # an r no array could hold is refused by the length check of T[0], not
+    # by numpy failing to allocate (n, r, m)
+    @pytest.mark.parametrize("argv", TestOverflowingInstance.COMMANDS)
+    def test_checked_before_allocating(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "r": 100000000000000000000, "m": 1, "T": [[]]}')
+        assert invoke(capsys, *argv, "--instance", str(path)) == \
+            (2, "", "error: instance field T[0]: expected a list of length "
+                    "r=100000000000000000000\n")
+
+
 class TestNoFormLevelFactor:
     # tensor instances go to the Gram blocks from T: no op of these two
     # commands builds A ^ conj(A^t)

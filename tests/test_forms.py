@@ -551,6 +551,22 @@ class TestNonnegativeSampled:
             with pytest.raises(InputError, match="tol must be a finite positive number"):
                 nonnegative_sampled(form, trials=5, tol=tol)
 
+    def test_non_finite_coefficient_rejected(self):
+        # the peak is checked before max(1, peak), which reads NaN as 1, so
+        # the realness check can no longer pass a NaN form
+        for value in (math.nan * 1j, math.inf * 1j):
+            form = PPForm(1, 1, FLOAT, np.array([[value]]))
+            with pytest.raises(InputError, match="form is not finite"):
+                nonnegative_sampled(form, trials=5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_samples_rejected(self):
+        # the block 1e308 sqrt(-1) dz ^ dzbar is finite, real and
+        # nonnegative, and its value 1e308 |X|^2 overflows once |X|^2 > 1.8
+        form = PPForm(1, 1, FLOAT, np.array([[1e308j]]))
+        with pytest.raises(InputError, match="sampled values overflow"):
+            nonnegative_sampled(form, trials=50, seed=0)
+
     def test_tolerance_is_relative_to_scale(self):
         # |X1|^2 - eps |X2|^2: indefinite, but for eps far below tol the dips
         # stay inside -tol * scale and the verdict is PASS; at eps = 1 the

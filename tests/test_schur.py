@@ -529,7 +529,7 @@ class TestSchurVanishing:
     @pytest.mark.parametrize("n,r,m", [(5, 3, 1), (5, 3, 2), (5, 3, 3), (5, 3, 4),
                                        (4, 5, 1), (4, 5, 2), (4, 5, 3)])
     def test_exact_schur_forms_beyond_m_parts_are_zero(self, n, r, m):
-        # Chern forms from the Leibniz walk, which never sees the factor
+        # Chern forms from the Laplace route, which never sees the factor
         cs = chern_forms(bott_chern_curvature(random_exact_factor(n, r, m, seed=m)))
         nonzero = 0
         for i in range(1, n + 1):
