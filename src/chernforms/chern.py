@@ -38,7 +38,8 @@ over the row subsets grows the array Phi_S[kappa, J] one row at a time
 over J and cached tables over kappa) and adds each subset's term to its
 block.  Both scalar modes run the same numpy code: complex128 arrays, or
 object arrays of ``GaussianRational``.  Each scaled G_i is the coefficient
-block of c_i, a ``PPForm``.
+block of c_i, a ``PPForm``, which splits an exact block once into
+Gaussian-integer numerators over one denominator.
 
 *Laplace route* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
 ``change_frame``).  Each entry is read once into its (1,1)-block, and each

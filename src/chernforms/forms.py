@@ -29,7 +29,10 @@ a (q,q)-block is
 summed over the disjoint pairs, eps the sign that sorts the concatenation
 (CONVENTIONS.md, "Coefficient blocks").  ``PPForm.wedge`` gathers every
 pair's product from flat index tables cached per (n, p, q) and sums them
-with numpy, in either scalar mode.
+with numpy.  A float block is a complex128 array.  An exact block is held
+as Gaussian-integer numerators, object arrays of Python ints, over one
+denominator, and its arithmetic runs on the numerators; it builds
+``GaussianRational``s only for readers (``PPForm.block``, ``to_form``).
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
@@ -76,8 +79,10 @@ from .scalars import (
     EXACT,
     FLOAT,
     GaussianRational,
+    _reduced,
     check_same_mode,
     coerce,
+    exact_fields,
     parse_scalar,
     scalar_json,
 )
@@ -458,15 +463,24 @@ class PPForm:
 
     ``block`` is a C(n,p) x C(n,p) array: entry [J, K] is the coefficient of
     dz^J ^ dzbar^K, with J and K the p-subsets of the n directions in
-    ``combinations`` order.  It is complex128 in float mode and an object
-    array of ``GaussianRational`` in exact mode.  The zero form of any
-    degree is the zero of every degree: it adds to a form of another degree.
-    Immutable by convention, like ``Form``.
+    ``combinations`` order.  In float mode it is the complex128 array the
+    form holds.  In exact mode the form holds Gaussian-integer numerators
+    over one denominator, block = (re + im*i) / den: ``re`` and ``im`` are
+    object arrays of Python ints and ``den`` an int, normalised so that
+    den > 0 and gcd(den, every numerator) = 1, so equal blocks have equal
+    fields.  Exact arithmetic runs on the numerators; ``block`` is then an
+    object array of normalised ``GaussianRational``, built on each access,
+    and ``re``, ``im`` and ``den`` are None in float mode.  The zero form of
+    any degree is the zero of every degree: it adds to a form of another
+    degree.  Immutable by convention, like ``Form``.
     """
 
-    __slots__ = ("n", "p", "mode", "block")
+    __slots__ = ("n", "p", "mode", "_block", "re", "im", "den")
 
     def __init__(self, n: int, p: int, mode: str, block: np.ndarray):
+        """A block of ``mode``'s scalars; an exact one (``GaussianRational``,
+        int or Fraction entries) is split into numerators over the least
+        common denominator."""
         size = math.comb(n, p)
         if block.shape != (size, size):
             raise InputError(f"a ({p},{p})-block on n={n} must be {size} x {size}, "
@@ -474,7 +488,37 @@ class PPForm:
         self.n = n
         self.p = p
         self.mode = mode
-        self.block = block
+        if mode == EXACT:
+            fields = [exact_fields(c) for c in block.flat]
+            den = math.lcm(*(d for _, _, d in fields))
+            self._block = None
+            self.re = np.array([x * (den // d) for x, _, d in fields], object).reshape(size, size)
+            self.im = np.array([y * (den // d) for _, y, d in fields], object).reshape(size, size)
+            self.den = den
+        else:
+            self._block = block
+            self.re = self.im = self.den = None
+
+    @classmethod
+    def _exact(cls, n: int, p: int, re: np.ndarray, im: np.ndarray, den: int) -> "PPForm":
+        """The exact form (re + im*i) / den, den > 0, normalised."""
+        if den != 1:
+            g = math.gcd(den, *re.flat, *im.flat)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        self = object.__new__(cls)
+        self.n, self.p, self.mode, self._block = n, p, EXACT, None
+        self.re, self.im, self.den = re, im, den
+        return self
+
+    @property
+    def block(self) -> np.ndarray:
+        """The coefficient block: the float array itself, or the exact
+        entries as a new object array of normalised ``GaussianRational``."""
+        if self.mode == FLOAT:
+            return self._block
+        den = self.den
+        return np.frompyfunc(lambda x, y: _reduced(x, y, den), 2, 1)(self.re, self.im)
 
     @classmethod
     def zero(cls, n: int, p: int, mode: str = FLOAT) -> "PPForm":
@@ -501,18 +545,26 @@ class PPForm:
             if p is not None and p != deg:
                 raise InputError(f"expected a ({p},{p})-form, got ({deg},{deg})")
             p = deg
-        out = cls.zero(form.n, p or 0, form.mode)
-        row = {mask: b for b, mask in enumerate(_masks(form.n, out.p))}
+        p = p or 0
+        size = math.comb(form.n, p)
+        block = np.zeros((size, size), object if form.mode == EXACT else complex)
+        row = {mask: b for b, mask in enumerate(_masks(form.n, p))}
         for (h, a), c in form.terms.items():
-            out.block[row[h], row[a]] = c
-        return out
+            block[row[h], row[a]] = c
+        return cls(form.n, p, form.mode, block)
 
     def to_form(self) -> Form:
         """The same form as a ``Form``, its keys in block order."""
         masks = _masks(self.n, self.p)
-        return Form._raw(self.n, self.mode, {
-            (h, a): c for h, row in zip(masks, self.block.tolist())
-            for a, c in zip(masks, row) if c})
+        if self.mode == FLOAT:
+            return Form._raw(self.n, FLOAT, {
+                (h, a): c for h, row in zip(masks, self._block.tolist())
+                for a, c in zip(masks, row) if c})
+        den = self.den
+        return Form._raw(self.n, EXACT, {
+            (h, a): _reduced(x, y, den)
+            for h, xs, ys in zip(masks, self.re.tolist(), self.im.tolist())
+            for a, x, y in zip(masks, xs, ys) if x or y})
 
     @property
     def terms(self) -> dict:
@@ -521,7 +573,9 @@ class PPForm:
         return self.to_form().terms
 
     def is_zero(self) -> bool:
-        return not self.block.any()
+        if self.mode == FLOAT:
+            return not self._block.any()
+        return not (self.re.any() or self.im.any())
 
     def _check_compatible(self, other: "PPForm", what: str):
         if not isinstance(other, PPForm):
@@ -531,6 +585,8 @@ class PPForm:
         check_same_mode(self.mode, other.mode, what)
 
     def __add__(self, other: "PPForm") -> "PPForm":
+        """The sum; exact numerators are brought to the least common
+        denominator of the two blocks."""
         self._check_compatible(other, "addition")
         if self.p != other.p:
             if other.is_zero():
@@ -539,37 +595,75 @@ class PPForm:
                 return other
             raise InputError(f"addition of a ({self.p},{self.p})- and a "
                              f"({other.p},{other.p})-form")
-        return PPForm(self.n, self.p, self.mode, self.block + other.block)
+        if self.mode == FLOAT:
+            return PPForm(self.n, self.p, FLOAT, self._block + other._block)
+        d, e = self.den, other.den
+        if d == e:
+            return PPForm._exact(self.n, self.p, self.re + other.re, self.im + other.im, d)
+        g = math.gcd(d, e)
+        s, t = e // g, d // g
+        return PPForm._exact(self.n, self.p, self.re * s + other.re * t,
+                             self.im * s + other.im * t, d * s)
 
     def __neg__(self) -> "PPForm":
-        return PPForm(self.n, self.p, self.mode, -self.block)
+        if self.mode == FLOAT:
+            return PPForm(self.n, self.p, FLOAT, -self._block)
+        return PPForm._exact(self.n, self.p, -self.re, -self.im, self.den)
+
+    def _times(self, x: int, y: int, d: int) -> "PPForm":
+        """An exact form times (x + y*i) / d."""
+        re, im = self.re, self.im
+        return PPForm._exact(self.n, self.p, re * x - im * y, re * y + im * x, self.den * d)
 
     def scale(self, value) -> "PPForm":
         """Multiply every coefficient by a scalar of this form's mode."""
-        return PPForm(self.n, self.p, self.mode, self.block * coerce(value, self.mode))
+        if self.mode == FLOAT:
+            return PPForm(self.n, self.p, FLOAT, self._block * coerce(value, FLOAT))
+        return self._times(*exact_fields(value))
 
     def wedge(self, other: "PPForm") -> "PPForm":
         """self ^ other: H = (-1)^(pq) S^T (F[i1, i1] o G[i2, i2]) S for the
-        signed shuffle S of ``_shuffle`` (module docstring)."""
+        signed shuffle S of ``_shuffle`` (module docstring).  Exact blocks
+        multiply their numerators, re = a c - b e and im = a e + b c for
+        F = (a + b*i) / D and G = (c + e*i) / E, over the denominator D E."""
         self._check_compatible(other, "wedge")
-        n, p, q = self.n, self.p, other.p
+        n, p, q, mode = self.n, self.p, other.p, self.mode
         if p == 0:
-            return PPForm(n, q, self.mode, self.block[0, 0] * other.block)
+            if mode == FLOAT:
+                return PPForm(n, q, FLOAT, self._block[0, 0] * other._block)
+            return other._times(self.re[0, 0], self.im[0, 0], self.den)
         if q == 0:
-            return PPForm(n, p, self.mode, self.block * other.block[0, 0])
+            if mode == FLOAT:
+                return PPForm(n, p, FLOAT, self._block * other._block[0, 0])
+            return self._times(other.re[0, 0], other.im[0, 0], other.den)
         if p + q > n:
-            return PPForm.zero(n, p + q, self.mode)
+            return PPForm.zero(n, p + q, mode)
         f_index, g_index, outer, inner = _shuffle(n, p, q)
-        flat = self.block.ravel()
-        signed = np.concatenate((flat, -flat))
-        products = signed.take(f_index) * other.block.ravel().take(g_index)
-        block = products.reshape(outer * outer, inner * inner).sum(axis=1)
-        return PPForm(n, p + q, self.mode, block.reshape(outer, outer))
+        shape = (outer * outer, inner * inner)
+        if mode == FLOAT:
+            flat = self._block.ravel()
+            signed = np.concatenate((flat, -flat))
+            products = signed.take(f_index) * other._block.ravel().take(g_index)
+            block = products.reshape(shape).sum(axis=1)
+            return PPForm(n, p + q, FLOAT, block.reshape(outer, outer))
+        a, b = self.re.ravel(), self.im.ravel()
+        a = np.concatenate((a, -a)).take(f_index)
+        b = np.concatenate((b, -b)).take(f_index)
+        c, e = other.re.ravel().take(g_index), other.im.ravel().take(g_index)
+        re = (a * c - b * e).reshape(shape).sum(axis=1).reshape(outer, outer)
+        im = (a * e + b * c).reshape(shape).sum(axis=1).reshape(outer, outer)
+        return PPForm._exact(n, p + q, re, im, self.den * other.den)
 
     def to_float(self) -> "PPForm":
+        """The float form; an exact entry becomes the correctly rounded
+        quotient of its numerators by the denominator, as
+        ``complex(GaussianRational)`` gives it."""
         if self.mode == FLOAT:
             return self
-        return PPForm(self.n, self.p, FLOAT, self.block.astype(complex))
+        block = np.empty(self.re.shape, complex)
+        block.real = self.re / self.den
+        block.imag = self.im / self.den
+        return PPForm(self.n, self.p, FLOAT, block)
 
     def __eq__(self, other):
         if not isinstance(other, PPForm):

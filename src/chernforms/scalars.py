@@ -203,6 +203,16 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
     return _raw(x, y, d)
 
 
+def exact_fields(value) -> tuple[int, int, int]:
+    """The normalised fields (x, y, d) of an exact scalar, value = (x + y*i) / d:
+    a ``GaussianRational`` as stored, an int as (value, 0, 1), a Fraction
+    through ``coerce``."""
+    if type(value) is int:
+        return value, 0, 1
+    z = coerce(value, EXACT)
+    return z._x, z._y, z._d
+
+
 #: the exact imaginary unit
 I_EXACT = GaussianRational(0, 1)
 
@@ -237,7 +247,8 @@ def parse_scalar(cell, mode: str, where: str):
     Parts must be finite JSON numbers: ``json`` accepts NaN and Infinity,
     which would poison a float verdict and cannot be exact.  In exact mode
     an int part is taken as is and a float part exactly from its decimal
-    string.  ``where`` names the field in error messages.
+    string; in float mode an int part beyond the float range is rejected.
+    ``where`` names the field in error messages.
     """
     if not isinstance(cell, dict):
         raise InputError(f"{where}: expected an object with re/im")
@@ -249,10 +260,15 @@ def parse_scalar(cell, mode: str, where: str):
         if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"{where}.{name}: expected a finite number, got {value}")
         parts.append(value)
-    re, im = parts
     if mode == EXACT:
         return GaussianRational(*(p if isinstance(p, int) else Fraction(str(p)) for p in parts))
-    return complex(re, im)
+    floats = []
+    for name, value in zip(("re", "im"), parts):
+        try:
+            floats.append(float(value))
+        except OverflowError:
+            raise InputError(f"{where}.{name}: the integer lies beyond the float range") from None
+    return complex(*floats)
 
 
 def scalar_json(value) -> dict:

@@ -12,7 +12,8 @@ and every bit of every coefficient, or through ``canonical_repr``, the same
 with the keys sorted.
 
 The coefficient blocks (``PPForm``) of Chern, Schur and chain-step forms
-sum in another order than those dict wedges, so ``PPForm.wedge``,
+sum in another order than those dict wedges, so ``PPForm.wedge`` (and
+the block ``+``, unary ``-`` and ``scale``, against ``Form``'s),
 ``ChernFormSet.product`` (prefixes memoized on the set),
 ``schur.evaluate_on_forms`` and the sampled pairing d^T H conj(d) are
 compared with the dict references below, and with exact
@@ -82,12 +83,12 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms import chern, forms
+from chernforms import chern, forms, scalars
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
 from chernforms.rng import complex_normal, substream
-from chernforms.scalars import GaussianRational, parse_scalar, scalar_json
+from chernforms.scalars import GaussianRational, exact_fields, parse_scalar, scalar_json
 from chernforms.schur import Partition, chain_step_polynomials, verify_schur_nonnegativity
 
 from conftest import factor_tensor, form_matrix_det, mask_det_evaluate, \
@@ -373,14 +374,15 @@ def form_pairs(draw, mode: str):
 
 
 @st.composite
-def block_pairs(draw, mode: str):
+def block_pairs(draw, mode: str, same_degree: bool = False):
     """A (p,p)- and a (q,q)-form on one base of dimension 0..5, p and q in
-    0..n, so constants and p + q > n occur, each with up to 12 terms of
-    ``small_scalars`` coefficients (none for a zero form)."""
+    0..n (q = p when ``same_degree``), so constants and p + q > n occur,
+    each with up to 12 terms of ``small_scalars`` coefficients (none for a
+    zero form)."""
     n = draw(st.integers(0, 5))
     out = []
     for _ in range(2):
-        p = draw(st.integers(0, n))
+        p = out[1] if same_degree and out else draw(st.integers(0, n))
         mask = st.sampled_from([m for m in range(1 << n) if m.bit_count() == p])
         terms = draw(st.lists(st.tuples(mask, mask, small_scalars(mode)), max_size=12))
         out += [Form(n, mode, {(h, a): c for h, a, c in terms}), p]
@@ -445,9 +447,27 @@ class TestPlannedWedge:
         assert blocks > 0 and dicts == 0
 
 
+def assert_normalised(form: PPForm):
+    """An exact block's numerators share no factor with its denominator
+    d > 0, and every ``GaussianRational`` read back through ``.block`` and
+    ``.terms`` is normalised: d > 0 and gcd(x, y, d) = 1."""
+    if form.mode != EXACT:
+        return
+    assert form.den > 0 and math.gcd(form.den, *form.re.flat, *form.im.flat) == 1
+    for c in itertools.chain(form.block.flat, form.terms.values()):
+        assert isinstance(c, GaussianRational)
+        x, y, d = exact_fields(c)
+        assert d > 0 and math.gcd(x, y, d) == 1
+
+
+#: a scale factor with a non-unit denominator
+SIXTHS = GaussianRational(Fraction(2, 3), Fraction(-1, 6))
+
+
 class TestBlockWedge:
     """``PPForm.wedge``, the signed shuffle product of coefficient blocks,
-    against the dict wedge ``ref_wedge``."""
+    against the dict wedge ``ref_wedge``; ``+``, unary ``-`` and ``scale``
+    against ``Form.__add__``, ``Form.__neg__`` and ``Form.scale``."""
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     @settings(deadline=None, max_examples=200)
@@ -457,7 +477,23 @@ class TestBlockWedge:
         got = PPForm.from_form(x, p).wedge(PPForm.from_form(y, q))
         assert got.p == p + q
         assert_same_form(got, ref_wedge(x, y))
+        assert_normalised(got)
         assert PPForm.from_form(got.to_form(), p + q) == got
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_hypothesis_sum_negation_scale(self, mode, data):
+        x, p, y, _ = data.draw(block_pairs(mode, same_degree=True))
+        c = data.draw(small_scalars(mode))
+        bx, by = PPForm.from_form(x, p), PPForm.from_form(y, p)
+        factors = (c, SIXTHS) if mode == EXACT else (c, complex(SIXTHS))
+        results = [(bx + by, x + y), (-bx, -x)]
+        results += [(bx.scale(f), x.scale(f)) for f in factors]
+        for got, want in results:
+            assert got.p == p or got.is_zero()
+            assert_same_form(got, want)
+            assert_normalised(got)
 
 
 # ----------------------------------------------------------------------
@@ -615,6 +651,30 @@ class TestChernFormsIdentity:
         assert (ref_blocks, ref_dicts) == (0, before)
         assert (blocks, dicts) == (after, 0)
         assert_same_chern_forms(got, ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_blocks_build_no_scalars(self, monkeypatch, seed):
+        # exact blocks compute on Gaussian-integer numerators, so a call
+        # builds at most one GaussianRational per output entry; arithmetic
+        # on GaussianRational entries would build one per product and sum,
+        # thousands on these curvatures
+        omega = bott_chern_curvature(random_exact_factor(4, 3, 3, seed))
+        created = []
+        raw, init = scalars._raw, GaussianRational.__init__
+
+        def counting_raw(*fields):
+            created.append(fields)
+            return raw(*fields)
+
+        def counting_init(self, *parts):
+            created.append(parts)
+            init(self, *parts)
+
+        monkeypatch.setattr(scalars, "_raw", counting_raw)
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        chern_forms(omega)
+        monkeypatch.undo()
+        assert 0 < len(created) <= sum(math.comb(4, i) ** 2 for i in range(5))
 
     @pytest.mark.parametrize("n,r,after", [(1, 16, 0), (2, 12, 132)])
     def test_tall_matrices(self, monkeypatch, n, r, after):

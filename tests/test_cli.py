@@ -113,6 +113,55 @@ class TestNonFiniteInput:
         assert field in err and "finite" in err
 
 
+class TestHugeIntegerInput:
+    """A JSON integer part beyond the float range cannot be a float scalar:
+    every float-mode {re, im} parser rejects it as malformed input (exit 2,
+    nothing on stdout) and names the field.  Exact mode takes it as is."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("entry", ["verify", "chain", "build-tensor", "build-omega",
+                                       "vector"])
+    def test_rejected_with_field_name(self, capsys, tmp_path, entry, part):
+        path = tmp_path / "input.json"
+        cell = '{"%s": %s}' % (part, self.HUGE)
+        if entry == "build-omega":
+            path.write_text('{"omega": [[{"n": 1, "terms": [{"dz": [1], "dzbar": [1], '
+                            '"%s": %s}]}]]}' % (part, self.HUGE))
+            argv = ["curvature", "build", "--instance", str(path)]
+            field = f"terms[0].{part}"
+        elif entry == "vector":
+            form_path = tmp_path / "form.json"
+            form_path.write_text(json.dumps(Form.dz(1, 1).wedge(Form.dzbar(1, 1)).to_literal()))
+            path.write_text("[[%s]]" % cell)
+            argv = ["forms", "eval", "--form", str(form_path), "--vectors", str(path)]
+            field = f"vectors[0][0].{part}"
+        else:
+            path.write_text('{"n": 1, "r": 1, "m": 1, "T": [[[%s]]]}' % cell)
+            argv = {"verify": ["schur", "verify", "--trials", "1"],
+                    "chain": ["bounds", "chain", "--trials", "1"],
+                    "build-tensor": ["curvature", "build"]}[entry]
+            argv = argv + ["--instance", str(path)]
+            field = f"T[0][0][0].{part}"
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert field in err and "float range" in err
+
+    def test_exact_mode_takes_the_integer(self, capsys, tmp_path):
+        # (-i) (i dz1 ^ dzbar1) on X = (2, 10^400): the form reads only X^1
+        form_path = tmp_path / "form.json"
+        form_path.write_text(json.dumps(
+            {"n": 2, "terms": [{"dz": [1], "dzbar": [1], "im": 1}]}))
+        vec_path = tmp_path / "vectors.json"
+        vec_path.write_text('[[{"re": 2}, {"re": %s}]]' % self.HUGE)
+        argv = ["forms", "eval", "--form", str(form_path), "--vectors", str(vec_path)]
+        payload = invoke_json(capsys, *argv, "--mode", "exact")
+        assert payload["value"]["re_exact"] == "4"
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "vectors[0][1].re" in err
+
+
 class TestOverflowingInstance:
     # ``curvature build`` checks the entries of the built curvature, and
     # ``schur verify`` and ``bounds chain`` the same sums, taken from T

@@ -322,6 +322,19 @@ class TestChangeFrame:
         for i in range(1, min(n, r) + 1):
             assert cs_a.form(i) == cs_b.form(i)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chern_forms_frame_invariant_rational_inverse(self, seed):
+        # det P = 31 + i, so the entries of P^-1 Omega P have denominators
+        # up to |31 + i|^2 = 962 and the Laplace route wedges non-unit
+        # denominators; the Gram route on the factor sees none
+        i = GaussianRational(0, 1)
+        frame = [[3, 1 + i, 0], [0, 2, 1], [1, 0, 5]]
+        factor = random_exact_factor(4, 3, 3, seed)
+        omega = change_frame(bott_chern_curvature(factor), frame)
+        assert any((c.re.denominator, c.im.denominator) != (1, 1)
+                   for row in omega.entries for f in row for c in f.terms.values())
+        assert chern_forms(omega).forms == chern_forms(factor).forms
+
 
 class TestGriffithsValue:
     def test_unit_example(self):

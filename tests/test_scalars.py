@@ -14,6 +14,8 @@ from chernforms.scalars import (
     GaussianRational,
     check_same_mode,
     coerce,
+    exact_fields,
+    parse_scalar,
     scalar_json,
 )
 
@@ -142,3 +144,20 @@ class TestCoercion:
         assert scalar_json(1.5 - 0j) == {"re": 1.5, "im": -0.0}
         with pytest.raises(InputError, match="float range"):
             scalar_json(GaussianRational(10 ** 400))
+
+    def test_parse_scalar_float_range(self):
+        # 2^1024 - 2^970 rounds up to 2^1024, the first int beyond the float range
+        edge = 2 ** 1024 - 2 ** 970
+        assert parse_scalar({"re": edge - 1, "im": -1}, FLOAT, "x") == complex(edge - 1, -1)
+        for part in ("re", "im"):
+            with pytest.raises(InputError, match=rf"^cell\.{part}: .*float range"):
+                parse_scalar({part: -edge}, FLOAT, "cell")
+            assert parse_scalar({part: edge}, EXACT, "cell") == \
+                GaussianRational(**{part: edge})
+
+    def test_exact_fields(self):
+        assert exact_fields(-7) == (-7, 0, 1)
+        assert exact_fields(Fraction(6, 4)) == (3, 0, 2)
+        assert exact_fields(GaussianRational(Fraction(1, 2), Fraction(1, 3))) == (3, 2, 6)
+        with pytest.raises(InputError):
+            exact_fields(0.5)
