@@ -16,8 +16,8 @@ stops there.
 *Gram route* (a ``CurvatureTensor``: the factor of Omega = A ^ conj(A^t),
 A_ik = sum_p T[p, i, k] dz^p, A an r x m factor).  ``chern_forms`` reads T
 off the tensor's array, in either scalar mode, and builds neither A nor
-Omega as forms; a float T is first checked for overflow in Omega's
-coefficients, as ``CurvatureMatrix`` checks its entries.  For a row subset
+Omega; a float T is first checked for overflow in Omega's coefficients by
+``curvature.curvature_sums``, which the tensor keeps.  For a row subset
 S = (s_1 < ... < s_i) and a size-i multiset kappa of the m columns, let
 Phi_{S,kappa} be the (i,0)-form
 
@@ -41,9 +41,9 @@ object arrays of ``GaussianRational``.  Each scaled G_i is the coefficient
 block of c_i, a ``PPForm``, which splits an exact block once into
 Gaussian-integer numerators over one denominator.
 
-*Laplace route* (a ``CurvatureMatrix``, e.g. from ``omega`` literals or
-``change_frame``).  Each entry is read once into its (1,1)-block, and each
-minor is expanded along its last row over blocks, d = |rows| - 1,
+*Laplace route* (a ``CurvatureMatrix``, whose entries are (1,1)-blocks,
+e.g. from ``omega`` literals or ``change_frame``).  Each minor is expanded
+along its last row over the blocks, d = |rows| - 1,
 
     det Omega[rows, cols] = sum over t of (-1)^(d+t)
                             det Omega[rows[:-1], cols - {cols[t]}] ^ Omega[rows[-1], cols[t]],
@@ -85,9 +85,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import CurvatureMatrix, CurvatureTensor
+from .curvature import CurvatureMatrix, CurvatureTensor, curvature_sums
 from .errors import InputError
-from .forms import PPForm, _laplace_step
+from .forms import PPForm, _laplace_step, _minor
 from .scalars import EXACT, FLOAT, GaussianRational
 
 #: exact phase (sqrt(-1))^i, i mod 4
@@ -221,42 +221,17 @@ class ChernFormSet:
             mode=FLOAT, m=self.m)
 
 
-def _minor(entries: list, rows: tuple, cols: tuple, minors: dict) -> Optional[PPForm]:
-    """det entries[rows, cols] by Laplace expansion along its last row, or
-    None when it vanishes; a zero entry is None too.  Each minor of two or
-    more rows is computed once and kept in ``minors`` under (rows, cols)."""
-    row = entries[rows[-1]]
-    if len(rows) == 1:
-        return row[cols[0]]
-    key = rows, cols
-    if key in minors:
-        return minors[key]
-    d, head, total = len(rows) - 1, rows[:-1], None
-    for t, col in enumerate(cols):
-        entry = row[col]
-        if entry is None:
-            continue
-        sub = _minor(entries, head, cols[:t] + cols[t + 1:], minors)
-        if sub is None:
-            continue
-        term = -sub.wedge(entry) if (d + t) & 1 else sub.wedge(entry)
-        total = term if total is None else total + term
-    minors[key] = None if total is None or total.is_zero() else total
-    return minors[key]
-
-
 def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
     """The sums of the principal i x i minors of ``omega``, i = 0..k, as
     (i,i)-blocks, each minor from ``_minor`` (see the module docstring)."""
     n, r, mode = omega.n, omega.r, omega.mode
-    entries = [[None if f.is_zero() else PPForm.from_form(f, 1) for f in row]
-               for row in omega.entries]
+    entries = [[None if b.is_zero() else b for b in row] for row in omega.blocks]
     minors = {}
     minor_sums = [PPForm.constant(n, 1, mode)]
     for i in range(1, k + 1):
         total = PPForm.zero(n, i, mode)
         for subset in itertools.combinations(range(r), i):
-            det = _minor(entries, subset, subset, minors)
+            det = _minor(entries, subset, subset, minors, PPForm.wedge)
             if det is not None:
                 total = total + det
         minor_sums.append(total)
@@ -328,27 +303,14 @@ def _gram_blocks(tensor: np.ndarray, k: int) -> list:
 
 def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
     """T[p, i, k] of a float tensor as ``factor_from_tensor(tensor)`` holds
-    it: a nonzero entry times the 1 + 0j of dz^p, the multiply of
-    ``Form.scale``, and an exactly zero one as 0j.
-
-    Raises the ``InputError`` of ``CurvatureMatrix`` when a coefficient
-    sum_k T[p, i, k] conj(T[q, j, k]) of Omega = A ^ conj(A^t) is not
-    finite, summed in k order as ``bott_chern_curvature`` sums it, naming
-    the first entry (i, j) in row-major order.
-    """
+    it (a nonzero entry times the 1 + 0j of dz^p, a zero one as 0j), after
+    the overflow check of ``curvature_sums``; every coefficient and partial
+    sum of Omega is at most 2 m peak^2, so a small peak needs no check."""
     a = tensor.array
-    t = np.where(a == 0, 0j, a * (1 + 0j))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # products[p, i, q, j, k] = T[p, i, k] conj(T[q, j, k])
-        products = t[:, :, None, None, :] * t.conj()[None, None]
-        total = products[..., 0]
-        for k in range(1, t.shape[2]):
-            total = total + products[..., k]
-    bad = np.argwhere(~np.isfinite(total).all(axis=(0, 2)))
-    if len(bad):
-        i, j = bad[0]
-        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
-    return t
+    peak = float(np.abs(a).max())
+    if not 2 * tensor.m * peak * peak <= 1e307:
+        curvature_sums(tensor)
+    return np.where(a == 0, 0j, a * (1 + 0j))
 
 
 def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet:

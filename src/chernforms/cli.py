@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .chern import chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, random_tensor
 from .errors import ConsistencyError, InputError
-from .forms import DEFAULT_TOL, Form, evaluate
+from .forms import DEFAULT_TOL, Form, evaluate, read_literal
 from .models import chern_number, evaluate_rr_polynomial, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
 from .rng import derive_seed
@@ -149,8 +149,9 @@ def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[Cur
         for i, row in enumerate(entries):
             if not isinstance(row, list):
                 raise InputError(f"field omega[{i}]: expected a list of form literals")
-            rows.append(tuple(Form.from_literal(cell, mode) for cell in row))
-        return CurvatureMatrix(tuple(rows)), None
+            # every cell is read, straight into its block, before the matrix is checked
+            rows.append([read_literal(cell, mode, 1) for cell in row])
+        return CurvatureMatrix(rows), None
     raise InputError("instance must carry either a tensor field 'T' or a matrix field 'omega'")
 
 
@@ -165,9 +166,9 @@ def _handle_curvature_build(args):
         "r": omega.r,
         "mode": args.mode,
         "witnessed": tensor is not None,
-        "omega": [[f.to_literal() for f in row] for row in omega.entries],
+        "omega": [[b.to_literal() for b in row] for row in omega.blocks],
         "chern": [
-            {"i": i, "form": cs.form(i).to_form().to_literal(),
+            {"i": i, "form": cs.form(i).to_literal(),
              "residual_prefactor_power": cs.residual_prefactor_power(i)}
             for i in range(cs.top_degree + 1)
         ],

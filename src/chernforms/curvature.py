@@ -10,10 +10,10 @@ an r x r matrix of (1,1)-forms from an r x m matrix A of (1,0)-forms
 the shape under which all nonnegativity statements in this package hold.
 The coefficient tensor T, a ``CurvatureTensor`` in either scalar mode, is
 the one representation of a factored curvature and the certificate of
-that shape.  ``factor_from_tensor`` (``tensor.entries``) builds A as forms,
-and ``bott_chern_curvature`` builds Omega as a plain ``CurvatureMatrix``,
-which carries no factor.  ``change_frame`` conjugates a curvature matrix
-into another frame as P^-1 Omega P.
+that shape.  ``factor_from_tensor`` (``tensor.entries``) builds A as forms.
+A ``CurvatureMatrix``, which carries no factor, holds Omega as (1,1)
+coefficient blocks: ``bott_chern_curvature`` writes them from T, and
+``change_frame`` conjugates them into another frame as P^-1 Omega P.
 
 For a float tensor the Griffiths form
 
@@ -26,65 +26,73 @@ they agree.
 
 from __future__ import annotations
 
-import cmath
-import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
 from .errors import ConsistencyError, InputError
-from .forms import MAX_DIM, Form
+from .forms import MAX_DIM, Form, PPForm
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, I_EXACT, GaussianRational, check_same_mode, coerce, \
-    parse_scalar, scalar_json
+from .scalars import EXACT, FLOAT, I_EXACT, check_same_mode, coerce, parse_scalar, scalar_json
 
 #: relative tolerance for the two Griffiths routes to agree
 GRIFFITHS_RTOL = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
 class CurvatureMatrix:
-    """r x r matrix of (1,1)-forms sharing one base dimension and mode.
+    """r x r matrix of (1,1)-forms of one base dimension and mode, each
+    given as a ``PPForm`` or a ``Form``: ``blocks[i][j]`` is Omega_ij's block
+    and ``entries`` its ``Form``, built on each access.  A float coefficient
+    that is not finite is rejected, naming the first such entry."""
 
-    Float entries must have finite coefficients: an overflow to inf or NaN,
-    as in a ``bott_chern_curvature`` build from huge tensor entries, is
-    rejected naming the first such entry in row-major order.
-    """
+    __slots__ = ("blocks",)
 
-    entries: tuple[tuple[Form, ...], ...]
-
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries or not entries[0]:
+    def __init__(self, entries):
+        rows = [list(row) for row in entries]
+        if not rows or not rows[0]:
             raise InputError("curvature matrix must be a nonempty matrix of forms")
-        n, mode = entries[0][0].n, entries[0][0].mode
-        for i, row in enumerate(entries):
-            if len(row) != len(entries):
+        n, mode = rows[0][0].n, rows[0][0].mode
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
                 raise InputError("curvature matrix must be square")
             for j, f in enumerate(row):
-                if not isinstance(f, Form):
+                if not isinstance(f, (Form, PPForm)):
                     raise InputError("curvature matrix entries must be forms")
                 if f.n != n:
                     raise InputError("curvature matrix entries must share one base dimension")
                 check_same_mode(f.mode, mode, "curvature matrix entries")
-                if not f.is_homogeneous(1, 1):
+                if isinstance(f, Form) and f.is_homogeneous(1, 1):
+                    f = PPForm.from_form(f, 1)
+                if not isinstance(f, PPForm) or f.p != 1:
                     raise InputError("curvature matrix entries must be homogeneous (1,1)-forms")
-                if mode == FLOAT and not all(map(cmath.isfinite, f.terms.values())):
+                if mode == FLOAT and not np.isfinite(f.block).all():
                     raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
+                row[j] = f
+        self.blocks = tuple(map(tuple, rows))
+
+    @classmethod
+    def _of(cls, blocks) -> "CurvatureMatrix":
+        # internal fast path: (1,1)-blocks already checked
+        self = object.__new__(cls)
+        self.blocks = tuple(map(tuple, blocks))
+        return self
+
+    @property
+    def entries(self) -> tuple[tuple[Form, ...], ...]:
+        return tuple(tuple(b.to_form() for b in row) for row in self.blocks)
 
     @property
     def r(self) -> int:
-        return len(self.entries)
+        return len(self.blocks)
 
     @property
     def n(self) -> int:
-        return self.entries[0][0].n
+        return self.blocks[0][0].n
 
     @property
     def mode(self) -> str:
-        return self.entries[0][0].mode
+        return self.blocks[0][0].mode
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +106,10 @@ class CurvatureTensor:
     An object array is exact mode: its entries are coerced to
     ``GaussianRational`` (int and Fraction are, float and complex are
     refused).  Any other array is float mode, read as complex and checked
-    finite.
+    finite.  Immutable by convention: ``curvature_sums`` keeps Omega's sums.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "_sums")
 
     def __init__(self, array):
         try:
@@ -127,6 +135,7 @@ class CurvatureTensor:
             if not np.all(np.isfinite(arr)):
                 raise InputError("curvature tensor entries must be finite")
         self.array = arr
+        self._sums = None
 
     @property
     def n(self) -> int:
@@ -210,43 +219,40 @@ def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
                  for i in range(tensor.r))
 
 
+def curvature_sums(tensor: CurvatureTensor) -> np.ndarray:
+    """R[i, j, p, q] = [dz^p ^ dzbar^q] Omega_ij of a float tensor, kept on it,
+    summed bit for bit as ``Form`` sums A_ik ^ conj(A_jk) (CONVENTIONS.md); a
+    sum that is not finite raises ``InputError`` naming the first (i, j)."""
+    if tensor._sums is not None:
+        return tensor._sums
+    n, r, m = tensor.array.shape
+    a = tensor.array.transpose(2, 1, 0).reshape(m, r * n)  # [k, (i, p)]
+    t = np.where(a == 0, 0j, a * (1 + 0j))  # dz^p times T[p, i, k], as Form.scale forms it
+    x, y, u, v = t.real[:, :, None], t.imag[:, :, None], t.real[:, None], -t.imag[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # terms[k, (i, p), (j, q)] = t[k, (i, p)] conj(t[k, (j, q)]), part by part
+        terms = np.stack((x * u - y * v, x * v + y * u), axis=-1).view(complex)[..., 0]
+        sums = np.zeros(terms.shape[1:], complex)
+        for term, skip in zip(terms, terms == 0):
+            # a zero sum is a dropped key: the next term starts it afresh
+            sums = np.where(skip, sums, np.where(sums == 0, term, sums + term))
+        sums[sums == 0] = 0
+    sums = np.ascontiguousarray(sums.reshape(r, n, r, n).transpose(0, 2, 1, 3))
+    bad = np.argwhere(~np.isfinite(sums).all(axis=(2, 3)))
+    if len(bad):
+        i, j = bad[0]
+        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
+    tensor._sums = sums
+    return sums
+
+
 def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
     """Omega = A ^ conj(A^t) for the factor A of ``tensor``: entry (i, j) is
-    sum_k A_ik ^ conj(A_jk), summed in k order.
-
-    Each term a_p conj(b_q) dz^p ^ dzbar^q of A_ik ^ conj(A_jk) has sign +1,
-    so the terms are written straight from the coefficients of A, in the
-    order and with the rules of ``Form.wedge`` and ``Form.__add__``: k, then
-    p, then q; an exactly zero product is skipped, and a key whose sum is
-    exactly zero is dropped, a later term re-inserting it at the end.
-    """
-    # A_ik = sum_p a_p dz^p as (dz mask, a_p) pairs, and conj(A_jk) =
-    # sum_q conj(b_q) dzbar^q as (dzbar mask, conj(b_q)), taken once for all i
-    a = [[[(h, c) for (h, _), c in f.terms.items()] for f in row]
-         for row in factor_from_tensor(tensor)]
-    a_bar = [[[(g, c.conjugate()) for g, c in terms] for terms in row] for row in a]
-    n, mode = tensor.n, tensor.mode
-    out = []
-    for left in a:
-        row = []
-        for right in a_bar:
-            terms: dict = {}
-            for a_k, b_k in zip(left, right):
-                for h, c1 in a_k:
-                    for g, c2 in b_k:
-                        c = c1 * c2
-                        if not c:
-                            continue
-                        key = (h, g)
-                        acc = terms.get(key)
-                        total = c if acc is None else acc + c
-                        if not total:
-                            del terms[key]
-                        else:
-                            terms[key] = total
-            row.append(Form._raw(n, mode, terms))
-        out.append(tuple(row))
-    return CurvatureMatrix(tuple(out))
+    sum_k A_ik ^ conj(A_jk), the block sum_k T[p, i, k] conj(T[q, j, k]),
+    since each term has sign +1; float sums from ``curvature_sums``."""
+    t, mode = tensor.array, tensor.mode
+    sums = curvature_sums(tensor) if mode == FLOAT else np.einsum("pik,qjk->ijpq", t, np.conj(t))
+    return CurvatureMatrix._of([[PPForm(tensor.n, 1, mode, b) for b in row] for row in sums])
 
 
 # ----------------------------------------------------------------------
@@ -265,14 +271,13 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
         raise InputError(f"frame matrix must be {omega.r} x {omega.r}")
     inv_rows = _linalg.inv(rows, mode)
     r = omega.r
-    zero = Form.zero(omega.n, mode)
+    zero = PPForm.zero(omega.n, 1, mode)
     pairs = [(a, b) for a in range(r) for b in range(r)]
-    entries = [omega.entries[a][b] for a, b in pairs]
-    new_entries = tuple(
-        tuple(_combine(entries, [inv_rows[i][a] * rows[b][j] for a, b in pairs], zero)
-              for j in range(r))
-        for i in range(r))
-    return CurvatureMatrix(new_entries)
+    blocks = [omega.blocks[a][b] for a, b in pairs]
+    return CurvatureMatrix([
+        [_combine(blocks, [inv_rows[i][a] * rows[b][j] for a, b in pairs], zero)
+         for j in range(r)]
+        for i in range(r)])
 
 
 # ----------------------------------------------------------------------
@@ -298,13 +303,12 @@ def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
         raise InputError(f"fiber vector must have length r={tensor.r}")
     if eta.shape != (tensor.n,):
         raise InputError(f"base vector must have length n={tensor.n}")
-    t = tensor.array  # [p, i, k]
-    # route 1: full curvature tensor R_{i,j,p,q} = sum_k T[p][i][k] conj(T[q][j][k]),
+    # route 1: the curvature blocks R_{i,j,p,q} = sum_k T[p][i][k] conj(T[q][j][k]),
     # contracted Hermitian-style: conj(xi) on the first fiber slot
-    big_r = np.einsum("pik,qjk->ijpq", t, np.conj(t))
+    big_r = curvature_sums(tensor)
     v1 = complex(np.einsum("ijpq,i,j,p,q->", big_r, np.conj(xi), xi, eta, np.conj(eta)))
     # route 2: sum of squares
-    amps = np.einsum("pik,i,p->k", t, np.conj(xi), eta)
+    amps = np.einsum("pik,i,p->k", tensor.array, np.conj(xi), eta)
     v2 = float(np.sum(np.abs(amps) ** 2))
     scale = max(1.0, abs(v1), v2)
     if abs(v1 - v2) > GRIFFITHS_RTOL * scale:
@@ -361,27 +365,3 @@ def random_unitary(r: int, seed: int = 0) -> np.ndarray:
     d = np.diagonal(upper)
     q = q * (d / np.abs(np.where(d == 0, 1, d)))
     return q
-
-
-def random_invertible(r: int, seed: int = 0) -> np.ndarray:
-    """Complex normal matrix, redrawn until its condition number is <= 1e6."""
-    for attempt in range(64):
-        z = complex_normal(substream(seed, 104, attempt), (r, r))
-        if np.linalg.cond(z) <= 1e6:
-            return z
-    raise ConsistencyError("could not draw a well-conditioned matrix (improbable)")
-
-
-def random_signed_phase_permutation(r: int, seed: int = 0) -> list[list[GaussianRational]]:
-    """Exactly unitary exact-mode matrix: permutation times diagonal phases
-    drawn from {1, -1, i, -i}."""
-    rng = substream(seed, 105)
-    perm = rng.permutation(r)
-    phases = rng.integers(0, 4, size=r)
-    unit = {0: GaussianRational(1), 1: GaussianRational(-1),
-            2: GaussianRational(0, 1), 3: GaussianRational(0, -1)}
-    zero = GaussianRational(0)
-    out = [[zero for _ in range(r)] for _ in range(r)]
-    for col in range(r):
-        out[int(perm[col])][col] = unit[int(phases[col])]
-    return out

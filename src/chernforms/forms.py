@@ -17,11 +17,10 @@ complex.  Forms are immutable by convention.
 
 A homogeneous (p,p)-form also has a dense representation, ``PPForm``: its
 C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
-dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Chern, Schur
-and chain-step forms compute as blocks, the Laplace expansion of the minors
-of a curvature matrix included; ``Form`` is the type of literals, and
-``Form.wedge`` multiplies literals (``bott_chern_curvature`` writes its
-terms in the same order, without it).  The wedge of a (p,p)- and
+dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Curvature
+entries and Chern, Schur and chain-step forms are blocks, and ``Form`` is
+the type of general literals: ``read_literal`` reads a (p,p) literal into
+its block and ``PPForm.to_literal`` writes it.  The wedge of a (p,p)- and
 a (q,q)-block is
 
     (F ^ G)[I u J, K u L] = (-1)^(pq) eps(I, J) eps(K, L) F[I, K] G[J, L],
@@ -57,7 +56,7 @@ minors d_J = det(X_b^{j_a}) over every p-subset J.  ``_minors`` computes d
 in one row-by-row Laplace pass, in either scalar mode: the minors of rows
 0..k come from those of rows 0..k-1 by expanding along row k, with index
 tables cached per (n, k).  A float tuple with p = n has the one minor
-``np.linalg.det`` gives.
+``np.linalg.det`` gives; exact ``evaluate`` expands only its masks' minors.
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.
@@ -68,8 +67,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +79,7 @@ from .scalars import (
     EXACT,
     FLOAT,
     GaussianRational,
+    _raw as _raw_scalar,
     _reduced,
     check_same_mode,
     coerce,
@@ -242,15 +243,8 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other, "addition")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            total = c if acc is None else acc + c
-            if not total:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return Form._raw(self.n, self.mode, out)
+        return Form._raw(self.n, self.mode,
+                         _sum_terms(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -277,23 +271,12 @@ class Form:
         contract (see the module docstring).
         """
         self._check_compatible(other, "wedge")
-        out: dict = {}
-        for (h1, a1), c1 in self.terms.items():
-            for (h2, a2), c2 in other.terms.items():
-                if h1 & h2 or a1 & a2:
-                    continue
-                c = c1 * c2
-                if (a1.bit_count() * h2.bit_count() + _inversions(h1, h2)
-                        + _inversions(a1, a2)) & 1:
-                    c = -c
-                key = (h1 | h2, a1 | a2)
-                acc = out.get(key)
-                total = c if acc is None else acc + c
-                if not total:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        return Form._raw(self.n, self.mode, out)
+        products = (((h1 | h2, a1 | a2),
+                     -(c1 * c2) if (a1.bit_count() * h2.bit_count() + _inversions(h1, h2)
+                                  + _inversions(a1, a2)) & 1 else c1 * c2)
+                    for (h1, a1), c1 in self.terms.items()
+                    for (h2, a2), c2 in other.terms.items() if not (h1 & h2 or a1 & a2))
+        return Form._raw(self.n, self.mode, _sum_terms(products))
 
     def conjugate(self) -> "Form":
         """Complex conjugate: swaps dz and dzbar families with the
@@ -351,42 +334,10 @@ class Form:
         are taken exactly (via their decimal string).  Terms with the same
         monomial are summed in literal order; a monomial whose sum is
         exactly zero is dropped, and a later term puts it back at the end."""
-        if not isinstance(obj, dict):
-            raise InputError("form literal must be an object with fields 'n' and 'terms'")
-        n = obj.get("n")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InputError("form literal field 'n': expected an integer")
-        raw_terms = obj.get("terms")
-        if not isinstance(raw_terms, list):
-            raise InputError("form literal field 'terms': expected a list")
-        cls.zero(n, mode)  # rejects a bad n or mode before any term is read
-        out: dict = {}
-        for pos, t in enumerate(raw_terms):
-            where = f"terms[{pos}]"
-            if not isinstance(t, dict):
-                raise InputError(f"form literal {where}: expected an object")
-            dz = t.get("dz", [])
-            dzbar = t.get("dzbar", [])
-            if not isinstance(dz, list) or not isinstance(dzbar, list):
-                raise InputError(f"form literal {where}: 'dz' and 'dzbar' must be index lists")
-            for name, indices in (("dz", dz), ("dzbar", dzbar)):
-                if any(isinstance(i, bool) for i in indices):
-                    raise InputError(f"form literal {where}.{name}: expected integer indices")
-            coeff = parse_scalar(t, mode, f"form literal {where}")
-            try:
-                key = (_indices_to_mask(dz, n), _indices_to_mask(dzbar, n))
-            except InputError as exc:
-                raise InputError(f"form literal {where}: {exc}") from exc
-            if not coeff:
-                continue
-            # the rule of __add__: sum in literal order, drop an exact zero sum
-            acc = out.get(key)
-            total = coeff if acc is None else acc + coeff
-            if not total:
-                del out[key]
-            else:
-                out[key] = total
-        return cls._raw(n, mode, out)
+        n, terms = _literal_terms(obj, mode)
+        if mode == EXACT:
+            terms = [(key, _raw_scalar(*c)) for key, c in terms]
+        return cls._raw(n, mode, _sum_terms(terms))
 
     # ------------------------------------------------------------------
 
@@ -401,6 +352,58 @@ class Form:
             mono = "^".join(factors) if factors else "1"
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
+
+
+def _literal_terms(obj, mode: str) -> tuple[int, list]:
+    """n and the nonzero terms ((dz mask, dzbar mask), c) of a Form literal,
+    checked in order; c is a complex, or the exact fields (x, y, d)."""
+    if not isinstance(obj, dict):
+        raise InputError("form literal must be an object with fields 'n' and 'terms'")
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError("form literal field 'n': expected an integer")
+    raw_terms = obj.get("terms")
+    if not isinstance(raw_terms, list):
+        raise InputError("form literal field 'terms': expected a list")
+    Form(n, mode)  # rejects a bad n or mode before any term is read
+    out = []
+    for pos, t in enumerate(raw_terms):
+        where = f"form literal terms[{pos}]"
+        if not isinstance(t, dict):
+            raise InputError(f"{where}: expected an object")
+        dz, dzbar = t.get("dz", []), t.get("dzbar", [])
+        if not isinstance(dz, list) or not isinstance(dzbar, list):
+            raise InputError(f"{where}: 'dz' and 'dzbar' must be index lists")
+        if bool in map(type, dz + dzbar):
+            name = "dz" if bool in map(type, dz) else "dzbar"
+            raise InputError(f"{where}.{name}: expected integer indices")
+        re, im = t.get("re", 0), t.get("im", 0)
+        if mode == EXACT and type(re) is int and type(im) is int:
+            c = re, im, 1  # int parts are numerators as they stand
+        else:
+            c = parse_scalar(t, mode, where)
+            c = exact_fields(c) if mode == EXACT else c
+        try:
+            key = (_indices_to_mask(dz, n), _indices_to_mask(dzbar, n))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+        if c if mode == FLOAT else c[0] or c[1]:
+            out.append((key, c))
+    return n, out
+
+
+def _sum_terms(terms: Iterable) -> dict:
+    """Terms (key, c) summed per key in order, as every ``Form`` sum is."""
+    out: dict = {}
+    for key, c in terms:
+        acc = out.get(key)
+        total = c if acc is None else acc + c
+        if not total:
+            # an exactly zero sum drops its key; a later term puts it back at the end
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return out
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -523,8 +526,7 @@ class PPForm:
     @classmethod
     def zero(cls, n: int, p: int, mode: str = FLOAT) -> "PPForm":
         size = math.comb(n, p)
-        return cls(n, p, mode, np.full((size, size), coerce(0, mode),
-                                       object if mode == EXACT else complex))
+        return cls(n, p, mode, np.zeros((size, size), object if mode == EXACT else complex))
 
     @classmethod
     def constant(cls, n: int, value, mode: str = FLOAT) -> "PPForm":
@@ -556,15 +558,25 @@ class PPForm:
     def to_form(self) -> Form:
         """The same form as a ``Form``, its keys in block order."""
         masks = _masks(self.n, self.p)
-        if self.mode == FLOAT:
-            return Form._raw(self.n, FLOAT, {
-                (h, a): c for h, row in zip(masks, self._block.tolist())
-                for a, c in zip(masks, row) if c})
-        den = self.den
-        return Form._raw(self.n, EXACT, {
-            (h, a): _reduced(x, y, den)
-            for h, xs, ys in zip(masks, self.re.tolist(), self.im.tolist())
-            for a, x, y in zip(masks, xs, ys) if x or y})
+        return Form._raw(self.n, self.mode, {(h, a): c for h, row in zip(masks, self.block.tolist())
+                                             for a, c in zip(masks, row) if c})
+
+    def to_literal(self) -> dict:
+        """``to_form().to_literal()``, read off the block: the nonzero entries
+        sorted by (dz mask, dzbar mask), each part the float of ``to_float``."""
+        masks = _masks(self.n, self.p)
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+        indices = [_mask_to_indices(mask) for mask in masks]
+        try:
+            values = self.to_float()._block.tolist()
+        except OverflowError as exc:
+            raise InputError("an exact value lies beyond the float range of the report") from exc
+        nonzero = self._block != 0 if self.mode == FLOAT else (self.re != 0) | (self.im != 0)
+        keep = nonzero.tolist()
+        return {"n": self.n, "terms": [
+            {"dz": list(indices[b]), "dzbar": list(indices[c]),
+             "re": values[b][c].real, "im": values[b][c].imag}
+            for b in order for c in order if keep[b][c]]}
 
     @property
     def terms(self) -> dict:
@@ -677,6 +689,30 @@ class PPForm:
         return repr(self.to_form())
 
 
+def read_literal(obj, mode: str, p: int) -> Union[PPForm, Form]:
+    """The block of a (p,p)-form literal, with the errors and sums of
+    ``Form.from_literal`` and no ``Form`` built (exact terms as numerators
+    over one denominator); one with a nonzero sum off degree (p,p) is
+    returned as its ``Form``, for the caller to refuse."""
+    n, terms = _literal_terms(obj, mode)
+    position = {mask: b for b, mask in enumerate(_masks(n, p))}
+    if any(h not in position or a not in position for (h, a), _ in terms):
+        form = Form.from_literal(obj, mode)
+        return PPForm.from_form(form, p) if form.is_homogeneous(p, p) else form
+    size = len(position)
+    if mode == FLOAT:
+        block = np.zeros((size, size), complex)
+        for (h, a), c in _sum_terms(terms).items():
+            block[position[h], position[a]] = c
+        return PPForm(n, p, FLOAT, block)
+    den = math.lcm(*(d for _, (_, _, d) in terms))
+    re, im = np.zeros((2, size, size), object)
+    for (h, a), (x, y, d) in terms:
+        re[position[h], position[a]] += x * (den // d)
+        im[position[h], position[a]] += y * (den // d)
+    return PPForm._exact(n, p, re, im, den)
+
+
 # ----------------------------------------------------------------------
 # evaluation
 
@@ -715,14 +751,40 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
         return complex(_pairing(PPForm.from_form(form), arr)[0])
 
     # sum over the form's terms, not its C(n,p)^2 block: a literal may have
-    # few terms, and exact block products cost a scalar product per entry
-    minors = _minors(np.array(vecs, dtype=object).reshape(1, p, form.n))[0]
-    minor = dict(zip(_masks(form.n, p), minors))
-    total = GaussianRational(0)
+    # few terms, and exact block products cost a scalar product per entry;
+    # only the minors of the terms' masks, and their sub-minors, are expanded
+    entries, minors, total = [[x or None for x in v] for v in vecs], {}, GaussianRational(0)
     for (h, a), c in form.terms.items():
-        total = total + c * minor[h] * minor[a].conjugate()
+        d_h, d_a = (_minor(entries, tuple(range(p)), tuple(j - 1 for j in _mask_to_indices(mask)),
+                           minors, operator.mul) or GaussianRational(0) for mask in (h, a))
+        total = total + c * d_h * d_a.conjugate()
     # (-i)^(p^2): 1 for even p, -i for odd p
     return total * GaussianRational(0, -1) if p & 1 else total
+
+
+def _minor(entries: list, rows: tuple, cols: tuple, minors: dict, mul: Callable):
+    """det M[rows, cols] = sum_t (-1)^(d+t) mul(det M[rows[:-1], cols - {cols[t]}],
+    M[rows[-1], cols[t]]), d = len(rows) - 1, over exact scalars or blocks, or
+    None when it vanishes (as a zero entry is); each minor of two or more
+    rows is computed once and kept in ``minors`` under (rows, cols)."""
+    row = entries[rows[-1]]
+    if len(rows) == 1:
+        return row[cols[0]]
+    key = rows, cols
+    if key in minors:
+        return minors[key]
+    d, head, total = len(rows) - 1, rows[:-1], None
+    for t, col in enumerate(cols):
+        entry = row[col]
+        if entry is None:
+            continue
+        sub = _minor(entries, head, cols[:t] + cols[t + 1:], minors, mul)
+        if sub is None:
+            continue
+        term = -mul(sub, entry) if (d + t) & 1 else mul(sub, entry)
+        total = term if total is None else total + term
+    minors[key] = None if total is None or total.is_zero() else total
+    return minors[key]
 
 
 # one entry per (n, k) and dtype, so n <= MAX_DIM bounds the cache

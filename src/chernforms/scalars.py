@@ -167,6 +167,9 @@ class GaussianRational:
     def __bool__(self):
         return self._x != 0 or self._y != 0
 
+    def is_zero(self) -> bool:
+        return not self
+
     def __complex__(self):
         # int true division rounds correctly, as Fraction.__float__ does
         return complex(self._x / self._d, self._y / self._d)

@@ -23,10 +23,21 @@ Lines of that file that start with ``#`` are comments.
 * ``schur-table`` (84 ops): ``--i 0..6 --r 0..5``, JSON and text;
 * ``models`` (154 ops): ``model rr`` with K, O, O(1,...,1) and O(2,...,2) at
   ``--m=-5..5``, ``model bounds`` with and without ``--signed``, and
-  ``model chern-numbers``, on every ``CATALOG`` model, JSON and text.
+  ``model chern-numbers``, on every ``CATALOG`` model, JSON and text;
+* ``omega``: ``curvature build`` on ``omega`` literals in both modes.  For
+  n, r <= 3 and CLI seeds 0-1, the float literal of the curvature of
+  ``random_tensor(n, r, None, seed)``, as written and rewritten with
+  repeated, cancelling, signed-zero and zero-sum off-degree terms, is built
+  in float mode and in exact mode, which reads each float part exactly as a
+  decimal.  Hand-written literals add exact decimal parts, sums that cancel
+  in exact mode only, and literals that are refused (a nonzero sum off
+  degree (1,1), base dimensions that differ, an overflowing float sum).
+  Last come float builds of the Gaussian-integer tensors
+  ``random_exact_factor(n, r, seed=seed)``, n, r <= 3, seeds 0-2, whose
+  exact zeros and real entries give products with signed zeros.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the four sets against its expected line
+``test_byte_identity`` runs each of the five sets against its expected line
 on every test run.
 """
 
@@ -45,7 +56,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the four lines every checkout must print
+#: the five lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -93,6 +104,72 @@ def core_ops(workdir: str) -> list[list[str]]:
     return ops
 
 
+def _rewritten(literal: dict) -> dict:
+    """The same (1,1)-form literal with every term written as itself, its
+    negation and itself again (the sum cancels and the term comes back),
+    a real term's zero imaginary part written as -0.0, and two off-degree
+    terms that read as zero: one with a zero coefficient and one that
+    cancels."""
+    terms = [{"dz": [1], "dzbar": [], "re": 0, "im": 0},
+             {"dz": [1], "dzbar": [], "re": 1.5, "im": -2.5},
+             {"dz": [1], "dzbar": [], "re": -1.5, "im": 2.5}]
+    for term in literal["terms"]:
+        negated = dict(term, re=-term["re"], im=-term["im"])
+        last = dict(term, im=-0.0) if term["im"] == 0 else term
+        terms += [term, negated, last]
+    return {"n": literal["n"], "terms": terms}
+
+
+def _cell(n: int, *terms) -> dict:
+    return {"n": n, "terms": [{"dz": dz, "dzbar": dzbar, "re": re, "im": im}
+                              for dz, dzbar, re, im in terms]}
+
+
+#: hand-written omega matrices: exact decimal parts, repeated terms, sums
+#: that cancel exactly only in exact mode, and three refused inputs
+OMEGA_LITERALS = [
+    [[_cell(2, ([1], [1], 0.5, 0), ([2], [1], 0.05, 0.1), ([1], [1], 0.25, 0),
+            ([2], [2], 1.1, 0), ([1], [2], 0.1, -0.3), ([2], [1], 0.05, 0.2)),
+      _cell(2, ([1], [2], 0.2, 0.1))],
+     [_cell(2, ([2], [1], 0.2, -0.1)),
+      _cell(2, ([2], [2], 0.1, 0), ([2], [2], 0.2, 0), ([2], [2], -0.3, 0),
+            ([1], [1], 3, 0))]],
+    [[_cell(3, ([1], [1], 1, 0), ([2], [2], 2, 0), ([3], [3], 0.125, 0),
+            ([1], [3], 7, 7), ([1], [3], -7, -7), ([2], [3], 0.3, 0))]],
+    [[_cell(2, ([1], [], 0.1, 0), ([1], [], 0.2, 0), ([1], [], -0.3, 0),
+            ([1], [1], 1, 0))]],
+    [[_cell(2, ([1], [1], 1, 0)), _cell(2)], [_cell(3), _cell(2, ([2], [2], 1, 0))]],
+    [[_cell(1, ([1], [1], 1e308, 0), ([1], [1], 1e308, 0))]],
+]
+
+
+def omega_ops(workdir: str) -> list[list[str]]:
+    ops = []
+    paths = []
+    for n in range(1, 4):
+        for r in range(1, 4):
+            for seed in range(2):
+                omega = bott_chern_curvature(random_tensor(n, r, None, seed))
+                rows = [[f.to_literal() for f in row] for row in omega.entries]
+                for rewrite, cells in (("plain", rows),
+                                       ("rewritten", [[_rewritten(c) for c in row]
+                                                      for row in rows])):
+                    paths.append(_write(os.path.join(
+                        workdir, f"omega-float-{n}-{r}-{seed}-{rewrite}.json"), {"omega": cells}))
+    paths += [_write(os.path.join(workdir, f"omega-hand-{idx}.json"), {"omega": rows})
+              for idx, rows in enumerate(OMEGA_LITERALS)]
+    for path in paths:
+        for mode in ("float", "exact"):
+            ops.append(["curvature", "build", "--mode", mode, "--instance", path])
+    for n in range(1, 4):
+        for r in range(1, 4):
+            for seed in range(3):
+                path = _write(os.path.join(workdir, f"integer-tensor-{n}-{r}-{seed}.json"),
+                              random_exact_factor(n, r, seed=seed).to_json())
+                ops.append(["curvature", "build", "--instance", path])
+    return ops
+
+
 def schur_table_ops() -> list[list[str]]:
     ops = []
     for i in range(7):
@@ -123,14 +200,15 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The four op sets by name, in the order of the expected lines; the
-    ``core`` ops read input files written to ``workdir``."""
+    """The five op sets by name, in the order of the expected lines; the
+    ``core`` and ``omega`` ops read input files written to ``workdir``."""
     core = core_ops(workdir)
     return {
         "core": core,
         "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
         "schur-table": schur_table_ops(),
         "models": model_ops(),
+        "omega": omega_ops(workdir),
     }
 
 

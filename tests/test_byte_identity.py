@@ -38,7 +38,12 @@ fewer wedges.
 ``GaussianRational`` (three normalised ints) must agree with the
 Fraction-pair class it replaced, kept below as a reference, in every part,
 float bit, string, hash and error; ``Form.from_literal`` (one pass) with
-the fold over ``Form.__add__`` it replaced.  Fixed sets of exact-mode and
+the fold over ``Form.__add__`` it replaced.  A curvature matrix holds
+(1,1)-blocks, so ``forms.read_literal`` must read an ``omega`` cell into
+the block that ``Form.from_literal`` and ``PPForm.from_form`` give, bit for
+bit and with the same errors, ``PPForm.to_literal`` must write the literal
+of ``to_form().to_literal()``, and ``bott_chern_curvature`` must hold the
+terms of the dict loop it replaced, kept below, signed zeros included.  Fixed sets of exact-mode and
 float-mode CLI ops, and the float ops at the benchmark's shapes, are pinned
 by the sha256 of their output, and
 ``cli.report_json`` must write what ``json.dumps(sort_keys=True,
@@ -83,7 +88,7 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms import chern, forms, scalars
+from chernforms import chern, cli, curvature, forms, scalars
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
@@ -1169,6 +1174,370 @@ class TestFromLiteralIdentity:
 
 
 # ----------------------------------------------------------------------
+# Omega as (1,1)-blocks: the literal reader, the block printer and the
+# curvature sums, against the Form route they replaced
+
+
+def ref_omega(obj, mode: str) -> CurvatureMatrix:
+    """The old ``omega`` reader: every cell a ``Form`` from
+    ``Form.from_literal``, then the matrix checks."""
+    rows = obj["omega"]
+    if not isinstance(rows, list) or not rows:
+        raise InputError("field 'omega': expected a nonempty matrix of form literals")
+    cells = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InputError(f"field omega[{i}]: expected a list of form literals")
+        cells.append([Form.from_literal(cell, mode) for cell in row])
+    return CurvatureMatrix(cells)
+
+
+def ref_bott_chern(tensor: CurvatureTensor) -> list:
+    """The old ``bott_chern_curvature``: Omega_ij = sum_k A_ik ^ conj(A_jk)
+    as term dicts, written in k, p, q order with the rules of ``Form``
+    (an exactly zero product skipped, an exactly zero sum dropped)."""
+    a = [[[(h, c) for (h, _), c in f.terms.items()] for f in row]
+         for row in factor_from_tensor(tensor)]
+    a_bar = [[[(g, c.conjugate()) for g, c in terms] for terms in row] for row in a]
+    out = []
+    for left in a:
+        row = []
+        for right in a_bar:
+            terms: dict = {}
+            for a_k, b_k in zip(left, right):
+                for h, c1 in a_k:
+                    for g, c2 in b_k:
+                        c = c1 * c2
+                        if not c:
+                            continue
+                        total = c if (h, g) not in terms else terms[h, g] + c
+                        if not total:
+                            del terms[h, g]
+                        else:
+                            terms[h, g] = total
+            row.append(terms)
+        out.append(row)
+    return out
+
+
+def _block_outcome(read, obj, mode: str) -> str:
+    """A reader's result, every bit of it: the float block's bytes or the
+    exact fields, a returned ``Form``'s terms, or the error."""
+    try:
+        got = read(obj, mode)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    if isinstance(got, Form):
+        return f"Form {exact_repr(got)}"
+    if mode == FLOAT:
+        return f"block {got.p} {got.block.tobytes().hex()}"
+    return f"block {got.p} {got.re.tolist()} {got.im.tolist()} {got.den}"
+
+
+def _oracle_block(obj, mode: str):
+    """``Form.from_literal`` then ``PPForm.from_form``; a literal whose sums
+    are not all of degree (1,1) stays the ``Form`` it reads as."""
+    form = Form.from_literal(obj, mode)
+    return PPForm.from_form(form, 1) if form.is_homogeneous(1, 1) else form
+
+
+def _random_terms(rng, n: int, count: int) -> list:
+    """Terms over few keys, mostly (1,1): repeats, exact cancellations that
+    re-insert their key, signed zeros, exact decimals and zero terms off
+    degree (1,1)."""
+    terms = []
+    for _ in range(count):
+        if terms and rng.random() < 0.3:
+            # the negation of an earlier term, or the term again
+            old = terms[int(rng.integers(len(terms)))]
+            sign = -1 if rng.random() < 0.6 else 1
+            terms.append(dict(old, re=sign * old["re"], im=sign * old["im"]))
+            continue
+        if rng.random() < 0.85:
+            dz, dzbar = [int(rng.integers(1, n + 1))], [int(rng.integers(1, n + 1))]
+        else:
+            dz, dzbar = [int(rng.integers(1, n + 1))], []
+        re, im = (int(v) for v in rng.integers(-2, 3, size=2))
+        kind = int(rng.integers(3))
+        if kind == 1:
+            re, im = re / 10, im / 4
+        elif kind == 2:
+            re, im = float(re), -0.0
+        terms.append({"dz": dz, "dzbar": dzbar, "re": re, "im": im})
+    return terms
+
+
+class TestReadLiteral:
+    """``forms.read_literal`` against ``Form.from_literal`` followed by
+    ``PPForm.from_form``: the same sums, bit for bit, and the same errors."""
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_sums_match_the_form_route(self, mode):
+        rng = np.random.default_rng(2201)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            obj = {"n": n, "terms": _random_terms(rng, n, int(rng.integers(0, 14)))}
+            assert _block_outcome(lambda o, m: forms.read_literal(o, m, 1), obj, mode) == \
+                _block_outcome(_oracle_block, obj, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("terms", [
+        # repeated terms, summed in literal order: 0.1 + 0.2 + 0.3 and
+        # 0.3 + 0.2 + 0.1 differ in float mode
+        [(1, 1, 0.1, 0), (1, 1, 0.2, 0), (1, 1, 0.3, 0)],
+        [(1, 1, 0.3, 0), (1, 1, 0.2, 0), (1, 1, 0.1, 0)],
+        # sums that cancel exactly, then restart with a signed zero
+        [(1, 2, 1, -1), (1, 2, -1, 1), (1, 2, 2.0, -0.0)],
+        [(2, 2, 0.5, 0.25), (2, 2, -0.5, -0.25)],
+        # 0.1 + 0.2 - 0.3 cancels in exact mode only
+        [(2, 1, 0.1, 0), (2, 1, 0.2, 0), (2, 1, -0.3, 0)],
+        # exact decimal parts over several denominators
+        [(1, 1, 0.125, -2.5), (2, 1, 1.1, 0), (1, 2, 3, 0.3)],
+        # off degree (1,1): a zero coefficient, and a sum that cancels
+        [(1, 0, 0, 0), (0, 0, 0.0, -0.0), (1, 1, 1, 0)],
+        [(3, 0, 1.5, -2), (1, 1, 1, 0), (3, 0, -1.5, 2)],
+        # off degree (1,1) with a nonzero sum: the reader returns the Form
+        [(1, 1, 1, 0), (3, 3, 1, 0)],
+        [(0, 0, 0.1, 0), (0, 0, 0.2, 0), (0, 0, -0.3, 0)],
+    ])
+    def test_named_cases(self, mode, terms):
+        obj = {"n": 2, "terms": [
+            {"dz": [i + 1 for i in range(2) if h >> i & 1],
+             "dzbar": [i + 1 for i in range(2) if a >> i & 1], "re": re, "im": im}
+            for h, a, re, im in terms]}
+        assert _block_outcome(lambda o, m: forms.read_literal(o, m, 1), obj, mode) == \
+            _block_outcome(_oracle_block, obj, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("obj,message", [
+        ([], "form literal must be an object with fields 'n' and 'terms'"),
+        ({"terms": []}, "form literal field 'n': expected an integer"),
+        ({"n": True, "terms": []}, "form literal field 'n': expected an integer"),
+        ({"n": 15, "terms": []}, "base dimension must be an int in 0..14, got 15"),
+        ({"n": 2, "terms": "x"}, "form literal field 'terms': expected a list"),
+        ({"n": 2, "terms": [3]}, "form literal terms[0]: expected an object"),
+        ({"n": 2, "terms": [{"dz": 1}]},
+         "form literal terms[0]: 'dz' and 'dzbar' must be index lists"),
+        ({"n": 2, "terms": [{"dz": [True], "re": "x"}]},
+         "form literal terms[0].dz: expected integer indices"),
+        ({"n": 2, "terms": [{"dz": [3], "re": "1"}]}, "form literal terms[0].re: expected a number"),
+        ({"n": 2, "terms": [{"dz": [3], "re": 1}]},
+         "form literal terms[0]: form index 3 out of range 1..2"),
+        ({"n": 2, "terms": [{"dz": [2, 1], "re": 0}]},
+         "form literal terms[0]: form indices must be strictly increasing"),
+        ({"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": 1}, {"dz": [1], "im": float("nan")}]},
+         "form literal terms[1].im: expected a finite number, got nan"),
+        ({"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": 1}, "t"]},
+         "form literal terms[1]: expected an object"),
+    ], ids=lambda v: json.dumps(v) if not isinstance(v, str) else "")
+    def test_malformed_messages(self, mode, obj, message):
+        # the texts the parser printed before the reader shared it
+        want = f"InputError: {message}"
+        assert _block_outcome(lambda o, m: forms.read_literal(o, m, 1), obj, mode) == want
+        assert _block_outcome(_oracle_block, obj, mode) == want
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    def test_first_error_across_cells(self, mode):
+        # cells malformed in several ways at once: the matrix reader names
+        # what the Form route names, parse errors before shape, degree and
+        # overflow errors, in row-major order
+        good = {"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": 1}]}
+        bad = [
+            {"n": 2, "terms": [{"dz": [5], "dzbar": [1], "re": 1}]},
+            {"n": 2, "terms": [{"dz": [1], "dzbar": [1], "im": "i"}]},
+            {"n": 2, "terms": [{"dz": [1], "dzbar": [], "re": 1}]},
+            {"n": 3, "terms": []},
+            {"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": 1e308},
+                               {"dz": [1], "dzbar": [1], "re": 1e308}]},
+            "cell",
+            good,
+        ]
+        rng = np.random.default_rng(2202)
+        seen = set()
+        for _ in range(300):
+            r = int(rng.integers(1, 4))
+            rows = [[bad[int(v)] for v in rng.integers(len(bad), size=r)] for _ in range(r)]
+            if rng.random() < 0.1:
+                rows[-1] = rows[-1][:-1] or "row"
+            obj = {"omega": rows}
+            want = _omega_outcome(lambda o, m: (ref_omega(o, m), None), obj, mode)
+            assert _omega_outcome(cli._curvature_from_input, obj, mode) == want
+            seen.add(want if want.startswith("InputError") else "read")
+        # every kind of error came first somewhere, and some matrices were read
+        assert len(seen) >= 8 and "read" in seen
+
+    def test_int_parts_build_no_scalars(self, monkeypatch):
+        # exact int parts are numerators as they stand: reading a Gaussian-
+        # integer omega builds no GaussianRational
+        omega = bott_chern_curvature(random_exact_factor(4, 3, 3, 501))
+        cells = [[f.to_literal() for f in row] for row in omega.entries]
+        cells = [[dict(c, terms=[dict(t, re=int(t["re"]), im=int(t["im"])) for t in c["terms"]])
+                  for c in row] for row in cells]
+        created = []
+        init = GaussianRational.__init__
+
+        def counting_init(self, *parts):
+            created.append(parts)
+            init(self, *parts)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        for module, name in ((scalars, "_raw"), (forms, "_raw_scalar")):
+            monkeypatch.setattr(module, name, lambda *fields: created.append(fields))
+        blocks = [[forms.read_literal(c, EXACT, 1) for c in row] for row in cells]
+        monkeypatch.undo()
+        assert created == []
+        assert [[b.to_form() for b in row] for row in blocks] == [list(row) for row in omega.entries]
+
+
+def _omega_outcome(read, obj, mode: str) -> str:
+    try:
+        omega, _ = read(obj, mode)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return repr([[canonical_repr(f) for f in row] for row in omega.entries])
+
+
+def _random_block(rng, n: int, p: int, mode: str) -> PPForm:
+    """A (p,p)-block with zeros, signed zeros and, in exact mode, entries
+    over several denominators."""
+    size = math.comb(n, p)
+    if mode == FLOAT:
+        pool = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(1.5, -0.0), complex(-0.0, 2.25), complex(-3.0, 0.0)]
+        block = complex_normal(rng, (size, size))
+        picks = rng.integers(len(pool) + 3, size=(size, size))
+        for (i, j), pick in np.ndenumerate(picks):
+            if pick < len(pool):
+                block[i, j] = pool[pick]
+        return PPForm(n, p, FLOAT, block)
+    re = rng.integers(-4, 5, size=(size, size)) * (rng.random((size, size)) < 0.6)
+    im = rng.integers(-4, 5, size=(size, size)) * (rng.random((size, size)) < 0.6)
+    g = int(rng.choice([1, 2, 6]))
+    # numerators and denominator share the factor g, which the block divides out
+    return PPForm._exact(n, p, (re * g).astype(object), (im * g).astype(object),
+                         int(rng.choice([1, 3, 4, 10])) * g)
+
+
+class TestBlockLiteral:
+    """``PPForm.to_literal`` writes what ``to_form().to_literal()`` writes,
+    compared as JSON text, which shows every float bit and the sign of
+    each zero."""
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_every_degree(self, mode, n):
+        rng = substream(2203, n, int(mode == EXACT))
+        for p in range(n + 1):
+            for _ in range(3):
+                block = _random_block(rng, n, p, mode)
+                if mode == EXACT:
+                    assert_normalised(block)
+                assert json.dumps(block.to_literal()) == \
+                    json.dumps(block.to_form().to_literal())
+
+    def test_zero_blocks(self):
+        for mode in (FLOAT, EXACT):
+            for n, p in ((0, 0), (3, 1), (4, 2)):
+                block = PPForm.zero(n, p, mode)
+                assert block.to_literal() == block.to_form().to_literal() == \
+                    {"n": n, "terms": []}
+
+    def test_beyond_the_float_range(self):
+        size = math.comb(3, 1)
+        re = np.zeros((size, size), object)
+        re[1, 2] = 10 ** 400
+        block = PPForm._exact(3, 1, re, np.zeros((size, size), object), 7)
+        for write in (block.to_literal, lambda: block.to_form().to_literal()):
+            with pytest.raises(InputError, match="^an exact value lies beyond the float range "
+                                                 "of the report$"):
+                write()
+
+
+def _sum_tensors(rng) -> list:
+    """Float tensors whose curvature sums meet every rule of the Form route:
+    signed zeros, real and imaginary axes, exact cancellations, products
+    that underflow to zero, and plain normals."""
+    out = []
+    for s in range(160):
+        n, r, m = (int(v) for v in rng.integers(1, 5, size=3))
+        kind = s % 5
+        if kind == 0:
+            arr = random_tensor(n, r, m, s).array
+        elif kind == 1:
+            arr = random_exact_factor(n, r, m, s).array.astype(complex)
+        elif kind == 2:
+            arr = (rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], size=(n, r, m))
+                   + 1j * rng.choice([0.0, 1.0, -2.0], size=(n, r, m)))
+            arr.imag[rng.random(arr.shape) < 0.5] = -0.0
+        elif kind == 3:
+            base = rng.integers(-1, 2, size=(n, r, 1)).astype(complex)
+            arr = np.concatenate([base, -base, 1j * base, base], axis=2)
+        else:
+            arr = complex_normal(rng, (n, r, m)) * 1e-170
+        out.append(CurvatureTensor(arr))
+    return out
+
+
+class TestCurvatureSums:
+    """``curvature_sums`` and the blocks of ``bott_chern_curvature`` against
+    the term dicts the Form route wrote, every bit and every signed zero."""
+
+    def test_blocks_match_the_form_route(self):
+        for tensor in _sum_tensors(np.random.default_rng(2204)):
+            want = ref_bott_chern(CurvatureTensor(tensor.array))
+            got = bott_chern_curvature(tensor)
+            for i, row in enumerate(got.blocks):
+                for j, block in enumerate(row):
+                    ref = np.zeros((tensor.n, tensor.n), complex)
+                    for (h, g), c in want[i][j].items():
+                        ref[h.bit_length() - 1, g.bit_length() - 1] = c
+                    assert block.block.tobytes() == ref.tobytes(), (i, j)
+                    assert json.dumps(block.to_literal()) == \
+                        json.dumps(Form._raw(tensor.n, FLOAT, want[i][j]).to_literal())
+
+    @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153, 3e153, 1e154, 1e155])
+    def test_overflow_check_only_skips_finite_sums(self, scale):
+        # chern._checked_tensor sums Omega only above a bound on its
+        # coefficients; it raises exactly when curvature_sums does
+        rng = np.random.default_rng(int(math.log10(scale)))
+        for _ in range(20):
+            n, r, m = (int(v) for v in rng.integers(1, 4, size=3))
+            arr = complex_normal(rng, (n, r, m)) * scale
+
+            def outcome(check):
+                try:
+                    check(CurvatureTensor(arr))
+                except InputError as exc:
+                    return str(exc)
+                return None
+
+            assert outcome(chern._checked_tensor) == outcome(curvature.curvature_sums)
+
+    @pytest.mark.parametrize("array,calls", [
+        (random_tensor(3, 2, 2, 5).array, [True]),
+        # entries so large that the Gram route's check must look at Omega,
+        # which is still finite: it reads the sums the tensor kept
+        (np.array([[[2.5e153, 1.5e153j]]]), [True, False]),
+    ], ids=["small", "large"])
+    def test_curvature_build_sums_omega_once(self, monkeypatch, tmp_path, array, calls):
+        # each call records whether it had to sum Omega
+        computed = []
+        original = curvature.curvature_sums
+
+        def counting(tensor):
+            computed.append(tensor._sums is None)
+            return original(tensor)
+
+        for module in (curvature, chern):
+            monkeypatch.setattr(module, "curvature_sums", counting)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(CurvatureTensor(array).to_json()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["curvature", "build", "--instance", str(path)]) == 0
+        assert computed == calls
+
+
+# ----------------------------------------------------------------------
 # GaussianRational: the Fraction-pair class it replaced
 
 
@@ -1746,11 +2115,13 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
         BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST
 
 
-@pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "schur-table", "models"])
+@pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "schur-table", "models",
+                                  "omega"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
-    # n, r <= 5, ``schur table`` or any ``model`` subcommand; the ops and
-    # their digests stay in cli_digests.py and cli_digests.expected
+    # n, r <= 5, ``schur table``, any ``model`` subcommand or the ``omega``
+    # literal set; the ops and their digests stay in cli_digests.py and
+    # cli_digests.expected
     import cli_digests
 
     ops = cli_digests.op_sets(str(tmp_path))[name]

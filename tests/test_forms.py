@@ -470,6 +470,49 @@ class TestMinors:
                            for row in zip(*parts)]
                 assert evaluate(form, vectors) == mask_det_evaluate(form, vectors)
 
+    @pytest.mark.parametrize("n,masks,expanded", [
+        # one (6,6) term at n = 12 on disjoint index sets: each mask's 6
+        # columns have 2^6 - 1 - 6 = 57 subsets of two or more, where a full
+        # pass would expand sum_{s=2..6} C(12, s) = 2497 minors
+        (12, [((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))], 114),
+        # dz and dzbar on the same columns share every sub-minor
+        (12, [((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6))], 57),
+        # two terms of a (2,2)-form at n = 10: {1,2}, {3,4} and {1,4}
+        (10, [((1, 2), (3, 4)), ((1, 4), (1, 2))], 3),
+        # {1,2,3}, {3,4,5} and {2,3,4}: four each, {2,3} and {3,4} shared
+        (5, [((1, 2, 3), (3, 4, 5)), ((2, 3, 4), (1, 2, 3))], 10),
+    ])
+    def test_exact_evaluate_expands_only_the_masks(self, monkeypatch, n, masks, expanded):
+        # only the minors of the form's masks, and their sub-minors, are
+        # expanded; each is checked against a product of _linalg.det
+        rng = np.random.default_rng(n)
+        form = Form.zero(n, EXACT)
+        for h, a in masks:
+            form = form + Form.monomial(n, h, a, GaussianRational(*(int(v) for v in
+                                                                   rng.integers(1, 4, size=2))),
+                                        EXACT)
+        p = len(masks[0][0])
+        # nonzero entries: a zero entry would prune the minors below it
+        parts = rng.integers(1, 4, size=(2, p, n)) * rng.choice([-1, 1], size=(2, p, n))
+        vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
+                   for row in zip(*parts)]
+        computed = set()
+        original = forms._minor
+
+        def counting(entries, rows, cols, minors, mul):
+            if len(rows) > 1 and (rows, cols) not in minors:
+                computed.add(cols)
+            return original(entries, rows, cols, minors, mul)
+
+        monkeypatch.setattr(forms, "_minor", counting)
+        value = evaluate(form, vectors)
+        monkeypatch.undo()
+        assert value == mask_det_evaluate(form, vectors)
+        assert len(computed) == expanded
+        for row in vectors:
+            row[::3] = [GaussianRational(0)] * len(row[::3])
+        assert evaluate(form, vectors) == mask_det_evaluate(form, vectors)
+
 
 # ----------------------------------------------------------------------
 # sampled nonnegativity verdicts
