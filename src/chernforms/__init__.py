@@ -38,6 +38,8 @@ from .curvature import (
     factor_from_tensor,
     griffiths_value,
     random_exact_factor,
+    random_invertible,
+    random_signed_phase_permutation,
     random_tensor,
     random_unitary,
 )

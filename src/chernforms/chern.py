@@ -15,9 +15,9 @@ stops there.
 
 *Gram route* (a ``CurvatureTensor``: the factor of Omega = A ^ conj(A^t),
 A_ik = sum_p T[p, i, k] dz^p, A an r x m factor).  ``chern_forms`` reads T
-off the tensor's array, in either scalar mode, and builds neither A nor
-Omega; a float T is first checked for overflow in Omega's coefficients by
-``curvature.curvature_sums``, which the tensor keeps.  For a row subset
+off the tensor's array, in either scalar mode, and builds no A; only a
+float T whose entries are large enough for Omega's coefficients to
+overflow builds Omega, with ``curvature.bott_chern_curvature``, to check it.  For a row subset
 S = (s_1 < ... < s_i) and a size-i multiset kappa of the m columns, let
 Phi_{S,kappa} be the (i,0)-form
 
@@ -85,7 +85,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import CurvatureMatrix, CurvatureTensor, curvature_sums
+from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature
 from .errors import InputError
 from .forms import PPForm, _laplace_step, _minor
 from .scalars import EXACT, FLOAT, GaussianRational
@@ -304,12 +304,12 @@ def _gram_blocks(tensor: np.ndarray, k: int) -> list:
 def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
     """T[p, i, k] of a float tensor as ``factor_from_tensor(tensor)`` holds
     it (a nonzero entry times the 1 + 0j of dz^p, a zero one as 0j), after
-    the overflow check of ``curvature_sums``; every coefficient and partial
-    sum of Omega is at most 2 m peak^2, so a small peak needs no check."""
+    the overflow check of ``bott_chern_curvature``; every coefficient and
+    partial sum of Omega is at most 2 m peak^2, so a small peak needs no check."""
     a = tensor.array
     peak = float(np.abs(a).max())
     if not 2 * tensor.m * peak * peak <= 1e307:
-        curvature_sums(tensor)
+        bott_chern_curvature(tensor)
     return np.where(a == 0, 0j, a * (1 + 0j))
 
 

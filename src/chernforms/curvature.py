@@ -34,7 +34,8 @@ from . import _linalg
 from .errors import ConsistencyError, InputError
 from .forms import MAX_DIM, Form, PPForm
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, I_EXACT, check_same_mode, coerce, parse_scalar, scalar_json
+from .scalars import EXACT, FLOAT, I_EXACT, GaussianRational, check_same_mode, coerce, \
+    parse_scalar, scalar_json
 
 #: relative tolerance for the two Griffiths routes to agree
 GRIFFITHS_RTOL = 1e-12
@@ -70,13 +71,6 @@ class CurvatureMatrix:
                     raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
                 row[j] = f
         self.blocks = tuple(map(tuple, rows))
-
-    @classmethod
-    def _of(cls, blocks) -> "CurvatureMatrix":
-        # internal fast path: (1,1)-blocks already checked
-        self = object.__new__(cls)
-        self.blocks = tuple(map(tuple, blocks))
-        return self
 
     @property
     def entries(self) -> tuple[tuple[Form, ...], ...]:
@@ -221,8 +215,8 @@ def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
 
 def curvature_sums(tensor: CurvatureTensor) -> np.ndarray:
     """R[i, j, p, q] = [dz^p ^ dzbar^q] Omega_ij of a float tensor, kept on it,
-    summed bit for bit as ``Form`` sums A_ik ^ conj(A_jk) (CONVENTIONS.md); a
-    sum that is not finite raises ``InputError`` naming the first (i, j)."""
+    summed bit for bit as ``Form`` sums A_ik ^ conj(A_jk) (CONVENTIONS.md).
+    A sum may overflow to inf or NaN; ``bott_chern_curvature`` rejects it."""
     if tensor._sums is not None:
         return tensor._sums
     n, r, m = tensor.array.shape
@@ -237,22 +231,18 @@ def curvature_sums(tensor: CurvatureTensor) -> np.ndarray:
             # a zero sum is a dropped key: the next term starts it afresh
             sums = np.where(skip, sums, np.where(sums == 0, term, sums + term))
         sums[sums == 0] = 0
-    sums = np.ascontiguousarray(sums.reshape(r, n, r, n).transpose(0, 2, 1, 3))
-    bad = np.argwhere(~np.isfinite(sums).all(axis=(2, 3)))
-    if len(bad):
-        i, j = bad[0]
-        raise InputError(f"curvature entry ({i + 1},{j + 1}) is not finite")
-    tensor._sums = sums
-    return sums
+    tensor._sums = np.ascontiguousarray(sums.reshape(r, n, r, n).transpose(0, 2, 1, 3))
+    return tensor._sums
 
 
 def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
     """Omega = A ^ conj(A^t) for the factor A of ``tensor``: entry (i, j) is
     sum_k A_ik ^ conj(A_jk), the block sum_k T[p, i, k] conj(T[q, j, k]),
-    since each term has sign +1; float sums from ``curvature_sums``."""
+    since each term has sign +1; float sums from ``curvature_sums``, checked
+    finite by ``CurvatureMatrix``."""
     t, mode = tensor.array, tensor.mode
     sums = curvature_sums(tensor) if mode == FLOAT else np.einsum("pik,qjk->ijpq", t, np.conj(t))
-    return CurvatureMatrix._of([[PPForm(tensor.n, 1, mode, b) for b in row] for row in sums])
+    return CurvatureMatrix([[PPForm(tensor.n, 1, mode, b) for b in row] for row in sums])
 
 
 # ----------------------------------------------------------------------
@@ -365,3 +355,27 @@ def random_unitary(r: int, seed: int = 0) -> np.ndarray:
     d = np.diagonal(upper)
     q = q * (d / np.abs(np.where(d == 0, 1, d)))
     return q
+
+
+def random_invertible(r: int, seed: int = 0) -> np.ndarray:
+    """Complex normal matrix, redrawn until its condition number is <= 1e6."""
+    for attempt in range(64):
+        z = complex_normal(substream(seed, 104, attempt), (r, r))
+        if np.linalg.cond(z) <= 1e6:
+            return z
+    raise ConsistencyError("could not draw a well-conditioned matrix (improbable)")
+
+
+def random_signed_phase_permutation(r: int, seed: int = 0) -> list[list[GaussianRational]]:
+    """Exactly unitary exact-mode matrix: permutation times diagonal phases
+    drawn from {1, -1, i, -i}."""
+    rng = substream(seed, 105)
+    perm = rng.permutation(r)
+    phases = rng.integers(0, 4, size=r)
+    unit = {0: GaussianRational(1), 1: GaussianRational(-1),
+            2: GaussianRational(0, 1), 3: GaussianRational(0, -1)}
+    zero = GaussianRational(0)
+    out = [[zero for _ in range(r)] for _ in range(r)]
+    for col in range(r):
+        out[int(perm[col])][col] = unit[int(phases[col])]
+    return out

@@ -52,11 +52,12 @@ standard volume normalization holds:
     evaluate(prod_j sqrt(-1) dz^j ^ dzbar^j, (e_1, ..., e_n)) = 1.
 
 On a block this is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p
-minors d_J = det(X_b^{j_a}) over every p-subset J.  ``_minors`` computes d
-in one row-by-row Laplace pass, in either scalar mode: the minors of rows
+minors d_J = det(X_b^{j_a}) over every p-subset J.  For a float batch
+``_minors`` computes d in one row-by-row Laplace pass: the minors of rows
 0..k come from those of rows 0..k-1 by expanding along row k, with index
-tables cached per (n, k).  A float tuple with p = n has the one minor
-``np.linalg.det`` gives; exact ``evaluate`` expands only its masks' minors.
+tables cached per (n, k); at p = n the one minor is ``np.linalg.det``'s.
+Exact ``evaluate`` sums over the form's terms and expands only the minors
+of their masks, each once (``_minor``).
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.
@@ -753,11 +754,14 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
     # sum over the form's terms, not its C(n,p)^2 block: a literal may have
     # few terms, and exact block products cost a scalar product per entry;
     # only the minors of the terms' masks, and their sub-minors, are expanded
-    entries, minors, total = [[x or None for x in v] for v in vecs], {}, GaussianRational(0)
+    entries, minors, rows = [[x or None for x in v] for v in vecs], {}, tuple(range(p))
+    minor = {mask: _minor(entries, rows, tuple(j - 1 for j in _mask_to_indices(mask)), minors,
+                          operator.mul) or GaussianRational(0)
+             for mask in {mask for key in form.terms for mask in key}}
+    minor_bar = {mask: d.conjugate() for mask, d in minor.items()}
+    total = GaussianRational(0)
     for (h, a), c in form.terms.items():
-        d_h, d_a = (_minor(entries, tuple(range(p)), tuple(j - 1 for j in _mask_to_indices(mask)),
-                           minors, operator.mul) or GaussianRational(0) for mask in (h, a))
-        total = total + c * d_h * d_a.conjugate()
+        total = total + c * minor[h] * minor_bar[a]
     # (-i)^(p^2): 1 for even p, -i for odd p
     return total * GaussianRational(0, -1) if p & 1 else total
 
@@ -815,16 +819,16 @@ def _laplace_step(n: int, k: int, dtype: np.dtype) -> tuple:
 
 
 def _minors(samples: np.ndarray) -> np.ndarray:
-    """The p x p minors d_J = det(X_b^{j_a}) of a (t, p, n) batch of tuples,
-    p >= 1, over every p-subset J in ``combinations`` order: a (t, C(n,p))
-    array of the batch's dtype (complex, or object in exact mode).
+    """The p x p minors d_J = det(X_b^{j_a}) of a complex (t, p, n) batch of
+    tuples, p >= 1, over every p-subset J in ``combinations`` order: a
+    (t, C(n,p)) complex array.
 
     One Laplace pass: the minors of row 0 are its entries, and row k grows
     the minors of rows 0..k-1 into those of rows 0..k (``_laplace_step``).
-    A float batch with p = n has one minor, the determinant of the tuple,
-    and takes it from ``np.linalg.det``."""
+    At p = n the one minor is the determinant of the tuple, from
+    ``np.linalg.det``."""
     t, p, n = samples.shape
-    if p == n and samples.dtype != object:
+    if p == n:
         return np.linalg.det(samples)[:, None]
     minors = samples[:, 0, :]
     for k in range(1, p):

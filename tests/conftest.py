@@ -50,37 +50,6 @@ def integer_tensor_pair(n: int, r: int, m: int, seed: int):
     return exact, CurvatureTensor(exact.array.astype(complex))
 
 
-def random_invertible(r: int, seed: int = 0) -> np.ndarray:
-    """Complex normal matrix, redrawn until its condition number is <= 1e6:
-    a float frame for frame-change tests."""
-    from chernforms.errors import ConsistencyError
-    from chernforms.rng import complex_normal, substream
-
-    for attempt in range(64):
-        z = complex_normal(substream(seed, 104, attempt), (r, r))
-        if np.linalg.cond(z) <= 1e6:
-            return z
-    raise ConsistencyError("could not draw a well-conditioned matrix (improbable)")
-
-
-def random_signed_phase_permutation(r: int, seed: int = 0) -> list:
-    """Exactly unitary exact-mode matrix: permutation times diagonal phases
-    drawn from {1, -1, i, -i}; an exact frame for frame-change tests."""
-    from chernforms.rng import substream
-    from chernforms.scalars import GaussianRational
-
-    rng = substream(seed, 105)
-    perm = rng.permutation(r)
-    phases = rng.integers(0, 4, size=r)
-    unit = {0: GaussianRational(1), 1: GaussianRational(-1),
-            2: GaussianRational(0, 1), 3: GaussianRational(0, -1)}
-    zero = GaussianRational(0)
-    out = [[zero for _ in range(r)] for _ in range(r)]
-    for col in range(r):
-        out[int(perm[col])][col] = unit[int(phases[col])]
-    return out
-
-
 def factor_tensor(factor) -> np.ndarray:
     """T[p, i, k] read off the coefficients of a factor's entries, A_ik =
     sum_p T[p, i, k] dz^p: complex, or objects (``GaussianRational`` and the
@@ -114,7 +83,7 @@ def schur_and_chain_polynomials(n: int, r: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# references for the minors of ``forms._minors``
+# references for the float minors of ``forms._minors``
 
 
 def gather_minors(samples: np.ndarray) -> np.ndarray:

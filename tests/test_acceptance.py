@@ -52,6 +52,8 @@ from chernforms import (
     product,
     projective_space,
     random_exact_factor,
+    random_invertible,
+    random_signed_phase_permutation,
     random_tensor,
     rr_polynomial,
     schur_polynomial,
@@ -64,7 +66,7 @@ from chernforms.errors import InputError
 from chernforms.rng import derive_seed, substream
 from chernforms.schur import chern_variable
 
-from conftest import random_invertible, random_signed_phase_permutation, record_criterion
+from conftest import record_criterion
 
 MODULE_START = time.perf_counter()
 

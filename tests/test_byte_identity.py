@@ -1497,8 +1497,8 @@ class TestCurvatureSums:
 
     @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153, 3e153, 1e154, 1e155])
     def test_overflow_check_only_skips_finite_sums(self, scale):
-        # chern._checked_tensor sums Omega only above a bound on its
-        # coefficients; it raises exactly when curvature_sums does
+        # chern._checked_tensor builds Omega only above a bound on its
+        # coefficients; it raises exactly when bott_chern_curvature does
         rng = np.random.default_rng(int(math.log10(scale)))
         for _ in range(20):
             n, r, m = (int(v) for v in rng.integers(1, 4, size=3))
@@ -1511,7 +1511,7 @@ class TestCurvatureSums:
                     return str(exc)
                 return None
 
-            assert outcome(chern._checked_tensor) == outcome(curvature.curvature_sums)
+            assert outcome(chern._checked_tensor) == outcome(bott_chern_curvature)
 
     @pytest.mark.parametrize("array,calls", [
         (random_tensor(3, 2, 2, 5).array, [True]),
@@ -1528,8 +1528,7 @@ class TestCurvatureSums:
             computed.append(tensor._sums is None)
             return original(tensor)
 
-        for module in (curvature, chern):
-            monkeypatch.setattr(module, "curvature_sums", counting)
+        monkeypatch.setattr(curvature, "curvature_sums", counting)
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(CurvatureTensor(array).to_json()))
         with contextlib.redirect_stdout(io.StringIO()):

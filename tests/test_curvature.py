@@ -23,6 +23,8 @@ from chernforms import (
     factor_from_tensor,
     griffiths_value,
     random_exact_factor,
+    random_invertible,
+    random_signed_phase_permutation,
     random_tensor,
     random_unitary,
 )
@@ -30,8 +32,7 @@ from chernforms.errors import ConsistencyError, InputError
 from chernforms.forms import MAX_DIM
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_tensor, integer_tensor_pair, random_invertible, \
-    random_signed_phase_permutation
+from conftest import diagonal_tensor, integer_tensor_pair
 
 
 class TestFactorMatrix:

@@ -426,7 +426,8 @@ class TestEvaluate:
 
 
 class TestMinors:
-    """``forms._minors`` against minors computed one submatrix at a time."""
+    """The float minors of ``forms._minors``, and the minors exact
+    ``evaluate`` expands, against minors computed one submatrix at a time."""
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_float_matches_gathered_dets(self, n):
@@ -446,14 +447,19 @@ class TestMinors:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exact_matches_elimination(self, n):
+        # exact evaluate of every monomial dz^J ^ dzbar^K, so every minor it
+        # expands, against the elimination determinants of _linalg.det
         rng = np.random.default_rng(n)
         for p in range(1, n + 1):
             parts = rng.integers(-3, 4, size=(2, p, n))
             vectors = [[GaussianRational(int(x), int(y)) for x, y in zip(*row)]
                        for row in zip(*parts)]
-            minors = forms._minors(np.array(vectors, dtype=object).reshape(1, p, n))[0]
-            for subset, got in zip(itertools.combinations(range(n), p), minors):
-                assert got == _linalg.det([[v[i] for v in vectors] for i in subset])
+            subsets = list(itertools.combinations(range(1, n + 1), p))
+            det = {s: _linalg.det([[v[i - 1] for v in vectors] for i in s]) for s in subsets}
+            phase = GaussianRational(0, -1) if p & 1 else GaussianRational(1)
+            for h, a in itertools.product(subsets, repeat=2):
+                value = evaluate(Form.monomial(n, h, a, 1, EXACT), vectors)
+                assert value == det[h] * det[a].conjugate() * phase, (p, h, a)
 
     def test_exact_evaluate_matches_mask_dets(self):
         rng = np.random.default_rng(5)
