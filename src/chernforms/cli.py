@@ -15,7 +15,8 @@ Subcommands (grouped):
 
 Exit codes: 0 = success / all checks passed; 1 = a mathematical check FAILED
 (the report carries the witness); 2 = malformed input (bad flags, schema
-violations, missing files).
+violations, missing files); 141 = the reader closed stdout before the report
+was written (128 + SIGPIPE, as a shell shows a writer the pipe killed).
 
 Reports are emitted as JSON with sorted keys, so identical configuration and
 inputs produce byte-identical output.  ``--output text`` prints a short
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
@@ -111,7 +113,8 @@ def _scalar_payload(value) -> dict:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (exit_code, payload, text_lines)
+# handlers: each returns (exit_code, payload, text), where ``text()``
+# builds the lines of ``--output text``; JSON runs never call it
 
 
 def _handle_forms_eval(args):
@@ -130,7 +133,7 @@ def _handle_forms_eval(args):
         "value": _scalar_payload(value),
     }
     z = payload["value"]
-    return 0, payload, [f"value = {z['re']:.12g} + {z['im']:.12g}i"]
+    return 0, payload, lambda: [f"value = {z['re']:.12g} + {z['im']:.12g}i"]
 
 
 def _curvature_from_input(obj, mode: str) -> tuple[CurvatureMatrix, Optional[CurvatureTensor]]:
@@ -183,23 +186,26 @@ def _handle_curvature_build(args):
         value = top_coefficient(chern_product(num, lam))
         top_table.append({"partition": list(lam.parts), "top": value})
     payload["top"] = top_table
-    lines = [f"curvature {omega.r}x{omega.r} on n={omega.n}, witnessed={tensor is not None}"]
-    lines += [f"  top(c_{t['partition']}) = {t['top']:.6g}" for t in top_table]
-    return 0, payload, lines
+
+    def text():
+        return [f"curvature {omega.r}x{omega.r} on n={omega.n}, witnessed={tensor is not None}",
+                *(f"  top(c_{t['partition']}) = {t['top']:.6g}" for t in top_table)]
+    return 0, payload, text
 
 
 def _handle_schur_table(args):
     if args.i < 0 or args.r < 0:
         raise InputError("--i and --r must be nonnegative")
-    rows = []
-    lines = [f"Gamma({args.i},{args.r}):"]
-    for lam in partitions(args.i, args.r):
-        poly = schur_polynomial(lam, args.r)
-        rows.append({"partition": list(lam.parts), "schur": str(poly)})
-        lines.append(f"  S_{lam} = {poly}")
+    lams = partitions(args.i, args.r)
+    rows = [{"partition": list(lam.parts), "schur": str(schur_polynomial(lam, args.r))}
+            for lam in lams]
     payload = {"schema": 1, "kind": "schur-table", "i": args.i, "r": args.r,
                "entries": rows}
-    return 0, payload, lines
+
+    def text():
+        return [f"Gamma({args.i},{args.r}):",
+                *(f"  S_{lam} = {row['schur']}" for lam, row in zip(lams, rows))]
+    return 0, payload, text
 
 
 def _check_sampling_flags(args):
@@ -219,13 +225,16 @@ def _handle_schur_verify(args):
                                         seed=args.seed, tol=args.tol)
     payload = report.to_dict()
     payload["source"] = source
-    lines = []
-    for chk in report.checks:
-        rep = chk.report
-        lines.append(f"S_{Partition(chk.partition)} deg {chk.degree}: "
-                     f"min={rep.min_value:.3e} {'PASS' if rep.passed else 'FAIL'}")
-    lines.append(f"VERDICT: {'PASS' if report.passed else 'FAIL'}")
-    return (0 if report.passed else 1), payload, lines
+
+    def text():
+        lines = []
+        for chk in report.checks:
+            rep = chk.report
+            lines.append(f"S_{Partition(chk.partition)} deg {chk.degree}: "
+                         f"min={rep.min_value:.3e} {'PASS' if rep.passed else 'FAIL'}")
+        lines.append(f"VERDICT: {'PASS' if report.passed else 'FAIL'}")
+        return lines
+    return (0 if report.passed else 1), payload, text
 
 
 def _handle_bounds_chain(args):
@@ -256,24 +265,24 @@ def _handle_bounds_chain(args):
         "chains": [r.to_dict() for r in reports],
         "verdict": "PASS" if all_pass else "FAIL",
     }
-    lines = []
-    for rep in reports:
-        worst = min((s.report.min_value for s in rep.steps), default=0.0)
-        lines.append(f"chain {Partition(rep.partition)}: {len(rep.steps)} steps, "
-                     f"worst min={worst:.3e} {'PASS' if rep.passed else 'FAIL'}")
-    lines.append(f"VERDICT: {'PASS' if all_pass else 'FAIL'}")
-    return (0 if all_pass else 1), payload, lines
+
+    def text():
+        lines = []
+        for rep in reports:
+            worst = min((s.report.min_value for s in rep.steps), default=0.0)
+            lines.append(f"chain {Partition(rep.partition)}: {len(rep.steps)} steps, "
+                         f"worst min={worst:.3e} {'PASS' if rep.passed else 'FAIL'}")
+        lines.append(f"VERDICT: {'PASS' if all_pass else 'FAIL'}")
+        return lines
+    return (0 if all_pass else 1), payload, text
 
 
 def _handle_model_numbers(args):
     model = parse_model(args.model)
     n = model.dim
-    numbers = []
-    lines = [f"{model.label}: dim {n}"]
-    for lam in partitions(n, n):
-        value = chern_number(model, lam)
-        numbers.append({"partition": list(lam.parts), "value": value})
-        lines.append(f"  c_{lam}[{model.label}] = {value}")
+    lams = partitions(n, n)
+    numbers = [{"partition": list(lam.parts), "value": chern_number(model, lam)}
+               for lam in lams]
     payload = {
         "schema": 1,
         "kind": "model-chern-numbers",
@@ -283,31 +292,34 @@ def _handle_model_numbers(args):
         "globally_generated_cotangent": model.globally_generated_cotangent,
         "numbers": numbers,
     }
-    return 0, payload, lines
+
+    def text():
+        return [f"{model.label}: dim {n}",
+                *(f"  c_{lam}[{model.label}] = {row['value']}" for lam, row in zip(lams, numbers))]
+    return 0, payload, text
 
 
 def _handle_model_bounds(args):
     model = parse_model(args.model)
     report = verify_number_bounds(model, signed=args.signed)
     payload = report.to_dict()
-    lines = [f"{model.label} ({'signed' if args.signed else 'unsigned'}): "
-             f"{'all zero, ' if report.all_zero else ''}"
-             f"{'PASS' if report.passed else 'FAIL'}"]
-    for entry in payload["numbers"]:
-        lines.append(f"  {Partition(tuple(entry['partition']))}: {entry['value']}")
-    return (0 if report.passed else 1), payload, lines
+
+    def text():
+        lines = [f"{model.label} ({'signed' if args.signed else 'unsigned'}): "
+                 f"{'all zero, ' if report.all_zero else ''}"
+                 f"{'PASS' if report.passed else 'FAIL'}"]
+        for entry in payload["numbers"]:
+            lines.append(f"  {Partition(tuple(entry['partition']))}: {entry['value']}")
+        return lines
+    return (0 if report.passed else 1), payload, text
 
 
 def _handle_model_rr(args):
     model = parse_model(args.model)
     ell = line_class(model, args.line)
     coeffs = rr_polynomial(model, ell)
-    table = []
-    lines = [f"chi({model.label}, ({args.line})^m)"]
-    for m in _parse_m_range(args.m):
-        chi = evaluate_rr_polynomial(model, coeffs, m)
-        table.append({"m": m, "chi": chi})
-        lines.append(f"  m={m}: chi={chi}")
+    table = [{"m": m, "chi": evaluate_rr_polynomial(model, coeffs, m)}
+             for m in _parse_m_range(args.m)]
     payload = {
         "schema": 1,
         "kind": "model-rr",
@@ -317,7 +329,11 @@ def _handle_model_rr(args):
         "kodaira_leading": str(kodaira_leading(model)),
         "chi": table,
     }
-    return 0, payload, lines
+
+    def text():
+        return [f"chi({model.label}, ({args.line})^m)",
+                *(f"  m={row['m']}: chi={row['chi']}" for row in table)]
+    return 0, payload, text
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +445,18 @@ def report_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     With ``indent`` set, CPython's ``json`` runs its generator-based Python
-    encoder; this writer appends the same pieces to one list instead.
+    encoder; this writer appends the same pieces to one list instead, in
+    one recursive pass that reads ``type(value)`` once per value.  Exact
+    ``int``, finite ``float``, ``list`` and ``dict`` values take direct
+    branches; everything else (strings, ``bool``, ``None``, NaN and
+    ±Infinity, tuples and subclasses) falls through to ``json``'s
+    ``isinstance`` chain, which writes a tuple or a subclass container as
+    the plain list or dict of its items.  Each dict is written from a
+    layout built once per call for its key tuple and indent: the keys in
+    sorted order, each with its ready ``{`` or ``,``, line break, indent
+    and ``"key": ``.  Reports repeat a few dict shapes many times, so most
+    dicts reuse a layout; none is kept across calls.
+
     Scalars are spelled as ``json`` spells them: ASCII-escaped strings,
     ``int.__repr__`` and ``float.__repr__`` (so subclasses print as their
     base), and NaN, Infinity and -Infinity.  Any other value raises the same
@@ -439,61 +466,88 @@ def report_json(obj) -> str:
     (``json`` raises ``ValueError``).
     """
     out: list[str] = []
-    _write_json(obj, out, "\n")
+    emit = out.append
+    layouts: dict = {}
+    inf, int_repr, float_repr = math.inf, int.__repr__, float.__repr__
+
+    def write(value, newline: str) -> None:
+        # ``newline`` is a line break plus the indent of the line ``value``
+        # starts on; the branches run in the order of how often reports
+        # meet each type
+        t = type(value)
+        if t is int:
+            emit(int_repr(value))
+        elif t is float and -inf < value < inf:
+            emit(float_repr(value))
+        elif t is list:
+            if not value:
+                emit("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                write(item, inner)
+                sep = "," + inner
+            emit(newline + "]")
+        elif t is dict:
+            if not value:
+                emit("{}")
+                return
+            # the keys in insertion order, then the indent
+            shape = (*value, newline)
+            layout = layouts.get(shape)
+            if layout is None:
+                layout = layouts[shape] = _dict_layout(shape[:-1], newline)
+            heads, inner, close = layout
+            for key, head in heads:
+                emit(head)
+                write(value[key], inner)
+            emit(close)
+        # the rest, strings first, in the order of ``json``'s ``isinstance``
+        # chain
+        elif isinstance(value, str):
+            emit(_json_str(value))
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif isinstance(value, int):
+            emit(int_repr(value))
+        elif isinstance(value, float):
+            if value != value:
+                emit("NaN")
+            elif value == inf:
+                emit("Infinity")
+            elif value == -inf:
+                emit("-Infinity")
+            else:
+                emit(float_repr(value))
+        elif isinstance(value, (list, tuple)):
+            write(list(value), newline)
+        elif isinstance(value, dict):
+            write(dict(value.items()), newline)
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    write(obj, "\n")
     return "".join(out)
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _write_json(obj, out: list, newline: str) -> None:
-    """Append the encoding of ``obj`` to ``out``; ``newline`` is a line
-    break plus the indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_json_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep)
-            out.append(_json_str(key))
-            out.append(": ")
-            _write_json(value, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+def _dict_layout(keys: tuple, newline: str) -> tuple:
+    """(heads, inner, close) of a dict with ``keys`` whose ``{`` stands on
+    a line indented as ``newline``: each key in sorted order with the text
+    written before its value, the ``newline`` of the values, and the text
+    after the last one."""
+    inner = newline + "  "
+    heads = []
+    sep = "{" + inner
+    for key in sorted(keys):
+        heads.append((key, sep + _json_str(key) + ": "))
+        sep = "," + inner
+    return heads, inner, newline + "}"
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -504,7 +558,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, payload, lines = args.handler(args)
+        code, payload, text = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -514,13 +568,22 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.output == "json":
         print(report_json(payload))
     else:
-        for line in lines:
+        for line in text():
             print(line)
     return code
 
 
 def console_main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a writer that SIGPIPE killed,
+        # with stdout on devnull so that the flush at shutdown does not
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1857,6 +1857,11 @@ def exact_cli_ops(workdir) -> list[list[str]]:
     return ops
 
 
+def reference_json(obj) -> str:
+    """The reference encoder for report bytes, outside ``src/``."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
 def cli_digest(ops, view=None) -> str:
     """sha256 over the stdout and exit code of every op, stdout seen
     through ``view`` when one is given."""
@@ -1881,10 +1886,10 @@ def without_float_tops(out: str) -> str:
         return "".join(line for line in out.splitlines(keepends=True)
                        if not line.startswith("  top("))
     payload = json.loads(out)
-    assert report_json(payload) + "\n" == out
+    assert reference_json(payload) + "\n" == out
     for row in payload.get("top", ()):
         row["top"] = None
-    return report_json(payload) + "\n"
+    return reference_json(payload) + "\n"
 
 
 def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
@@ -1964,7 +1969,7 @@ def schema1_view(out: str) -> str:
     if not out.startswith("{"):
         return out
     payload = json.loads(out)
-    assert report_json(payload) + "\n" == out
+    assert reference_json(payload) + "\n" == out
     if payload["kind"] not in ("schur-nonnegativity", "bounds-chains"):
         assert payload["schema"] == 1
         return out
@@ -1988,7 +1993,7 @@ def schema1_view(out: str) -> str:
             rep["witness"] = witness
         else:
             assert rep["witness"] == witness
-    return report_json(payload) + "\n"
+    return reference_json(payload) + "\n"
 
 
 def test_float_cli_schema1_view_is_unchanged(tmp_path):
@@ -2127,6 +2132,25 @@ def test_report_sets_match_cli_digests_expected(name, tmp_path):
     assert f"{name} {len(ops)} {cli_digest(ops)}" == cli_digests.expected_lines()[name]
 
 
+def test_report_sets_print_what_json_prints(tmp_path):
+    # the digests pin bytes that report_json wrote; every JSON report of
+    # the digest sets is held here to the reference encoder as well
+    import cli_digests
+
+    seen = set()
+    for ops in cli_digests.op_sets(str(tmp_path)).values():
+        for argv in ops:
+            if "--output" in argv or tuple(argv) in seen:
+                continue
+            seen.add(tuple(argv))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                run(argv)
+            text = out.getvalue()
+            if text:
+                assert text == reference_json(json.loads(text)) + "\n", argv
+
+
 # ----------------------------------------------------------------------
 # report_json against json.dumps(sort_keys=True, indent=2)
 
@@ -2139,6 +2163,14 @@ class IntSub(int):
 class FloatSub(float):
     def __repr__(self):
         return "FloatSub()"
+
+
+class DictSub(dict):
+    pass
+
+
+class ListSub(list):
+    pass
 
 
 JSON_SCALARS = st.one_of(
@@ -2157,6 +2189,23 @@ JSON_VALUES = st.recursive(
                                st.dictionaries(st.text(max_size=4), children, max_size=4)),
     max_leaves=25)
 
+#: the key sets of ``SHAPED_VALUES``: few, so that dict shapes repeat
+KEY_SETS = [("a", "b"), ("b", "a", "\u00e9"), ("re", "im"), ("",), ("n", "terms", "a")]
+
+
+def shaped_dicts(children):
+    """Dicts whose keys are one of ``KEY_SETS``, in any insertion order."""
+    return st.sampled_from(KEY_SETS).flatmap(st.permutations).flatmap(
+        lambda keys: st.tuples(*(children for _ in keys)).map(
+            lambda values: dict(zip(keys, values))))
+
+
+SHAPED_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=3), shaped_dicts(children),
+                               st.lists(shaped_dicts(children), min_size=2, max_size=3)),
+    max_leaves=30)
+
 UNSUPPORTED = st.sampled_from([object(), {1, 2}, 1j, b"x", Fraction(1, 3), range(2)])
 
 
@@ -2167,15 +2216,35 @@ def outcome(encode, obj):
         return type(exc), str(exc)
 
 
-def reference_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 class TestReportJson:
     @given(JSON_VALUES)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, obj):
         assert report_json(obj) == reference_json(obj)
+
+    @given(SHAPED_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_dict_shapes_match_json_dumps(self, obj):
+        assert report_json(obj) == reference_json(obj)
+
+    def test_shared_layouts(self):
+        cases = [
+            # one key set at two depths of one report, and in two insertion
+            # orders
+            {"a": 1, "b": {"a": [2], "b": {"a": 3, "b": 4}}},
+            [{"b": 1, "a": 2}, {"a": 3, "b": 4}, [{"b": {"a": 5, "b": 6}, "a": 7}]],
+            # the int-like and the float-like values under one shared key
+            [{"v": True}, {"v": 1}, {"v": IntSub(1)}, {"v": False}, {"v": None}],
+            [{"v": 1.0}, {"v": FloatSub(2.0)}, {"v": math.nan}, {"v": math.inf},
+             {"v": -math.inf}],
+            # containers that are not a plain dict or list, and empty ones
+            {"d": DictSub(b=1, a=[2]), "l": ListSub([1, (2,)]), "t": (1, (2, {})),
+             "e": [], "f": {}, "g": ()},
+            [DictSub(a=1, b=2), {"b": 3, "a": 4}, ListSub(),
+             {"a": DictSub(), "b": ListSub([{}, []])}],
+        ]
+        for obj in cases:
+            assert report_json(obj) == reference_json(obj)
 
     @given(JSON_VALUES, UNSUPPORTED)
     @settings(max_examples=100, deadline=None)

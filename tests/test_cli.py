@@ -15,6 +15,17 @@ from chernforms.forms import VerdictReport
 from chernforms.schur import SchurCheck, SchurReport
 
 
+def fresh_cli(argv, **kwargs):
+    """``python -m chernforms.cli`` in a fresh interpreter on this
+    checkout's ``src/``."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, "-m", "chernforms.cli", *argv], cwd=root, env=env,
+                          timeout=60, **kwargs)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
@@ -702,10 +713,6 @@ class TestHarness:
         # one process runs a bad flag, a valid command and another
         # subcommand on the one cached parser; each must print what a fresh
         # interpreter prints
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         runs = [
             (("schur", "table", "--i", "2", "--r", "2", "--bogus"), 2),
             (("schur", "table", "--i", "3", "--r", "2", "--output", "text"), 0),
@@ -714,10 +721,27 @@ class TestHarness:
         assert build_parser() is build_parser()
         for argv, code in runs:
             got = invoke(capsys, *argv)
-            fresh = subprocess.run([sys.executable, "-m", "chernforms.cli", *argv],
-                                   cwd=root, env=env, capture_output=True, text=True,
-                                   timeout=60)
+            fresh = fresh_cli(argv, capture_output=True, text=True)
             assert got == (code, fresh.stdout, fresh.stderr) and fresh.returncode == code, argv
+
+    @pytest.mark.parametrize("argv", [
+        # a small report, refused at the flush after run()
+        ("schur", "table", "--i", "3", "--r", "2"),
+        # a report longer than the stdout buffer, refused inside run()
+        ("schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1"),
+        ("schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1",
+         "--output", "text"),
+    ])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # a reader that went away is not a FAILed check: the exit code is
+        # 128 + SIGPIPE, and no traceback is printed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = fresh_cli(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_json_is_sorted_and_indented(self, capsys):
         _, out, _ = invoke(capsys, "schur", "table", "--i", "1", "--r", "1")
