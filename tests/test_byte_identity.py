@@ -47,7 +47,9 @@ terms of the dict loop it replaced, kept below, signed zeros included.  Fixed se
 float-mode CLI ops, and the float ops at the benchmark's shapes, are pinned
 by the sha256 of their output, and
 ``cli.report_json`` must write what ``json.dumps(sort_keys=True,
-indent=2)`` writes.  Seen through ``schema1_view``, which turns a schema-2
+indent=2)`` writes, on random values and on every JSON report of the
+digest sets; the views below rebuild reports with ``json`` itself, not
+with ``report_json``.  Seen through ``schema1_view``, which turns a schema-2
 sampled report back into schema 1 by regenerating each passing witness
 from its ``argmin``, the float sets keep their schema-1 digests.
 """

@@ -729,6 +729,7 @@ class TestHarness:
         ("schur", "table", "--i", "3", "--r", "2"),
         # a report longer than the stdout buffer, refused inside run()
         ("schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1"),
+        # its short text summary, refused at the flush
         ("schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1",
          "--output", "text"),
     ])
