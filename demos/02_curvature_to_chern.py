@@ -43,7 +43,7 @@ for lam in partitions(tensor.n, tensor.r):
     print(f"  top(c_{lam}) = {value:.6g}")
 
 # a frame change conjugates Omega to P^-1 Omega P; the Chern forms of the
-# moved matrix (Leibniz walk over its minors) match the factor's
+# moved matrix (Laplace expansion of its minors) match the factor's
 u = random_unitary(tensor.r, seed=1)
 cs2 = chern_forms(change_frame(omega, u))
 # each c_i is a coefficient block, rows dz^J and columns dzbar^K

@@ -81,7 +81,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,44 +97,6 @@ _PHASES = (GaussianRational(1), GaussianRational(0, 1),
 #: index tables kept by ``_gram_step``, least recently used dropped first;
 #: one instance needs one per degree below min(r, n) and scalar mode
 GRAM_CACHE_SIZE = 64
-
-
-def leibniz_det(entries: Sequence[Sequence], one, zero, mul: Callable):
-    """Leibniz determinant of a square matrix over a commutative ring.
-
-    Entries need ``is_zero()``, ``+`` and unary ``-``; ``mul`` multiplies
-    two ring elements (``operator.mul`` for the Jacobi-Trudi polynomials of
-    ``schur``); ``one`` and ``zero`` are the ring's 1 and 0.  Permutations
-    are walked depth-first in ``itertools.permutations`` order, row by row,
-    so each prefix product mul(...mul(one, e[0][c0])..., e[d][cd]) is
-    computed once.  A zero entry or a zero prefix prunes every permutation
-    below it.  Terms are summed onto ``zero`` in permutation order, each
-    negated when the permutation is odd.
-    """
-    if not entries:
-        return one
-    return sum(_leibniz_terms(entries, mul, list(range(len(entries))), one, 0), zero)
-
-
-def _leibniz_terms(entries: Sequence[Sequence], mul: Callable, free: list, prod, odd: int):
-    """The signed nonzero terms of ``leibniz_det`` whose rows above
-    len(entries) - len(free) took the other columns, with product ``prod``
-    and parity ``odd`` so far, in permutation order."""
-    d = len(entries) - len(free)
-    row = entries[d]
-    for pos, col in enumerate(free):
-        f = row[col]
-        if f.is_zero():
-            continue
-        nxt = mul(prod, f)
-        if nxt.is_zero():
-            continue
-        # columns still free left of col each form one inversion with it
-        parity = odd ^ (pos & 1)
-        if d + 1 == len(entries):
-            yield -nxt if parity else nxt
-        else:
-            yield from _leibniz_terms(entries, mul, free[:pos] + free[pos + 1:], nxt, parity)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -88,6 +88,13 @@ def _parse_m_range(text: str) -> list[int]:
 
 def _instance_from_args(args) -> tuple[CurvatureTensor, dict]:
     if args.instance:
+        # the file fixes the tensor, so a flag that draws one conflicts
+        given = {"--random": args.random, "--n": args.n is not None,
+                 "--r": args.r is not None, "--m": args.m is not None}
+        drawn = [flag for flag, on in given.items() if on]
+        if drawn:
+            raise InputError(f"--instance conflicts with {', '.join(drawn)}: "
+                             "the instance file fixes the tensor")
         tensor = CurvatureTensor.from_json(_load_json(args.instance))
         return tensor, {"kind": "file", "path": args.instance}
     if args.random:

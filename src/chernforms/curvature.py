@@ -17,11 +17,11 @@ coefficient blocks: ``bott_chern_curvature`` writes them from T, and
 
 For a float tensor the Griffiths form
 
-    sum_{i,j,p,q} R_{i,j,p,q} xi^i conj(xi^j) eta^p conj(eta^q),
+    sum_{i,j,p,q} R_{i,j,p,q} conj(xi^i) xi^j eta^p conj(eta^q),
     R_{i,j,p,q} = sum_k T[p][i][k] conj(T[q][j][k])
 
-is a sum of squares; ``griffiths_value`` computes it both ways and insists
-they agree.
+is the sum of squares sum_k |sum_{i,p} T[p][i][k] conj(xi^i) eta^p|^2, which
+``griffiths_value`` computes.
 """
 
 from __future__ import annotations
@@ -31,14 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .forms import MAX_DIM, Form, PPForm
 from .rng import complex_normal, substream
-from .scalars import EXACT, FLOAT, I_EXACT, GaussianRational, check_same_mode, coerce, \
-    parse_scalar, scalar_json
-
-#: relative tolerance for the two Griffiths routes to agree
-GRIFFITHS_RTOL = 1e-12
+from .scalars import EXACT, FLOAT, I_EXACT, check_same_mode, coerce, parse_scalar, scalar_json
 
 
 class CurvatureMatrix:
@@ -276,35 +272,19 @@ def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:
 
 def griffiths_value(tensor: CurvatureTensor, xi: Sequence[complex],
                     eta: Sequence[complex]) -> float:
-    """Griffiths form of a float tensor at fiber vector xi, base vector eta.
-
-    Computes both the curvature contraction
-        sum R_{i,j,p,q} xi^i conj(xi^j) eta^p conj(eta^q)
-    and the sum of squares
-        sum_k | sum_{i,p} T[p][i][k] conj(xi^i) eta^p |^2,
-    raises ConsistencyError if they disagree beyond GRIFFITHS_RTOL * scale,
-    and returns the (nonnegative) sum-of-squares value.
-    """
+    """Griffiths form of a float tensor at fiber vector xi, base vector eta,
+    as the sum of squares sum_k | sum_{i,p} T[p][i][k] conj(xi^i) eta^p |^2
+    (see the module docstring)."""
     if tensor.mode != FLOAT:
-        raise InputError("griffiths_value is a float oracle: it takes a float tensor")
+        raise InputError("griffiths_value takes a float tensor")
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     if xi.shape != (tensor.r,):
         raise InputError(f"fiber vector must have length r={tensor.r}")
     if eta.shape != (tensor.n,):
         raise InputError(f"base vector must have length n={tensor.n}")
-    # route 1: the curvature blocks R_{i,j,p,q} = sum_k T[p][i][k] conj(T[q][j][k]),
-    # contracted Hermitian-style: conj(xi) on the first fiber slot
-    big_r = curvature_sums(tensor)
-    v1 = complex(np.einsum("ijpq,i,j,p,q->", big_r, np.conj(xi), xi, eta, np.conj(eta)))
-    # route 2: sum of squares
     amps = np.einsum("pik,i,p->k", tensor.array, np.conj(xi), eta)
-    v2 = float(np.sum(np.abs(amps) ** 2))
-    scale = max(1.0, abs(v1), v2)
-    if abs(v1 - v2) > GRIFFITHS_RTOL * scale:
-        raise ConsistencyError(
-            f"Griffiths routes disagree: contraction {v1}, sum of squares {v2}")
-    return v2
+    return float(np.sum(np.abs(amps) ** 2))
 
 
 # ----------------------------------------------------------------------
@@ -355,27 +335,3 @@ def random_unitary(r: int, seed: int = 0) -> np.ndarray:
     d = np.diagonal(upper)
     q = q * (d / np.abs(np.where(d == 0, 1, d)))
     return q
-
-
-def random_invertible(r: int, seed: int = 0) -> np.ndarray:
-    """Complex normal matrix, redrawn until its condition number is <= 1e6."""
-    for attempt in range(64):
-        z = complex_normal(substream(seed, 104, attempt), (r, r))
-        if np.linalg.cond(z) <= 1e6:
-            return z
-    raise ConsistencyError("could not draw a well-conditioned matrix (improbable)")
-
-
-def random_signed_phase_permutation(r: int, seed: int = 0) -> list[list[GaussianRational]]:
-    """Exactly unitary exact-mode matrix: permutation times diagonal phases
-    drawn from {1, -1, i, -i}."""
-    rng = substream(seed, 105)
-    perm = rng.permutation(r)
-    phases = rng.integers(0, 4, size=r)
-    unit = {0: GaussianRational(1), 1: GaussianRational(-1),
-            2: GaussianRational(0, 1), 3: GaussianRational(0, -1)}
-    zero = GaussianRational(0)
-    out = [[zero for _ in range(r)] for _ in range(r)]
-    for col in range(r):
-        out[int(perm[col])][col] = unit[int(phases[col])]
-    return out

@@ -35,8 +35,12 @@ denominator, and its arithmetic runs on the numerators; it builds
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
-float sum, and with them the bits of every report.  Reports are
-byte-identical for a given seed only while that order stays.
+float sum.  No report goes through ``Form.wedge``, but two report paths
+keep those sums: ``_sum_terms`` adds the repeated terms of a float literal
+in literal order (``Form.from_literal``, ``read_literal``), and
+``curvature.curvature_sums`` adds Omega's coefficients bit for bit as the
+``Form`` sums of A_ik ^ conj(A_jk) do.  Reports are byte-identical for a
+given seed only while those orders stay.
 
 Evaluation pairs a homogeneous (p,p)-form with a p-tuple of tangent vectors
 X = (X_1, ..., X_p):

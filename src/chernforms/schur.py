@@ -32,7 +32,7 @@ import json
 import operator
 from typing import Iterator, Optional, Sequence, Union
 
-from .chern import ChernFormSet, chern_forms, chern_product, leibniz_det, top_coefficient
+from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureTensor
 from .errors import InputError
 from .forms import DEFAULT_TOL, PPForm, VerdictReport, nonnegative_sampled
@@ -139,10 +139,40 @@ def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> Polynomial
 
 @functools.lru_cache(maxsize=POLY_CACHE_SIZE)
 def _schur_polynomial(parts: tuple[int, ...], r: int) -> Polynomial:
+    """The Jacobi-Trudi determinant by a depth-first Leibniz walk: the
+    permutations in ``itertools.permutations`` order, row by row, so each
+    prefix product is computed once, and a zero entry or a zero prefix
+    prunes every permutation below it.  The signed terms are summed onto
+    the zero polynomial in permutation order, which fixes the term order
+    (see ``polynomials``)."""
     size = len(parts)
+    if not size:
+        return Polynomial.one(r)
     entries = [[chern_variable(parts[j] - j + k, r) for k in range(size)]
                for j in range(size)]
-    return leibniz_det(entries, Polynomial.one(r), Polynomial.zero(r), operator.mul)
+    return sum(_leibniz_terms(entries, list(range(size)), Polynomial.one(r), 0),
+               Polynomial.zero(r))
+
+
+def _leibniz_terms(entries: list, free: list, prod: Polynomial, odd: int):
+    """The signed nonzero terms of the determinant of ``entries`` whose rows
+    above len(entries) - len(free) took the other columns, with product
+    ``prod`` and parity ``odd`` so far, in permutation order."""
+    d = len(entries) - len(free)
+    row = entries[d]
+    for pos, col in enumerate(free):
+        f = row[col]
+        if f.is_zero():
+            continue
+        nxt = prod * f
+        if nxt.is_zero():
+            continue
+        # columns still free left of col each form one inversion with it
+        parity = odd ^ (pos & 1)
+        if d + 1 == len(entries):
+            yield -nxt if parity else nxt
+        else:
+            yield from _leibniz_terms(entries, free[:pos] + free[pos + 1:], nxt, parity)
 
 
 def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:

@@ -34,10 +34,16 @@ Lines of that file that start with ``#`` are comments.
   degree (1,1), base dimensions that differ, an overflowing float sum).
   Last come float builds of the Gaussian-integer tensors
   ``random_exact_factor(n, r, seed=seed)``, n, r <= 3, seeds 0-2, whose
-  exact zeros and real entries give products with signed zeros.
+  exact zeros and real entries give products with signed zeros;
+* ``eval-and-text``: ``forms eval`` in float and exact mode on (p,p)-form
+  literals for p = 0..3 and n = max(p, 1)..4 with decimal parts, on sparse
+  literals at n = 10 for p = 2, 3 and 5, and on literals whose terms repeat,
+  cancel and carry signed zeros, plus two refused evaluations; then
+  ``--output text`` of ``curvature build`` (tensor and ``omega`` instances,
+  both modes), ``schur verify`` and ``bounds chain``.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the five sets against its expected line
+``test_byte_identity`` runs each of the six sets against its expected line
 on every test run.
 """
 
@@ -45,10 +51,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from chernforms import CATALOG, bott_chern_curvature, random_exact_factor, random_tensor
 
@@ -56,7 +65,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the five lines every checkout must print
+#: the six lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -192,6 +201,83 @@ def model_ops() -> list[list[str]]:
     return ops
 
 
+def _decimal_scalar(rng) -> dict:
+    """A scalar with parts rounded to three decimals, which exact mode reads
+    as the decimals they print as."""
+    return {"re": round(float(rng.normal()), 3), "im": round(float(rng.normal()), 3)}
+
+
+def _pp_literal(rng, n: int, p: int, count: int) -> dict:
+    """A (p,p)-form literal on n directions with ``count`` terms on random
+    index sets, repeats allowed."""
+    terms = []
+    for _ in range(count):
+        dz, dzbar = (sorted(int(j) + 1 for j in rng.choice(n, p, replace=False))
+                     for _ in range(2))
+        terms.append({"dz": dz, "dzbar": dzbar, **_decimal_scalar(rng)})
+    return {"n": n, "terms": terms}
+
+
+def _vectors(rng, n: int, p: int) -> list:
+    return [[_decimal_scalar(rng) for _ in range(n)] for _ in range(p)]
+
+
+def eval_and_text_ops(workdir: str) -> list[list[str]]:
+    rng = np.random.default_rng(2024)
+    cases = []
+    for p in range(4):
+        for n in range(max(p, 1), 5):
+            cases.append((_pp_literal(rng, n, p, 1 + math.comb(n, p)), _vectors(rng, n, p)))
+    for p in (2, 3, 5):
+        cases.append((_pp_literal(rng, 10, p, 3), _vectors(rng, 10, p)))
+    # repeated terms that cancel to zero (the key is dropped and put back
+    # at the end), -0.0 parts in the literal and in the vectors, and a
+    # coefficient that sums to zero
+    cancelling = [
+        {"dz": [1, 2], "dzbar": [1, 3], "re": 0.1, "im": -0.0},
+        {"dz": [2, 3], "dzbar": [2, 3], "re": 0.25, "im": 0.5},
+        {"dz": [1, 2], "dzbar": [1, 3], "re": -0.1, "im": 0.0},
+        {"dz": [1, 3], "dzbar": [1, 2], "re": -0.0, "im": 1.5},
+        {"dz": [1, 2], "dzbar": [1, 3], "re": 0.3, "im": 0.2},
+        {"dz": [2, 3], "dzbar": [2, 3], "re": -0.25, "im": -0.5},
+        {"dz": [1, 2], "dzbar": [1, 2], "re": 0.1, "im": 0.2},
+        {"dz": [1, 2], "dzbar": [1, 2], "re": 0.2, "im": -0.2},
+        {"dz": [1, 2], "dzbar": [1, 2], "re": -0.3, "im": 0.0},
+    ]
+    signed = [[{"re": -0.0, "im": 0.5}, {"re": 1.25, "im": -0.0}, {"re": 0.0, "im": -0.0}],
+              [{"re": 0.75, "im": -0.0}, {"re": -0.0, "im": -0.0}, {"re": -2.5, "im": 0.125}]]
+    cases.append(({"n": 3, "terms": cancelling}, signed))
+    cases.append(({"n": 3, "terms": cancelling[:3]}, signed))
+    cases.append(({"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": -0.0, "im": -0.0}]},
+                  [[{"re": 1, "im": 0}, {"re": -0.0, "im": 2}]]))
+    # refused: a form that is not (p,p), and too few vectors
+    cases.append(({"n": 2, "terms": [{"dz": [1], "dzbar": [], "re": 1, "im": 0}]},
+                  [[{"re": 1}, {"im": 1}]]))
+    cases.append((_pp_literal(rng, 3, 2, 2), _vectors(rng, 3, 1)))
+    ops = []
+    for idx, (literal, vectors) in enumerate(cases):
+        form = _write(os.path.join(workdir, f"eval-form-{idx}.json"), literal)
+        vecs = _write(os.path.join(workdir, f"eval-vectors-{idx}.json"), vectors)
+        for mode in ("float", "exact"):
+            ops.append(["forms", "eval", "--mode", mode, "--form", form, "--vectors", vecs])
+    text = ["--output", "text"]
+    for n, r, seed in ((1, 1, 0), (2, 3, 1), (3, 2, 2), (4, 3, 0), (3, 4, 1)):
+        tensor = _write(os.path.join(workdir, f"text-tensor-{n}-{r}-{seed}.json"),
+                        random_tensor(n, r, None, seed).to_json())
+        omega = bott_chern_curvature(random_exact_factor(n, r, seed=seed))
+        exact = _write(os.path.join(workdir, f"text-omega-{n}-{r}-{seed}.json"),
+                       {"omega": [[f.to_literal() for f in row] for row in omega.entries]})
+        shape = ["--random", "--n", str(n), "--r", str(r), "--seed", str(seed)]
+        ops += [["curvature", "build", "--instance", tensor] + text,
+                ["curvature", "build", "--mode", "exact", "--instance", exact] + text,
+                ["curvature", "build", "--instance", exact] + text,
+                ["schur", "verify"] + shape + text,
+                ["bounds", "chain"] + shape + text,
+                ["schur", "verify", "--instance", tensor, "--trials", "7"] + text,
+                ["bounds", "chain", "--instance", tensor, "--trials", "7"] + text]
+    return ops
+
+
 def expected_lines() -> dict[str, str]:
     """The lines of ``cli_digests.expected``, by op set name."""
     return {line.split()[0]: line
@@ -200,8 +286,9 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The five op sets by name, in the order of the expected lines; the
-    ``core`` and ``omega`` ops read input files written to ``workdir``."""
+    """The six op sets by name, in the order of the expected lines; the
+    ``core``, ``omega`` and ``eval-and-text`` ops read input files written to
+    ``workdir``."""
     core = core_ops(workdir)
     return {
         "core": core,
@@ -209,6 +296,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "schur-table": schur_table_ops(),
         "models": model_ops(),
         "omega": omega_ops(workdir),
+        "eval-and-text": eval_and_text_ops(workdir),
     }
 
 

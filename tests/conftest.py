@@ -1,11 +1,14 @@
-"""Shared fixtures, instance builders, and the acceptance summary hook."""
+"""Shared fixtures, instance builders, the test-only frame generators and
+reference routes, and the acceptance summary hook."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from chernforms import EXACT, FLOAT, CurvatureTensor, Form, random_exact_factor
+from chernforms import EXACT, FLOAT, CurvatureTensor, Form, GaussianRational, random_exact_factor
+from chernforms.curvature import curvature_sums
+from chernforms.rng import complex_normal, substream
 
 # ----------------------------------------------------------------------
 # acceptance bookkeeping: test_acceptance records one verdict per criterion,
@@ -63,11 +66,75 @@ def factor_tensor(factor) -> np.ndarray:
     return t
 
 
-def form_matrix_det(entries, n: int, mode: str) -> Form:
-    """The Leibniz determinant of a square matrix of even-degree forms."""
-    from chernforms.chern import leibniz_det
+def random_invertible(r: int, seed: int = 0) -> np.ndarray:
+    """Complex normal r x r frame, redrawn until its condition number is
+    <= 1e6."""
+    for attempt in range(64):
+        z = complex_normal(substream(seed, 104, attempt), (r, r))
+        if np.linalg.cond(z) <= 1e6:
+            return z
+    raise RuntimeError("could not draw a well-conditioned matrix (improbable)")
 
-    return leibniz_det(entries, Form.constant(n, 1, mode), Form.zero(n, mode), Form.wedge)
+
+def random_signed_phase_permutation(r: int, seed: int = 0) -> list:
+    """Exactly unitary exact-mode frame: a permutation times diagonal phases
+    drawn from {1, -1, i, -i}."""
+    rng = substream(seed, 105)
+    perm = rng.permutation(r)
+    phases = rng.integers(0, 4, size=r)
+    unit = {0: GaussianRational(1), 1: GaussianRational(-1),
+            2: GaussianRational(0, 1), 3: GaussianRational(0, -1)}
+    zero = GaussianRational(0)
+    out = [[zero for _ in range(r)] for _ in range(r)]
+    for col in range(r):
+        out[int(perm[col])][col] = unit[int(phases[col])]
+    return out
+
+
+def griffiths_contraction(tensor: CurvatureTensor, xi, eta) -> complex:
+    """sum R[i, j, p, q] conj(xi^i) xi^j eta^p conj(eta^q), R from
+    ``curvature_sums``: the Griffiths form by the curvature route, against
+    which the sum of squares of ``griffiths_value`` is checked."""
+    xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
+    return complex(np.einsum("ijpq,i,j,p,q->", curvature_sums(tensor), np.conj(xi), xi, eta,
+                             np.conj(eta)))
+
+
+# ----------------------------------------------------------------------
+# the depth-first Leibniz walk over forms
+
+
+def form_matrix_det(entries, n: int, mode: str) -> Form:
+    """The determinant of a square matrix of even-degree forms by the walk
+    ``schur._schur_polynomial`` runs over polynomials: permutations in
+    ``itertools.permutations`` order, each prefix wedge computed once, a
+    zero entry or zero prefix pruning every permutation below it, and the
+    signed terms summed onto the zero form in permutation order."""
+    if not entries:
+        return Form.constant(n, 1, mode)
+    return sum(_leibniz_terms(entries, list(range(len(entries))), Form.constant(n, 1, mode), 0),
+               Form.zero(n, mode))
+
+
+def _leibniz_terms(entries, free: list, prod: Form, odd: int):
+    """The signed nonzero terms of ``form_matrix_det`` whose rows above
+    len(entries) - len(free) took the other columns, with product ``prod``
+    and parity ``odd`` so far, in permutation order."""
+    d = len(entries) - len(free)
+    row = entries[d]
+    for pos, col in enumerate(free):
+        f = row[col]
+        if f.is_zero():
+            continue
+        nxt = prod.wedge(f)
+        if nxt.is_zero():
+            continue
+        # columns still free left of col each form one inversion with it
+        parity = odd ^ (pos & 1)
+        if d + 1 == len(entries):
+            yield -nxt if parity else nxt
+        else:
+            yield from _leibniz_terms(entries, free[:pos] + free[pos + 1:], nxt, parity)
 
 
 def schur_and_chain_polynomials(n: int, r: int) -> list:

@@ -52,8 +52,6 @@ from chernforms import (
     product,
     projective_space,
     random_exact_factor,
-    random_invertible,
-    random_signed_phase_permutation,
     random_tensor,
     rr_polynomial,
     schur_polynomial,
@@ -66,7 +64,8 @@ from chernforms.errors import InputError
 from chernforms.rng import derive_seed, substream
 from chernforms.schur import chern_variable
 
-from conftest import record_criterion
+from conftest import griffiths_contraction, random_invertible, random_signed_phase_permutation, \
+    record_criterion
 
 MODULE_START = time.perf_counter()
 
@@ -211,8 +210,8 @@ def test_criterion_4_frame_invariance():
 
 @criterion(5, "griffiths-identity")
 def test_criterion_5_griffiths_identity():
-    # griffiths_value raises ConsistencyError if the two routes drift past
-    # 1e-12 relative, so a clean sweep is the route-agreement proof
+    # griffiths_value is the sum of squares; the contraction of Omega's
+    # coefficients (curvature_sums) is the other route, held to it here
     worst_neg = 0.0
     for case in range(100):
         dims = substream(MASTER_SEED, 13, case)
@@ -224,6 +223,9 @@ def test_criterion_5_griffiths_identity():
         xi = vecs.normal(size=r) + 1j * vecs.normal(size=r)
         eta = vecs.normal(size=n) + 1j * vecs.normal(size=n)
         value = griffiths_value(tensor, xi, eta)
+        contraction = griffiths_contraction(tensor, xi, eta)
+        scale = max(1.0, abs(contraction), value)
+        assert abs(contraction - value) <= TOL_GRIFFITHS * scale, (case, contraction, value)
         worst_neg = min(worst_neg, value)
         assert value >= 0.0, (case, value)
     return f"100 instances, routes within {TOL_GRIFFITHS:g}, min value {worst_neg:.2e}"

@@ -1,12 +1,13 @@
 """Identity oracles for the hot paths and the polynomial core.
 
 ``Form.wedge`` (a double loop over the two term dicts) and
-``chern.leibniz_det`` (depth-first Leibniz walk) must do the same float
-operations in the same order as the straightforward versions kept below as
-references: the wedge that computes an inversion-count sign for every pair
-of terms, the wedge that rebuilds its sign tables over the distinct masks on
-every call, and the determinant that re-wedges every
-``itertools.permutations`` product from scratch.  Results are compared
+``conftest.form_matrix_det`` (the depth-first Leibniz walk over forms, the
+walk ``schur`` runs over polynomials, kept in the tests for the references
+below) must do the same float operations in the same order as the
+straightforward versions kept below as references: the wedge that computes
+an inversion-count sign for every pair of terms, the wedge that rebuilds its
+sign tables over the distinct masks on every call, and the determinant that
+re-wedges every ``itertools.permutations`` product from scratch.  Results are compared
 through ``repr(list(f.terms.items()))``, which sees key order, signed zeros
 and every bit of every coefficient, or through ``canonical_repr``, the same
 with the keys sorted.
@@ -504,7 +505,7 @@ class TestBlockWedge:
 
 
 # ----------------------------------------------------------------------
-# leibniz_det over forms
+# the Leibniz walk over forms (conftest.form_matrix_det)
 
 
 def _omega(n, r, seed):
@@ -2122,11 +2123,12 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
 
 
 @pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "schur-table", "models",
-                                  "omega"])
+                                  "omega", "eval-and-text"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
-    # n, r <= 5, ``schur table``, any ``model`` subcommand or the ``omega``
-    # literal set; the ops and their digests stay in cli_digests.py and
+    # n, r <= 5, ``schur table``, any ``model`` subcommand, the ``omega``
+    # literal set, ``forms eval`` or the text summaries of the sampled
+    # commands; the ops and their digests stay in cli_digests.py and
     # cli_digests.expected
     import cli_digests
 

@@ -26,7 +26,7 @@ from chernforms import (
     random_tensor,
     top_coefficient,
 )
-from chernforms.chern import leibniz_det
+from chernforms import schur
 from chernforms.errors import InputError
 from chernforms.scalars import GaussianRational
 
@@ -155,16 +155,20 @@ class TestChernForms:
 
     def test_leibniz_walk_leaves_no_reference_cycle(self):
         # a cycle through the walk would keep every prefix product alive
-        # until the next collection; one through the minor expansion of
-        # chern_forms would keep its minors, and the Gram route must leave
-        # none either
+        # until the next collection, over forms (the walk the tests keep)
+        # and over the polynomials of the Jacobi-Trudi determinants; one
+        # through the minor expansion of chern_forms would keep its minors,
+        # and the Gram route must leave none either
         tensor = random_tensor(3, 4, 2, seed=0)
         omega = bott_chern_curvature(tensor)
-        one, zero = Form.constant(3, 1), Form.zero(3)
+        entries = omega.entries
         gc.collect()
         gc.disable()
         try:
-            leibniz_det(omega.entries, one, zero, Form.wedge)
+            form_matrix_det(entries, 3, FLOAT)
+            assert gc.collect() == 0
+            for parts in ((2, 2, 1), (3, 1, 1, 1), (2, 2, 2, 1)):
+                schur._schur_polynomial.__wrapped__(parts, 4)
             assert gc.collect() == 0
             chern_forms(omega)
             assert gc.collect() == 0

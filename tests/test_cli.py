@@ -456,6 +456,20 @@ class TestSchurCommands:
         code, _, err = invoke(capsys, "schur", "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["schur", "verify"], ["bounds", "chain"]])
+    @pytest.mark.parametrize("flags,named", [
+        (["--random", "--n", "2", "--r", "2"], "--random, --n, --r"),
+        (["--n", "3", "--m", "7"], "--n, --m"),
+        (["--r", "0"], "--r"),
+    ], ids=["random", "n-and-m", "r-zero"])
+    def test_instance_conflicts_with_draw_flags(self, capsys, tensor_file, command, flags,
+                                                named):
+        # the file fixes the tensor: a flag that would draw one is refused, not dropped
+        path, _ = tensor_file
+        assert invoke(capsys, *command, "--instance", path, *flags) == (
+            2, "", f"error: --instance conflicts with {named}: "
+                   "the instance file fixes the tensor\n")
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "schur", "verify", "--instance", "/nope.json")
         assert code == 2 and "cannot read" in err

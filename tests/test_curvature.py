@@ -23,16 +23,15 @@ from chernforms import (
     factor_from_tensor,
     griffiths_value,
     random_exact_factor,
-    random_invertible,
-    random_signed_phase_permutation,
     random_tensor,
     random_unitary,
 )
-from chernforms.errors import ConsistencyError, InputError
+from chernforms.errors import InputError
 from chernforms.forms import MAX_DIM
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_tensor, integer_tensor_pair
+from conftest import diagonal_tensor, griffiths_contraction, integer_tensor_pair, \
+    random_invertible, random_signed_phase_permutation
 
 
 class TestFactorMatrix:
@@ -359,8 +358,8 @@ class TestGriffithsValue:
             griffiths_value(t, [1.0, 0.0, 0.0], [1.0])  # eta needs length n=2
 
     def test_exact_tensor_rejected(self):
-        # a float oracle: an exact tensor is refused, not fed to numpy
-        with pytest.raises(InputError, match="float oracle"):
+        # an exact tensor is refused, not fed to numpy
+        with pytest.raises(InputError, match="takes a float tensor"):
             griffiths_value(random_exact_factor(2, 2, 1, seed=0), [1, 0], [1, 0])
 
     @given(st.integers(0, 100_000))
@@ -371,9 +370,11 @@ class TestGriffithsValue:
         t = random_tensor(n, r, m, seed=seed)
         xi = rng.normal(size=r) + 1j * rng.normal(size=r)
         eta = rng.normal(size=n) + 1j * rng.normal(size=n)
-        # griffiths_value cross-checks the tensor contraction against the
-        # sum-of-squares expansion internally and raises on disagreement
+        # the sum of squares against the contraction of Omega's
+        # coefficients, within the acceptance tolerance 1e-12 of the scale
         value = griffiths_value(t, xi, eta)
+        contraction = griffiths_contraction(t, xi, eta)
+        assert abs(contraction - value) <= 1e-12 * max(1.0, abs(contraction), value)
         assert value >= 0.0
 
 

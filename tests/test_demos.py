@@ -1,5 +1,6 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints the bytes pinned below."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,9 +11,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+#: sha256 of each demo's stdout; a change that keeps every printed byte
+#: keeps these
+STDOUT_SHA256 = {
+    "01_exterior_algebra.py": "09c06bac88a7e9cf4c06208371cf8d34adec97269546dbd816ae671009bed695",
+    "02_curvature_to_chern.py": "440781f9508efdfe6ad83ee7519483052082122e8c6230e41da58f1babad5c09",
+    "03_schur_positivity.py": "21bbf412f31ee8c0ea4e8ab165b9fd57e4b423d7701ca2b8726ab1df438701bc",
+    "04_bound_chains.py": "7ab3680fccbaed5d5e3e3f6f1f3a2e6da5144482ab3ab93336765aca9f5827c9",
+    "05_riemann_roch.py": "4f876891b6ca02df032054029c1f2a0a6a38d11475ec4f4802585685112a718d",
+}
+
 
 def test_demos_found():
-    assert len(DEMOS) == 5
+    assert [p.name for p in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -21,6 +32,6 @@ def test_demo_runs(script):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]
