@@ -20,6 +20,10 @@ Lines of that file that start with ``#`` are comments.
   ``random_exact_factor(n, r, seed=seed)`` as Form literals.  88 of the ops
   are ``bounds chain``;
 * ``core-without-bounds-chain`` (277 ops): the same list without them;
+* ``core-verdicts`` (365 ops): the ``core`` ops seen through
+  ``verdicts_view``, which keeps of each report only its ``verdict`` and
+  the ``passed`` and ``method`` of each check and each chain step, so a
+  change that moves sampled values but no verdict leaves it as it is;
 * ``schur-table`` (84 ops): ``--i 0..6 --r 0..5``, JSON and text;
 * ``models`` (154 ops): ``model rr`` with K, O, O(1,...,1) and O(2,...,2) at
   ``--m=-5..5``, ``model bounds`` with and without ``--signed``, and
@@ -43,8 +47,8 @@ Lines of that file that start with ``#`` are comments.
   both modes), ``schur verify`` and ``bounds chain``.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the six sets against its expected line
-on every test run.
+``test_byte_identity`` runs each of the seven sets against its expected
+line on every test run.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the six lines every checkout must print
+#: the seven lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -278,6 +282,30 @@ def eval_and_text_ops(workdir: str) -> list[list[str]]:
     return ops
 
 
+def verdicts_view(out: str) -> str:
+    """A JSON report reduced to its verdicts: ``verdict``, and ``passed`` and
+    ``method`` of each check and of each step of each chain, in order.  A
+    report with none of them reduces to nulls and empty lists; output that
+    is not a JSON report passes through as printed."""
+    if not out.startswith("{"):
+        return out
+    payload = json.loads(out)
+
+    def verdict(report: dict) -> list:
+        return [report["passed"], report["method"]]
+    return json.dumps({
+        "verdict": payload.get("verdict"),
+        "checks": [verdict(c["report"]) for c in payload.get("checks", ())],
+        "chains": [[verdict(s["report"]) for s in chain["steps"]]
+                   for chain in payload.get("chains", ())],
+    })
+
+
+#: op set name -> the view its digest sees the output through, when not as
+#: printed
+VIEWS = {"core-verdicts": verdicts_view}
+
+
 def expected_lines() -> dict[str, str]:
     """The lines of ``cli_digests.expected``, by op set name."""
     return {line.split()[0]: line
@@ -286,13 +314,14 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The six op sets by name, in the order of the expected lines; the
+    """The seven op sets by name, in the order of the expected lines; the
     ``core``, ``omega`` and ``eval-and-text`` ops read input files written to
     ``workdir``."""
     core = core_ops(workdir)
     return {
         "core": core,
         "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
+        "core-verdicts": core,
         "schur-table": schur_table_ops(),
         "models": model_ops(),
         "omega": omega_ops(workdir),
@@ -302,7 +331,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        lines = {name: f"{name} {len(ops)} {cli_digest(ops)}"
+        lines = {name: f"{name} {len(ops)} {cli_digest(ops, VIEWS.get(name))}"
                  for name, ops in op_sets(workdir).items()}
     for line in lines.values():
         print(line)

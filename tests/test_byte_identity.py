@@ -2122,18 +2122,19 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
         BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST
 
 
-@pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "schur-table", "models",
-                                  "omega", "eval-and-text"])
+@pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "core-verdicts",
+                                  "schur-table", "models", "omega", "eval-and-text"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
     # n, r <= 5, ``schur table``, any ``model`` subcommand, the ``omega``
     # literal set, ``forms eval`` or the text summaries of the sampled
-    # commands; the ops and their digests stay in cli_digests.py and
-    # cli_digests.expected
+    # commands; the ops, their views and their digests stay in cli_digests.py
+    # and cli_digests.expected
     import cli_digests
 
     ops = cli_digests.op_sets(str(tmp_path))[name]
-    assert f"{name} {len(ops)} {cli_digest(ops)}" == cli_digests.expected_lines()[name]
+    digest = cli_digest(ops, cli_digests.VIEWS.get(name))
+    assert f"{name} {len(ops)} {digest}" == cli_digests.expected_lines()[name]
 
 
 def test_report_sets_print_what_json_prints(tmp_path):
