@@ -24,6 +24,7 @@ from .forms import (
     MAX_DIM,
     Form,
     PPForm,
+    TupleBatch,
     VerdictReport,
     conjugate,
     evaluate,

@@ -64,7 +64,10 @@ Exact ``evaluate`` sums over the form's terms and expands only the minors
 of their masks, each once (``_minor``).
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
-standard complex normal tuples from a seeded counter-based stream.
+standard complex normal tuples from a seeded counter-based stream.  The
+checks of one degree can share one ``TupleBatch``: one seeded draw of
+tuples with its minors, taken once, which each check pairs with its own
+block.
 """
 
 from __future__ import annotations
@@ -841,14 +844,16 @@ def _minors(samples: np.ndarray) -> np.ndarray:
     return minors
 
 
-def _pairing(form: PPForm, samples: np.ndarray) -> np.ndarray:
+def _pairing(form: PPForm, samples: np.ndarray,
+             minors: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluate a float block on a (t, p, n) batch of vector tuples:
     (-sqrt(-1))^(p^2) d^T H conj(d) per tuple, with the minors d of every
-    p-subset from one Laplace pass (``_minors``)."""
+    p-subset as given, or else from one Laplace pass (``_minors``)."""
     t, p, n = samples.shape
     if p == 0:
         return np.full(t, form.block[0, 0], dtype=complex)
-    minors = _minors(samples)
+    if minors is None:
+        minors = _minors(samples)
     vals = ((minors @ form.block) * minors.conj()).sum(axis=1)
     return ((-1j) ** (p * p % 4)) * vals
 
@@ -904,13 +909,43 @@ class VerdictReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class TupleBatch:
+    """``trials`` standard complex normal ``degree``-tuples of tangent
+    vectors in n directions, ``complex_normal(substream(seed, 0), (trials,
+    degree, n))``, and their minors of size ``degree`` (``_minors``; None
+    at degree 0).  The forms are pointwise statements, so every check of
+    one degree can be evaluated on one batch: its minors are taken once,
+    and each check pairs them with its own block
+    (``nonnegative_sampled(..., batch=)``)."""
+
+    seed: int
+    trials: int
+    degree: int
+    n: int
+    samples: np.ndarray
+    minors: Optional[np.ndarray]
+
+    @classmethod
+    def draw(cls, seed: int, trials: int, degree: int, n: int) -> "TupleBatch":
+        if trials < 1:
+            raise InputError("trials must be >= 1")
+        samples = complex_normal(substream(seed, 0), (trials, degree, n))
+        return cls(seed, trials, degree, n, samples, _minors(samples) if degree else None)
+
+
 def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int = 0,
-                        tol: float = DEFAULT_TOL) -> VerdictReport:
+                        tol: float = DEFAULT_TOL, *,
+                        batch: Optional[TupleBatch] = None) -> VerdictReport:
     """Sample-test pointwise nonnegativity of a real (p,p)-form.
 
     Draws ``trials`` p-tuples of standard complex normal tangent vectors from
-    the Philox stream keyed by ``seed`` and evaluates the form on each.  The
-    check passes iff the minimum value is >= -tol * scale, where scale is
+    the Philox stream keyed by ``seed`` and evaluates the form on each; a
+    ``batch`` drawn for the same (seed, trials, p, n) stands in for that
+    draw and gives the same report, bit for bit.  A batch drawn for other
+    values is refused (a zero form has every degree, so only its n is held
+    to the batch's).  The check passes iff the minimum value is
+    >= -tol * scale, where scale is
     max(1, largest coefficient magnitude).  The report names the argmin
     tuple by its index in the batch; a failed check also carries the tuple
     as its witness.  An exactly zero form passes with method
@@ -924,6 +959,10 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
         raise InputError("trials must be >= 1")
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be a finite positive number, got {tol!r}")
+    if batch is not None and (batch.seed, batch.trials, batch.n) != (seed, trials, form.n):
+        raise InputError(f"a batch of {batch.trials} trials on n={batch.n} from seed "
+                         f"{batch.seed} cannot stand in for {trials} trials on n={form.n} "
+                         f"from seed {seed}")
     if form.is_zero():
         return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
                              tol=tol, scale=1.0, degree=0, method="exact-zero")
@@ -942,9 +981,11 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
             f"form is not real: max imaginary coefficient {imag_norm:.3e} "
             f"exceeds {tol:.1e} * scale ({scale:.3e})")
 
-    rng = substream(seed, 0)
-    samples = complex_normal(rng, (trials, p, f.n))
-    vals = _pairing(f, samples)
+    if batch is None:
+        batch = TupleBatch.draw(seed, trials, p, f.n)
+    elif batch.degree != p:
+        raise InputError(f"a batch of {batch.degree}-tuples cannot evaluate a ({p},{p})-form")
+    vals = _pairing(f, batch.samples, batch.minors)
     reals = vals.real
     arg = int(np.argmin(reals))
     min_value = float(reals[arg])
@@ -962,6 +1003,6 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
         scale=scale,
         degree=p,
         argmin=arg,
-        witness=None if passed else [[scalar_json(z) for z in vec] for vec in samples[arg]],
+        witness=None if passed else [[scalar_json(z) for z in vec] for vec in batch.samples[arg]],
         max_imag=max_imag,
     )

@@ -21,6 +21,10 @@ forms of the shape S_{(w-j, j)} (lower chain) or c_1 c_{t-1} - c_t times
 monomials (upper chain), so each step is itself a sampled nonnegativity
 check, and at top degree i = n the scalar chain
 0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is compared directly.
+
+Every statement here is pointwise, so the checks of one degree, and the
+steps of one chain, are all evaluated on one shared ``TupleBatch``: one
+seeded draw, and one pass for its minors, per degree or per chain.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import functools
 import hashlib
 import json
 import operator
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureTensor
 from .errors import InputError
-from .forms import DEFAULT_TOL, PPForm, VerdictReport, nonnegative_sampled
+from .forms import DEFAULT_TOL, PPForm, TupleBatch, VerdictReport, nonnegative_sampled
 from .polynomials import Polynomial, weighted_degree
 from .rng import derive_seed
 
@@ -197,6 +201,18 @@ def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     return result
 
 
+def _sampled_on_one_batch(forms: Iterable[PPForm], trials: int, seed: int,
+                          tol: float) -> Iterator[VerdictReport]:
+    """``nonnegative_sampled`` on each of ``forms``, all of one degree, with
+    the one batch that ``seed`` draws, drawn at the first nonzero form:
+    forms that are all exactly zero draw nothing."""
+    batch = None
+    for form in forms:
+        if batch is None and not form.is_zero():
+            batch = TupleBatch.draw(seed, trials, form.p, form.n)
+        yield nonnegative_sampled(form, trials, seed, tol, batch=batch)
+
+
 # ----------------------------------------------------------------------
 # reports
 
@@ -253,10 +269,12 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     ``degrees`` defaults to 1..n.  A lambda with more than m nonzero parts
     gets the zero form's report without its form being built: for the
     factor's m columns, 1/c(Omega) has degree at most m, so
-    S_lambda(c(Omega)) is exactly zero there (CONVENTIONS.md).  Every
-    (degree, partition) pair gets its own derived random stream, so the
-    verdict does not depend on evaluation order.  The report embeds the
-    instance and its hash for reproducibility.
+    S_lambda(c(Omega)) is exactly zero there (CONVENTIONS.md).  All checks
+    of degree i are evaluated on one batch of tuples, drawn from the stream
+    ``derive_seed(seed, 7, i)``, the seed each of their reports names, so
+    no check's verdict depends on the other degrees or on evaluation
+    order.  The report embeds the instance and its hash for
+    reproducibility.
     """
     n, r = tensor.n, tensor.r
     if degrees is None:
@@ -266,17 +284,16 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
         raise InputError(f"degrees must lie in 1..n={n}")
     cs = chern_forms(tensor)
     checks = []
-    all_pass = True
     for i in degrees:
-        for idx, lam in enumerate(partitions(i, r)):
-            if len(lam.trimmed()) > cs.m:
-                # S_lambda(c) = (-1)^|lambda| s_lambda(y_1, ..., y_m): zero
-                form = PPForm.zero(n, i)
-            else:
-                form = evaluate_on_forms(schur_polynomial(lam, r), cs)
-            rep = nonnegative_sampled(form, trials, derive_seed(seed, 7, i, idx), tol)
-            checks.append(SchurCheck(degree=i, partition=lam.parts, report=rep))
-            all_pass = all_pass and rep.passed
+        lams = partitions(i, r)
+        # S_lambda(c) = (-1)^|lambda| s_lambda(y_1, ..., y_m): zero for
+        # more than m parts
+        forms = (PPForm.zero(n, i) if len(lam.trimmed()) > cs.m
+                 else evaluate_on_forms(schur_polynomial(lam, r), cs) for lam in lams)
+        reports = _sampled_on_one_batch(forms, trials, derive_seed(seed, 7, i), tol)
+        checks += [SchurCheck(degree=i, partition=lam.parts, report=rep)
+                   for lam, rep in zip(lams, reports)]
+    all_pass = all(c.report.passed for c in checks)
     inst = tensor.to_json()
     return SchurReport(instance=inst, instance_hash=instance_digest(inst),
                        seed=seed, trials=trials, tol=tol,
@@ -388,7 +405,10 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     factored shape), so ``cs.m`` is known, with weight(lambda) <= n and
     parts <= r.  Every step has a Schur factor with two nonzero parts,
     S_(w-j, j) or S_(t-1, 1), so for m < 2 every step is exactly zero
-    (CONVENTIONS.md) and gets the zero form's report without being built.  At top weight i = n the scalar chain
+    (CONVENTIONS.md) and gets the zero form's report without being built.
+    All steps have degree weight(lambda) and are evaluated on one batch of
+    tuples, drawn from the stream ``derive_seed(seed, 11)``, the seed each
+    of their reports names.  At top weight i = n the scalar chain
     0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is also compared, within
     tol relative to the largest of the three.
     """
@@ -402,13 +422,12 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     if any(p > cs.r for p in lam.parts):
         raise InputError(f"partition parts must be <= r={cs.r}")
     num = cs.to_numeric()
-    steps = []
-    all_pass = True
-    for index, (label, poly) in enumerate(chain_step_polynomials(lam, cs.r)):
-        form = PPForm.zero(cs.n, lam.weight) if cs.m < 2 else evaluate_on_forms(poly, num)
-        rep = nonnegative_sampled(form, trials, derive_seed(seed, 11, index), tol)
-        steps.append(ChainStep(label=label, report=rep))
-        all_pass = all_pass and rep.passed
+    polys = chain_step_polynomials(lam, cs.r)
+    forms = (PPForm.zero(cs.n, lam.weight) if cs.m < 2 else evaluate_on_forms(poly, num)
+             for _, poly in polys)
+    reports = _sampled_on_one_batch(forms, trials, derive_seed(seed, 11), tol)
+    steps = tuple(ChainStep(label=label, report=rep) for (label, _), rep in zip(polys, reports))
+    all_pass = all(s.report.passed for s in steps)
 
     top = None
     if lam.weight == cs.n:
@@ -422,5 +441,5 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
                    and t_c1n >= t_lam - tol * scale)
         top = {"c_n": t_cn, "c_lambda": t_lam, "c_1^n": t_c1n, "passed": bool(ordered)}
         all_pass = all_pass and ordered
-    return ChainReport(partition=lam.parts, weight=lam.weight, steps=tuple(steps),
+    return ChainReport(partition=lam.parts, weight=lam.weight, steps=steps,
                        top=top, seed=seed, trials=trials, tol=tol, passed=all_pass)

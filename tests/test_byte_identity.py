@@ -1923,13 +1923,23 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: ``schur verify`` reports moved in ``min_value`` (relative change at most
 #: 6e-15), ``margin`` and ``max_imag``, and no exit code, check verdict,
 #: ``argmin``, text report, ``bounds chain`` or ``curvature build`` report
-#: moved
-FLOAT_CLI_DIGEST = "b4d367a79de4d439c790ba8ccc69bcbbc320ba9348a6b9fa87aa99490613d111"
+#: moved; and again when the sampled checks of one degree, and the steps
+#: of one chain, came to share one tuple batch, drawn from
+#: ``derive_seed(seed, 7, i)`` or ``derive_seed(chain seed, 11)`` in place
+#: of one stream per check or step: 107 of the 192 ops moved (32 JSON and
+#: 32 text ``schur verify``, 24 JSON and 19 text ``bounds chain``), the
+#: JSON reports in each check's and step's ``seed``, and in ``min_value``,
+#: ``margin``, ``argmin`` and ``max_imag`` where sampled, the text in its
+#: printed minima; no exit code, verdict, check or step verdict, method or
+#: ``curvature build`` report moved
+FLOAT_CLI_DIGEST = "e7676e021d6cd7bfa3fff23ed5bb4f82ea8f35df2487dd88082a80d0b31cf511"
 
 #: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
 #: of the schema-1 reports, before and after schema 2; moved with it when
-#: the minors came from the Laplace pass
-FLOAT_CLI_SCHEMA1_DIGEST = "f7e6c101c27838dd9b3e028380c060be7e6bafb3a8a45cc41b1d8ac94da776f6"
+#: the minors came from the Laplace pass, and when the checks of one degree
+#: and the steps of one chain came to share one batch (the same ops moved,
+#: and each regenerated witness with its seed and argmin)
+FLOAT_CLI_SCHEMA1_DIGEST = "fabb37510da22da8242dd6175cbdd8f70eaf8c2b1b14327d936a82df1ac6c54f"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -2089,14 +2099,20 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
 #: moved again when the p x p minors of each sampled tuple came from one
 #: Laplace pass (``forms._minors``): the 4 JSON ``schur verify`` reports
 #: moved in ``min_value``, ``margin`` and ``max_imag``, and no exit code,
-#: check verdict, ``argmin``, text report or ``bounds chain`` report moved
-BENCHMARK_SHAPE_CLI_DIGEST = "855bdda462ded7f5bc69588b09c0b1bc689539df9739f383cb0f1e0b0a5d94df"
+#: check verdict, ``argmin``, text report or ``bounds chain`` report moved;
+#: moved again when the sampled checks of one degree, and the steps of one
+#: chain, came to share one tuple batch: 14 of the 16 ops moved (every JSON
+#: report in its seeds and sampled values, every ``schur verify`` text and
+#: 2 ``bounds chain`` texts in their printed minima), and no exit code,
+#: verdict, check or step verdict or method moved
+BENCHMARK_SHAPE_CLI_DIGEST = "3a423d70a20f19b3359753edf0256464f862f0854857975d5aabea1c57a4b1ec"
 
 #: ``cli_digest(benchmark_shape_cli_ops(), schema1_view)``: the
 #: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports; moved with it
-#: when the minors came from the Laplace pass
+#: when the minors came from the Laplace pass, and when the checks of one
+#: degree and the steps of one chain came to share one batch
 BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST = \
-    "f3b1d687925b8fe575ede0f731c5386cd989232ce4ba3dbb48033fc89d536173"
+    "99941c0e58704af65a3d6c0d55788c48dfbdce3d6bb66643fb83f10b16b6e446"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:

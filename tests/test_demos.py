@@ -12,12 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 #: sha256 of each demo's stdout; a change that keeps every printed byte
-#: keeps these
+#: keeps these.  03 and 04 moved when the sampled checks of one degree, and
+#: the steps of one chain, came to share one tuple batch: 03 in five of its
+#: printed minima, 04 in both step minima; no scale or verdict moved
 STDOUT_SHA256 = {
     "01_exterior_algebra.py": "09c06bac88a7e9cf4c06208371cf8d34adec97269546dbd816ae671009bed695",
     "02_curvature_to_chern.py": "440781f9508efdfe6ad83ee7519483052082122e8c6230e41da58f1babad5c09",
-    "03_schur_positivity.py": "21bbf412f31ee8c0ea4e8ab165b9fd57e4b423d7701ca2b8726ab1df438701bc",
-    "04_bound_chains.py": "7ab3680fccbaed5d5e3e3f6f1f3a2e6da5144482ab3ab93336765aca9f5827c9",
+    "03_schur_positivity.py": "1ad24e6f3725348140e5b2a59a6e564b80a2e196ebbb9638794d11abe4db5ad8",
+    "04_bound_chains.py": "7d7142b1dc33d00b66c3281294b7be8e328eb46794053849cf0adab0be60fce9",
     "05_riemann_roch.py": "4f876891b6ca02df032054029c1f2a0a6a38d11475ec4f4802585685112a718d",
 }
 

@@ -21,6 +21,7 @@ from chernforms import (
     FLOAT,
     Form,
     PPForm,
+    TupleBatch,
     conjugate,
     evaluate,
     nonnegative_sampled,
@@ -629,6 +630,54 @@ class TestNonnegativeSampled:
 
         hard = nonnegative_sampled(pencil(1.0), trials=60, seed=9, tol=DEFAULT_TOL)
         assert not hard.passed and hard.witness is not None
+
+
+class TestTupleBatch:
+    """A batch is the draw ``nonnegative_sampled`` makes itself, with its
+    minors taken once, and it stands in for that draw only."""
+
+    def test_batch_is_the_seeded_draw_and_its_minors(self):
+        batch = TupleBatch.draw(17, 30, 2, 4)
+        samples = complex_normal(substream(17, 0), (30, 2, 4))
+        assert batch.samples.tobytes() == samples.tobytes()
+        assert batch.minors.tobytes() == forms._minors(samples).tobytes()
+        assert (batch.seed, batch.trials, batch.degree, batch.n) == (17, 30, 2, 4)
+        assert TupleBatch.draw(17, 30, 0, 4).minors is None
+
+    def test_batch_gives_the_bytes_of_its_own_draw(self):
+        pencil = Form.monomial(3, [1], [1], 1j) + Form.monomial(3, [2], [2], -0.5j)
+        exact = PPForm.from_form(Form.monomial(3, [1, 3], [1, 3], 2, mode=EXACT))
+        cases = [(Form.constant(3, 2.5), 0), (pencil, 1), (-pencil, 1), (exact, 2),
+                 (PPForm(3, 3, FLOAT, np.array([[-1e-12]])), 3)]
+        for form, p in cases:
+            own = nonnegative_sampled(form, 40, 5)
+            shared = nonnegative_sampled(form, 40, 5, batch=TupleBatch.draw(5, 40, p, 3))
+            assert repr(shared.to_dict()) == repr(own.to_dict()), p
+        assert not nonnegative_sampled(-pencil, 40, 5).passed
+
+    @pytest.mark.parametrize("field", ["seed", "trials", "degree", "n"])
+    def test_batch_of_another_draw_is_refused(self, field):
+        form = Form.monomial(3, [1, 2], [1, 2], -1)
+        want = {"seed": 5, "trials": 40, "degree": 2, "n": 3}
+        other = dict(want, **{field: want[field] + 1})
+        batch = TupleBatch.draw(**other)
+        with pytest.raises(InputError, match="batch"):
+            nonnegative_sampled(form, 40, 5, batch=batch)
+        nonnegative_sampled(form, 40, 5, batch=TupleBatch.draw(**want))
+
+    def test_zero_form_holds_the_batch_to_its_draw_but_not_its_degree(self):
+        # a zero form has every degree; its seed, trials and n still count
+        batch = TupleBatch.draw(5, 40, 2, 3)
+        zero = nonnegative_sampled(PPForm.zero(3, 1), 40, 5)
+        assert nonnegative_sampled(PPForm.zero(3, 1), 40, 5, batch=batch) == zero
+        for form, trials, seed in ((PPForm.zero(4, 2), 40, 5), (PPForm.zero(3, 2), 41, 5),
+                                   (Form.zero(3), 40, 6)):
+            with pytest.raises(InputError, match="batch"):
+                nonnegative_sampled(form, trials, seed, batch=batch)
+
+    def test_draw_refuses_no_trials(self):
+        with pytest.raises(InputError, match="trials"):
+            TupleBatch.draw(0, 0, 1, 2)
 
 
 # ----------------------------------------------------------------------

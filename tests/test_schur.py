@@ -12,6 +12,7 @@ on the nose.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from chernforms import (
     PPForm,
     Partition,
     Polynomial,
+    TupleBatch,
     bott_chern_curvature,
     bounds_chain_check,
     chern_forms,
@@ -35,10 +37,11 @@ from chernforms import (
     schur_polynomial,
     verify_schur_nonnegativity,
 )
-from chernforms import schur
+from chernforms import forms, schur
 from chernforms.chern import chern_product, top_coefficient
 from chernforms.errors import InputError
 from chernforms.polynomials import weighted_degree
+from chernforms.rng import complex_normal, substream
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
 from conftest import diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
@@ -506,19 +509,116 @@ class TestSchurNegativeControls:
     every S_lambda, lambda in Gamma(i, r) with i <= n, is a nonzero form that
     passes, and its negative fails, at the default trials and tol."""
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_each_negated_schur_form_fails(self, mode):
+    @staticmethod
+    def schur_forms(mode: str) -> dict:
         n, r, m = 5, 3, 5
         exact, floats = integer_tensor_pair(n, r, m, seed=0)
         cs = chern_forms(exact if mode == "exact" else floats)
-        forms = {lam.parts: evaluate_on_forms(schur_polynomial(lam, r), cs)
-                 for i in range(1, n + 1) for lam in partitions(i, r)}
-        assert len(forms) == 15
+        by_parts = {lam.parts: evaluate_on_forms(schur_polynomial(lam, r), cs)
+                    for i in range(1, n + 1) for lam in partitions(i, r)}
+        assert len(by_parts) == 15
         # with at most m nonzero parts no S_lambda vanishes identically
-        assert [parts for parts, form in forms.items() if form.is_zero()] == []
-        for parts, form in forms.items():
+        assert [parts for parts, form in by_parts.items() if form.is_zero()] == []
+        return by_parts
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_each_negated_schur_form_fails(self, mode):
+        for parts, form in self.schur_forms(mode).items():
             assert nonnegative_sampled(form).passed, parts
             assert not nonnegative_sampled(form.scale(-1)).passed, parts
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_each_negated_schur_form_fails_on_one_batch_per_degree(self, mode):
+        # as the sweep samples them: every S_lambda and every -S_lambda of
+        # degree i on the one batch of derive_seed(seed, 7, i), so sharing
+        # the tuples cannot hide a violation
+        batches = {}
+        for parts, form in self.schur_forms(mode).items():
+            i = sum(parts)
+            seed = schur.derive_seed(0, 7, i)
+            batch = batches.setdefault(i, TupleBatch.draw(seed, 50, i, 5))
+            assert nonnegative_sampled(form, 50, seed, batch=batch).passed, parts
+            assert not nonnegative_sampled(form.scale(-1), 50, seed, batch=batch).passed, parts
+        assert sorted(batches) == [1, 2, 3, 4, 5]
+
+
+class TestSharedBatch:
+    """Every check of one degree, and every step of one chain, is evaluated
+    on the one batch its reports' seed draws."""
+
+    @staticmethod
+    def count_draws(monkeypatch) -> list:
+        calls = []
+
+        def counted(rng, shape):
+            calls.append(shape)
+            return complex_normal(rng, shape)
+        monkeypatch.setattr(forms, "complex_normal", counted)
+        return calls
+
+    def test_checks_of_one_degree_share_one_seed(self):
+        report = verify_schur_nonnegativity(random_tensor(5, 3, 2, seed=4), trials=20, seed=8)
+        for i in range(1, 6):
+            seeds = {c.report.seed for c in report.checks if c.degree == i}
+            assert seeds == {schur.derive_seed(8, 7, i)}, i
+
+    def test_steps_of_one_chain_share_one_seed(self):
+        cs = chern_forms(random_tensor(4, 3, 3, seed=1))
+        for lam in partitions(4, 3):
+            rep = bounds_chain_check(cs, lam, trials=20, seed=9)
+            assert rep.steps
+            assert {s.report.seed for s in rep.steps} == {schur.derive_seed(9, 11)}, lam
+
+    def test_argmin_of_the_regenerated_batch_gives_min_value(self):
+        # exact-zero checks (more than m = 2 parts) sit between sampled ones
+        # and draw nothing; each sampled check's batch, regenerated from its
+        # seed, gives its min_value at argmin, bit for bit
+        tensor = random_tensor(5, 3, 2, seed=4)
+        cs = chern_forms(tensor)
+        report = verify_schur_nonnegativity(tensor, trials=30, seed=2)
+        sampled = 0
+        for chk in report.checks:
+            rep = chk.report
+            if rep.method == "exact-zero":
+                assert len(Partition(chk.partition).trimmed()) > 2
+                continue
+            form = evaluate_on_forms(schur_polynomial(chk.partition, 3), cs)
+            batch = complex_normal(substream(rep.seed, 0), (30, chk.degree, 5))
+            values = forms._pairing(form, batch).real
+            assert values[rep.argmin].tobytes() == np.float64(rep.min_value).tobytes()
+            sampled += 1
+        assert 0 < sampled < len(report.checks)
+        # the first step of (2,2,1) at r = 3, c4*c1 - c5*c0, is the zero
+        # polynomial
+        chain = bounds_chain_check(cs, (2, 2, 1), trials=30, seed=2)
+        steps = list(zip(chain_step_polynomials(Partition((2, 2, 1)), 3), chain.steps))
+        assert [step.report.method for _, step in steps] == ["exact-zero"] + ["sampled"] * 4
+        for (_, poly), step in steps[1:]:
+            form = evaluate_on_forms(poly, cs.to_numeric())
+            batch = complex_normal(substream(step.report.seed, 0), (30, 5, 5))
+            values = forms._pairing(form, batch).real
+            assert values[step.report.argmin].tobytes() == \
+                np.float64(step.report.min_value).tobytes()
+
+    def test_one_draw_per_degree_and_none_for_an_all_zero_degree(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        # m = 1: degrees 3 and 4 of Gamma(i, 2) have only partitions of two
+        # or more parts, whose forms are exactly zero
+        report = verify_schur_nonnegativity(random_tensor(4, 2, 1, seed=3), trials=10)
+        assert calls == [(10, 1, 4), (10, 2, 4)]
+        assert all(c.report.method == "exact-zero" for c in report.checks if c.degree > 2)
+        calls.clear()
+        verify_schur_nonnegativity(random_tensor(5, 3, 2, seed=4), trials=10)
+        assert calls == [(10, i, 5) for i in range(1, 6)]
+
+    def test_one_draw_per_chain_and_none_for_an_all_zero_chain(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        cs = chern_forms(random_tensor(3, 3, 2, seed=2))
+        bounds_chain_check(cs, (2, 1), trials=10)
+        assert calls == [(10, 3, 3)]
+        calls.clear()
+        bounds_chain_check(chern_forms(random_tensor(3, 3, 1, seed=2)), (2, 1), trials=10)
+        assert calls == []
 
 
 class TestSchurVanishing:
@@ -644,16 +744,16 @@ class TestBoundsChain:
     @pytest.mark.parametrize("lam", [(3,), (2, 1), (1, 1, 1)])
     def test_one_column_factor_steps_are_zero(self, lam):
         # with m = 1 every step has a Schur factor S_(w-j, j) or S_(t-1, 1)
-        # with two parts > m: each gets the zero form's report, with its own
-        # seed, and the scalar top chain is still compared
+        # with two parts > m: each gets the zero form's report, with the
+        # chain's seed, and the scalar top chain is still compared
         cs = chern_forms(random_tensor(3, 3, 1, seed=2))
         assert cs.m == 1
         rep = bounds_chain_check(cs, lam, trials=10, seed=4)
         labels = [label for label, _ in chain_step_polynomials(Partition(lam), 3)]
         assert [s.label for s in rep.steps] == labels
         assert rep.steps
-        for index, step in enumerate(rep.steps):
-            zero = nonnegative_sampled(Form.zero(3), 10, schur.derive_seed(4, 11, index))
+        zero = nonnegative_sampled(Form.zero(3), 10, schur.derive_seed(4, 11))
+        for step in rep.steps:
             assert step.report == zero
         num = cs.to_numeric()
         tops = [top_coefficient(f) for f in (num.form(3), chern_product(num, lam),
