@@ -5,7 +5,9 @@ Run it from the root of a checkout:
     PYTHONPATH=src python3 tests/cli_digests.py
 
 Each output line names an op set, its number of ops and the digest of every
-op's stdout and exit code, in order (``test_byte_identity.cli_digest``).  Two
+op's stdout and exit code, in order (``test_byte_identity.cli_digest``).
+A last comment line counts the checks and the chain steps of the ``core``
+reports by the ``method`` that decided them.  Two
 checkouts that print the same lines print the same bytes on every op.  Input
 files go to a temporary directory, and no report prints their paths.  The
 lines are compared with ``cli_digests.expected`` next to this file; the
@@ -24,6 +26,9 @@ Lines of that file that start with ``#`` are comments.
   ``verdicts_view``, which keeps of each report only its ``verdict`` and
   the ``passed`` and ``method`` of each check and each chain step, so a
   change that moves sampled values but no verdict leaves it as it is;
+* ``core-passes`` (365 ops): the ``core`` ops seen through ``passes_view``,
+  ``verdicts_view`` without the ``method``, so a change that moves which
+  method decides a check but no verdict leaves it as it is;
 * ``schur-table`` (84 ops): ``--i 0..6 --r 0..5``, JSON and text;
 * ``models`` (154 ops): ``model rr`` with K, O, O(1,...,1) and O(2,...,2) at
   ``--m=-5..5``, ``model bounds`` with and without ``--signed``, and
@@ -47,12 +52,13 @@ Lines of that file that start with ``#`` are comments.
   both modes), ``schur verify`` and ``bounds chain``.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the seven sets against its expected
+``test_byte_identity`` runs each of the eight sets against its expected
 line on every test run.
 """
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import json
 import math
@@ -69,7 +75,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the seven lines every checkout must print
+#: the eight lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -282,17 +288,17 @@ def eval_and_text_ops(workdir: str) -> list[list[str]]:
     return ops
 
 
-def verdicts_view(out: str) -> str:
-    """A JSON report reduced to its verdicts: ``verdict``, and ``passed`` and
-    ``method`` of each check and of each step of each chain, in order.  A
-    report with none of them reduces to nulls and empty lists; output that
-    is not a JSON report passes through as printed."""
+def _reduced(out: str, fields: tuple[str, ...]) -> str:
+    """A JSON report reduced to ``verdict`` and the ``fields`` of each check
+    and of each step of each chain, in order.  A report with none of them
+    reduces to nulls and empty lists; output that is not a JSON report
+    passes through as printed."""
     if not out.startswith("{"):
         return out
     payload = json.loads(out)
 
     def verdict(report: dict) -> list:
-        return [report["passed"], report["method"]]
+        return [report[field] for field in fields]
     return json.dumps({
         "verdict": payload.get("verdict"),
         "checks": [verdict(c["report"]) for c in payload.get("checks", ())],
@@ -301,9 +307,43 @@ def verdicts_view(out: str) -> str:
     })
 
 
+def verdicts_view(out: str) -> str:
+    """A JSON report reduced to ``verdict``, and ``passed`` and ``method`` of
+    each check and of each chain step."""
+    return _reduced(out, ("passed", "method"))
+
+
+def passes_view(out: str) -> str:
+    """A JSON report reduced to ``verdict``, and ``passed`` of each check and
+    of each chain step: ``verdicts_view`` without the method."""
+    return _reduced(out, ("passed",))
+
+
 #: op set name -> the view its digest sees the output through, when not as
 #: printed
-VIEWS = {"core-verdicts": verdicts_view}
+VIEWS = {"core-verdicts": verdicts_view, "core-passes": passes_view}
+
+
+class MethodTally:
+    """A view that returns its input unchanged and counts, over the JSON reports
+    it sees, the checks and the chain steps each ``method`` decided."""
+
+    def __init__(self):
+        self.checks: collections.Counter = collections.Counter()
+        self.steps: collections.Counter = collections.Counter()
+
+    def __call__(self, out: str) -> str:
+        if out.startswith("{"):
+            payload = json.loads(out)
+            self.checks.update(c["report"]["method"] for c in payload.get("checks", ()))
+            self.steps.update(s["report"]["method"] for chain in payload.get("chains", ())
+                              for s in chain["steps"])
+        return out
+
+    def line(self, name: str) -> str:
+        def counts(counter):
+            return ", ".join(f"{method} {count}" for method, count in sorted(counter.items()))
+        return f"# {name} methods: checks {counts(self.checks)}; steps {counts(self.steps)}"
 
 
 def expected_lines() -> dict[str, str]:
@@ -314,7 +354,7 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The seven op sets by name, in the order of the expected lines; the
+    """The eight op sets by name, in the order of the expected lines; the
     ``core``, ``omega`` and ``eval-and-text`` ops read input files written to
     ``workdir``."""
     core = core_ops(workdir)
@@ -322,6 +362,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "core": core,
         "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
         "core-verdicts": core,
+        "core-passes": core,
         "schur-table": schur_table_ops(),
         "models": model_ops(),
         "omega": omega_ops(workdir),
@@ -330,11 +371,15 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
 
 
 def main() -> None:
+    tally = MethodTally()
     with tempfile.TemporaryDirectory() as workdir:
-        lines = {name: f"{name} {len(ops)} {cli_digest(ops, VIEWS.get(name))}"
+        # core is printed as it is, so the tally stands in for no view
+        lines = {name: f"{name} {len(ops)} "
+                       f"{cli_digest(ops, tally if name == 'core' else VIEWS.get(name))}"
                  for name, ops in op_sets(workdir).items()}
     for line in lines.values():
         print(line)
+    print(tally.line("core"))
     expected = expected_lines()
     differ = [name for name, line in lines.items() if expected.get(name) != line]
     for name in differ:
