@@ -1,7 +1,8 @@
 """The inequality chain 0 <= c_n <= c_lambda <= c_1^n, two ways.
 
 Pointwise: every step difference factors through Schur forms, so each one is
-itself a sampled-nonnegativity check.  Globally: on closed-form models the
+itself a nonnegativity check; at top degree, as here, it is decided by the
+step's one coefficient.  Globally: on closed-form models the
 same chain holds between exact integer Chern numbers.
 
 Run:  python3 demos/04_bound_chains.py
@@ -22,12 +23,12 @@ print(f"== step decomposition for lambda = {lam}, r = 3 ==")
 for label, poly in chain_step_polynomials(lam, 3):
     print(f"  0 <= {label}   [= {poly}]")
 
-print("\n== sampled chain on a random instance (n = r = 3) ==")
+print("\n== pointwise chain on a random instance (n = r = 3) ==")
 tensor = random_tensor(3, 3, 2, seed=11)
 cs = chern_forms(tensor)
 report = bounds_chain_check(cs, lam, trials=50, seed=0)
 for step in report.steps:
-    print(f"  {step.label}: min={step.report.min_value: .4e} "
+    print(f"  {step.label}: {step.report.method} margin={step.report.margin: .4e} "
           f"{'PASS' if step.report.passed else 'FAIL'}")
 top = report.top
 print(f"  top scalars: c_3={top['c_n']:.5g} <= c_(2,1)={top['c_lambda']:.5g} "

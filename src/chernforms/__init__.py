@@ -28,6 +28,7 @@ from .forms import (
     VerdictReport,
     conjugate,
     evaluate,
+    nonnegative_psd,
     nonnegative_sampled,
     wedge,
 )

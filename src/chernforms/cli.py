@@ -6,8 +6,8 @@ Subcommands (grouped):
     curvature build     curvature + Chern forms of an instance (tensor or
                         explicit Form-literal matrix)
     schur table         Gamma(i, r) and the expanded Schur polynomials
-    schur verify        sampled S_lambda nonnegativity sweep on an instance
-    bounds chain        sampled inequality chain 0 <= c_i <= c_lambda <= c_1^i
+    schur verify        S_lambda nonnegativity sweep on an instance
+    bounds chain        pointwise inequality chain 0 <= c_i <= c_lambda <= c_1^i
     model chern-numbers exact Chern numbers of a closed-form model
     model bounds        exact integer bound chain on a model (--signed for
                         the cotangent version)
@@ -237,8 +237,8 @@ def _handle_schur_verify(args):
         lines = []
         for chk in report.checks:
             rep = chk.report
-            lines.append(f"S_{Partition(chk.partition)} deg {chk.degree}: "
-                         f"min={rep.min_value:.3e} {'PASS' if rep.passed else 'FAIL'}")
+            lines.append(f"S_{Partition(chk.partition)} deg {chk.degree}: {rep.method} "
+                         f"margin={rep.margin:.3e} {'PASS' if rep.passed else 'FAIL'}")
         lines.append(f"VERDICT: {'PASS' if report.passed else 'FAIL'}")
         return lines
     return (0 if report.passed else 1), payload, text
@@ -276,9 +276,9 @@ def _handle_bounds_chain(args):
     def text():
         lines = []
         for rep in reports:
-            worst = min((s.report.min_value for s in rep.steps), default=0.0)
+            worst = min((s.report.margin for s in rep.steps), default=0.0)
             lines.append(f"chain {Partition(rep.partition)}: {len(rep.steps)} steps, "
-                         f"worst min={worst:.3e} {'PASS' if rep.passed else 'FAIL'}")
+                         f"worst margin={worst:.3e} {'PASS' if rep.passed else 'FAIL'}")
         lines.append(f"VERDICT: {'PASS' if all_pass else 'FAIL'}")
         return lines
     return (0 if all_pass else 1), payload, text
@@ -377,7 +377,8 @@ def _add_sampled_instance_args(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="factor columns for --random (default: drawn)")
     _add_seed(parser)
     parser.add_argument("--trials", type=int, default=50,
-                        help="sample tuples per check (default 50)")
+                        help="sample tuples per sampled check, degrees 2..n-2 "
+                             "(default 50)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"relative tolerance (default {DEFAULT_TOL:g})")
 
@@ -414,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
                  _handle_schur_table)
     p.add_argument("--i", type=int, required=True, help="weight")
     p.add_argument("--r", type=int, required=True, help="rank bound")
-    p = _command(schur_sub, "verify", "sampled Schur-form nonnegativity sweep",
+    p = _command(schur_sub, "verify", "Schur-form nonnegativity sweep",
                  _handle_schur_verify)
     _add_sampled_instance_args(p)
 
     bounds_group = groups.add_parser("bounds", help="inequality chains")
     bounds_sub = bounds_group.add_subparsers(dest="command", required=True)
-    p = _command(bounds_sub, "chain", "sampled chain 0 <= c_i <= c_lambda <= c_1^i",
+    p = _command(bounds_sub, "chain", "pointwise chain 0 <= c_i <= c_lambda <= c_1^i",
                  _handle_bounds_chain)
     _add_sampled_instance_args(p)
     p.add_argument("--degree", type=int, help="chain weight (default n)")

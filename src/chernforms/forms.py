@@ -67,7 +67,10 @@ of their masks, each once (``_minor``).
 standard complex normal tuples from a seeded counter-based stream.  The
 checks of one degree can share one ``TupleBatch``: one seeded draw of
 tuples with its minors, taken once, which each check pairs with its own
-block.
+block.  At p in {1, n-1, n} the minors d range over every vector (every
+p-vector is decomposable), so the form is nonnegative iff the Hermitian
+part of (-sqrt(-1))^(p^2) H is positive semidefinite: ``nonnegative_psd``
+decides it from that block, with no sampling.
 """
 
 from __future__ import annotations
@@ -864,16 +867,20 @@ def _pairing(form: PPForm, samples: np.ndarray,
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """Outcome of a sampled pointwise-nonnegativity check (report schema 2).
+    """Outcome of a pointwise-nonnegativity check (report schema 2).
 
-    ``method`` names what decided it: ``"sampled"``, or ``"exact-zero"`` for
-    a form that is exactly zero and so was not sampled.  ``argmin`` is the
-    index of the minimizing tuple in the batch that ``seed`` draws (None
-    when nothing was sampled); the tuple itself, as [[{re, im}, ...], ...],
-    is the ``witness`` of a failed check only, since
+    ``method`` names what decided it: ``"sampled"`` (``nonnegative_sampled``),
+    ``"top-coefficient"`` or ``"psd"`` (``nonnegative_psd``, at degrees n
+    and 1, n-1), or ``"exact-zero"`` for a form that is exactly zero.
+    ``min_value`` is the least value seen: over the sampled tuples, or over
+    the tuples with unit minors for ``"top-coefficient"`` and ``"psd"``.
+    ``argmin`` is the index of the minimizing tuple in the batch that
+    ``seed`` draws, and None when nothing was sampled; the tuple itself, as
+    [[{re, im}, ...], ...], is the ``witness`` of a failed check only, since
     ``complex_normal(substream(seed, 0), (trials, degree, n))[argmin]``
-    regenerates it bit for bit.  ``margin`` is min_value / (tol * scale):
-    below -1 is a FAIL.
+    regenerates it bit for bit.  A failed check decided from its block has
+    a witness built from the block (CONVENTIONS.md, "Check reports").
+    ``margin`` is min_value / (tol * scale): below -1 is a FAIL.
     """
 
     passed: bool
@@ -883,8 +890,9 @@ class VerdictReport:
     tol: float
     scale: float
     degree: int
-    witness: Optional[list] = None          # argmin tuple of a FAIL, [[{re,im}, ...], ...]
-    max_imag: float = 0.0                   # largest |Im| seen across samples
+    witness: Optional[list] = None          # tuple of a FAIL, [[{re,im}, ...], ...]
+    max_imag: float = 0.0                   # largest |Im| seen: of the samples, or
+                                            # of the coefficients when unsampled
     argmin: Optional[int] = None            # index of the argmin tuple in the batch
     method: str = "sampled"
 
@@ -934,6 +942,39 @@ class TupleBatch:
         return cls(seed, trials, degree, n, samples, _minors(samples) if degree else None)
 
 
+def _check_arguments(trials: int, tol: float):
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be a finite positive number, got {tol!r}")
+
+
+def _zero_report(trials: int, seed: int, tol: float) -> VerdictReport:
+    return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
+                         tol=tol, scale=1.0, degree=0, method="exact-zero")
+
+
+def _real_float(form: Union[PPForm, Form], tol: float) -> tuple[PPForm, float, float]:
+    """The float block of a nonzero (p,p)-form, with its scale,
+    max(1, largest coefficient magnitude), and the largest imaginary
+    coefficient of the form: the checks every method makes first."""
+    if isinstance(form, Form):
+        form = PPForm.from_form(form)
+    f = form.to_float()
+    block = f.block
+    peak = float(np.abs(block).max())
+    if not math.isfinite(peak):
+        raise InputError(f"form is not finite: largest coefficient magnitude {peak}")
+    scale = max(1.0, peak)
+    # the conjugate form's block is (-1)^p H^*: Im is half the difference
+    imag_norm = 0.5 * float(np.abs(block - (-1) ** f.p * block.conj().T).max())
+    if imag_norm > tol * scale:
+        raise InputError(
+            f"form is not real: max imaginary coefficient {imag_norm:.3e} "
+            f"exceeds {tol:.1e} * scale ({scale:.3e})")
+    return f, scale, imag_norm
+
+
 def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int = 0,
                         tol: float = DEFAULT_TOL, *,
                         batch: Optional[TupleBatch] = None) -> VerdictReport:
@@ -955,32 +996,15 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
     max_imag that overflows raises too.  A ``Form`` is converted to its
     block first.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if not 0 < tol < np.inf:
-        raise InputError(f"tol must be a finite positive number, got {tol!r}")
+    _check_arguments(trials, tol)
     if batch is not None and (batch.seed, batch.trials, batch.n) != (seed, trials, form.n):
         raise InputError(f"a batch of {batch.trials} trials on n={batch.n} from seed "
                          f"{batch.seed} cannot stand in for {trials} trials on n={form.n} "
                          f"from seed {seed}")
     if form.is_zero():
-        return VerdictReport(passed=True, min_value=0.0, trials=trials, seed=seed,
-                             tol=tol, scale=1.0, degree=0, method="exact-zero")
-    if isinstance(form, Form):
-        form = PPForm.from_form(form)
-    f = form.to_float()
-    p, block = f.p, f.block
-    peak = float(np.abs(block).max())
-    if not math.isfinite(peak):
-        raise InputError(f"form is not finite: largest coefficient magnitude {peak}")
-    scale = max(1.0, peak)
-    # the conjugate form's block is (-1)^p H^*: Im is half the difference
-    imag_norm = 0.5 * float(np.abs(block - (-1) ** p * block.conj().T).max())
-    if imag_norm > tol * scale:
-        raise InputError(
-            f"form is not real: max imaginary coefficient {imag_norm:.3e} "
-            f"exceeds {tol:.1e} * scale ({scale:.3e})")
-
+        return _zero_report(trials, seed, tol)
+    f, scale, _ = _real_float(form, tol)
+    p = f.p
     if batch is None:
         batch = TupleBatch.draw(seed, trials, p, f.n)
     elif batch.degree != p:
@@ -1005,4 +1029,82 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
         argmin=arg,
         witness=None if passed else [[scalar_json(z) for z in vec] for vec in batch.samples[arg]],
         max_imag=max_imag,
+    )
+
+
+def decided_by_block(p: int, n: int) -> bool:
+    """Whether ``nonnegative_psd`` decides a (p,p)-form on n directions:
+    p in {1, n-1, n}, the degrees where every p-vector is decomposable."""
+    return p >= 1 and p in (1, n - 1, n)
+
+
+def _hyperplane(minors: np.ndarray) -> np.ndarray:
+    """Orthonormal rows X_1, ..., X_{n-1} whose (n-1) x (n-1) minors, in
+    ``combinations`` order, are the unit vector ``minors`` up to a phase.
+
+    Expanding det[z; X] along z, the minor without column k enters with the
+    sign (-1)^k, and the minors' entry b leaves out column n-1-b; the rows
+    span the kernel of that functional c.  Orthonormal rows have a unit
+    Pluecker vector (Cauchy-Binet), which is a multiple of ``minors``."""
+    c = minors[::-1] * (-1.0) ** np.arange(len(minors))
+    # z -> c . z vanishes on conj(Vh[k]) for k >= 1
+    return np.linalg.svd(c[None, :])[2][1:].conj()
+
+
+def nonnegative_psd(form: Union[PPForm, Form], trials: int = 50, seed: int = 0,
+                    tol: float = DEFAULT_TOL) -> VerdictReport:
+    """Decide pointwise nonnegativity of a real (p,p)-form on n directions,
+    p in {1, n-1, n}, without sampling.
+
+    On a tuple with minors d the form's value is v^* A v, v = conj(d) and
+    A = (-sqrt(-1))^(p^2) H.  At these degrees every p-vector is
+    decomposable, so d ranges over all of C^(C(n,p)), and the form is
+    nonnegative iff the Hermitian part of A is positive semidefinite.  At
+    p = n, A is 1 x 1 and its entry is the form's value on the standard
+    frame, the top coefficient of ``chern.top_coefficient``: method
+    ``"top-coefficient"``, with the standard frame as the witness of a FAIL.
+    At p in {1, n-1}, ``min_value`` is the least eigenvalue of the Hermitian
+    part (``eigvalsh``): method ``"psd"``, with the tuple of unit minors
+    along its eigenvector as the witness of a FAIL, the vector itself at
+    p = 1 and an orthonormal basis of its hyperplane at p = n-1.  Either
+    witness evaluates to ``min_value``.
+
+    Makes the checks of ``nonnegative_sampled`` and passes on the same
+    condition, min_value >= -tol * scale; ``trials`` and ``seed`` are only
+    reported, and ``max_imag`` is the largest imaginary coefficient.  An
+    exactly zero form passes with method ``"exact-zero"``; another degree is
+    refused.
+    """
+    _check_arguments(trials, tol)
+    if form.is_zero():
+        return _zero_report(trials, seed, tol)
+    f, scale, imag_norm = _real_float(form, tol)
+    p, n = f.p, f.n
+    if not decided_by_block(p, n):
+        raise InputError(f"a ({p},{p})-form on n={n} is decided by sampling, not by "
+                         f"its block: p must be 1, n-1 or n")
+    a = (-1j) ** (p * p % 4) * f.block
+    if p == n:
+        method, min_value, frame = "top-coefficient", float(a[0, 0].real), np.eye(n)
+    else:
+        method = "psd"
+        herm = 0.5 * a + 0.5 * a.conj().T
+        min_value = float(np.linalg.eigvalsh(herm)[0])
+    if not math.isfinite(min_value):
+        raise InputError(f"least eigenvalue overflows: {min_value}")
+    passed = bool(min_value >= -tol * scale)
+    if not passed and method == "psd":
+        minors = np.linalg.eigh(herm)[1][:, 0].conj()
+        frame = minors[None, :] if p == 1 else _hyperplane(minors)
+    return VerdictReport(
+        passed=passed,
+        min_value=min_value,
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        scale=scale,
+        degree=p,
+        witness=None if passed else [[scalar_json(z) for z in vec] for vec in frame],
+        max_imag=imag_norm,
+        method=method,
     )

@@ -1,4 +1,4 @@
-"""Schur polynomials in Chern classes and the sampled nonnegativity engines.
+"""Schur polynomials in Chern classes and the nonnegativity sweeps.
 
 For weight i and rank r, Gamma(i, r) is the set of partitions
 lambda = (lambda_1 >= ... >= lambda_i >= 0) of i with every part <= r.  The
@@ -10,21 +10,27 @@ with the conventions c_0 = 1 and c_d = 0 for d < 0 or d > r.  Special cases:
 S_{(i,0,...,0)} = c_i and S_{(i-j,j,0,...,0)} = c_{i-j} c_j - c_{i-j+1} c_{j-1}.
 
 For a curvature in factored shape the forms S_lambda(c(Omega)) are pointwise
-nonnegative; ``verify_schur_nonnegativity`` sample-checks that over all
-degrees and partitions of an instance.  ``bounds_chain_check`` walks the
+nonnegative; ``verify_schur_nonnegativity`` checks that over all degrees
+and partitions of an instance.  ``bounds_chain_check`` walks the
 inequality chain
 
     0 <= c_i <= c_lambda <= c_1^i
 
 one factorized step at a time: each step difference is a product of Schur
 forms of the shape S_{(w-j, j)} (lower chain) or c_1 c_{t-1} - c_t times
-monomials (upper chain), so each step is itself a sampled nonnegativity
-check, and at top degree i = n the scalar chain
+monomials (upper chain), so each step is itself a nonnegativity check, and
+at top degree i = n the scalar chain
 0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is compared directly.
 
-Every statement here is pointwise, so the checks of one degree, and the
-steps of one chain, are all evaluated on one shared ``TupleBatch``: one
-seeded draw, and one pass for its minors, per degree or per chain.
+Each form of degree p on n directions is decided by the strongest evidence
+its degree allows (``_decided_on_one_batch``): at p in {1, n-1, n} every
+p-vector is decomposable, so nonnegativity is the PSD-ness of the form's
+block, read from its one coefficient at p = n and from its least
+eigenvalue at p = 1 and p = n-1 (``forms.nonnegative_psd``), with no
+sampling.  The other degrees are sampled.  Every statement here is
+pointwise, so the sampled checks of one degree, and the sampled steps of
+one chain, are all evaluated on one shared ``TupleBatch``: one seeded
+draw, and one pass for its minors, per degree or per chain.
 """
 
 from __future__ import annotations
@@ -39,7 +45,15 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureTensor
 from .errors import InputError
-from .forms import DEFAULT_TOL, PPForm, TupleBatch, VerdictReport, nonnegative_sampled
+from .forms import (
+    DEFAULT_TOL,
+    PPForm,
+    TupleBatch,
+    VerdictReport,
+    decided_by_block,
+    nonnegative_psd,
+    nonnegative_sampled,
+)
 from .polynomials import Polynomial, weighted_degree
 from .rng import derive_seed
 
@@ -201,16 +215,24 @@ def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     return result
 
 
-def _sampled_on_one_batch(forms: Iterable[PPForm], trials: int, seed: int,
+def _decided_on_one_batch(forms: Iterable[PPForm], trials: int, seed: int,
                           tol: float) -> Iterator[VerdictReport]:
-    """``nonnegative_sampled`` on each of ``forms``, all of one degree, with
-    the one batch that ``seed`` draws, drawn at the first nonzero form:
-    forms that are all exactly zero draw nothing."""
+    """A report for each of ``forms``, all of one degree p on n directions:
+    ``nonnegative_psd`` at p in {1, n-1, n}, where weak positivity is the
+    PSD-ness of the form's block, and ``nonnegative_sampled`` elsewhere, with
+    the one batch that ``seed`` draws, drawn at the first nonzero form that
+    is sampled: forms that are all exactly zero or decided by their block
+    draw nothing."""
     batch = None
     for form in forms:
-        if batch is None and not form.is_zero():
-            batch = TupleBatch.draw(seed, trials, form.p, form.n)
-        yield nonnegative_sampled(form, trials, seed, tol, batch=batch)
+        if form.is_zero():
+            yield nonnegative_sampled(form, trials, seed, tol)
+        elif decided_by_block(form.p, form.n):
+            yield nonnegative_psd(form, trials, seed, tol)
+        else:
+            if batch is None:
+                batch = TupleBatch.draw(seed, trials, form.p, form.n)
+            yield nonnegative_sampled(form, trials, seed, tol, batch=batch)
 
 
 # ----------------------------------------------------------------------
@@ -264,15 +286,16 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
                                degrees: Optional[Sequence[int]] = None,
                                trials: int = 50, seed: int = 0,
                                tol: float = DEFAULT_TOL) -> SchurReport:
-    """Sample-check S_lambda(c(Omega)) >= 0 for every lambda in Gamma(i, r).
+    """Check S_lambda(c(Omega)) >= 0 for every lambda in Gamma(i, r).
 
     ``degrees`` defaults to 1..n.  A lambda with more than m nonzero parts
     gets the zero form's report without its form being built: for the
     factor's m columns, 1/c(Omega) has degree at most m, so
-    S_lambda(c(Omega)) is exactly zero there (CONVENTIONS.md).  All checks
-    of degree i are evaluated on one batch of tuples, drawn from the stream
-    ``derive_seed(seed, 7, i)``, the seed each of their reports names, so
-    no check's verdict depends on the other degrees or on evaluation
+    S_lambda(c(Omega)) is exactly zero there (CONVENTIONS.md).  Degrees 1,
+    n-1 and n are decided from each form's block; the checks of each other
+    degree i are evaluated on one batch of tuples, drawn from the stream
+    ``derive_seed(seed, 7, i)``.  Every report of degree i names that seed,
+    so no check's verdict depends on the other degrees or on evaluation
     order.  The report embeds the instance and its hash for
     reproducibility.
     """
@@ -290,7 +313,7 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
         # more than m parts
         forms = (PPForm.zero(n, i) if len(lam.trimmed()) > cs.m
                  else evaluate_on_forms(schur_polynomial(lam, r), cs) for lam in lams)
-        reports = _sampled_on_one_batch(forms, trials, derive_seed(seed, 7, i), tol)
+        reports = _decided_on_one_batch(forms, trials, derive_seed(seed, 7, i), tol)
         checks += [SchurCheck(degree=i, partition=lam.parts, report=rep)
                    for lam, rep in zip(lams, reports)]
     all_pass = all(c.report.passed for c in checks)
@@ -350,7 +373,7 @@ def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomia
     product of parts already peeled.  Upper chain: each part lambda_a is
     raised to c_1^{lambda_a} through c_t <= c_{t-1} c_1, times the untouched
     parts.  Every returned polynomial is a product of Schur polynomials, so
-    each is a sampled-nonnegativity check in its own right.  Built once per
+    each is a nonnegativity check in its own right.  Built once per
     (lam, r), keyed on ``lam`` as passed, like ``schur_polynomial``.
     """
     parts = [p for p in lam.parts if p > 0]
@@ -399,16 +422,18 @@ def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomia
 def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
                        trials: int = 50, seed: int = 0,
                        tol: float = DEFAULT_TOL) -> ChainReport:
-    """Sample-check every step of 0 <= c_i <= c_lambda <= c_1^i for one lambda.
+    """Check every step of 0 <= c_i <= c_lambda <= c_1^i for one lambda.
 
     Requires a Chern set built from a factor (the chain is a theorem only in
     factored shape), so ``cs.m`` is known, with weight(lambda) <= n and
     parts <= r.  Every step has a Schur factor with two nonzero parts,
     S_(w-j, j) or S_(t-1, 1), so for m < 2 every step is exactly zero
     (CONVENTIONS.md) and gets the zero form's report without being built.
-    All steps have degree weight(lambda) and are evaluated on one batch of
-    tuples, drawn from the stream ``derive_seed(seed, 11)``, the seed each
-    of their reports names.  At top weight i = n the scalar chain
+    All steps have degree weight(lambda).  At weight 1, n-1 or n they are
+    decided from their blocks, so the default-degree ``bounds chain`` draws
+    nothing; at any other weight they are evaluated on one batch of tuples,
+    drawn from the stream ``derive_seed(seed, 11)``.  Every step's report
+    names that seed.  At top weight i = n the scalar chain
     0 <= top(c_n) <= top(c_lambda) <= top(c_1^n) is also compared, within
     tol relative to the largest of the three.
     """
@@ -425,7 +450,7 @@ def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
     polys = chain_step_polynomials(lam, cs.r)
     forms = (PPForm.zero(cs.n, lam.weight) if cs.m < 2 else evaluate_on_forms(poly, num)
              for _, poly in polys)
-    reports = _sampled_on_one_batch(forms, trials, derive_seed(seed, 11), tol)
+    reports = _decided_on_one_batch(forms, trials, derive_seed(seed, 11), tol)
     steps = tuple(ChainStep(label=label, report=rep) for (label, _), rep in zip(polys, reports))
     all_pass = all(s.report.passed for s in steps)
 

@@ -4,10 +4,11 @@ Each criterion reports one PASS/FAIL line in the pytest terminal summary (see
 conftest.pytest_terminal_summary).  The numbered guarantees:
 
 1. exact Schur identities for r <= 5, i <= 5, under 1 second
-2. 200 seeded witnessed instances, every Schur form sampled nonnegative
-   (50 tuples, tol 1e-9 relative), under 60 seconds
-3. same instances: every inequality-chain step form passes sampling and the
-   top-degree scalars are ordered within 1e-9 relative, all lambda in
+2. 200 seeded witnessed instances, every Schur form nonnegative within
+   tol 1e-9 relative: from its block at degrees 1, n-1 and n, on 50 sampled
+   tuples elsewhere; under 60 seconds
+3. same instances: every inequality-chain step form passes its check and
+   the top-degree scalars are ordered within 1e-9 relative, all lambda in
    Gamma(n, r)
 4. frame invariance: 100 exact signed-permutation-phase changes leave the
    Chern forms literally identical; 100 float invertible changes agree to
@@ -104,6 +105,16 @@ def instance_batch():
     return batch
 
 
+def by_method(reports) -> str:
+    """How many of ``reports`` each method decided, with the worst margin,
+    min_value / (tol * scale), among them: below -1 is a FAIL."""
+    margins: dict = {}
+    for rep in reports:
+        margins.setdefault(rep.method, []).append(rep.margin)
+    return ", ".join(f"{method} {len(values)} worst margin {min(values):.2e}"
+                     for method, values in sorted(margins.items()))
+
+
 @criterion(1, "schur-identities")
 def test_criterion_1_schur_identities():
     start = time.perf_counter()
@@ -123,32 +134,27 @@ def test_criterion_1_schur_identities():
 @criterion(2, "schur-nonnegativity")
 def test_criterion_2_schur_nonnegativity(instance_batch):
     start = time.perf_counter()
-    checks = 0
-    worst = 0.0
+    reports = []
     failures = []
     for idx, tensor in enumerate(instance_batch):
         report = verify_schur_nonnegativity(
             tensor, trials=TRIALS, seed=derive_seed(MASTER_SEED, 5, idx),
             tol=TOL_SAMPLED)
-        checks += len(report.checks)
-        for chk in report.checks:
-            rel = chk.report.min_value / max(1.0, chk.report.scale)
-            worst = min(worst, rel)
-            if not chk.report.passed:
-                failures.append((idx, chk.degree, chk.partition,
-                                 chk.report.min_value))
+        reports += [chk.report for chk in report.checks]
+        failures += [(idx, chk.degree, chk.partition, chk.report.min_value)
+                     for chk in report.checks if not chk.report.passed]
     elapsed = time.perf_counter() - start
     assert not failures, failures[:5]
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
-    return (f"{INSTANCE_COUNT} instances, {checks} partition checks, "
-            f"worst relative min {worst:.2e}, {elapsed:.1f}s")
+    return (f"{INSTANCE_COUNT} instances, {len(reports)} partition checks "
+            f"({by_method(reports)}), {elapsed:.1f}s")
 
 
 @criterion(3, "inequality-chains")
 def test_criterion_3_inequality_chains(instance_batch):
     start = time.perf_counter()
     chains = 0
-    steps = 0
+    steps = []
     failures = []
     for idx, tensor in enumerate(instance_batch):
         cs = chern_forms(tensor)
@@ -157,14 +163,14 @@ def test_criterion_3_inequality_chains(instance_batch):
                 cs, lam, trials=TRIALS,
                 seed=derive_seed(MASTER_SEED, 6, idx, lam_idx), tol=TOL_SAMPLED)
             chains += 1
-            steps += len(rep.steps)
+            steps += [step.report for step in rep.steps]
             assert rep.top is not None  # weight = n by construction
             if not rep.passed:
                 failures.append((idx, lam.parts, rep.top))
     elapsed = time.perf_counter() - start
     assert not failures, failures[:5]
-    return (f"{chains} chains / {steps} step forms on the criterion-2 "
-            f"instances, top scalars ordered, {elapsed:.1f}s")
+    return (f"{chains} chains / {len(steps)} step forms ({by_method(steps)}) on the "
+            f"criterion-2 instances, top scalars ordered, {elapsed:.1f}s")
 
 
 @criterion(4, "frame-invariance")

@@ -1931,15 +1931,25 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: JSON reports in each check's and step's ``seed``, and in ``min_value``,
 #: ``margin``, ``argmin`` and ``max_imag`` where sampled, the text in its
 #: printed minima; no exit code, verdict, check or step verdict, method or
-#: ``curvature build`` report moved
-FLOAT_CLI_DIGEST = "e7676e021d6cd7bfa3fff23ed5bb4f82ea8f35df2487dd88082a80d0b31cf511"
+#: ``curvature build`` report moved; and again when the nonzero checks and
+#: steps of degrees n, 1 and n-1 came to be decided without sampling: 117 of
+#: the 192 ops moved (32 JSON and 32 text ``schur verify``, 21 JSON and 32
+#: text ``bounds chain``), the JSON reports in the ``method``,
+#: ``min_value``, ``margin``, ``argmin`` and ``max_imag`` of 225 reports
+#: (175 now ``top-coefficient``, 50 ``psd``), the text in printing each
+#: method and margin; every report still sampled, and every exit code,
+#: verdict, check or step verdict, seed and ``curvature build`` report,
+#: kept its bytes
+FLOAT_CLI_DIGEST = "1d0a50984ba87043044ac617b1f586fcf666ae8da37c3a184f068c362749599a"
 
 #: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
 #: of the schema-1 reports, before and after schema 2; moved with it when
 #: the minors came from the Laplace pass, and when the checks of one degree
 #: and the steps of one chain came to share one batch (the same ops moved,
-#: and each regenerated witness with its seed and argmin)
-FLOAT_CLI_SCHEMA1_DIGEST = "fabb37510da22da8242dd6175cbdd8f70eaf8c2b1b14327d936a82df1ac6c54f"
+#: and each regenerated witness with its seed and argmin), and when degrees
+#: n, 1 and n-1 came to be decided without sampling (the same ops moved,
+#: and the 225 reports that sampled nothing lost their regenerated witness)
+FLOAT_CLI_SCHEMA1_DIGEST = "e8a49eaf211869909efed88023723a61cf696c34bfbe17ab9871f07693132381"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -1975,10 +1985,11 @@ def sampled_reports(payload: dict) -> list:
 
 def schema1_view(out: str) -> str:
     """A report as the schema-1 writer printed it: ``argmin``, ``method`` and
-    ``margin`` popped from every sampled report, the witness of each PASS
-    regenerated from (seed, trials, degree, instance n, argmin), and the
-    ``schema`` of the sampled kinds set back to 1.  Text output and the
-    other kinds pass through as printed."""
+    ``margin`` popped from every check and step report, the witness of each
+    sampled PASS regenerated from (seed, trials, degree, instance n,
+    argmin), and the ``schema`` of the sampled kinds set back to 1.  A
+    report that sampled nothing keeps its witness as printed.  Text output
+    and the other kinds pass through as printed."""
     if not out.startswith("{"):
         return out
     payload = json.loads(out)
@@ -1996,7 +2007,10 @@ def schema1_view(out: str) -> str:
         argmin, method, margin = rep.pop("argmin"), rep.pop("method"), rep.pop("margin")
         assert margin == rep["min_value"] / (rep["tol"] * rep["scale"])
         if argmin is None:
-            assert method == "exact-zero" and rep["passed"] and rep["witness"] is None
+            # nothing sampled: no tuple to regenerate, and a witness on a FAIL only
+            assert method in ("exact-zero", "top-coefficient", "psd")
+            assert (rep["witness"] is None) == rep["passed"]
+            assert rep["passed"] or method != "exact-zero"
             continue
         assert method == "sampled"
         batch = complex_normal(substream(rep["seed"], 0), (rep["trials"], rep["degree"], n))
@@ -2104,15 +2118,22 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
 #: chain, came to share one tuple batch: 14 of the 16 ops moved (every JSON
 #: report in its seeds and sampled values, every ``schur verify`` text and
 #: 2 ``bounds chain`` texts in their printed minima), and no exit code,
-#: verdict, check or step verdict or method moved
-BENCHMARK_SHAPE_CLI_DIGEST = "3a423d70a20f19b3359753edf0256464f862f0854857975d5aabea1c57a4b1ec"
+#: verdict, check or step verdict or method moved; moved again when degrees
+#: n, 1 and n-1 came to be decided without sampling: all 16 ops moved, the
+#: JSON reports in the ``method``, ``min_value``, ``margin``, ``argmin`` and
+#: ``max_imag`` of 105 reports (88 now ``top-coefficient``, 17 ``psd``), the
+#: texts in printing each method and margin; every report still sampled,
+#: and every exit code, verdict, check or step verdict and seed, kept its
+#: bytes
+BENCHMARK_SHAPE_CLI_DIGEST = "0d69c92be37136a4649c5d8d93d61a380e691fd114e5f5f1fcbb18b983e8c74a"
 
 #: ``cli_digest(benchmark_shape_cli_ops(), schema1_view)``: the
 #: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports; moved with it
-#: when the minors came from the Laplace pass, and when the checks of one
-#: degree and the steps of one chain came to share one batch
+#: when the minors came from the Laplace pass, when the checks of one
+#: degree and the steps of one chain came to share one batch, and when
+#: degrees n, 1 and n-1 came to be decided without sampling
 BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST = \
-    "99941c0e58704af65a3d6c0d55788c48dfbdce3d6bb66643fb83f10b16b6e446"
+    "4e124046d3ffd0b59a26c3e234ece6270ff90331e5aa2c6357c5e6d6b1d16ab1"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:

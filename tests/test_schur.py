@@ -40,6 +40,7 @@ from chernforms import (
 from chernforms import forms, schur
 from chernforms.chern import chern_product, top_coefficient
 from chernforms.errors import InputError
+from chernforms.forms import DEFAULT_TOL
 from chernforms.polynomials import weighted_degree
 from chernforms.rng import complex_normal, substream
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
@@ -505,9 +506,10 @@ class TestVerifySchur:
 
 
 class TestSchurNegativeControls:
-    """The sampled check can say FAIL: on one witnessed instance with m >= n
-    every S_lambda, lambda in Gamma(i, r) with i <= n, is a nonzero form that
-    passes, and its negative fails, at the default trials and tol."""
+    """The checks can say FAIL: on one witnessed instance with m >= n every
+    S_lambda, lambda in Gamma(i, r) with i <= n, is a nonzero form that
+    passes, and its negative fails, at the default trials and tol; and so
+    does every -S_lambda that is decided without sampling."""
 
     @staticmethod
     def schur_forms(mode: str) -> dict:
@@ -542,6 +544,30 @@ class TestSchurNegativeControls:
         assert sorted(batches) == [1, 2, 3, 4, 5]
 
 
+    @pytest.mark.parametrize("n,r,m,seed", [(2, 2, 2, 0), (3, 3, 2, 1), (4, 3, 3, 2),
+                                            (5, 3, 3, 3), (5, 4, 2, 4)])
+    def test_negated_forms_of_degree_one_n_minus_one_and_n_fail_with_a_witness(
+            self, n, r, m, seed):
+        # as the sweep decides them, with no batch: every -S_lambda of
+        # degree 1, n-1 or n FAILs, and its witness tuple, evaluated with
+        # float forms.evaluate, gives a negative value
+        cs = chern_forms(random_tensor(n, r, m, seed=seed))
+        seen = 0
+        for p in sorted({1, n - 1, n}):
+            lams = [lam for lam in partitions(p, r) if len(lam.trimmed()) <= m]
+            negated = [-evaluate_on_forms(schur_polynomial(lam, r), cs) for lam in lams]
+            for lam, form, rep in zip(lams, negated, schur._decided_on_one_batch(
+                    negated, 50, schur.derive_seed(seed, 7, p), DEFAULT_TOL)):
+                assert rep.method == ("top-coefficient" if p == n else "psd"), lam
+                assert not rep.passed and rep.margin < -1, lam
+                vecs = [[complex(z["re"], z["im"]) for z in vec] for vec in rep.witness]
+                value = forms.evaluate(form.to_form(), vecs)
+                assert value.real < 0, lam
+                assert value.real == pytest.approx(rep.min_value, rel=1e-9), lam
+                seen += 1
+        assert seen >= 3
+
+
 class TestSharedBatch:
     """Every check of one degree, and every step of one chain, is evaluated
     on the one batch its reports' seed draws."""
@@ -570,55 +596,120 @@ class TestSharedBatch:
             assert {s.report.seed for s in rep.steps} == {schur.derive_seed(9, 11)}, lam
 
     def test_argmin_of_the_regenerated_batch_gives_min_value(self):
-        # exact-zero checks (more than m = 2 parts) sit between sampled ones
-        # and draw nothing; each sampled check's batch, regenerated from its
-        # seed, gives its min_value at argmin, bit for bit
+        # at n = 5 only degrees 2 and 3 are sampled; exact-zero checks (more
+        # than m = 2 parts) sit between sampled ones and draw nothing; each
+        # sampled check's batch, regenerated from its seed, gives its
+        # min_value at argmin, bit for bit
         tensor = random_tensor(5, 3, 2, seed=4)
         cs = chern_forms(tensor)
         report = verify_schur_nonnegativity(tensor, trials=30, seed=2)
         sampled = 0
         for chk in report.checks:
             rep = chk.report
-            if rep.method == "exact-zero":
-                assert len(Partition(chk.partition).trimmed()) > 2
+            if rep.method != "sampled":
+                assert rep.argmin is None
+                assert rep.method == "exact-zero" or chk.degree in (1, 4, 5)
                 continue
+            assert chk.degree in (2, 3)
             form = evaluate_on_forms(schur_polynomial(chk.partition, 3), cs)
             batch = complex_normal(substream(rep.seed, 0), (30, chk.degree, 5))
             values = forms._pairing(form, batch).real
             assert values[rep.argmin].tobytes() == np.float64(rep.min_value).tobytes()
             sampled += 1
         assert 0 < sampled < len(report.checks)
-        # the first step of (2,2,1) at r = 3, c4*c1 - c5*c0, is the zero
-        # polynomial
-        chain = bounds_chain_check(cs, (2, 2, 1), trials=30, seed=2)
-        steps = list(zip(chain_step_polynomials(Partition((2, 2, 1)), 3), chain.steps))
-        assert [step.report.method for _, step in steps] == ["exact-zero"] + ["sampled"] * 4
-        for (_, poly), step in steps[1:]:
-            form = evaluate_on_forms(poly, cs.to_numeric())
-            batch = complex_normal(substream(step.report.seed, 0), (30, 5, 5))
-            values = forms._pairing(form, batch).real
-            assert values[step.report.argmin].tobytes() == \
-                np.float64(step.report.min_value).tobytes()
+        # at r = 1 the first step of (1,1,1), c2*c1 - c3*c0, is the zero
+        # polynomial; the second, c1*(c1*c1 - c2), is sampled at degree 3
+        cs = chern_forms(random_tensor(5, 1, 2, seed=4))
+        chain = bounds_chain_check(cs, (1, 1, 1), trials=30, seed=2)
+        steps = list(zip(chain_step_polynomials(Partition((1, 1, 1)), 1), chain.steps))
+        assert [step.report.method for _, step in steps] == ["exact-zero", "sampled"]
+        (_, poly), step = steps[1]
+        form = evaluate_on_forms(poly, cs.to_numeric())
+        batch = complex_normal(substream(step.report.seed, 0), (30, 3, 5))
+        values = forms._pairing(form, batch).real
+        assert values[step.report.argmin].tobytes() == \
+            np.float64(step.report.min_value).tobytes()
 
-    def test_one_draw_per_degree_and_none_for_an_all_zero_degree(self, monkeypatch):
+    def test_one_draw_per_sampled_degree_and_none_for_an_all_zero_degree(self, monkeypatch):
         calls = self.count_draws(monkeypatch)
-        # m = 1: degrees 3 and 4 of Gamma(i, 2) have only partitions of two
-        # or more parts, whose forms are exactly zero
-        report = verify_schur_nonnegativity(random_tensor(4, 2, 1, seed=3), trials=10)
-        assert calls == [(10, 1, 4), (10, 2, 4)]
-        assert all(c.report.method == "exact-zero" for c in report.checks if c.degree > 2)
+        # at n = 5 degrees 2 and 3 are sampled; with m = 1, degree 3 of
+        # Gamma(3, 2) has only partitions of two or more parts, whose forms
+        # are exactly zero
+        report = verify_schur_nonnegativity(random_tensor(5, 2, 1, seed=3), trials=10)
+        assert calls == [(10, 2, 5)]
+        assert all(c.report.method == "exact-zero" for c in report.checks if c.degree == 3)
         calls.clear()
         verify_schur_nonnegativity(random_tensor(5, 3, 2, seed=4), trials=10)
-        assert calls == [(10, i, 5) for i in range(1, 6)]
+        assert calls == [(10, 2, 5), (10, 3, 5)]
 
-    def test_one_draw_per_chain_and_none_for_an_all_zero_chain(self, monkeypatch):
+    def test_one_draw_per_sampled_chain_and_none_for_an_all_zero_chain(self, monkeypatch):
         calls = self.count_draws(monkeypatch)
-        cs = chern_forms(random_tensor(3, 3, 2, seed=2))
-        bounds_chain_check(cs, (2, 1), trials=10)
-        assert calls == [(10, 3, 3)]
+        cs = chern_forms(random_tensor(4, 3, 2, seed=2))
+        rep = bounds_chain_check(cs, (1, 1), trials=10)
+        assert calls == [(10, 2, 4)]
+        assert {s.report.method for s in rep.steps} == {"sampled"}
         calls.clear()
-        bounds_chain_check(chern_forms(random_tensor(3, 3, 1, seed=2)), (2, 1), trials=10)
+        bounds_chain_check(chern_forms(random_tensor(4, 3, 1, seed=2)), (1, 1), trials=10)
         assert calls == []
+
+    def test_degrees_one_n_minus_one_and_n_draw_nothing(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        # n = 3: every degree is 1, n - 1 or n
+        report = verify_schur_nonnegativity(random_tensor(3, 3, 2, seed=5), trials=10)
+        assert {c.report.method for c in report.checks} == {"psd", "top-coefficient",
+                                                           "exact-zero"}
+        tensor = random_tensor(5, 3, 3, seed=1)
+        report = verify_schur_nonnegativity(tensor, trials=10)
+        want = {1: "psd", 2: "sampled", 3: "sampled", 4: "psd", 5: "top-coefficient"}
+        for chk in report.checks:
+            # the forms of partitions with more than m = 3 parts are zero
+            zero = len(Partition(chk.partition).trimmed()) > 3
+            assert chk.report.method == ("exact-zero" if zero else want[chk.degree])
+        calls.clear()
+        cs = chern_forms(tensor)
+        for weight in (4, 5):
+            for lam in partitions(weight, 3):
+                rep = bounds_chain_check(cs, lam, trials=10)
+                assert rep.passed and rep.steps, lam
+                assert {s.report.method for s in rep.steps} <= {"psd", "top-coefficient",
+                                                                "exact-zero"}
+        assert calls == []
+
+
+#: (n, r, m, seed) of the instances whose sampled reports
+#: ``mid_degree_reports`` collects
+MID_DEGREE_CASES = ((4, 3, 2, 1), (5, 3, 2, 4), (5, 4, 3, 0), (6, 2, 2, 3))
+
+#: ``instance_digest(mid_degree_reports())``, computed on the tree before
+#: degrees n, 1 and n-1 came to be decided without sampling
+MID_DEGREE_DIGEST = "6db06da9199d3acb0e7eef09522c912cb9b944a4ce3cb2967e6ebbe0b6190b1a"
+
+
+def mid_degree_reports() -> list:
+    """Every check of degree 2..n-2 of ``verify_schur_nonnegativity``, and
+    every chain of ``bounds_chain_check`` at weight 2..n-2, on the
+    ``MID_DEGREE_CASES``, as report dicts."""
+    out = []
+    for n, r, m, seed in MID_DEGREE_CASES:
+        tensor = random_tensor(n, r, m, seed=seed)
+        report = verify_schur_nonnegativity(tensor, trials=20, seed=seed)
+        out += [c.to_dict() for c in report.checks if 2 <= c.degree <= n - 2]
+        cs = chern_forms(tensor)
+        out += [bounds_chain_check(cs, lam, trials=20, seed=seed).to_dict()
+                for weight in range(2, n - 1) for lam in partitions(weight, r)]
+    return out
+
+
+def test_mid_degree_reports_keep_their_bytes():
+    # degrees 2..n-2 are still sampled, from the same streams, so every one
+    # of their reports is what it was before degrees n, 1 and n-1 left
+    # sampling
+    reports = mid_degree_reports()
+    methods = [rep["method"] for rep in
+               [c["report"] for c in reports if "report" in c]
+               + [s["report"] for c in reports for s in c.get("steps", ())]]
+    assert methods.count("sampled") > 40 and set(methods) == {"sampled", "exact-zero"}
+    assert instance_digest(reports) == MID_DEGREE_DIGEST
 
 
 class TestSchurVanishing:
