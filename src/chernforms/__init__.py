@@ -28,7 +28,6 @@ from .forms import (
     VerdictReport,
     conjugate,
     evaluate,
-    nonnegative_psd,
     nonnegative_sampled,
     wedge,
 )
@@ -51,6 +50,7 @@ from .schur import (
     SchurReport,
     bounds_chain_check,
     evaluate_on_forms,
+    nonnegative_psd,
     partitions,
     schur_polynomial,
     verify_schur_nonnegativity,

@@ -67,10 +67,8 @@ of their masks, each once (``_minor``).
 standard complex normal tuples from a seeded counter-based stream.  The
 checks of one degree can share one ``TupleBatch``: one seeded draw of
 tuples with its minors, taken once, which each check pairs with its own
-block.  At p in {1, n-1, n} the minors d range over every vector (every
-p-vector is decomposable), so the form is nonnegative iff the Hermitian
-part of (-sqrt(-1))^(p^2) H is positive semidefinite: ``nonnegative_psd``
-decides it from that block, with no sampling.
+block.  Every method that decides a check, sampled or not
+(``schur.nonnegative_psd``), first makes the checks of ``_real_float``.
 """
 
 from __future__ import annotations
@@ -1029,82 +1027,4 @@ def nonnegative_sampled(form: Union[PPForm, Form], trials: int = 50, seed: int =
         argmin=arg,
         witness=None if passed else [[scalar_json(z) for z in vec] for vec in batch.samples[arg]],
         max_imag=max_imag,
-    )
-
-
-def decided_by_block(p: int, n: int) -> bool:
-    """Whether ``nonnegative_psd`` decides a (p,p)-form on n directions:
-    p in {1, n-1, n}, the degrees where every p-vector is decomposable."""
-    return p >= 1 and p in (1, n - 1, n)
-
-
-def _hyperplane(minors: np.ndarray) -> np.ndarray:
-    """Orthonormal rows X_1, ..., X_{n-1} whose (n-1) x (n-1) minors, in
-    ``combinations`` order, are the unit vector ``minors`` up to a phase.
-
-    Expanding det[z; X] along z, the minor without column k enters with the
-    sign (-1)^k, and the minors' entry b leaves out column n-1-b; the rows
-    span the kernel of that functional c.  Orthonormal rows have a unit
-    Pluecker vector (Cauchy-Binet), which is a multiple of ``minors``."""
-    c = minors[::-1] * (-1.0) ** np.arange(len(minors))
-    # z -> c . z vanishes on conj(Vh[k]) for k >= 1
-    return np.linalg.svd(c[None, :])[2][1:].conj()
-
-
-def nonnegative_psd(form: Union[PPForm, Form], trials: int = 50, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> VerdictReport:
-    """Decide pointwise nonnegativity of a real (p,p)-form on n directions,
-    p in {1, n-1, n}, without sampling.
-
-    On a tuple with minors d the form's value is v^* A v, v = conj(d) and
-    A = (-sqrt(-1))^(p^2) H.  At these degrees every p-vector is
-    decomposable, so d ranges over all of C^(C(n,p)), and the form is
-    nonnegative iff the Hermitian part of A is positive semidefinite.  At
-    p = n, A is 1 x 1 and its entry is the form's value on the standard
-    frame, the top coefficient of ``chern.top_coefficient``: method
-    ``"top-coefficient"``, with the standard frame as the witness of a FAIL.
-    At p in {1, n-1}, ``min_value`` is the least eigenvalue of the Hermitian
-    part (``eigvalsh``): method ``"psd"``, with the tuple of unit minors
-    along its eigenvector as the witness of a FAIL, the vector itself at
-    p = 1 and an orthonormal basis of its hyperplane at p = n-1.  Either
-    witness evaluates to ``min_value``.
-
-    Makes the checks of ``nonnegative_sampled`` and passes on the same
-    condition, min_value >= -tol * scale; ``trials`` and ``seed`` are only
-    reported, and ``max_imag`` is the largest imaginary coefficient.  An
-    exactly zero form passes with method ``"exact-zero"``; another degree is
-    refused.
-    """
-    _check_arguments(trials, tol)
-    if form.is_zero():
-        return _zero_report(trials, seed, tol)
-    f, scale, imag_norm = _real_float(form, tol)
-    p, n = f.p, f.n
-    if not decided_by_block(p, n):
-        raise InputError(f"a ({p},{p})-form on n={n} is decided by sampling, not by "
-                         f"its block: p must be 1, n-1 or n")
-    a = (-1j) ** (p * p % 4) * f.block
-    if p == n:
-        method, min_value, frame = "top-coefficient", float(a[0, 0].real), np.eye(n)
-    else:
-        method = "psd"
-        herm = 0.5 * a + 0.5 * a.conj().T
-        min_value = float(np.linalg.eigvalsh(herm)[0])
-    if not math.isfinite(min_value):
-        raise InputError(f"least eigenvalue overflows: {min_value}")
-    passed = bool(min_value >= -tol * scale)
-    if not passed and method == "psd":
-        minors = np.linalg.eigh(herm)[1][:, 0].conj()
-        frame = minors[None, :] if p == 1 else _hyperplane(minors)
-    return VerdictReport(
-        passed=passed,
-        min_value=min_value,
-        trials=trials,
-        seed=seed,
-        tol=tol,
-        scale=scale,
-        degree=p,
-        witness=None if passed else [[scalar_json(z) for z in vec] for vec in frame],
-        max_imag=imag_norm,
-        method=method,
     )

@@ -10,6 +10,7 @@ on the nose.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from chernforms import (
     EXACT,
+    FLOAT,
     Form,
     PPForm,
     Partition,
@@ -28,7 +30,9 @@ from chernforms import (
     bounds_chain_check,
     chern_forms,
     chern_number,
+    evaluate,
     evaluate_on_forms,
+    nonnegative_psd,
     nonnegative_sampled,
     partitions,
     projective_space,
@@ -43,6 +47,7 @@ from chernforms.errors import InputError
 from chernforms.forms import DEFAULT_TOL
 from chernforms.polynomials import weighted_degree
 from chernforms.rng import complex_normal, substream
+from chernforms.scalars import GaussianRational, scalar_json
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
 from conftest import diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
@@ -505,6 +510,100 @@ class TestVerifySchur:
         assert rep2.to_dict() == rep.to_dict()
 
 
+def phased(n: int, p: int, a: np.ndarray) -> PPForm:
+    """The float (p,p)-form whose phase-corrected block (-sqrt(-1))^(p^2) H
+    is ``a``."""
+    return PPForm(n, p, FLOAT, 1j ** (p * p % 4) * np.asarray(a, dtype=complex))
+
+
+def witness_value(form: PPForm, witness: list) -> complex:
+    return evaluate(form.to_form(), [[complex(z["re"], z["im"]) for z in vec]
+                                     for vec in witness])
+
+
+class TestNonnegativePsd:
+    """At p in {1, n-1, n} a form is nonnegative iff the Hermitian part of its
+    phase-corrected block is PSD; ``nonnegative_psd`` decides it from that
+    block, with ``nonnegative_sampled``'s checks and pass condition."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_top_degree_band(self, n):
+        # c * vol on n directions: FAIL below -tol * scale, PASS above it,
+        # with scale = max(1, |c|) = 1
+        tol = DEFAULT_TOL
+        for c, passed in ((-2 * tol, False), (-0.5 * tol, True), (0.25, True), (-0.25, False)):
+            rep = nonnegative_psd(phased(n, n, [[c]]), trials=7, seed=3, tol=tol)
+            assert (rep.method, rep.passed, rep.min_value, rep.scale) == \
+                ("top-coefficient", passed, c, 1.0), (n, c)
+            assert (rep.trials, rep.seed, rep.degree, rep.argmin) == (7, 3, n, None)
+            if passed:
+                assert rep.witness is None
+            else:
+                # the standard frame, where the form's value is c
+                assert rep.witness == [[scalar_json(complex(j == k)) for k in range(n)]
+                                       for j in range(n)]
+                assert witness_value(phased(n, n, [[c]]), rep.witness).real == c
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 4)])
+    def test_block_band_and_witness(self, n, p):
+        # a unitary conjugate of diag(1, ..., 1, lam): lambda_min is lam
+        size = math.comb(n, p)
+        rng = np.random.default_rng(n * 10 + p)
+        q = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+        for lam, passed in ((-2 * DEFAULT_TOL, False), (-0.5 * DEFAULT_TOL, True),
+                            (-0.75, False)):
+            a = q @ np.diag([1.0] * (size - 1) + [lam]) @ q.conj().T
+            form = phased(n, p, a)
+            rep = nonnegative_psd(form, trials=5, seed=1)
+            assert (rep.method, rep.passed, rep.argmin, rep.degree) == ("psd", passed, None, p)
+            assert rep.min_value == pytest.approx(lam, abs=1e-14)
+            assert (rep.witness is None) == passed
+            if not passed:
+                # unit minors along the eigenvector: the value is lambda_min
+                assert len(rep.witness) == p
+                assert witness_value(form, rep.witness).real == \
+                    pytest.approx(rep.min_value, abs=1e-14)
+
+    def test_agrees_with_sampling_on_the_sign(self):
+        # |X1|^2 - eps |X2|^2 at n = 2, p = 1: PSD only at eps = 0
+        for eps, passed in ((0.0, True), (1e-12, True), (1.0, False)):
+            form = Form.monomial(2, [1], [1], 1j) + Form.monomial(2, [2], [2], -eps * 1j)
+            rep = nonnegative_psd(form, trials=60, seed=9)
+            assert rep.passed == passed == nonnegative_sampled(form, trials=60, seed=9).passed
+            assert rep.min_value == -eps and rep.scale == 1.0
+
+    def test_exact_form_is_decided_on_its_float_block(self):
+        # sqrt(-1) times the Hermitian [[2, 1 - i], [1 + i, -3]]
+        g = GaussianRational
+        exact = PPForm(2, 1, EXACT, np.array([[g(0, 2), g(1, 1)], [g(-1, 1), g(0, -3)]]))
+        rep = nonnegative_psd(exact, 5, 0)
+        assert rep == nonnegative_psd(exact.to_float(), 5, 0)
+        assert not rep.passed and rep.min_value == pytest.approx(-0.5 - math.sqrt(33) / 2)
+
+    def test_zero_form_is_exact_zero(self):
+        for form in (Form.zero(2), PPForm.zero(3, 1), PPForm.zero(3, 2)):
+            assert nonnegative_psd(form, 5, 1) == nonnegative_sampled(form, 5, 1)
+
+    def test_sampled_degrees_are_refused(self):
+        for n, p in ((4, 2), (5, 2), (5, 3), (2, 0)):
+            with pytest.raises(InputError, match="decided by sampling"):
+                nonnegative_psd(phased(n, p, np.eye(math.comb(n, p))), 5)
+
+    def test_shares_the_checks_of_sampling(self):
+        with pytest.raises(InputError, match="trials"):
+            nonnegative_psd(Form.zero(1), trials=0)
+        for tol in (math.nan, 0.0, math.inf):
+            with pytest.raises(InputError, match="tol must be a finite positive number"):
+                nonnegative_psd(phased(1, 1, [[1.0]]), 5, tol=tol)
+        with pytest.raises(InputError, match="form is not real"):
+            nonnegative_psd(Form.monomial(1, [1], [1], 1 + 1j), 5)
+        with pytest.raises(InputError, match="form is not finite"):
+            nonnegative_psd(PPForm(2, 1, FLOAT, np.array([[math.inf, 0], [0, 1]])), 5)
+        # finite coefficients whose least eigenvalue, about -3e308, overflows
+        with pytest.raises(InputError, match="least eigenvalue overflows"):
+            nonnegative_psd(phased(3, 1, np.full((3, 3), -1e308)), 5)
+
+
 class TestSchurNegativeControls:
     """The checks can say FAIL: on one witnessed instance with m >= n every
     S_lambda, lambda in Gamma(i, r) with i <= n, is a nonzero form that
@@ -542,7 +641,6 @@ class TestSchurNegativeControls:
             assert nonnegative_sampled(form, 50, seed, batch=batch).passed, parts
             assert not nonnegative_sampled(form.scale(-1), 50, seed, batch=batch).passed, parts
         assert sorted(batches) == [1, 2, 3, 4, 5]
-
 
     @pytest.mark.parametrize("n,r,m,seed", [(2, 2, 2, 0), (3, 3, 2, 1), (4, 3, 3, 2),
                                             (5, 3, 3, 3), (5, 4, 2, 4)])
@@ -630,7 +728,7 @@ class TestSharedBatch:
         assert values[step.report.argmin].tobytes() == \
             np.float64(step.report.min_value).tobytes()
 
-    def test_one_draw_per_sampled_degree_and_none_for_an_all_zero_degree(self, monkeypatch):
+    def test_one_draw_per_degree_and_none_for_an_all_zero_degree(self, monkeypatch):
         calls = self.count_draws(monkeypatch)
         # at n = 5 degrees 2 and 3 are sampled; with m = 1, degree 3 of
         # Gamma(3, 2) has only partitions of two or more parts, whose forms
@@ -642,7 +740,7 @@ class TestSharedBatch:
         verify_schur_nonnegativity(random_tensor(5, 3, 2, seed=4), trials=10)
         assert calls == [(10, 2, 5), (10, 3, 5)]
 
-    def test_one_draw_per_sampled_chain_and_none_for_an_all_zero_chain(self, monkeypatch):
+    def test_one_draw_per_chain_and_none_for_an_all_zero_chain(self, monkeypatch):
         calls = self.count_draws(monkeypatch)
         cs = chern_forms(random_tensor(4, 3, 2, seed=2))
         rep = bounds_chain_check(cs, (1, 1), trials=10)
@@ -658,8 +756,10 @@ class TestSharedBatch:
         report = verify_schur_nonnegativity(random_tensor(3, 3, 2, seed=5), trials=10)
         assert {c.report.method for c in report.checks} == {"psd", "top-coefficient",
                                                            "exact-zero"}
+        assert calls == []
         tensor = random_tensor(5, 3, 3, seed=1)
         report = verify_schur_nonnegativity(tensor, trials=10)
+        assert calls == [(10, 2, 5), (10, 3, 5)]
         want = {1: "psd", 2: "sampled", 3: "sampled", 4: "psd", 5: "top-coefficient"}
         for chk in report.checks:
             # the forms of partitions with more than m = 3 parts are zero
