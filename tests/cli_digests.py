@@ -44,6 +44,11 @@ Lines of that file that start with ``#`` are comments.
   Last come float builds of the Gaussian-integer tensors
   ``random_exact_factor(n, r, seed=seed)``, n, r <= 3, seeds 0-2, whose
   exact zeros and real entries give products with signed zeros;
+* ``omega-wide`` (84 ops): ``curvature build --mode exact`` on Hermitian
+  ``omega`` literals (``_wide_omega``) at the (n, r) of ``WIDE_SHAPES``,
+  r <= 4: integer parts up to each of ``WIDE_MAGNITUDES`` (small ints to
+  2^40), ten-digit decimals, small numerators over 10^10, and decimals of
+  one to four digits, whose denominators differ;
 * ``eval-and-text``: ``forms eval`` in float and exact mode on (p,p)-form
   literals for p = 0..3 and n = max(p, 1)..4 with decimal parts, on sparse
   literals at n = 10 for p = 2, 3 and 5, and on literals whose terms repeat,
@@ -52,7 +57,7 @@ Lines of that file that start with ``#`` are comments.
   both modes), ``schur verify`` and ``bounds chain``.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the eight sets against its expected
+``test_byte_identity`` runs each of the nine sets against its expected
 line on every test run.
 """
 
@@ -75,7 +80,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the eight lines every checkout must print
+#: the nine lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -186,6 +191,56 @@ def omega_ops(workdir: str) -> list[list[str]]:
                 path = _write(os.path.join(workdir, f"integer-tensor-{n}-{r}-{seed}.json"),
                               random_exact_factor(n, r, seed=seed).to_json())
                 ops.append(["curvature", "build", "--instance", path])
+    return ops
+
+
+#: (n, r) shapes of the ``omega-wide`` literals
+WIDE_SHAPES = ((1, 1), (2, 2), (3, 2), (3, 3), (4, 4), (2, 4), (5, 4))
+
+#: largest |part| of the integer ``omega-wide`` literals: small ints, powers
+#: of two near 3000, 2^17.5 and 2^29, then 2^31 and 2^40
+WIDE_MAGNITUDES = (9, 2 ** 11, 2 ** 12, 2 ** 17, 2 ** 18, 2 ** 28, 2 ** 30, 2 ** 31, 2 ** 40)
+
+
+def _wide_omega(rng, n: int, r: int, draw) -> list:
+    """An r x r Hermitian ``omega`` literal on n directions: the dz^p ^ dzbar^q
+    coefficient of cell (i, j) is entry (i n + p, j n + q) of an nr x nr
+    Hermitian matrix whose parts ``draw(rng)`` gives, a quarter of those
+    off the diagonal zero, and whose diagonal is real."""
+    size = n * r
+    h = [[(0, 0)] * size for _ in range(size)]
+    for a in range(size):
+        h[a][a] = (draw(rng), 0)
+        for b in range(a + 1, size):
+            re, im = (draw(rng) if rng.random() >= 0.25 else 0 for _ in range(2))
+            h[a][b], h[b][a] = (re, im), (re, -im)
+    return [[{"n": n, "terms": [{"dz": [p + 1], "dzbar": [q + 1],
+                                 "re": h[i * n + p][j * n + q][0],
+                                 "im": h[i * n + p][j * n + q][1]}
+                                for p in range(n) for q in range(n)
+                                if h[i * n + p][j * n + q] != (0, 0)]}
+             for j in range(r)] for i in range(r)]
+
+
+def omega_wide_ops(workdir: str) -> list[list[str]]:
+    rng = np.random.default_rng(4040)
+    draws = [(f"int-{magnitude}",
+              lambda rng, m=magnitude: int(rng.integers(-m, m, endpoint=True)))
+             for magnitude in WIDE_MAGNITUDES]
+    draws += [
+        # ten decimal digits: one denominator of up to 10^10
+        ("decimal", lambda rng: round(float(rng.uniform(-1, 1)), 10)),
+        # small numerators over 10^10
+        ("tiny", lambda rng: int(rng.integers(-9, 9, endpoint=True)) / 10 ** 10),
+        # one to four decimal digits: denominators that differ
+        ("mixed", lambda rng: round(float(rng.uniform(-9, 9)), int(rng.integers(1, 5)))),
+    ]
+    ops = []
+    for name, draw in draws:
+        for n, r in WIDE_SHAPES:
+            path = _write(os.path.join(workdir, f"omega-wide-{name}-{n}-{r}.json"),
+                          {"omega": _wide_omega(rng, n, r, draw)})
+            ops.append(["curvature", "build", "--mode", "exact", "--instance", path])
     return ops
 
 
@@ -354,9 +409,9 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The eight op sets by name, in the order of the expected lines; the
-    ``core``, ``omega`` and ``eval-and-text`` ops read input files written to
-    ``workdir``."""
+    """The nine op sets by name, in the order of the expected lines; the
+    ``core``, ``omega``, ``omega-wide`` and ``eval-and-text`` ops read input
+    files written to ``workdir``."""
     core = core_ops(workdir)
     return {
         "core": core,
@@ -366,6 +421,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "schur-table": schur_table_ops(),
         "models": model_ops(),
         "omega": omega_ops(workdir),
+        "omega-wide": omega_wide_ops(workdir),
         "eval-and-text": eval_and_text_ops(workdir),
     }
 

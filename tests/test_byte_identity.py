@@ -2161,13 +2161,13 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
 
 @pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "core-verdicts",
                                   "core-passes", "schur-table", "models", "omega",
-                                  "eval-and-text"])
+                                  "omega-wide", "eval-and-text"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
     # n, r <= 5, ``schur table``, any ``model`` subcommand, the ``omega``
-    # literal set, ``forms eval`` or the text summaries of the sampled
-    # commands; the ops, their views and their digests stay in cli_digests.py
-    # and cli_digests.expected
+    # and ``omega-wide`` literal sets, ``forms eval`` or the text summaries
+    # of the sampled commands; the ops, their views and their digests stay
+    # in cli_digests.py and cli_digests.expected
     import cli_digests
 
     ops = cli_digests.op_sets(str(tmp_path))[name]
