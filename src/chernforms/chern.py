@@ -51,7 +51,12 @@ along its last row over the blocks, d = |rows| - 1,
 computing each (rows, cols) minor once per call and skipping zero entries
 and zero sub-minors.  The principal minors of each size are summed in
 ``itertools.combinations`` order onto the (i,i) zero block, and the scaled
-sum is the block of c_i.
+sum is the block of c_i.  In exact mode the same ``PPForm`` code runs on
+int64 numerators when an a-priori bound on every numerator it forms, and
+on the denominators, proves that they fit (``_fits_int64``, after Bareiss,
+Math. Comp. 22, 1968), and on Python ints otherwise.  Exact integers do not
+depend on the order of the arithmetic, and each finished sum goes back to
+Python ints, so both give the same normalised fields.
 
 On a tensor and on ``bott_chern_curvature(tensor)`` the routes agree exactly
 in exact mode and to rounding in float mode, where the Gram route sums in
@@ -94,6 +99,10 @@ from .scalars import EXACT, FLOAT, GaussianRational
 _PHASES = (GaussianRational(1), GaussianRational(0, 1),
            GaussianRational(-1), GaussianRational(0, -1))
 
+#: every numerator of the int64 Laplace route, and every denominator ratio
+#: it rescales by, lies below this (``_fits_int64``)
+INT64_BOUND = 1 << 62
+
 #: index tables kept by ``_gram_step``, least recently used dropped first;
 #: one instance needs one per degree below min(r, n) and scalar mode
 GRAM_CACHE_SIZE = 64
@@ -113,8 +122,9 @@ class ChernFormSet:
     ``forms`` holds the coefficient blocks of c_0, ..., c_k.  ``memo`` holds
     the wedge products of these forms that ``product`` builds, each
     computed once and shared by every Chern number and every polynomial
-    evaluated on the set.  It lives and dies with the set, and equality,
-    hashing and repr ignore it.
+    evaluated on the set, and ``zeros`` the keys of those that are the zero
+    form, each tested once, as it is built.  Both live and die with the
+    set, and equality, hashing and repr ignore them.
     """
 
     n: int
@@ -123,6 +133,8 @@ class ChernFormSet:
     mode: str
     m: Optional[int]
     memo: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
+                                   repr=False)
+    zeros: set = dataclasses.field(default_factory=set, init=False, compare=False,
                                    repr=False)
 
     @property
@@ -149,18 +161,26 @@ class ChernFormSet:
         key = (head,)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = PPForm.constant(self.n, head, self.mode)
+            out = self._remember(key, PPForm.constant(self.n, head, self.mode))
         for f in factors:
-            if out.is_zero():
+            if key in self.zeros:
                 break
             key += (f,)
             nxt = self.memo.get(key)
             if nxt is None:
                 factor = (self.product(1, (f[0],) * f[1]) if isinstance(f, tuple)
                           else self.form(f))
-                nxt = self.memo[key] = out.wedge(factor)
+                nxt = self._remember(key, out.wedge(factor))
             out = nxt
         return out
+
+    def _remember(self, key: tuple, form: PPForm) -> PPForm:
+        """Keep ``form`` in ``memo`` under ``key``, and the key in ``zeros``
+        when the form is zero."""
+        self.memo[key] = form
+        if form.is_zero():
+            self.zeros.add(key)
+        return form
 
     def residual_prefactor_power(self, i: int) -> int:
         """The stored c_i must be multiplied by (2*pi)**(-power) to be the
@@ -183,20 +203,93 @@ class ChernFormSet:
             mode=FLOAT, m=self.m)
 
 
+def _fits_int64(entries: list, r: int, k: int) -> bool:
+    """Whether every numerator that ``_minor_sums`` forms from the nonzero
+    exact (1,1)-blocks ``entries`` of an r x r matrix, through degree k,
+    lies below 2^62 in absolute value, and so does every denominator ratio
+    that ``PPForm.__add__`` multiplies a numerator array by.
+
+    Put every entry on the lcm D of the entries' ``den``, and let A be the
+    largest |part| of the numerators over D.  The test is B(r, k, A) < 2^62
+    and D^k < 2^62, with
+
+        B(r, k, A) = max over 1 <= i <= k of C(r, i) (i!)^3 (sqrt(2) A)^i.
+
+    Proof.  Call a monomial of degree i a signed product of i entry
+    coefficients, each written over D; its numerator is a product of i
+    Gaussian integers of modulus at most sqrt(2) A, so it has modulus at
+    most (sqrt(2) A)^i.  A value of degree i held over a denominator d that
+    divides D^i has numerator value * d, of modulus at most |value| D^i:
+    reducing a fraction, or bringing it to the lcm of two divisors of D^i,
+    never makes its numerator larger than over D^i itself.  Every
+    denominator here divides D^i: an entry's divides D, a wedge multiplies
+    the two denominators, and a sum takes their lcm.  So the real and
+    imaginary part of every numerator is at most the sum of the moduli of
+    the monomials the value is a signed sum of, each monomial counted
+    once.
+
+    - A coefficient of the (i,i)-block of one i x i minor expands into at
+      most i! (permutations) times (i!)^2 (the ways to deal its i dz and i
+      dzbar indices to the i factors) monomials: at most (i!)^3.
+    - ``PPForm.wedge`` of a sub-minor of size i-1 by an entry forms the
+      products a c, b e, a e and b c of the parts of two coefficients w and
+      z, each at most |w| |z| <= ((i-1)!)^3 (sqrt(2) A)^i; the
+      differences and sums of two of them are parts of w z; and its sum
+      over axis 1 adds i^2 such terms, one per way to split the indices.
+      Every partial sum is a signed sum of distinct monomials of the
+      minor, and so are the partial sums of the Laplace expansion, whose i
+      terms give i * i^2 * ((i-1)!)^3 = (i!)^3.
+    - The sum of the C(r, i) principal minors adds C(r, i) such sums, and
+      ``PPForm.__add__`` first brings both operands to the lcm of their
+      denominators, a divisor of D^i.
+
+    So every numerator part of degree i is at most C(r, i) (i!)^3
+    (sqrt(2) A)^i <= B < 2^62, and the sum or difference of two of them
+    stays below 2^63.  The ratios ``__add__`` multiplies by divide D^i
+    <= D^k < 2^62.  A Python int beyond int64 would raise in numpy, but an
+    int64 product wraps silently, hence both tests.  B is compared squared,
+    in integers.
+    """
+    blocks = [b for row in entries for b in row if b is not None]
+    if not blocks:
+        return False
+    den = math.lcm(*(b.den for b in blocks))
+    peak = max(max(map(abs, itertools.chain(b.re.flat, b.im.flat))) * (den // b.den)
+               for b in blocks)
+    return den ** k < INT64_BOUND and all(
+        math.comb(r, i) ** 2 * math.factorial(i) ** 6 * 2 ** i * peak ** (2 * i)
+        < INT64_BOUND ** 2 for i in range(1, k + 1))
+
+
+def _numerators_as(form: PPForm, dtype) -> PPForm:
+    """The exact ``form`` with its numerators held in a numpy array of ``dtype``."""
+    return PPForm._exact(form.n, form.p, form.re.astype(dtype), form.im.astype(dtype), form.den)
+
+
 def _minor_sums(omega: CurvatureMatrix, k: int) -> list:
     """The sums of the principal i x i minors of ``omega``, i = 0..k, as
-    (i,i)-blocks, each minor from ``_minor`` (see the module docstring)."""
+    (i,i)-blocks, each minor from ``_minor`` (see the module docstring).
+
+    Exact blocks compute on int64 numerators when ``_fits_int64`` proves
+    that every numerator fits, and on Python ints otherwise; each sum is
+    returned on Python ints either way."""
     n, r, mode = omega.n, omega.r, omega.mode
     entries = [[None if b.is_zero() else b for b in row] for row in omega.blocks]
+    narrow = mode == EXACT and _fits_int64(entries, r, k)
+    if narrow:
+        entries = [[None if b is None else _numerators_as(b, np.int64) for b in row]
+                   for row in entries]
     minors = {}
     minor_sums = [PPForm.constant(n, 1, mode)]
     for i in range(1, k + 1):
         total = PPForm.zero(n, i, mode)
+        if narrow:
+            total = _numerators_as(total, np.int64)
         for subset in itertools.combinations(range(r), i):
             det = _minor(entries, subset, subset, minors, PPForm.wedge)
             if det is not None:
                 total = total + det
-        minor_sums.append(total)
+        minor_sums.append(_numerators_as(total, object) if narrow else total)
     return minor_sums
 
 

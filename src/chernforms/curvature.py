@@ -154,12 +154,14 @@ class CurvatureTensor:
         return self.array.shape == other.array.shape and bool(np.all(self.array == other.array))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "m": self.m,
-            "T": [[[scalar_json(z) for z in row] for row in plane] for plane in self.array],
-        }
+        """The ``{n, r, m, T}`` shape ``from_json`` reads; each entry is the
+        ``scalar_json`` of its value, read off one ``tolist`` for a float tensor."""
+        if self.mode == FLOAT:
+            t = [[[{"re": z.real, "im": z.imag} for z in row] for row in plane]
+                 for plane in self.array.tolist()]
+        else:
+            t = [[[scalar_json(z) for z in row] for row in plane] for plane in self.array]
+        return {"n": self.n, "r": self.r, "m": self.m, "T": t}
 
     @classmethod
     def from_json(cls, obj) -> "CurvatureTensor":

@@ -111,13 +111,16 @@ class Partition:
         return f"({inner})"
 
 
-def partitions(i: int, r: int) -> list[Partition]:
+@functools.lru_cache(maxsize=POLY_CACHE_SIZE)
+def partitions(i: int, r: int) -> tuple[Partition, ...]:
     """Gamma(i, r): partitions of weight i with parts <= r, zero-padded to
-    length i, in descending lexicographic order."""
+    length i, in descending lexicographic order.  Kept per (i, r), like the
+    Schur polynomials; the tuple and its partitions are immutable, so every
+    caller shares them."""
     if i < 0 or r < 0:
         raise InputError("partition weight and part bound must be nonnegative")
     if i == 0:
-        return [Partition(())]
+        return (Partition(()),)
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, acc: list[int]):
@@ -130,7 +133,7 @@ def partitions(i: int, r: int) -> list[Partition]:
             acc.pop()
 
     rec(i, min(r, i), [])
-    return out
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -198,7 +198,9 @@ def omega_ops(workdir: str) -> list[list[str]]:
 WIDE_SHAPES = ((1, 1), (2, 2), (3, 2), (3, 3), (4, 4), (2, 4), (5, 4))
 
 #: largest |part| of the integer ``omega-wide`` literals: small ints, powers
-#: of two near 3000, 2^17.5 and 2^29, then 2^31 and 2^40
+#: of two on either side of the int64 bound of the exact Laplace route
+#: (``chern._fits_int64``) at r = 4, 3 and 2, then 2^31 and 2^40; with the
+#: decimals, 41 of the 84 builds take int64 and 43 Python ints
 WIDE_MAGNITUDES = (9, 2 ** 11, 2 ** 12, 2 ** 17, 2 ** 18, 2 ** 28, 2 ** 30, 2 ** 31, 2 ** 40)
 
 

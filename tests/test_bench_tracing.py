@@ -6,10 +6,11 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
-from chernforms import cli
+from chernforms import EXACT, chern, cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,6 +52,18 @@ def test_exact_build_op_passes_its_oracle(tmp_path):
     op = pool[0]
     assert op.argv[:4] == ("curvature", "build", "--mode", "exact")
     assert op.check(*run_op(op.argv)) is None
+
+
+def test_every_exact_build_op_takes_the_int64_route(tmp_path):
+    # the pool's omega parts are sums of three products of Gaussian integers
+    # in [-2, 2]^2, at most 24, far below the bound at (n, r) = (4, 3)
+    workloads = load_bench("workloads")
+    for seed in (501, 271, 272):
+        for op in workloads.exact_build(seed, str(tmp_path), run_op):
+            with open(op.argv[-1], encoding="utf-8") as fh:
+                omega, _ = cli._curvature_from_input(json.load(fh), EXACT)
+            entries = [[None if b.is_zero() else b for b in row] for row in omega.blocks]
+            assert chern._fits_int64(entries, omega.r, min(omega.n, omega.r))
 
 
 def test_rank_heavy_op_passes_its_oracle(tmp_path):

@@ -2175,6 +2175,21 @@ def test_report_sets_match_cli_digests_expected(name, tmp_path):
     assert f"{name} {len(ops)} {digest}" == cli_digests.expected_lines()[name]
 
 
+def test_omega_wide_runs_both_exact_routes(tmp_path, monkeypatch):
+    # the omega-wide line pins the int64 and the Python-int Laplace routes
+    # only while its builds take both
+    import cli_digests
+
+    routes = []
+    fits = chern._fits_int64
+    monkeypatch.setattr(chern, "_fits_int64", lambda *args: routes.append(fits(*args)) or
+                        routes[-1])
+    for argv in cli_digests.omega_wide_ops(str(tmp_path)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+    assert (routes.count(True), routes.count(False)) == (41, 43)
+
+
 def test_report_sets_print_what_json_prints(tmp_path):
     # the digests pin bytes that report_json wrote; every JSON report of
     # the digest sets is held here to the reference encoder as well

@@ -3,6 +3,7 @@ agreement, and top-degree coefficient extraction."""
 
 import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from chernforms import (
     random_tensor,
     top_coefficient,
 )
-from chernforms import schur
+from chernforms import chern, schur
 from chernforms.errors import InputError
+from chernforms.forms import read_literal
 from chernforms.scalars import GaussianRational
 
 from conftest import diagonal_tensor, form_matrix_det, integer_tensor_pair
@@ -231,6 +233,131 @@ class TestGramRoute:
         assert [(f.p, f.block.shape, f.block.dtype) for f in gram] == \
             [(f.p, f.block.shape, f.block.dtype) for f in walk]
         assert [list(f.terms) for f in gram] == [list(f.terms) for f in walk]
+
+
+def _literal_matrix(rng, n: int, r: int, part) -> CurvatureMatrix:
+    """An exact r x r matrix of (1,1)-literals on n directions, read as the
+    CLI reads ``omega``; each cell is empty with probability 1/3, and each
+    coefficient part is ``part(rng)``."""
+    rows = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            terms = [] if rng.random() < 1 / 3 else [
+                {"dz": [p + 1], "dzbar": [q + 1], "re": part(rng), "im": part(rng)}
+                for p in range(n) for q in range(n) if rng.random() < 0.8]
+            row.append(read_literal({"n": n, "terms": terms}, EXACT, 1))
+        rows.append(row)
+    return CurvatureMatrix(rows)
+
+
+def _signed_matrix(rng, n: int, r: int, peak: int, den: int = 1) -> CurvatureMatrix:
+    """An exact r x r matrix on n directions with every coefficient part
+    +-peak / den, signs drawn: the largest numerators a peak allows."""
+    def part():
+        return Fraction(int(rng.choice((-peak, peak))), den)
+    return CurvatureMatrix([[PPForm(n, 1, EXACT, np.array(
+        [[GaussianRational(part(), part()) for _ in range(n)] for _ in range(n)], object))
+        for _ in range(r)] for _ in range(r)])
+
+
+def _object_route(monkeypatch, omega: CurvatureMatrix, k: int) -> list:
+    """The minor sums of ``omega`` with the int64 route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(chern, "_fits_int64", lambda entries, r, k: False)
+        return chern._minor_sums(omega, k)
+
+
+def _peak_below_bound(r: int, k: int) -> int:
+    """The largest A with B(r, k, A) = max_i C(r, i) (i!)^3 (sqrt(2) A)^i
+    below 2^62 (``chern._fits_int64``), the bound compared squared."""
+    def fits(a):
+        return all(math.comb(r, i) ** 2 * math.factorial(i) ** 6 * 2 ** i * a ** (2 * i)
+                   < 2 ** 124 for i in range(1, k + 1))
+    low, high = 1, 2 ** 62
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
+def _assert_python_ints(forms):
+    for f in forms:
+        for part in (f.re, f.im):
+            assert part.dtype == object
+            assert all(type(x) is int for x in part.flat)
+        assert type(f.den) is int
+
+
+class TestInt64Route:
+    """The exact Laplace route computes on int64 numerators when
+    ``chern._fits_int64`` proves that they fit, and gives the same forms,
+    field for field, as the route on Python ints."""
+
+    @pytest.mark.parametrize("r", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_int64_route_equals_the_object_route(self, monkeypatch, n, r):
+        # Gaussian integers, and decimals over denominators 1, 2, 4, 5 and
+        # 10, with empty cells
+        parts = (lambda rng: int(rng.integers(-9, 10)),
+                 lambda rng: int(rng.integers(-9, 10)) / int(rng.choice((1, 2, 4, 5, 10))))
+        k = min(n, r)
+        for seed, part in enumerate(parts * 2):
+            rng = np.random.default_rng(seed)
+            omega = _literal_matrix(rng, n, r, part)
+            entries = [[None if b.is_zero() else b for b in row] for row in omega.blocks]
+            if any(b is not None for row in entries for b in row):
+                assert chern._fits_int64(entries, r, k)
+            narrow = chern._minor_sums(omega, k)
+            wide = _object_route(monkeypatch, omega, k)
+            assert narrow == wide
+            assert [(f.p, f.den) for f in narrow] == [(f.p, f.den) for f in wide]
+            for a, b in zip(narrow, wide):
+                assert a.re.tolist() == b.re.tolist() and a.im.tolist() == b.im.tolist()
+            _assert_python_ints(narrow)
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 4), (2, 4), (4, 2)])
+    def test_peaks_just_below_and_above_the_bound(self, monkeypatch, n, r):
+        k = min(n, r)
+        peak = _peak_below_bound(r, k)
+        for a, takes_int64 in ((peak, True), (peak + 1, False)):
+            omega = _signed_matrix(np.random.default_rng(a % 1000), n, r, a)
+            assert chern._fits_int64([list(row) for row in omega.blocks], r, k) is takes_int64
+            got = chern._minor_sums(omega, k)
+            assert got == _object_route(monkeypatch, omega, k)
+            _assert_python_ints(got)
+
+    def test_denominator_power_alone_can_refuse(self, monkeypatch):
+        # numerators of at most 1 are far below the bound, but D^2 reaches
+        # 2^62 at D = 2^31 and stays below it at D = 2^31 - 1
+        for den, takes_int64 in ((2 ** 31 - 1, True), (2 ** 31, False)):
+            omega = _signed_matrix(np.random.default_rng(den), 2, 2, 1, den)
+            assert chern._fits_int64([list(row) for row in omega.blocks], 2, 2) is takes_int64
+            got = chern._minor_sums(omega, 2)
+            assert got == _object_route(monkeypatch, omega, 2)
+            _assert_python_ints(got)
+
+    def test_zero_matrix_takes_the_object_route(self):
+        omega = CurvatureMatrix([[PPForm.zero(2, 1, EXACT)] * 2] * 2)
+        assert not chern._fits_int64([[None, None], [None, None]], 2, 2)
+        forms = chern_forms(omega).forms
+        assert all(f.is_zero() for f in forms[1:])
+        _assert_python_ints(forms)
+
+    def test_the_bound_guards_a_real_overflow(self, monkeypatch):
+        # int64 products wrap silently: forced onto int64, a 3 x 3 matrix
+        # with parts 2^40 gives another minor sum, and the bound refuses it
+        omega = _signed_matrix(np.random.default_rng(1), 3, 3, 2 ** 40)
+        assert not chern._fits_int64([list(row) for row in omega.blocks], 3, 3)
+        want = chern._minor_sums(omega, 3)
+        with monkeypatch.context() as m:
+            m.setattr(chern, "_fits_int64", lambda entries, r, k: True)
+            assert chern._minor_sums(omega, 3)[3] != want[3]
+
+    def test_chern_forms_hold_python_ints_on_both_routes(self):
+        for peak in (3, 2 ** 40):
+            forms = chern_forms(_signed_matrix(np.random.default_rng(5), 3, 3, peak)).forms
+            _assert_python_ints(forms)
 
 
 class TestChernProduct:

@@ -28,7 +28,7 @@ from chernforms import (
 )
 from chernforms.errors import InputError
 from chernforms.forms import MAX_DIM
-from chernforms.scalars import GaussianRational
+from chernforms.scalars import GaussianRational, scalar_json
 
 from conftest import diagonal_tensor, griffiths_contraction, integer_tensor_pair, \
     random_invertible, random_signed_phase_permutation
@@ -136,6 +136,22 @@ class TestCurvatureTensor:
         blob = json.dumps(t.to_json())
         back = CurvatureTensor.from_json(json.loads(blob))
         assert np.array_equal(back.array, t.array)
+
+    def test_to_json_writes_each_entry_as_scalar_json(self):
+        # a float tensor is read off one tolist; every key, float and signed
+        # zero is the one scalar_json gives, and an exact tensor beyond the
+        # float range is still refused
+        a = random_tensor(4, 5, 5, seed=3).array.copy()
+        a[0, 0, 0], a[1, 2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        for tensor in (CurvatureTensor(a), random_exact_factor(3, 2, 2, seed=1)):
+            want = {"n": tensor.n, "r": tensor.r, "m": tensor.m,
+                    "T": [[[scalar_json(z) for z in row] for row in plane]
+                          for plane in tensor.array]}
+            got = tensor.to_json()
+            assert json.dumps(got) == json.dumps(want) and repr(got) == repr(want)
+        huge = np.array([[[GaussianRational(10 ** 400)]]], object)
+        with pytest.raises(InputError, match="float range"):
+            CurvatureTensor(huge).to_json()
 
     def test_from_json_field_pointers(self):
         with pytest.raises(InputError, match="n"):

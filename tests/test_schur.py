@@ -177,6 +177,16 @@ class TestPartitions:
         with pytest.raises(InputError):
             partitions(-1, 2)
 
+    def test_each_table_is_built_once_and_shared(self):
+        # Gamma(i, r) is kept per (i, r): every caller gets the same tuple
+        # of frozen partitions, which no caller can change
+        table = partitions(5, 3)
+        assert partitions(5, 3) is table and isinstance(table, tuple)
+        with pytest.raises(AttributeError):
+            table[0].parts = (1,)
+        assert [p.parts for p in table] == [(3, 2, 0, 0, 0), (3, 1, 1, 0, 0), (2, 2, 1, 0, 0),
+                                            (2, 1, 1, 1, 0), (1, 1, 1, 1, 1)]
+
 
 # ----------------------------------------------------------------------
 # polynomial ring
@@ -428,6 +438,22 @@ class TestChernFormSetMemo:
         assert report.top is not None and len(tops) == 3
         assert tops[2] is cs.memo[(1, 1, 1, 1, 1)] is chern_product(cs, (1, 1, 1, 1))
         assert tops[1] is cs.memo[(1, 2, 1, 1)]
+
+    def test_zeros_names_the_zero_entries_of_the_memo(self, monkeypatch):
+        # each memo entry is tested for zero once, when it is built; a walk
+        # over built entries tests none, and stops at the first zero prefix
+        cs = chern_forms(self._tensor())
+        calls = []
+        is_zero = PPForm.is_zero
+        monkeypatch.setattr(PPForm, "is_zero", lambda f: calls.append(f) or is_zero(f))
+        # c_1^5 is zero at n = 4, so the walk never reaches the factor 2
+        out = cs.product(1, (1, 1, 1, 1, 1, 2))
+        assert len(calls) == len(cs.memo) == 6
+        assert out is cs.memo[(1,) * 6] and cs.zeros == {(1,) * 6}
+        assert cs.product(1, (1, 1, 1, 1, 1, 2)) is out and len(calls) == 6
+        for p in schur_and_chain_polynomials(4, 3):
+            evaluate_on_forms(p, cs)
+        assert cs.zeros == {key for key, f in cs.memo.items() if is_zero(f)}
 
     def test_exact_to_numeric_starts_empty(self):
         cs = chern_forms(random_exact_factor(2, 2, 2, seed=3))
