@@ -2182,8 +2182,12 @@ def test_omega_wide_runs_both_exact_routes(tmp_path, monkeypatch):
 
     routes = []
     fits = chern._fits_int64
-    monkeypatch.setattr(chern, "_fits_int64", lambda *args: routes.append(fits(*args)) or
-                        routes[-1])
+
+    def recording(*args):
+        routes.append(fits(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(chern, "_fits_int64", recording)
     for argv in cli_digests.omega_wide_ops(str(tmp_path)):
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv) == 0
