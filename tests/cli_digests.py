@@ -44,6 +44,10 @@ Lines of that file that start with ``#`` are comments.
   Last come float builds of the Gaussian-integer tensors
   ``random_exact_factor(n, r, seed=seed)``, n, r <= 3, seeds 0-2, whose
   exact zeros and real entries give products with signed zeros;
+* ``omega-values`` (109 ops): the ``omega`` ops seen through
+  ``unsigned_zeros_view``, which prints every ``-0.0`` of a JSON report as
+  ``0.0``, so a change that moves only the signs of zeros leaves it as it
+  is;
 * ``omega-wide`` (84 ops): ``curvature build --mode exact`` on Hermitian
   ``omega`` literals (``_wide_omega``) at the (n, r) of ``WIDE_SHAPES``,
   r <= 4: integer parts up to each of ``WIDE_MAGNITUDES`` (small ints to
@@ -54,10 +58,14 @@ Lines of that file that start with ``#`` are comments.
   literals at n = 10 for p = 2, 3 and 5, and on literals whose terms repeat,
   cancel and carry signed zeros, plus two refused evaluations; then
   ``--output text`` of ``curvature build`` (tensor and ``omega`` instances,
-  both modes), ``schur verify`` and ``bounds chain``.
+  both modes), ``schur verify`` and ``bounds chain``;
+* ``eval-values`` (77 ops): the ``eval-and-text`` ops seen through
+  ``rounded_view``, which rounds every float of a JSON report to 12
+  significant digits, so a change that moves float values only in their
+  last digits leaves it as it is.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the nine sets against its expected
+``test_byte_identity`` runs each of the eleven sets against its expected
 line on every test run.
 """
 
@@ -80,7 +88,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the nine lines every checkout must print
+#: the eleven lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -376,9 +384,28 @@ def passes_view(out: str) -> str:
     return _reduced(out, ("passed",))
 
 
+def _floats_view(out: str, parse_float) -> str:
+    """A JSON report with each float read through ``parse_float``; output
+    that is not a JSON report passes through as printed."""
+    if not out.startswith("{"):
+        return out
+    return json.dumps(json.loads(out, parse_float=parse_float), sort_keys=True, indent=2)
+
+
+def unsigned_zeros_view(out: str) -> str:
+    """A JSON report with every -0.0 printed as 0.0."""
+    return _floats_view(out, lambda text: float(text) + 0.0)
+
+
+def rounded_view(out: str) -> str:
+    """A JSON report with every float rounded to 12 significant digits."""
+    return _floats_view(out, lambda text: float(f"{float(text):.12g}"))
+
+
 #: op set name -> the view its digest sees the output through, when not as
 #: printed
-VIEWS = {"core-verdicts": verdicts_view, "core-passes": passes_view}
+VIEWS = {"core-verdicts": verdicts_view, "core-passes": passes_view,
+         "omega-values": unsigned_zeros_view, "eval-values": rounded_view}
 
 
 class MethodTally:
@@ -411,10 +438,10 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The nine op sets by name, in the order of the expected lines; the
+    """The eleven op sets by name, in the order of the expected lines; the
     ``core``, ``omega``, ``omega-wide`` and ``eval-and-text`` ops read input
     files written to ``workdir``."""
-    core = core_ops(workdir)
+    core, omega, evals = core_ops(workdir), omega_ops(workdir), eval_and_text_ops(workdir)
     return {
         "core": core,
         "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
@@ -422,9 +449,11 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "core-passes": core,
         "schur-table": schur_table_ops(),
         "models": model_ops(),
-        "omega": omega_ops(workdir),
+        "omega": omega,
+        "omega-values": omega,
         "omega-wide": omega_wide_ops(workdir),
-        "eval-and-text": eval_and_text_ops(workdir),
+        "eval-and-text": evals,
+        "eval-values": evals,
     }
 
 

@@ -2161,7 +2161,8 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
 
 @pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "core-verdicts",
                                   "core-passes", "schur-table", "models", "omega",
-                                  "omega-wide", "eval-and-text"])
+                                  "omega-values", "omega-wide", "eval-and-text",
+                                  "eval-values"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
     # n, r <= 5, ``schur table``, any ``model`` subcommand, the ``omega``
