@@ -17,7 +17,8 @@ stops there.
 A_ik = sum_p T[p, i, k] dz^p, A an r x m factor).  ``chern_forms`` reads T
 off the tensor's array, in either scalar mode, and builds no A; only a
 float T whose entries are large enough for Omega's coefficients to
-overflow builds Omega, with ``curvature.bott_chern_curvature``, to check it.  For a row subset
+overflow builds Omega, with ``curvature.bott_chern_curvature``, to check
+it (``_checked_tensor``).  For a row subset
 S = (s_1 < ... < s_i) and a size-i multiset kappa of the m columns, let
 Phi_{S,kappa} be the (i,0)-form
 
@@ -357,15 +358,15 @@ def _gram_blocks(tensor: np.ndarray, k: int) -> list:
 
 
 def _checked_tensor(tensor: CurvatureTensor) -> np.ndarray:
-    """T[p, i, k] of a float tensor as ``factor_from_tensor(tensor)`` holds
-    it (a nonzero entry times the 1 + 0j of dz^p, a zero one as 0j), after
-    the overflow check of ``bott_chern_curvature``; every coefficient and
+    """T[p, i, k] of ``tensor``, its array, after the overflow check of
+    ``bott_chern_curvature`` on a float tensor; every coefficient and
     partial sum of Omega is at most 2 m peak^2, so a small peak needs no check."""
     a = tensor.array
-    peak = float(np.abs(a).max())
-    if not 2 * tensor.m * peak * peak <= 1e307:
-        bott_chern_curvature(tensor)
-    return np.where(a == 0, 0j, a * (1 + 0j))
+    if tensor.mode == FLOAT:
+        peak = float(np.abs(a).max())
+        if not 2 * tensor.m * peak * peak <= 1e307:
+            bott_chern_curvature(tensor)
+    return a
 
 
 def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet:
@@ -376,12 +377,10 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
     the module docstring).  The set records the factor's column count m, or
     None for a ``CurvatureMatrix``.
 
-    An exact tensor is read as its array.  A float one is read through
-    ``_checked_tensor``, which raises the overflow error of
-    ``bott_chern_curvature(tensor)``, and gives the forms of
-    ``factor_from_tensor(tensor)``, bit for bit, without building it.  A
-    float Chern form whose coefficients overflow to inf or NaN, from finite
-    curvature entries, raises ``InputError``.
+    A tensor is read as its array, in either mode, after ``_checked_tensor``
+    raises the overflow error of ``bott_chern_curvature(tensor)`` on a float
+    one.  A float Chern form whose coefficients overflow to inf or NaN, from
+    finite curvature entries, raises ``InputError``.
     """
     if not isinstance(source, (CurvatureTensor, CurvatureMatrix)):
         raise TypeError("chern_forms takes a CurvatureTensor or a CurvatureMatrix")
@@ -396,7 +395,7 @@ def chern_forms(source: Union[CurvatureTensor, CurvatureMatrix]) -> ChernFormSet
                 phase = _PHASES[i % 4] if mode == EXACT else (1j / (2.0 * math.pi)) ** i
                 out.append(minor_sums[i].scale(phase))
         else:
-            blocks = _gram_blocks(_checked_tensor(source) if mode == FLOAT else source.array, k)
+            blocks = _gram_blocks(_checked_tensor(source), k)
             m = source.m
             for i in range(1, k + 1):
                 # (sqrt(-1))^i (-1)^(i(i-1)/2) = (sqrt(-1))^(i^2), and i^2 = i mod 2

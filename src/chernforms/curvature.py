@@ -96,10 +96,10 @@ class CurvatureTensor:
     An object array is exact mode: its entries are coerced to
     ``GaussianRational`` (int and Fraction are, float and complex are
     refused).  Any other array is float mode, read as complex and checked
-    finite.  Immutable by convention: ``curvature_sums`` keeps Omega's sums.
+    finite.  Immutable by convention.
     """
 
-    __slots__ = ("array", "_sums")
+    __slots__ = ("array",)
 
     def __init__(self, array):
         try:
@@ -125,7 +125,6 @@ class CurvatureTensor:
             if not np.all(np.isfinite(arr)):
                 raise InputError("curvature tensor entries must be finite")
         self.array = arr
-        self._sums = None
 
     @property
     def n(self) -> int:
@@ -211,36 +210,15 @@ def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
                  for i in range(tensor.r))
 
 
-def curvature_sums(tensor: CurvatureTensor) -> np.ndarray:
-    """R[i, j, p, q] = [dz^p ^ dzbar^q] Omega_ij of a float tensor, kept on it,
-    summed bit for bit as ``Form`` sums A_ik ^ conj(A_jk) (CONVENTIONS.md).
-    A sum may overflow to inf or NaN; ``bott_chern_curvature`` rejects it."""
-    if tensor._sums is not None:
-        return tensor._sums
-    n, r, m = tensor.array.shape
-    a = tensor.array.transpose(2, 1, 0).reshape(m, r * n)  # [k, (i, p)]
-    t = np.where(a == 0, 0j, a * (1 + 0j))  # dz^p times T[p, i, k], as Form.scale forms it
-    x, y, u, v = t.real[:, :, None], t.imag[:, :, None], t.real[:, None], -t.imag[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # terms[k, (i, p), (j, q)] = t[k, (i, p)] conj(t[k, (j, q)]), part by part
-        terms = np.stack((x * u - y * v, x * v + y * u), axis=-1).view(complex)[..., 0]
-        sums = np.zeros(terms.shape[1:], complex)
-        for term, skip in zip(terms, terms == 0):
-            # a zero sum is a dropped key: the next term starts it afresh
-            sums = np.where(skip, sums, np.where(sums == 0, term, sums + term))
-        sums[sums == 0] = 0
-    tensor._sums = np.ascontiguousarray(sums.reshape(r, n, r, n).transpose(0, 2, 1, 3))
-    return tensor._sums
-
-
 def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
     """Omega = A ^ conj(A^t) for the factor A of ``tensor``: entry (i, j) is
     sum_k A_ik ^ conj(A_jk), the block sum_k T[p, i, k] conj(T[q, j, k]),
-    since each term has sign +1; float sums from ``curvature_sums``, checked
-    finite by ``CurvatureMatrix``."""
-    t, mode = tensor.array, tensor.mode
-    sums = curvature_sums(tensor) if mode == FLOAT else np.einsum("pik,qjk->ijpq", t, np.conj(t))
-    return CurvatureMatrix([[PPForm(tensor.n, 1, mode, b) for b in row] for row in sums])
+    since each term has sign +1, summed by one einsum in either mode.  A
+    float sum may overflow to inf or NaN; ``CurvatureMatrix`` rejects it."""
+    t = tensor.array
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.einsum("pik,qjk->ijpq", t, np.conj(t))
+    return CurvatureMatrix([[PPForm(tensor.n, 1, tensor.mode, b) for b in row] for row in sums])
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,9 @@ denominator, and its arithmetic runs on the numerators; it builds
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
-float sum.  No report goes through ``Form.wedge``, but two report paths
-keep those sums: ``_sum_terms`` adds the repeated terms of a float literal
-in literal order (``Form.from_literal``, ``read_literal``), and
-``curvature.curvature_sums`` adds Omega's coefficients bit for bit as the
-``Form`` sums of A_ik ^ conj(A_jk) do.  Reports are byte-identical for a
-given seed only while those orders stay.
+float sum.  ``_sum_terms`` adds the repeated terms of a literal in literal
+order (``Form.from_literal``, ``read_literal``), which fixes the float
+coefficients a report prints.
 
 Evaluation pairs a homogeneous (p,p)-form with a p-tuple of tangent vectors
 X = (X_1, ..., X_p):
@@ -55,13 +52,13 @@ standard volume normalization holds:
 
     evaluate(prod_j sqrt(-1) dz^j ^ dzbar^j, (e_1, ..., e_n)) = 1.
 
-On a block this is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p
-minors d_J = det(X_b^{j_a}) over every p-subset J.  For a float batch
+``evaluate`` runs this sum over the form's terms in either scalar mode,
+and expands only the minors of their masks, each once (``_minor``).  On a
+block it is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p minors
+d_J = det(X_b^{j_a}) over every p-subset J.  For a float batch of tuples
 ``_minors`` computes d in one row-by-row Laplace pass: the minors of rows
 0..k come from those of rows 0..k-1 by expanding along row k, with index
 tables cached per (n, k); at p = n the one minor is ``np.linalg.det``'s.
-Exact ``evaluate`` sums over the form's terms and expands only the minors
-of their masks, each once (``_minor``).
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.  The
@@ -598,6 +595,9 @@ class PPForm:
             return not self._block.any()
         return not (self.re.any() or self.im.any())
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def _check_compatible(self, other: "PPForm", what: str):
         if not isinstance(other, PPForm):
             raise InputError(f"{what} requires two coefficient blocks, got {type(other).__name__}")
@@ -755,28 +755,25 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
     vecs = _coerce_vectors(vectors, p, form.n, form.mode)
     if p == 0:
         return form.terms[(0, 0)]
-    if form.mode == FLOAT:
-        arr = np.array(vecs, dtype=complex).reshape(1, p, form.n)
-        return complex(_pairing(PPForm.from_form(form), arr)[0])
-
     # sum over the form's terms, not its C(n,p)^2 block: a literal may have
-    # few terms, and exact block products cost a scalar product per entry;
-    # only the minors of the terms' masks, and their sub-minors, are expanded
+    # few terms; only the minors of the terms' masks, and their sub-minors,
+    # are expanded
+    zero = coerce(0, form.mode)
     entries, minors, rows = [[x or None for x in v] for v in vecs], {}, tuple(range(p))
     minor = {mask: _minor(entries, rows, tuple(j - 1 for j in _mask_to_indices(mask)), minors,
-                          operator.mul) or GaussianRational(0)
+                          operator.mul) or zero
              for mask in {mask for key in form.terms for mask in key}}
     minor_bar = {mask: d.conjugate() for mask, d in minor.items()}
-    total = GaussianRational(0)
+    total = zero
     for (h, a), c in form.terms.items():
         total = total + c * minor[h] * minor_bar[a]
     # (-i)^(p^2): 1 for even p, -i for odd p
-    return total * GaussianRational(0, -1) if p & 1 else total
+    return total * (GaussianRational(0, -1) if form.mode == EXACT else -1j) if p & 1 else total
 
 
 def _minor(entries: list, rows: tuple, cols: tuple, minors: dict, mul: Callable):
     """det M[rows, cols] = sum_t (-1)^(d+t) mul(det M[rows[:-1], cols - {cols[t]}],
-    M[rows[-1], cols[t]]), d = len(rows) - 1, over exact scalars or blocks, or
+    M[rows[-1], cols[t]]), d = len(rows) - 1, over scalars or blocks, or
     None when it vanishes (as a zero entry is); each minor of two or more
     rows is computed once and kept in ``minors`` under (rows, cols)."""
     row = entries[rows[-1]]
@@ -795,7 +792,7 @@ def _minor(entries: list, rows: tuple, cols: tuple, minors: dict, mul: Callable)
             continue
         term = -mul(sub, entry) if (d + t) & 1 else mul(sub, entry)
         total = term if total is None else total + term
-    minors[key] = None if total is None or total.is_zero() else total
+    minors[key] = total if total else None
     return minors[key]
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chernforms import EXACT, FLOAT, CurvatureTensor, Form, GaussianRational, random_exact_factor
-from chernforms.curvature import curvature_sums
+from chernforms import (EXACT, FLOAT, CurvatureTensor, Form, GaussianRational,
+                        bott_chern_curvature, random_exact_factor)
 from chernforms.rng import complex_normal, substream
 
 # ----------------------------------------------------------------------
@@ -92,12 +92,13 @@ def random_signed_phase_permutation(r: int, seed: int = 0) -> list:
 
 
 def griffiths_contraction(tensor: CurvatureTensor, xi, eta) -> complex:
-    """sum R[i, j, p, q] conj(xi^i) xi^j eta^p conj(eta^q), R from
-    ``curvature_sums``: the Griffiths form by the curvature route, against
-    which the sum of squares of ``griffiths_value`` is checked."""
+    """sum R[i, j, p, q] conj(xi^i) xi^j eta^p conj(eta^q), R[i, j] the block
+    of Omega_ij from ``bott_chern_curvature``: the Griffiths form by the
+    curvature route, against which the sum of squares of ``griffiths_value``
+    is checked."""
     xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
-    return complex(np.einsum("ijpq,i,j,p,q->", curvature_sums(tensor), np.conj(xi), xi, eta,
-                             np.conj(eta)))
+    sums = np.array([[b.block for b in row] for row in bott_chern_curvature(tensor).blocks])
+    return complex(np.einsum("ijpq,i,j,p,q->", sums, np.conj(xi), xi, eta, np.conj(eta)))
 
 
 # ----------------------------------------------------------------------

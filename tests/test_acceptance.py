@@ -217,7 +217,7 @@ def test_criterion_4_frame_invariance():
 @criterion(5, "griffiths-identity")
 def test_criterion_5_griffiths_identity():
     # griffiths_value is the sum of squares; the contraction of Omega's
-    # coefficients (curvature_sums) is the other route, held to it here;
+    # coefficients (bott_chern_curvature) is the other route, held to it here;
     # the summary names the smallest value and the largest gap between the
     # routes relative to the scale they are held to
     smallest, worst_gap = math.inf, 0.0

@@ -91,7 +91,7 @@ from chernforms import (
     todd_class,
     todd_polynomials,
 )
-from chernforms import chern, cli, curvature, forms, scalars
+from chernforms import chern, cli, forms, scalars
 from chernforms.chern import ChernFormSet
 from chernforms.cli import report_json, run
 from chernforms.errors import InputError
@@ -578,18 +578,12 @@ def _sparse_omega(rng, n: int, r: int, mode: str) -> CurvatureMatrix:
               for _ in range(r)) for _ in range(r)))
 
 
-def assert_reads_its_factor(monkeypatch, tensor):
-    """A float tensor gives the Gram route what its built factor holds, bit
-    for bit: T read off ``factor_from_tensor(tensor)``, and so the forms the
-    Gram route gives on that T."""
-    got = chern._checked_tensor(tensor)
-    want = factor_tensor(factor_from_tensor(tensor))
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    with monkeypatch.context() as patch:
-        patch.setattr(chern, "_checked_tensor", lambda t: factor_tensor(factor_from_tensor(t)))
-        built = chern_forms(tensor)
-    assert [exact_repr(f) for f in chern_forms(tensor).forms] == \
-        [exact_repr(f) for f in built.forms]
+def assert_reads_its_factor(tensor):
+    """A float tensor gives the Gram route the forms, under ``==``, of the T
+    read off ``factor_from_tensor(tensor)``, which may differ from the
+    tensor's array in the signs of zeros."""
+    rebuilt = CurvatureTensor(factor_tensor(factor_from_tensor(tensor)))
+    assert chern_forms(tensor).forms == chern_forms(rebuilt).forms
 
 
 def assert_same_chern_forms(got: ChernFormSet, want: list):
@@ -630,21 +624,24 @@ class TestChernFormsIdentity:
 
     @pytest.mark.parametrize("n,r,seed", [(4, 5, 0), (5, 3, 13), (2, 4, 1), (1, 3, 3),
                                           (3, 1, 4)])
-    def test_tensor_route(self, monkeypatch, n, r, seed):
-        # a tensor takes T straight off its array: the same forms, bit for
-        # bit, as its built factor
-        assert_reads_its_factor(monkeypatch, random_tensor(n, r, None, seed))
+    def test_tensor_route(self, n, r, seed):
+        # a tensor takes T straight off its array, which holds the bytes
+        # its built factor holds when no part is zero
+        tensor = random_tensor(n, r, None, seed)
+        assert tensor.array.tobytes() == factor_tensor(factor_from_tensor(tensor)).tobytes()
+        assert_reads_its_factor(tensor)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_tensor_route_signed_and_exact_zeros(self, monkeypatch, seed):
+    def test_tensor_route_signed_and_exact_zeros(self, seed):
         # parts of -0.0, and entries that are exactly zero (0j or -0j),
-        # which the factor builder skips
+        # which the factor builder skips: the same values as the factor's
+        # forms, the signs of their zeros aside
         rng = np.random.default_rng(300 + seed)
         for shape in ((2, 4, 2), (3, 3, 3), (4, 2, 3)):
             a = np.empty(shape, complex)
             a.real = rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
             a.imag = rng.choice([0.0, -0.0, 0.5, -1.0], size=shape)
-            assert_reads_its_factor(monkeypatch, CurvatureTensor(a))
+            assert_reads_its_factor(CurvatureTensor(a))
 
     @pytest.mark.parametrize("n,r,before,after", [(4, 5, 515, 165), (5, 3, 30, 13)])
     def test_each_prefix_is_wedged_once(self, monkeypatch, n, r, before, after):
@@ -1482,21 +1479,25 @@ def _sum_tensors(rng) -> list:
 
 
 class TestCurvatureSums:
-    """``curvature_sums`` and the blocks of ``bott_chern_curvature`` against
-    the term dicts the Form route wrote, every bit and every signed zero."""
+    """The blocks of ``bott_chern_curvature``, one einsum in both modes,
+    against the term dicts the Form route wrote: every value, the signs of
+    zeros aside."""
 
     def test_blocks_match_the_form_route(self):
-        for tensor in _sum_tensors(np.random.default_rng(2204)):
+        exact = random_exact_factor(3, 2, 3, seed=2204)
+        tensors = _sum_tensors(np.random.default_rng(2204)) + [
+            exact, CurvatureTensor(exact.array.astype(complex))]
+        for tensor in tensors:
             want = ref_bott_chern(CurvatureTensor(tensor.array))
             got = bott_chern_curvature(tensor)
             for i, row in enumerate(got.blocks):
                 for j, block in enumerate(row):
-                    ref = np.zeros((tensor.n, tensor.n), complex)
+                    ref = np.zeros((tensor.n, tensor.n), block.block.dtype)
                     for (h, g), c in want[i][j].items():
                         ref[h.bit_length() - 1, g.bit_length() - 1] = c
-                    assert block.block.tobytes() == ref.tobytes(), (i, j)
-                    assert json.dumps(block.to_literal()) == \
-                        json.dumps(Form._raw(tensor.n, FLOAT, want[i][j]).to_literal())
+                    assert (block.block == ref).all(), (i, j)
+                    assert block.to_literal() == \
+                        Form._raw(tensor.n, tensor.mode, want[i][j]).to_literal()
 
     @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153, 3e153, 1e154, 1e155])
     def test_overflow_check_only_skips_finite_sums(self, scale):
@@ -1515,28 +1516,6 @@ class TestCurvatureSums:
                 return None
 
             assert outcome(chern._checked_tensor) == outcome(bott_chern_curvature)
-
-    @pytest.mark.parametrize("array,calls", [
-        (random_tensor(3, 2, 2, 5).array, [True]),
-        # entries so large that the Gram route's check must look at Omega,
-        # which is still finite: it reads the sums the tensor kept
-        (np.array([[[2.5e153, 1.5e153j]]]), [True, False]),
-    ], ids=["small", "large"])
-    def test_curvature_build_sums_omega_once(self, monkeypatch, tmp_path, array, calls):
-        # each call records whether it had to sum Omega
-        computed = []
-        original = curvature.curvature_sums
-
-        def counting(tensor):
-            computed.append(tensor._sums is None)
-            return original(tensor)
-
-        monkeypatch.setattr(curvature, "curvature_sums", counting)
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(CurvatureTensor(array).to_json()))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert run(["curvature", "build", "--instance", str(path)]) == 0
-        assert computed == calls
 
 
 # ----------------------------------------------------------------------

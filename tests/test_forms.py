@@ -9,6 +9,7 @@ is an independent cross-check of the fast path.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from chernforms import _linalg, forms
 from chernforms.errors import InputError
 from chernforms.forms import DEFAULT_TOL, MAX_DIM
 from chernforms.rng import complex_normal, substream
-from chernforms.scalars import GaussianRational, scalar_json
+from chernforms.scalars import GaussianRational, parse_scalar, scalar_json
 
 from conftest import gather_minors, mask_det_evaluate
 
@@ -519,6 +520,30 @@ class TestMinors:
         for row in vectors:
             row[::3] = [GaussianRational(0)] * len(row[::3])
         assert evaluate(form, vectors) == mask_det_evaluate(form, vectors)
+
+    def test_float_evaluate_of_a_sparse_literal_builds_no_block(self):
+        # one (6,6) term at n = 12: its C(12, 6) x C(12, 6) complex block
+        # would take 13.7 MB, and the term sum expands only the minors of
+        # its two masks.  The float value is the exact value of the same
+        # literal and vectors, read as decimals, up to rounding
+        literal = {"n": 12, "terms": [{"dz": [1, 3, 5, 7, 9, 11], "dzbar": [2, 4, 6, 8, 10, 12],
+                                       "re": 0.375, "im": -1.25}]}
+        parts = np.random.default_rng(12).normal(size=(6, 12, 2)).round(3)
+        cells = [[{"re": float(x), "im": float(y)} for x, y in row] for row in parts]
+
+        def read(mode):
+            return (Form.from_literal(literal, mode),
+                    [[parse_scalar(cell, mode, "vector") for cell in row] for row in cells])
+
+        form, vectors = read(FLOAT)
+        tracemalloc.start()
+        try:
+            value = evaluate(form, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert value == pytest.approx(complex(evaluate(*read(EXACT))), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
