@@ -65,7 +65,7 @@ Lines of that file that start with ``#`` are comments.
   last digits leaves it as it is.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the eleven sets against its expected
+``test_byte_identity`` runs each of the twelve sets against its expected
 line on every test run.
 """
 
@@ -88,7 +88,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the eleven lines every checkout must print
+#: the twelve lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -384,6 +384,18 @@ def passes_view(out: str) -> str:
     return _reduced(out, ("passed",))
 
 
+def tops_view(out: str) -> str:
+    """A JSON report reduced to its top values: the ``top`` table of a
+    ``curvature build`` and the ``top`` of each chain, in order.  A report
+    with neither reduces to a null and an empty list; output that is not a
+    JSON report passes through as printed."""
+    if not out.startswith("{"):
+        return out
+    payload = json.loads(out)
+    return json.dumps({"top": payload.get("top"),
+                       "chains": [chain["top"] for chain in payload.get("chains", ())]})
+
+
 def _floats_view(out: str, parse_float) -> str:
     """A JSON report with each float read through ``parse_float``; output
     that is not a JSON report passes through as printed."""
@@ -405,7 +417,7 @@ def rounded_view(out: str) -> str:
 #: op set name -> the view its digest sees the output through, when not as
 #: printed
 VIEWS = {"core-verdicts": verdicts_view, "core-passes": passes_view,
-         "omega-values": unsigned_zeros_view, "eval-values": rounded_view}
+         "core-tops": tops_view, "omega-values": unsigned_zeros_view, "eval-values": rounded_view}
 
 
 class MethodTally:
@@ -438,7 +450,7 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The eleven op sets by name, in the order of the expected lines; the
+    """The twelve op sets by name, in the order of the expected lines; the
     ``core``, ``omega``, ``omega-wide`` and ``eval-and-text`` ops read input
     files written to ``workdir``."""
     core, omega, evals = core_ops(workdir), omega_ops(workdir), eval_and_text_ops(workdir)
@@ -447,6 +459,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "core-without-bounds-chain": [argv for argv in core if argv[0] != "bounds"],
         "core-verdicts": core,
         "core-passes": core,
+        "core-tops": core,
         "schur-table": schur_table_ops(),
         "models": model_ops(),
         "omega": omega,

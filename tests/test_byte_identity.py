@@ -2139,7 +2139,7 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
 
 
 @pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "core-verdicts",
-                                  "core-passes", "schur-table", "models", "omega",
+                                  "core-passes", "core-tops", "schur-table", "models", "omega",
                                   "omega-values", "omega-wide", "eval-and-text",
                                   "eval-values"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
