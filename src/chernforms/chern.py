@@ -121,8 +121,9 @@ class ChernFormSet:
     the symbolic residual prefactor is (2*pi)^(-i) (see module docstring).
 
     ``forms`` holds the coefficient blocks of c_0, ..., c_k.  ``memo`` holds
-    the wedge products of these forms that ``product`` builds, each
-    computed once and shared by every Chern number and every polynomial
+    the products of these forms that ``product`` builds, keyed by their
+    parts, each computed once and shared by every Chern number and every
+    polynomial
     evaluated on the set, and ``zeros`` the keys of those that are the zero
     form, each tested once, as it is built.  Both live and die with the
     set, and equality, hashing and repr ignore them.
@@ -148,30 +149,28 @@ class ChernFormSet:
             return PPForm.zero(self.n, max(i, 0), self.mode)
         return self.forms[i]
 
-    def product(self, head, factors: Sequence) -> PPForm:
-        """head ^ f_1 ^ ... ^ f_k, wedged left to right from the constant
-        ``head``.
+    def product(self, parts: Sequence[int]) -> PPForm:
+        """c_{p_1} ^ c_{p_2} ^ ... ^ c_{p_k}, wedged left to right from the
+        stored c_{p_1}; c_0 for no parts.
 
-        An int factor j is the stored c_j; a pair (j, e) is c_j^e, which is
-        ``product(1, (j,) * e)``.  Each prefix is kept in ``memo`` under
-        (head, f_1, ..., f_t), the one key shape of the memo, so products
-        that share leading factors share their wedges, and the walk stops at
-        the first zero prefix.  Every entry is the form the unmemoized
-        left-to-right wedge builds, bit for bit.
+        Each prefix is kept in ``memo`` under its parts (p_1, ..., p_t), the
+        one key shape of the memo, so products that share leading parts
+        share their wedges, and the walk stops at the first zero prefix.
+        Every entry is the form the unmemoized left-to-right wedge builds,
+        bit for bit.
         """
-        key = (head,)
+        parts = tuple(parts)
+        key = parts[:1]
         out = self.memo.get(key)
         if out is None:
-            out = self._remember(key, PPForm.constant(self.n, head, self.mode))
-        for f in factors:
+            out = self._remember(key, self.form(parts[0] if parts else 0))
+        for part in parts[1:]:
             if key in self.zeros:
                 break
-            key += (f,)
+            key += (part,)
             nxt = self.memo.get(key)
             if nxt is None:
-                factor = (self.product(1, (f[0],) * f[1]) if isinstance(f, tuple)
-                          else self.form(f))
-                nxt = self._remember(key, out.wedge(factor))
+                nxt = self._remember(key, out.wedge(self.form(part)))
             out = nxt
         return out
 
@@ -416,13 +415,14 @@ def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> PPForm:
 
     Parts above r are rejected: c_j is not a variable of the rank-r problem.
     Parts between min(r, n) and r are legal and contribute the zero form.
-    The product is ``cs.product(1, nonzero parts)``, so partitions with the
-    same leading parts share their wedges.
+    The product is ``cs.product(nonzero parts)``, so partitions with the
+    same leading parts share their wedges, with each other and with the
+    terms of every polynomial ``schur.evaluate_on_forms`` substitutes.
     """
     for part in parts:
         if part < 0 or part > cs.r:
             raise InputError(f"partition part {part} out of range 0..r={cs.r}")
-    return cs.product(1, [part for part in parts if part])
+    return cs.product([part for part in parts if part])
 
 
 def top_coefficient(form: PPForm, tol: float = 1e-9) -> Union[Fraction, float]:

@@ -58,7 +58,7 @@ block it is (-sqrt(-1))^(p^2) d^T H conj(d), where d holds the p x p minors
 d_J = det(X_b^{j_a}) over every p-subset J.  For a float batch of tuples
 ``_minors`` computes d in one row-by-row Laplace pass: the minors of rows
 0..k come from those of rows 0..k-1 by expanding along row k, with index
-tables cached per (n, k); at p = n the one minor is ``np.linalg.det``'s.
+tables cached per (n, k), at every p up to n.
 
 ``nonnegative_sampled`` Monte-Carlo-checks that nonnegativity against
 standard complex normal tuples from a seeded counter-based stream.  The
@@ -773,9 +773,9 @@ def evaluate(form: Form, vectors: Sequence[Sequence]) -> complex | GaussianRatio
 
 def _minor(entries: list, rows: tuple, cols: tuple, minors: dict, mul: Callable):
     """det M[rows, cols] = sum_t (-1)^(d+t) mul(det M[rows[:-1], cols - {cols[t]}],
-    M[rows[-1], cols[t]]), d = len(rows) - 1, over scalars or blocks, or
-    None when it vanishes (as a zero entry is); each minor of two or more
-    rows is computed once and kept in ``minors`` under (rows, cols)."""
+    M[rows[-1], cols[t]]), d = len(rows) - 1, over scalars, blocks or
+    polynomials, or None when it vanishes (as a zero entry is); each minor
+    of two or more rows is computed once and kept under (rows, cols)."""
     row = entries[rows[-1]]
     if len(rows) == 1:
         return row[cols[0]]
@@ -828,14 +828,11 @@ def _minors(samples: np.ndarray) -> np.ndarray:
     tuples, p >= 1, over every p-subset J in ``combinations`` order: a
     (t, C(n,p)) complex array.
 
-    One Laplace pass: the minors of row 0 are its entries, and row k grows
-    the minors of rows 0..k-1 into those of rows 0..k (``_laplace_step``).
-    At p = n the one minor is the determinant of the tuple, from
-    ``np.linalg.det``."""
-    t, p, n = samples.shape
-    if p == n:
-        return np.linalg.det(samples)[:, None]
+    One Laplace pass at every p: the minors of row 0 are its entries, and
+    row k grows the minors of rows 0..k-1 into those of rows 0..k
+    (``_laplace_step``)."""
     minors = samples[:, 0, :]
+    p, n = samples.shape[1:]
     for k in range(1, p):
         src, direction, sign = _laplace_step(n, k, samples.dtype)
         minors = (samples[:, k, direction] * minors[:, src] * sign).sum(axis=2)

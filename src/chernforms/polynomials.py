@@ -103,6 +103,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def select(self, keep: Callable[[tuple[int, ...]], bool]) -> "Polynomial":
         """The terms whose exponent tuple satisfies ``keep``, in order."""
         return Polynomial._raw(self.nvars, self.caps,

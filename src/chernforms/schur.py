@@ -55,6 +55,7 @@ from .forms import (
     TupleBatch,
     VerdictReport,
     _check_arguments,
+    _minor,
     _real_float,
     _zero_report,
     nonnegative_sampled,
@@ -166,50 +167,28 @@ def schur_polynomial(lam: Union[Partition, Sequence[int]], r: int) -> Polynomial
 
 @functools.lru_cache(maxsize=POLY_CACHE_SIZE)
 def _schur_polynomial(parts: tuple[int, ...], r: int) -> Polynomial:
-    """The Jacobi-Trudi determinant by a depth-first Leibniz walk: the
-    permutations in ``itertools.permutations`` order, row by row, so each
-    prefix product is computed once, and a zero entry or a zero prefix
-    prunes every permutation below it.  The signed terms are summed onto
-    the zero polynomial in permutation order, which fixes the term order
-    (see ``polynomials``)."""
-    size = len(parts)
-    if not size:
+    """The Jacobi-Trudi determinant by ``forms._minor``, the package's one
+    determinant, over polynomials: expanded along the last row, each minor
+    computed once, with a zero c_d held as None so that it prunes its
+    sub-minor.  The walk fixes the term order (see ``polynomials``)."""
+    rows = tuple(range(len(parts)))
+    if not rows:
         return Polynomial.one(r)
-    entries = [[chern_variable(parts[j] - j + k, r) for k in range(size)]
-               for j in range(size)]
-    return sum(_leibniz_terms(entries, list(range(size)), Polynomial.one(r), 0),
-               Polynomial.zero(r))
-
-
-def _leibniz_terms(entries: list, free: list, prod: Polynomial, odd: int):
-    """The signed nonzero terms of the determinant of ``entries`` whose rows
-    above len(entries) - len(free) took the other columns, with product
-    ``prod`` and parity ``odd`` so far, in permutation order."""
-    d = len(entries) - len(free)
-    row = entries[d]
-    for pos, col in enumerate(free):
-        f = row[col]
-        if f.is_zero():
-            continue
-        nxt = prod * f
-        if nxt.is_zero():
-            continue
-        # columns still free left of col each form one inversion with it
-        parity = odd ^ (pos & 1)
-        if d + 1 == len(entries):
-            yield -nxt if parity else nxt
-        else:
-            yield from _leibniz_terms(entries, free[:pos] + free[pos + 1:], nxt, parity)
+    entries = [[chern_variable(parts[j] - j + k, r) or None for k in rows] for j in rows]
+    return _minor(entries, rows, rows, {}, operator.mul) or Polynomial.zero(r)
 
 
 def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     """Substitute the Chern forms of ``cs`` into a homogeneous polynomial.
 
-    A weight-i polynomial gives an (i,i)-block, summed in term order; the
-    zero polynomial gives the (0,0) zero, and a weight above n the zero
-    form.  In exact mode the result inherits the stored-prefactor
-    convention: a weight-i polynomial evaluates to (sqrt(-1))^i times the
-    integer-coefficient form, with (2*pi)^(-i) left symbolic.
+    A weight-i polynomial gives an (i,i)-block, summed in term order; each
+    term is ``cs.product`` of its parts, largest first as in a partition,
+    scaled by its coefficient when that is not 1, so terms share their
+    wedges with each other and with ``chern_product``.  The zero polynomial
+    gives the (0,0) zero, and a weight above n the zero form.  In exact
+    mode the result inherits the stored-prefactor convention: a weight-i
+    polynomial evaluates to (sqrt(-1))^i times the integer-coefficient
+    form, with (2*pi)^(-i) left symbolic.
     """
     weights = {weighted_degree(exps) for exps in poly.terms}
     if len(weights) > 1:
@@ -220,7 +199,9 @@ def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     if degree > cs.n:
         return result
     for exps, coeff in poly.terms.items():
-        result = result + cs.product(coeff, [(j, e) for j, e in enumerate(exps, start=1) if e])
+        # the parts of the monomial, largest first, as a partition
+        term = cs.product([j for j in range(len(exps), 0, -1) for _ in range(exps[j - 1])])
+        result = result + (term if coeff == 1 else term.scale(coeff))
     return result
 
 

@@ -1,10 +1,10 @@
 """Identity oracles for the hot paths and the polynomial core.
 
 ``Form.wedge`` (a double loop over the two term dicts) and
-``conftest.form_matrix_det`` (the depth-first Leibniz walk over forms, the
-walk ``schur`` runs over polynomials, kept in the tests for the references
-below) must do the same float operations in the same order as the
-straightforward versions kept below as references: the wedge that computes
+``conftest.form_matrix_det`` (the depth-first Leibniz walk over forms,
+kept in the tests for the references below) must do the same float
+operations in the same order as the straightforward versions kept below
+as references: the wedge that computes
 an inversion-count sign for every pair of terms, the wedge that rebuilds its
 sign tables over the distinct masks on every call, and the determinant that
 re-wedges every ``itertools.permutations`` product from scratch.  Results are compared
@@ -15,20 +15,22 @@ with the keys sorted.
 The coefficient blocks (``PPForm``) of Chern, Schur and chain-step forms
 sum in another order than those dict wedges, so ``PPForm.wedge`` (and
 the block ``+``, unary ``-`` and ``scale``, against ``Form``'s),
-``ChernFormSet.product`` (prefixes memoized on the set),
+``ChernFormSet.product`` (prefixes memoized on the set by their parts),
 ``schur.evaluate_on_forms`` and the sampled pairing d^T H conj(d) are
 compared with the dict references below, and with exact
 ``forms.evaluate``: equal in exact mode, and within ``FLOAT_RTOL`` of the
 scale in float mode.  A sampled op and a ``curvature build`` on an
 ``omega`` literal wedge no ``Form``.
 
-``polynomials.Polynomial`` must build every Schur, chain-step and Todd
-polynomial with the same terms in the same order as the two classes it
-replaced, kept below as dict-level references: the Chern-variable
-polynomial (whose constructor dropped zero sums) with its inline
-``itertools.permutations`` Jacobi-Trudi loop, and the model ring element
-(whose constructor made every coefficient a Fraction).  The term order
-matters because ``evaluate_on_forms`` sums float forms in that order.
+``polynomials.Polynomial`` must build every chain-step and Todd polynomial
+with the same terms in the same order as the two classes it replaced, kept
+below as dict-level references: the Chern-variable polynomial (whose
+constructor dropped zero sums) and the model ring element (whose
+constructor made every coefficient a Fraction).  The term order matters
+because ``evaluate_on_forms`` sums float forms in that order.  Every Schur
+polynomial, a Laplace walk of ``forms._minor`` over polynomials, must equal
+as a value the inline ``itertools.permutations`` Jacobi-Trudi loop kept
+below; its term order is that walk's.
 
 ``chern.chern_forms`` on a curvature matrix (a Laplace expansion of the
 principal minors on (1,1)-blocks, each (rows, cols) minor computed once) must give
@@ -707,34 +709,18 @@ def parent_chern_product(cs, parts) -> Form:
 class TestChernProductIdentity:
     @pytest.mark.parametrize("n,r,seed", [(5, 3, 13), (4, 4, 2), (3, 5, 1)])
     def test_products_share_the_set_memo(self, n, r, seed):
-        # evaluate_on_forms fills the memo first: its c_j^e are the entries
-        # (1, j, ..., j) that chern_product reads, and its term keys hold
-        # (j, e) pairs, which no product of raw c_j aliases; the prefix (3,)
-        # of (3, 2) is reused by (3, 1, 1)
+        # evaluate_on_forms fills the memo first, with the products of its
+        # terms' parts, largest first, which are the entries chern_product
+        # reads; the prefix (3,) of (3, 2) is reused by (3, 1, 1)
         cs = chern_forms(random_tensor(n, r, None, seed))
         for poly in schur_and_chain_polynomials(n, r):
             evaluate_on_forms(poly, cs)
         lams = [lam.parts for i in range(1, n + 1) for lam in partitions(i, r)]
+        filled = set(cs.memo)
         for parts in lams + [parts + (0,) for parts in lams]:
             assert_same_form(chern_product(cs, parts), parent_chern_product(cs, parts))
-        products = {key for key in cs.memo
-                    if key[0] == 1 and all(isinstance(f, int) for f in key)}
-        assert (1, 1) in products and len(products) < sum(map(len, lams))
-
-    def test_power_factors_keep_their_own_unit(self):
-        # a pair (j, e) is 1 ^ c_j ^ ... (e factors) and an int j is the raw
-        # c_j: the two products are memo entries of their own, each the
-        # left-to-right wedge it names
-        one = PPForm.constant(3, 1)
-        c1 = PPForm.from_form(Form(3, FLOAT, {(0b001, 0b001): 1j}))
-        c2 = PPForm.from_form(Form(3, FLOAT, {(0b110, 0b110): complex(-0.0, -1.0)}))
-        cs = ChernFormSet(n=3, r=2, forms=(one, c1, c2), mode=FLOAT, m=None)
-        raw = cs.product(1, [1, 2])
-        pair = cs.product(1, [(1, 1), (2, 1)])
-        assert exact_repr(raw) == exact_repr(one.wedge(c1).wedge(c2))
-        assert exact_repr(pair) == exact_repr(one.wedge(one.wedge(c1)).wedge(one.wedge(c2)))
-        assert cs.memo[(1, 1, 2)] is raw and cs.memo[(1, (1, 1), (2, 1))] is pair
-        assert_same_form(raw, ref_wedge(ref_wedge(one.to_form(), c1.to_form()), c2.to_form()))
+        assert (1, 1) in filled and set(cs.memo) == filled
+        assert len(cs.memo) < sum(map(len, lams))
 
 
 def count_products(monkeypatch, build) -> tuple:
@@ -757,16 +743,19 @@ def count_products(monkeypatch, build) -> tuple:
 
 
 @pytest.mark.parametrize("argv,wedges", [
-    (["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"], 32),
-    (["schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1"], 17),
-    (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "1"], 25),
+    (["bounds", "chain", "--random", "--n", "5", "--r", "3", "--seed", "1"], 12),
+    (["schur", "verify", "--random", "--n", "5", "--r", "3", "--seed", "1"], 5),
+    (["schur", "verify", "--random", "--n", "4", "--r", "5", "--seed", "1"], 6),
 ])
 def test_wedges_per_op(monkeypatch, argv, wedges):
     # every product of Chern forms of one op is a block product, each prefix
     # wedged once through ChernFormSet.product; the Chern forms of these
     # tensor instances are Gram blocks of T, no factor or A ^ conj(A^t) is
     # built as forms, a Schur form with more parts than the factor has
-    # columns is not built, and no Form is wedged
+    # columns is not built, and no Form is wedged.  The counts went from
+    # 32, 17 and 25 when the products came to be keyed by their parts
+    # alone, started from the stored c_{p_1}: no wedge by a constant, and
+    # a power c_j^e no longer a product of its own
     def op():
         with contextlib.redirect_stdout(io.StringIO()):
             return run(argv)
@@ -1070,11 +1059,13 @@ class TestPolynomialIdentity:
     @pytest.mark.parametrize("r", range(7))
     def test_schur_polynomials(self, r):
         # parts up to 6 at every rank r <= 6, so parts above r (the zero
-        # polynomial) and zero entries are covered
+        # polynomial) and zero entries are covered; equal as values, since
+        # the term order is that of the Laplace walk of forms._minor, not
+        # of the permutations
         for i in range(8):
             for lam in partitions(i, 6):
-                assert items_repr(schur_polynomial(lam, r).terms) == \
-                    items_repr(ref_schur(lam.parts, r)), (r, lam.parts)
+                assert dict(schur_polynomial(lam, r).terms) == ref_schur(lam.parts, r), \
+                    (r, lam.parts)
 
     @pytest.mark.parametrize("r", range(7))
     def test_chain_step_polynomials(self, r):
@@ -1918,8 +1909,17 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: (175 now ``top-coefficient``, 50 ``psd``), the text in printing each
 #: method and margin; every report still sampled, and every exit code,
 #: verdict, check or step verdict, seed and ``curvature build`` report,
-#: kept its bytes
-FLOAT_CLI_DIGEST = "1d0a50984ba87043044ac617b1f586fcf666ae8da37c3a184f068c362749599a"
+#: kept its bytes; and again when the Schur polynomials came to be Laplace
+#: minors (``forms._minor``), whose term order differs, and the terms of an
+#: evaluated polynomial came to be wedged from their largest part, both of
+#: which sum the check and step forms in another float order: 24 of the 192
+#: ops moved (12 JSON ``schur verify``, 11 JSON and 1 text ``bounds
+#: chain``), the JSON reports in ``min_value`` (by at most 9.5e-16 of the
+#: scale), ``margin``, ``scale`` and ``max_imag``, the text in two printed
+#: worst margins (-2.776e-08 -> 0); no exit code, verdict, check or step
+#: verdict, method, ``argmin``, seed, top or ``curvature build`` report
+#: moved
+FLOAT_CLI_DIGEST = "f6d8192c0bc1a4d3cfc4d6988e72f818de360f9c0621140a58ecb8c64c3291b2"
 
 #: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
 #: of the schema-1 reports, before and after schema 2; moved with it when
@@ -1927,8 +1927,11 @@ FLOAT_CLI_DIGEST = "1d0a50984ba87043044ac617b1f586fcf666ae8da37c3a184f068c362749
 #: and the steps of one chain came to share one batch (the same ops moved,
 #: and each regenerated witness with its seed and argmin), and when degrees
 #: n, 1 and n-1 came to be decided without sampling (the same ops moved,
-#: and the 225 reports that sampled nothing lost their regenerated witness)
-FLOAT_CLI_SCHEMA1_DIGEST = "e8a49eaf211869909efed88023723a61cf696c34bfbe17ab9871f07693132381"
+#: and the 225 reports that sampled nothing lost their regenerated witness),
+#: and when the Schur polynomials came to be Laplace minors and the terms
+#: of a polynomial came to be wedged from their largest part (the same ops
+#: moved, in the same fields)
+FLOAT_CLI_SCHEMA1_DIGEST = "b2b75089d47818769ea9c41c5f7b3bbe0df8abb3cd337c8086879cd24ba9bef4"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:
@@ -2103,16 +2106,25 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
 #: ``max_imag`` of 105 reports (88 now ``top-coefficient``, 17 ``psd``), the
 #: texts in printing each method and margin; every report still sampled,
 #: and every exit code, verdict, check or step verdict and seed, kept its
-#: bytes
-BENCHMARK_SHAPE_CLI_DIGEST = "0d69c92be37136a4649c5d8d93d61a380e691fd114e5f5f1fcbb18b983e8c74a"
+#: bytes; moved again when the Schur polynomials came to be Laplace minors
+#: (``forms._minor``) and the terms of an evaluated polynomial came to be
+#: wedged from their largest part, which sum the check and step forms in
+#: another float order: 8 of the 16 ops moved (the 4 JSON ``schur verify``
+#: and the 4 JSON ``bounds chain``), in ``min_value`` (by at most 6.3e-15
+#: of the scale), ``margin``, ``scale`` and ``max_imag``; no exit code,
+#: verdict, check or step verdict, method, ``argmin``, seed, top or text
+#: report moved
+BENCHMARK_SHAPE_CLI_DIGEST = "29cc15373dbbd856f83483b70c273e1aecaaf2d59ddb09af4036a95c21e16e9f"
 
 #: ``cli_digest(benchmark_shape_cli_ops(), schema1_view)``: the
 #: ``BENCHMARK_SHAPE_CLI_DIGEST`` of the schema-1 reports; moved with it
 #: when the minors came from the Laplace pass, when the checks of one
-#: degree and the steps of one chain came to share one batch, and when
-#: degrees n, 1 and n-1 came to be decided without sampling
+#: degree and the steps of one chain came to share one batch, when degrees
+#: n, 1 and n-1 came to be decided without sampling, and when the Schur
+#: polynomials came to be Laplace minors and the terms of a polynomial came
+#: to be wedged from their largest part (the same ops, in the same fields)
 BENCHMARK_SHAPE_CLI_SCHEMA1_DIGEST = \
-    "4e124046d3ffd0b59a26c3e234ece6270ff90331e5aa2c6357c5e6d6b1d16ab1"
+    "b80b7698d2fd872eac0584aad7495ad187af1f82b27e52e2c14c971dc0693429"
 
 
 def benchmark_shape_cli_ops() -> list[list[str]]:

@@ -155,12 +155,13 @@ class TestChernForms:
             rep = nonnegative_sampled(cs.form(i), trials=40, seed=i)
             assert rep.passed, f"c_{i} dipped to {rep.min_value}"
 
-    def test_leibniz_walk_leaves_no_reference_cycle(self):
-        # a cycle through the walk would keep every prefix product alive
-        # until the next collection, over forms (the walk the tests keep)
-        # and over the polynomials of the Jacobi-Trudi determinants; one
-        # through the minor expansion of chern_forms would keep its minors,
-        # and the Gram route must leave none either
+    def test_leibniz_and_laplace_walks_leave_no_reference_cycle(self):
+        # a cycle through a walk would keep every prefix product or minor
+        # alive until the next collection: the Leibniz walk over forms
+        # (the oracle the tests keep), the Laplace walk of forms._minor over
+        # the polynomials of the Jacobi-Trudi determinants, and its walk
+        # over the blocks of chern_forms; the Gram route must leave none
+        # either
         tensor = random_tensor(3, 4, 2, seed=0)
         omega = bott_chern_curvature(tensor)
         entries = omega.entries

@@ -405,23 +405,26 @@ class TestChernFormSetMemo:
         assert got_fwd == got_bwd == got_fresh
 
     def test_power_matches_wedge_power(self):
-        # the pair (j, e) stands for 1 ^ c_j ^ ... ^ c_j (e factors)
+        # the parts (j,) * e stand for c_j ^ ... ^ c_j (e factors), wedged
+        # from the stored c_j, and no parts for c_0; each prefix is kept
+        # under its flat tuple of parts
         cs = chern_forms(self._tensor())
         for j in range(cs.top_degree + 2):
-            want = PPForm.constant(cs.n, 1, cs.mode)
+            want = cs.form(0)
             for e in range(4):
-                got = cs.product(1, (j,) * e)
+                got = cs.product((j,) * e)
                 assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
-                assert cs.product(7, [(j, e)]) is cs.memo[(7, (j, e))]
-                want = want.wedge(cs.form(j))
-        assert cs.product(1, (1, 1, 1)) is cs.product(1, (1, 1, 1))
+                want = cs.form(j) if e == 0 else want.wedge(cs.form(j))
+        assert cs.product((1, 1, 1)) is cs.product([1, 1, 1]) is cs.memo[(1, 1, 1)]
+        assert cs.memo[()] is cs.form(0) and cs.memo[(2,)] is cs.form(2)
+        assert all(type(part) is int for key in cs.memo for part in key)
 
     def test_float_to_numeric_shares_the_memo(self):
         cs = chern_forms(self._tensor())
         assert cs.to_numeric() is cs
         for lam in partitions(4, 3):
             bounds_chain_check(cs, lam, trials=5, seed=0)
-        assert (1, 1, 1, 1, 1) in cs.memo
+        assert (1, 1, 1, 1) in cs.memo
 
     def test_chain_top_reads_the_memo_entry_of_one_to_the_n(self, monkeypatch):
         # the top chain's c_1^n is the product of the partition (1^n): one
@@ -436,21 +439,25 @@ class TestChernFormSetMemo:
         monkeypatch.setattr(schur, "top_coefficient", recording)
         report = bounds_chain_check(cs, (2, 1, 1), trials=5, seed=0)
         assert report.top is not None and len(tops) == 3
-        assert tops[2] is cs.memo[(1, 1, 1, 1, 1)] is chern_product(cs, (1, 1, 1, 1))
-        assert tops[1] is cs.memo[(1, 2, 1, 1)]
+        assert tops[2] is cs.memo[(1, 1, 1, 1)] is chern_product(cs, (1, 1, 1, 1))
+        assert tops[1] is cs.memo[(2, 1, 1)]
 
     def test_zeros_names_the_zero_entries_of_the_memo(self, monkeypatch):
-        # each memo entry is tested for zero once, when it is built; a walk
-        # over built entries tests none, and stops at the first zero prefix
+        # each memo entry is tested for zero once, when it is built; the
+        # first is the stored c_1 and each later one is one wedge; a walk
+        # over built entries tests and wedges none, and stops at the first
+        # zero prefix
         cs = chern_forms(self._tensor())
-        calls = []
-        is_zero = PPForm.is_zero
+        calls, wedges = [], []
+        is_zero, wedge = PPForm.is_zero, PPForm.wedge
         monkeypatch.setattr(PPForm, "is_zero", lambda f: calls.append(f) or is_zero(f))
-        # c_1^5 is zero at n = 4, so the walk never reaches the factor 2
-        out = cs.product(1, (1, 1, 1, 1, 1, 2))
-        assert len(calls) == len(cs.memo) == 6
-        assert out is cs.memo[(1,) * 6] and cs.zeros == {(1,) * 6}
-        assert cs.product(1, (1, 1, 1, 1, 1, 2)) is out and len(calls) == 6
+        monkeypatch.setattr(PPForm, "wedge", lambda f, g: wedges.append(g) or wedge(f, g))
+        # c_1^5 is zero at n = 4, so the walk never reaches the part 2
+        out = cs.product((1, 1, 1, 1, 1, 2))
+        assert len(calls) == len(cs.memo) == 5 and len(wedges) == 4
+        assert cs.memo[(1,)] is cs.form(1)
+        assert out is cs.memo[(1,) * 5] and cs.zeros == {(1,) * 5}
+        assert cs.product((1, 1, 1, 1, 1, 2)) is out and (len(calls), len(wedges)) == (5, 4)
         for p in schur_and_chain_polynomials(4, 3):
             evaluate_on_forms(p, cs)
         assert cs.zeros == {key for key, f in cs.memo.items() if is_zero(f)}
@@ -807,8 +814,13 @@ class TestSharedBatch:
 MID_DEGREE_CASES = ((4, 3, 2, 1), (5, 3, 2, 4), (5, 4, 3, 0), (6, 2, 2, 3))
 
 #: ``instance_digest(mid_degree_reports())``, computed on the tree before
-#: degrees n, 1 and n-1 came to be decided without sampling
-MID_DEGREE_DIGEST = "6db06da9199d3acb0e7eef09522c912cb9b944a4ce3cb2967e6ebbe0b6190b1a"
+#: degrees n, 1 and n-1 came to be decided without sampling; moved when the
+#: Schur polynomials came to be Laplace minors (``forms._minor``), whose
+#: term order differs, and the terms of an evaluated polynomial came to be
+#: wedged from their largest part: 26 of the 54 reports moved, in
+#: ``min_value`` (by at most 5.5e-15 of the scale), ``margin``, ``scale``
+#: and ``max_imag``; no ``passed``, ``method``, ``argmin`` or seed moved
+MID_DEGREE_DIGEST = "7ea6ef4f5cdf10b14b3687f84759b1c96fe03befe54b770ff55e13461431b0f0"
 
 
 def mid_degree_reports() -> list:
@@ -829,7 +841,7 @@ def mid_degree_reports() -> list:
 def test_mid_degree_reports_keep_their_bytes():
     # degrees 2..n-2 are still sampled, from the same streams, so every one
     # of their reports is what it was before degrees n, 1 and n-1 left
-    # sampling
+    # sampling, up to the float sums of the forms (see the digest)
     reports = mid_degree_reports()
     methods = [rep["method"] for rep in
                [c["report"] for c in reports if "report" in c]
