@@ -443,8 +443,10 @@ def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomia
     product of parts already peeled.  Upper chain: each part lambda_a is
     raised to c_1^{lambda_a} through c_t <= c_{t-1} c_1, times the untouched
     parts.  Every returned polynomial is a product of Schur polynomials, so
-    each is a nonnegativity check in its own right.  Built once per
-    (lam, r), keyed on ``lam`` as passed, like ``schur_polynomial``.
+    each is a nonnegativity check in its own right.  A step that is
+    identically zero at rank r, such as c4*c1 - c5*c0 for (2,2,1) at r = 3,
+    is left out: it checks nothing.  Built once per (lam, r), keyed on
+    ``lam`` as passed, like ``schur_polynomial``.
     """
     parts = [p for p in lam.parts if p > 0]
     steps: list[tuple[str, Polynomial]] = []
@@ -486,7 +488,7 @@ def chain_step_polynomials(lam: Partition, r: int) -> tuple[tuple[str, Polynomia
             steps.append((label, mult * diff))
         done = done * chern_variable(1, r) ** part
         done_exp += part
-    return tuple(steps)
+    return tuple((label, poly) for label, poly in steps if poly)
 
 
 def bounds_chain_check(cs: ChernFormSet, lam: Union[Partition, Sequence[int]],
