@@ -15,8 +15,10 @@ Subcommands (grouped):
 
 Exit codes: 0 = success / all checks passed; 1 = a mathematical check FAILED
 (the report carries the witness); 2 = malformed input (bad flags, schema
-violations, missing files); 141 = the reader closed stdout before the report
-was written (128 + SIGPIPE, as a shell shows a writer the pipe killed).
+violations, missing files) or an infeasible request (one that needs more
+memory than the process can allocate, such as a huge ``--trials``); 141 =
+the reader closed stdout before the report was written (128 + SIGPIPE, as a
+shell shows a writer the pipe killed).
 
 Reports are emitted as JSON with sorted keys, so identical configuration and
 inputs produce byte-identical output.  ``--output text`` prints a short
@@ -573,6 +575,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the request does not fit'}",
+              file=sys.stderr)
+        return 2
     if args.output == "json":
         print(report_json(payload))
     else:

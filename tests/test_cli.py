@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chernforms import CurvatureTensor, Form, cli, curvature, models, random_tensor
+from chernforms import CurvatureTensor, Form, cli, curvature, forms, models, random_tensor
 from chernforms.cli import build_parser, run
 from chernforms.forms import VerdictReport
 from chernforms.schur import SchurCheck, SchurReport
@@ -254,6 +254,27 @@ class TestInstanceLengths:
         assert invoke(capsys, *argv, "--instance", str(path)) == \
             (2, "", "error: instance field T[0]: expected a list of length "
                     "r=100000000000000000000\n")
+
+
+class TestOutOfMemory:
+    # an allocation that fails, here the draw of 10^12 tuples, exits 2 with
+    # an error line, not 1 (a FAILED check) with a traceback; the draw is
+    # refused by a stand-in, so nothing is allocated
+    NUMPY = "Unable to allocate 119. TiB for an array with shape (1000000000000, 2, 4)"
+
+    @pytest.mark.parametrize("message,line", [
+        (NUMPY, NUMPY),
+        ("", "the request does not fit"),
+    ])
+    def test_exits_two_with_an_error_line(self, capsys, monkeypatch, message, line):
+        def refuse(rng, shape):
+            assert shape == (10 ** 12, 2, 4)
+            raise MemoryError(message)
+
+        monkeypatch.setattr(forms, "complex_normal", refuse)
+        argv = ["schur", "verify", "--random", "--n", "4", "--r", "2", "--m", "2",
+                "--trials", str(10 ** 12)]
+        assert invoke(capsys, *argv) == (2, "", f"error: out of memory: {line}\n")
 
 
 class TestNoFormLevelFactor:
