@@ -123,10 +123,9 @@ class ChernFormSet:
     ``forms`` holds the coefficient blocks of c_0, ..., c_k.  ``memo`` holds
     the products of these forms that ``product`` builds, keyed by their
     parts, each computed once and shared by every Chern number and every
-    polynomial
-    evaluated on the set, and ``zeros`` the keys of those that are the zero
-    form, each tested once, as it is built.  Both live and die with the
-    set, and equality, hashing and repr ignore them.
+    polynomial evaluated on the set, and ``zeros`` the keys of those that
+    are the zero form, each tested once, as it is built.  Both live and die
+    with the set, and equality, hashing and repr ignore them.
     """
 
     n: int

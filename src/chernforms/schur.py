@@ -181,14 +181,12 @@ def _schur_polynomial(parts: tuple[int, ...], r: int) -> Polynomial:
 def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     """Substitute the Chern forms of ``cs`` into a homogeneous polynomial.
 
-    A weight-i polynomial gives an (i,i)-block, summed in term order; each
-    term is ``cs.product`` of its parts, largest first as in a partition,
-    scaled by its coefficient when that is not 1, so terms share their
-    wedges with each other and with ``chern_product``.  The zero polynomial
-    gives the (0,0) zero, and a weight above n the zero form.  In exact
-    mode the result inherits the stored-prefactor convention: a weight-i
-    polynomial evaluates to (sqrt(-1))^i times the integer-coefficient
-    form, with (2*pi)^(-i) left symbolic.
+    A weight-i polynomial gives an (i,i)-block, summed in term order, each
+    term ``cs.product`` of its parts, largest first, times its coefficient;
+    the zero polynomial gives the (0,0) zero, and a weight above n the zero
+    form.  In exact mode the result inherits the stored-prefactor
+    convention: a weight-i polynomial evaluates to (sqrt(-1))^i times the
+    integer-coefficient form, with (2*pi)^(-i) left symbolic.
     """
     weights = {weighted_degree(exps) for exps in poly.terms}
     if len(weights) > 1:
@@ -199,7 +197,6 @@ def evaluate_on_forms(poly: Polynomial, cs: ChernFormSet) -> PPForm:
     if degree > cs.n:
         return result
     for exps, coeff in poly.terms.items():
-        # the parts of the monomial, largest first, as a partition
         term = cs.product([j for j in range(len(exps), 0, -1) for _ in range(exps[j - 1])])
         result = result + (term if coeff == 1 else term.scale(coeff))
     return result

@@ -753,11 +753,10 @@ class TestSharedBatch:
         # is sampled at degree 3
         cs = chern_forms(random_tensor(5, 1, 2, seed=4))
         chain = bounds_chain_check(cs, (1, 1, 1), trials=30, seed=2)
-        steps = list(zip(chain_step_polynomials(Partition((1, 1, 1)), 1), chain.steps))
-        assert [(label, step.label, step.report.method) for (label, _), step in steps] == \
-            [("c1 * (c1*c1 - c2*c0)", "c1 * (c1*c1 - c2*c0)", "sampled")]
-        assert len(chain.steps) == 1
-        (_, poly), step = steps[0]
+        assert [(step.label, step.report.method) for step in chain.steps] == \
+            [("c1 * (c1*c1 - c2*c0)", "sampled")]
+        (_, poly), = chain_step_polynomials(Partition((1, 1, 1)), 1)
+        step, = chain.steps
         form = evaluate_on_forms(poly, cs.to_numeric())
         batch = complex_normal(substream(step.report.seed, 0), (30, 3, 5))
         values = forms._pairing(form, batch).real
