@@ -4,9 +4,9 @@
 ``conftest.form_matrix_det`` (the depth-first Leibniz walk over forms,
 kept in the tests for the references below) must do the same float
 operations in the same order as the straightforward versions kept below
-as references: the wedge that computes
-an inversion-count sign for every pair of terms, the wedge that rebuilds its
-sign tables over the distinct masks on every call, and the determinant that
+as references: the wedge that computes an inversion-count sign for every
+pair of terms, the wedge that rebuilds its sign tables over the distinct
+masks on every call, and the determinant that
 re-wedges every ``itertools.permutations`` product from scratch.  Results are compared
 through ``repr(list(f.terms.items()))``, which sees key order, signed zeros
 and every bit of every coefficient, or through ``canonical_repr``, the same
