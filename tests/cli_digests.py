@@ -62,10 +62,15 @@ Lines of that file that start with ``#`` are comments.
 * ``eval-values`` (77 ops): the ``eval-and-text`` ops seen through
   ``rounded_view``, which rounds every float of a JSON report to 12
   significant digits, so a change that moves float values only in their
-  last digits leaves it as it is.
+  last digits leaves it as it is;
+* ``build-large`` (12 ops): for (n, r) in ``LARGE_SHAPES`` and CLI seeds
+  0-1, ``curvature build`` on the tensor of ``random_tensor(n, r, None,
+  seed)`` and ``curvature build --mode exact`` on the curvature of
+  ``random_exact_factor(n, r, seed=seed)`` as Form literals: literals at
+  n and p beyond the ``core`` grid, printed as they are.
 
 This file is a script, not a test module: pytest does not collect it.
-``test_byte_identity`` runs each of the twelve sets against its expected
+``test_byte_identity`` runs each of the thirteen sets against its expected
 line on every test run.
 """
 
@@ -88,7 +93,7 @@ from test_byte_identity import cli_digest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-#: the twelve lines every checkout must print
+#: the thirteen lines every checkout must print
 EXPECTED = Path(__file__).resolve().parent / "cli_digests.expected"
 
 #: benchmark seed of the pools in ``core``
@@ -110,6 +115,18 @@ def _write(path: str, obj) -> str:
     return path
 
 
+def _build_inputs(workdir: str, prefix: str, n: int, r: int, seed: int) -> tuple[str, str]:
+    """The paths of two ``curvature build`` inputs: the tensor file of
+    ``random_tensor(n, r, None, seed)``, and the ``omega`` literal of the
+    curvature of ``random_exact_factor(n, r, seed=seed)``."""
+    tensor = _write(os.path.join(workdir, f"{prefix}tensor-{n}-{r}-{seed}.json"),
+                    random_tensor(n, r, None, seed).to_json())
+    omega = bott_chern_curvature(random_exact_factor(n, r, seed=seed))
+    exact = _write(os.path.join(workdir, f"{prefix}omega-{n}-{r}-{seed}.json"),
+                   {"omega": [[f.to_literal() for f in row] for row in omega.entries]})
+    return tensor, exact
+
+
 def core_ops(workdir: str) -> list[list[str]]:
     workloads = _bench_workloads()
     ops = []
@@ -124,12 +141,7 @@ def core_ops(workdir: str) -> list[list[str]]:
                 continue
             for seed in range(3):
                 shape = ["--random", "--n", str(n), "--r", str(r), "--seed", str(seed)]
-                tensor = _write(os.path.join(workdir, f"tensor-{n}-{r}-{seed}.json"),
-                                random_tensor(n, r, None, seed).to_json())
-                omega = bott_chern_curvature(random_exact_factor(n, r, seed=seed))
-                exact = _write(os.path.join(workdir, f"omega-{n}-{r}-{seed}.json"),
-                               {"omega": [[f.to_literal() for f in row]
-                                          for row in omega.entries]})
+                tensor, exact = _build_inputs(workdir, "", n, r, seed)
                 ops += [["schur", "verify"] + shape, ["bounds", "chain"] + shape,
                         ["curvature", "build", "--instance", tensor],
                         ["curvature", "build", "--mode", "exact", "--instance", exact]]
@@ -254,6 +266,20 @@ def omega_wide_ops(workdir: str) -> list[list[str]]:
     return ops
 
 
+#: (n, r) shapes of the ``build-large`` instances
+LARGE_SHAPES = ((6, 4), (7, 3), (8, 2))
+
+
+def build_large_ops(workdir: str) -> list[list[str]]:
+    ops = []
+    for n, r in LARGE_SHAPES:
+        for seed in range(2):
+            tensor, exact = _build_inputs(workdir, "large-", n, r, seed)
+            ops += [["curvature", "build", "--instance", tensor],
+                    ["curvature", "build", "--mode", "exact", "--instance", exact]]
+    return ops
+
+
 def schur_table_ops() -> list[list[str]]:
     ops = []
     for i in range(7):
@@ -337,11 +363,7 @@ def eval_and_text_ops(workdir: str) -> list[list[str]]:
             ops.append(["forms", "eval", "--mode", mode, "--form", form, "--vectors", vecs])
     text = ["--output", "text"]
     for n, r, seed in ((1, 1, 0), (2, 3, 1), (3, 2, 2), (4, 3, 0), (3, 4, 1)):
-        tensor = _write(os.path.join(workdir, f"text-tensor-{n}-{r}-{seed}.json"),
-                        random_tensor(n, r, None, seed).to_json())
-        omega = bott_chern_curvature(random_exact_factor(n, r, seed=seed))
-        exact = _write(os.path.join(workdir, f"text-omega-{n}-{r}-{seed}.json"),
-                       {"omega": [[f.to_literal() for f in row] for row in omega.entries]})
+        tensor, exact = _build_inputs(workdir, "text-", n, r, seed)
         shape = ["--random", "--n", str(n), "--r", str(r), "--seed", str(seed)]
         ops += [["curvature", "build", "--instance", tensor] + text,
                 ["curvature", "build", "--mode", "exact", "--instance", exact] + text,
@@ -450,9 +472,9 @@ def expected_lines() -> dict[str, str]:
 
 
 def op_sets(workdir: str) -> dict[str, list[list[str]]]:
-    """The twelve op sets by name, in the order of the expected lines; the
-    ``core``, ``omega``, ``omega-wide`` and ``eval-and-text`` ops read input
-    files written to ``workdir``."""
+    """The thirteen op sets by name, in the order of the expected lines;
+    the ``core``, ``omega``, ``omega-wide``, ``eval-and-text`` and
+    ``build-large`` ops read input files written to ``workdir``."""
     core, omega, evals = core_ops(workdir), omega_ops(workdir), eval_and_text_ops(workdir)
     return {
         "core": core,
@@ -467,6 +489,7 @@ def op_sets(workdir: str) -> dict[str, list[list[str]]]:
         "omega-wide": omega_wide_ops(workdir),
         "eval-and-text": evals,
         "eval-values": evals,
+        "build-large": build_large_ops(workdir),
     }
 
 

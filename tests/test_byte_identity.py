@@ -2166,13 +2166,14 @@ def test_benchmark_shape_cli_schema1_view_is_unchanged():
 @pytest.mark.parametrize("name", ["core", "core-without-bounds-chain", "core-verdicts",
                                   "core-passes", "core-tops", "schur-table", "models", "omega",
                                   "omega-values", "omega-wide", "eval-and-text",
-                                  "eval-values"])
+                                  "eval-values", "build-large"])
 def test_report_sets_match_cli_digests_expected(name, tmp_path):
     # no digest above covers the benchmark pools, the exact builds over
     # n, r <= 5, ``schur table``, any ``model`` subcommand, the ``omega``
-    # and ``omega-wide`` literal sets, ``forms eval`` or the text summaries
-    # of the sampled commands; the ops, their views and their digests stay
-    # in cli_digests.py and cli_digests.expected
+    # and ``omega-wide`` literal sets, ``forms eval``, the text summaries
+    # of the sampled commands or the builds at n = 6..8; the ops, their
+    # views and their digests stay in cli_digests.py and
+    # cli_digests.expected
     import cli_digests
 
     ops = cli_digests.op_sets(str(tmp_path))[name]
