@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from .chern import chern_forms, chern_product, top_coefficient
 from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, random_tensor
 from .errors import ConsistencyError, InputError
-from .forms import DEFAULT_TOL, Form, evaluate, read_literal
+from .forms import DEFAULT_TOL, Form, PPForm, evaluate, read_literal
 from .models import chern_number, evaluate_rr_polynomial, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
 from .rng import derive_seed
@@ -178,9 +178,9 @@ def _handle_curvature_build(args):
         "r": omega.r,
         "mode": args.mode,
         "witnessed": tensor is not None,
-        "omega": [[b.to_literal() for b in row] for row in omega.blocks],
+        "omega": [[BlockLiteral(b) for b in row] for row in omega.blocks],
         "chern": [
-            {"i": i, "form": cs.form(i).to_literal(),
+            {"i": i, "form": BlockLiteral(cs.form(i)),
              "residual_prefactor_power": cs.residual_prefactor_power(i)}
             for i in range(cs.top_degree + 1)
         ],
@@ -451,6 +451,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class BlockLiteral:
+    """The form literal of a coefficient block, for a report: the terms of
+    ``PPForm.literal_terms``, read when the view is made, so that an exact
+    value beyond the float range raises its ``InputError`` there.
+    ``report_json`` writes ``text``; ``to_literal()`` is the dict it
+    spells."""
+
+    __slots__ = ("form", "labels", "terms")
+
+    def __init__(self, form: PPForm):
+        self.form = form
+        self.labels, self.terms = form.literal_terms()
+
+    def to_literal(self) -> dict:
+        return self.form.to_literal()
+
+    def text(self, newline: str) -> str:
+        """``json.dumps(self.to_literal(), sort_keys=True, indent=2)`` for a
+        literal whose ``{`` stands on a line indented as ``newline``.  Each
+        index tuple is joined once; each term is one concatenation of its
+        row's head, its column's tail and its two parts."""
+        field = newline + "  "
+        head = f'{{{field}"n": {self.form.n},{field}"terms": '
+        if not self.terms:
+            return f"{head}[]{newline}}}"
+        term = field + "  "
+        key = term + "  "
+        item = key + "  "
+        comma = "," + item
+        lists = [f"[{item}{comma.join(map(str, idx))}{key}]" if idx else "[]"
+                 for idx in self.labels]
+        rows = [f'{{{key}"dz": {text},{key}"dzbar": ' for text in lists]
+        cols = [f'{text},{key}"im": ' for text in lists]
+        mid, close = f',{key}"re": ', term + "}"
+        body = ("," + term).join([f"{rows[b]}{cols[c]}{im!r}{mid}{re!r}{close}"
+                                  for b, c, re, im in self.terms])
+        if "n" in body:
+            # no key, index or finite float repr holds an n: this is an inf
+            # or a nan, which json spells Infinity and NaN
+            body = body.replace("inf", "Infinity").replace("nan", "NaN")
+        return f"{head}[{term}{body}{field}]{newline}}}"
+
+
 def report_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
@@ -465,7 +508,9 @@ def report_json(obj) -> str:
     layout built once per call for its key tuple and indent: the keys in
     sorted order, each with its ready ``{`` or ``,``, line break, indent
     and ``"key": ``.  Reports repeat a few dict shapes many times, so most
-    dicts reuse a layout; none is kept across calls.
+    dicts reuse a layout; none is kept across calls.  A ``BlockLiteral``
+    is written as its ``text`` at its indent: the bytes of its
+    ``to_literal()``, with no dict built per term.
 
     Scalars are spelled as ``json`` spells them: ASCII-escaped strings,
     ``int.__repr__`` and ``float.__repr__`` (so subclasses print as their
@@ -514,6 +559,8 @@ def report_json(obj) -> str:
                 emit(head)
                 write(value[key], inner)
             emit(close)
+        elif t is BlockLiteral:
+            emit(value.text(newline))
         # the rest, strings first, in the order of ``json``'s ``isinstance``
         # chain
         elif isinstance(value, str):

@@ -567,22 +567,32 @@ class PPForm:
         return Form._raw(self.n, self.mode, {(h, a): c for h, row in zip(masks, self.block.tolist())
                                              for a, c in zip(masks, row) if c})
 
-    def to_literal(self) -> dict:
-        """``to_form().to_literal()``, read off the block: the nonzero entries
-        sorted by (dz mask, dzbar mask), each part the float of ``to_float``."""
+    def literal_terms(self) -> tuple[list, list]:
+        """The terms ``to_literal`` writes: the index tuple of each p-subset
+        in block order, and each nonzero entry, sorted by (dz mask, dzbar
+        mask), as (row, column, re, im), each part the float of
+        ``to_float``: an exact part is its numerator x as x / den, entry by
+        entry.  An exact entry is nonzero by its numerators, so one whose
+        float underflows to 0.0 is kept."""
         masks = _masks(self.n, self.p)
         order = sorted(range(len(masks)), key=masks.__getitem__)
-        indices = [_mask_to_indices(mask) for mask in masks]
+        labels = [_mask_to_indices(mask) for mask in masks]
+        if self.mode == FLOAT:
+            rows = self._block.tolist()
+            return labels, [(b, c, z.real, z.imag) for b in order for c in order
+                            if (z := rows[b][c])]
+        re, im, den = self.re.tolist(), self.im.tolist(), self.den
         try:
-            values = self.to_float()._block.tolist()
+            return labels, [(b, c, re[b][c] / den, im[b][c] / den) for b in order for c in order
+                            if re[b][c] or im[b][c]]
         except OverflowError as exc:
             raise InputError("an exact value lies beyond the float range of the report") from exc
-        nonzero = self._block != 0 if self.mode == FLOAT else (self.re != 0) | (self.im != 0)
-        keep = nonzero.tolist()
-        return {"n": self.n, "terms": [
-            {"dz": list(indices[b]), "dzbar": list(indices[c]),
-             "re": values[b][c].real, "im": values[b][c].imag}
-            for b in order for c in order if keep[b][c]]}
+
+    def to_literal(self) -> dict:
+        """``to_form().to_literal()``, read off the block by ``literal_terms``."""
+        labels, terms = self.literal_terms()
+        return {"n": self.n, "terms": [{"dz": list(labels[b]), "dzbar": list(labels[c]),
+                                        "re": re, "im": im} for b, c, re, im in terms]}
 
     @property
     def terms(self) -> dict:

@@ -95,7 +95,7 @@ from chernforms import (
 )
 from chernforms import chern, cli, forms, scalars
 from chernforms.chern import ChernFormSet
-from chernforms.cli import report_json, run
+from chernforms.cli import BlockLiteral, report_json, run
 from chernforms.errors import InputError
 from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, exact_fields, parse_scalar, scalar_json
@@ -2334,3 +2334,91 @@ class TestReportJson:
     def test_non_str_keys_are_refused(self):
         with pytest.raises(TypeError):
             report_json({1: 2})
+
+
+def _as_literals(obj):
+    """``obj`` with each ``BlockLiteral`` replaced by its ``to_literal()``."""
+    if isinstance(obj, BlockLiteral):
+        return obj.to_literal()
+    if isinstance(obj, list):
+        return [_as_literals(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _as_literals(value) for key, value in obj.items()}
+    return obj
+
+
+def _nested(view) -> list:
+    """Payloads that hold ``view`` at several nesting depths, beside other
+    values."""
+    return [view, [view], {"form": view}, [[view, 1.5], {"i": 0, "form": view}],
+            {"a": {"b": [view, view]}, "c": "x"}, {"chern": [{"form": view, "i": 2}]}]
+
+
+class TestBlockLiteralText:
+    """``report_json`` writes a ``BlockLiteral`` as ``json.dumps`` writes
+    its ``to_literal()`` at the same depth, and the view reads what
+    ``PPForm.to_literal`` writes."""
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_every_degree_at_every_depth(self, mode, n):
+        rng = substream(3001, n, int(mode == EXACT))
+        for p in range(n + 1):
+            block = _random_block(rng, n, p, mode)
+            view = BlockLiteral(block)
+            assert view.to_literal() == block.to_literal()
+            if p == 0 and view.terms:
+                assert '"dz": []' in report_json(view)
+            for payload in _nested(view):
+                assert report_json(payload) == reference_json(_as_literals(payload))
+
+    def test_zero_blocks_and_signed_zeros(self):
+        for mode in (FLOAT, EXACT):
+            for n, p in ((0, 0), (3, 1), (4, 2)):
+                view = BlockLiteral(PPForm.zero(n, p, mode))
+                assert view.to_literal() == {"n": n, "terms": []}
+                for payload in _nested(view):
+                    assert report_json(payload) == reference_json(_as_literals(payload))
+        block = np.array([[complex(-0.0, 1.0), complex(-0.0, -0.0)],
+                          [complex(0.0, -0.0), complex(2.0, -0.0)]])
+        view = BlockLiteral(PPForm(2, 1, FLOAT, block))
+        assert [(re, im) for _, _, re, im in view.terms] == [(-0.0, 1.0), (2.0, -0.0)]
+        assert report_json(view).count("-0.0") == 2
+        assert report_json(view) == reference_json(view.to_literal())
+
+    def test_exact_entry_that_underflows_is_kept(self):
+        size = math.comb(3, 1)
+        re, im = np.zeros((size, size), object), np.zeros((size, size), object)
+        re[0, 1], im[2, 2] = -1, 3
+        view = BlockLiteral(PPForm._exact(3, 1, re, im, 10 ** 400))
+        assert [(b, c, x, y) for b, c, x, y in view.terms] == [(0, 1, -0.0, 0.0),
+                                                               (2, 2, 0.0, 0.0)]
+        assert report_json([view]) == reference_json([view.to_literal()])
+
+    def test_beyond_the_float_range_raises_when_the_view_is_made(self):
+        size = math.comb(3, 1)
+        re = np.zeros((size, size), object)
+        re[1, 2] = 10 ** 400
+        with pytest.raises(InputError, match="^an exact value lies beyond the float range "
+                                             "of the report$"):
+            BlockLiteral(PPForm._exact(3, 1, re, np.zeros((size, size), object), 7))
+
+    def test_non_finite_parts_are_spelled_as_json_spells_them(self):
+        block = np.array([[complex(math.inf, -0.0), complex(math.nan, -math.inf)],
+                          [0j, complex(1e-300, 1e300)]])
+        view = BlockLiteral(PPForm(2, 1, FLOAT, block))
+        for payload in _nested(view):
+            assert report_json(payload) == reference_json(_as_literals(payload))
+
+    def test_sparse_block_at_the_largest_dimension(self):
+        # n = 14 at p = 2: a 91 x 91 block with two nonzero entries writes
+        # two terms, not a text per entry of the block
+        n, p = 14, 2
+        size = math.comb(n, p)
+        block = np.zeros((size, size), complex)
+        block[3, 90], block[90, 0] = 0.5 - 2j, -1.25
+        view = BlockLiteral(PPForm(n, p, FLOAT, block))
+        assert len(view.terms) == 2
+        text = report_json({"form": view})
+        assert text == reference_json({"form": view.to_literal()})
+        assert len(text) < 500
