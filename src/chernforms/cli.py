@@ -278,9 +278,12 @@ def _handle_bounds_chain(args):
     def text():
         lines = []
         for rep in reports:
-            worst = min((s.report.margin for s in rep.steps), default=0.0)
+            # an exact-zero step decides nothing, and its margin 0 would
+            # hide the least margin of the others
+            decided = [s.report.margin for s in rep.steps if s.report.method != "exact-zero"]
+            worst = f"{min(decided):.3e}" if decided else "n/a"
             lines.append(f"chain {Partition(rep.partition)}: {len(rep.steps)} steps, "
-                         f"worst margin={worst:.3e} {'PASS' if rep.passed else 'FAIL'}")
+                         f"worst margin={worst} {'PASS' if rep.passed else 'FAIL'}")
         lines.append(f"VERDICT: {'PASS' if all_pass else 'FAIL'}")
         return lines
     return (0 if all_pass else 1), payload, text

@@ -1925,8 +1925,12 @@ def test_exact_cli_reports_without_float_tops_are_unchanged(tmp_path):
 #: came to be left out: 12 of the 192 ops moved (6 JSON and 6 text
 #: ``bounds chain``), only by the 12 dropped ``exact-zero`` steps and, in
 #: the texts, the step counts and worst margins, which the margin 0 of an
-#: ``exact-zero`` step no longer hides
-FLOAT_CLI_DIGEST = "ac38b2ecb91d9a0ed9f78e87e74f9119fff279b13ee5a9a176f13bd2c4d5720e"
+#: ``exact-zero`` step no longer hides; and again when the text summary of
+#: ``bounds chain`` came to take each chain's worst margin over the steps
+#: that are not ``exact-zero``, printing ``n/a`` when none is: 11 of the
+#: 192 ops moved, all ``bounds chain --output text``, each in one line
+#: (``worst margin=0.000e+00`` -> ``n/a``); no JSON report moved
+FLOAT_CLI_DIGEST = "6052eb9fd0ab304fbdb48bf7536e50aa3b4908444f657c99dbeb88690f358c2b"
 
 #: ``cli_digest(float_cli_ops(...), schema1_view)``: the ``FLOAT_CLI_DIGEST``
 #: of the schema-1 reports, before and after schema 2; moved with it when
@@ -1938,8 +1942,10 @@ FLOAT_CLI_DIGEST = "ac38b2ecb91d9a0ed9f78e87e74f9119fff279b13ee5a9a176f13bd2c4d5
 #: and when the Schur polynomials came to be Laplace minors and the terms
 #: of a polynomial came to be wedged from their largest part (the same ops
 #: moved, in the same fields), and when identically zero chain steps came
-#: to be left out (the same ops)
-FLOAT_CLI_SCHEMA1_DIGEST = "9b3a8fcc2f3da167fcc795a2f347614ed1b641b3d82dc194eb0bad8b200727ab"
+#: to be left out (the same ops), and when the ``bounds chain`` text
+#: summary came to leave ``exact-zero`` steps out of its worst margin (the
+#: same 11 text ops, which the view passes through as printed)
+FLOAT_CLI_SCHEMA1_DIGEST = "ad0115c753889780c8acea2be1db3f6635070238a74899aa56c2be7e7c53ed0a"
 
 
 def float_cli_ops(workdir) -> list[list[str]]:

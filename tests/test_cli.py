@@ -602,6 +602,27 @@ class TestBoundsChain:
                                 "--r", "5", "--seed", "0", "--degree", "9")
         assert (code, out, err) == (2, "", "error: --degree must lie in 1..n=5\n")
 
+    def test_text_worst_margin_leaves_out_exact_zero_steps(self, capsys, tmp_path):
+        # a zero bundle row makes c_3 and c_4 vanish, so the first step of
+        # each chain at (4, 3) is exact-zero and the others are decided; at
+        # m = 1 every step is exact-zero
+        arr = random_tensor(4, 3, 2, 0).array.copy()
+        arr[:, 2, :] = 0
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(CurvatureTensor(arr).to_json()))
+        for argv, mixed in ((["--instance", str(path)], True),
+                            (["--random", "--n", "3", "--r", "2", "--m", "1"], False)):
+            payload = invoke_json(capsys, "bounds", "chain", *argv)
+            code, out, _ = invoke(capsys, "bounds", "chain", *argv, "--output", "text")
+            assert code == 0
+            for chain, line in zip(payload["chains"], out.splitlines()):
+                methods = [s["report"]["method"] for s in chain["steps"]]
+                assert "exact-zero" in methods and (set(methods) != {"exact-zero"}) == mixed
+                decided = [s["report"]["margin"] for s in chain["steps"]
+                           if s["report"]["method"] != "exact-zero"]
+                worst = f"{min(decided):.3e}" if mixed else "n/a"
+                assert line.endswith(f" worst margin={worst} PASS")
+
 
 class TestModelCommands:
     def test_chern_numbers_cp3(self, capsys):
