@@ -65,7 +65,6 @@ from .models import (
     kodaira_leading,
     line_class,
     parse_model,
-    point,
     product,
     projective_space,
     rr_polynomial,

@@ -305,18 +305,6 @@ class Form:
     def __hash__(self):
         return hash((self.n, self.mode, frozenset(self.terms.items())))
 
-    def allclose(self, other: "Form", tol: float = 1e-12) -> bool:
-        """Coefficientwise agreement within tol * scale, after converting both
-        operands to float mode; scale = max(1, largest coefficient)."""
-        if not isinstance(other, Form) or self.n != other.n:
-            return False
-        a, b = self.to_float(), other.to_float()
-        scale = max(1.0, a.max_coefficient_magnitude(), b.max_coefficient_magnitude())
-        keys = set(a.terms) | set(b.terms)
-        return all(
-            abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) <= tol * scale for k in keys
-        )
-
     def to_float(self) -> "Form":
         if self.mode == FLOAT:
             return self

@@ -148,10 +148,6 @@ def complex_torus(k: int) -> ModelManifold:
     return ModelManifold((("T", k),))
 
 
-def point() -> ModelManifold:
-    return ModelManifold(())
-
-
 def product(*models: ModelManifold) -> ModelManifold:
     factors: tuple[tuple[str, int], ...] = ()
     for m in models:

@@ -34,6 +34,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # ----------------------------------------------------------------------
+# form comparison
+
+
+def allclose(a: Form, b: Form, tol: float = 1e-12) -> bool:
+    """Coefficientwise agreement of two forms within tol * scale, after
+    converting both to float mode; scale = max(1, largest coefficient).
+    False when ``b`` is not a ``Form`` or the base dimensions differ."""
+    if not isinstance(b, Form) or a.n != b.n:
+        return False
+    a, b = a.to_float(), b.to_float()
+    scale = max(1.0, a.max_coefficient_magnitude(), b.max_coefficient_magnitude())
+    keys = set(a.terms) | set(b.terms)
+    return all(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) <= tol * scale for k in keys)
+
+
+# ----------------------------------------------------------------------
 # instance builders
 
 

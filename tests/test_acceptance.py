@@ -65,8 +65,8 @@ from chernforms.errors import InputError
 from chernforms.rng import derive_seed, substream
 from chernforms.schur import chern_variable
 
-from conftest import griffiths_contraction, random_invertible, random_signed_phase_permutation, \
-    record_criterion
+from conftest import allclose, griffiths_contraction, random_invertible, \
+    random_signed_phase_permutation, record_criterion
 
 MODULE_START = time.perf_counter()
 
@@ -210,7 +210,7 @@ def test_criterion_4_frame_invariance():
             scale = max(1.0, a.max_coefficient_magnitude())
             diff = (a - b).max_coefficient_magnitude() / scale
             worst = max(worst, diff)
-            assert a.allclose(b, TOL_FRAME_FLOAT), (case, i, diff)
+            assert allclose(a, b, TOL_FRAME_FLOAT), (case, i, diff)
     return f"100 exact identical + 100 float within {TOL_FRAME_FLOAT:g} (worst {worst:.2e})"
 
 

@@ -101,7 +101,7 @@ from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, exact_fields, parse_scalar, scalar_json
 from chernforms.schur import Partition, chain_step_polynomials, verify_schur_nonnegativity
 
-from conftest import factor_tensor, form_matrix_det, mask_det_evaluate, \
+from conftest import allclose, factor_tensor, form_matrix_det, mask_det_evaluate, \
     schur_and_chain_polynomials
 
 
@@ -127,7 +127,7 @@ def assert_same_form(got: PPForm, want: Form, scale: float = 1.0):
     if got.mode == EXACT:
         assert got.to_form() == want
     else:
-        assert got.to_form().allclose(want, FLOAT_RTOL * scale)
+        assert allclose(got.to_form(), want, FLOAT_RTOL * scale)
 
 
 # ----------------------------------------------------------------------
@@ -2087,8 +2087,8 @@ def test_omega_literal_builds_match_tensor_builds(tmp_path, n):
             assert json.dumps(got["omega"]) == json.dumps(want["omega"])
             assert [c["i"] for c in got["chern"]] == [c["i"] for c in want["chern"]]
             for g, w in zip(got["chern"], want["chern"]):
-                assert Form.from_literal(g["form"]).allclose(Form.from_literal(w["form"]),
-                                                             FLOAT_RTOL)
+                assert allclose(Form.from_literal(g["form"]), Form.from_literal(w["form"]),
+                                FLOAT_RTOL)
             assert [t["partition"] for t in got["top"]] == [t["partition"] for t in want["top"]]
             for g, w in zip(got["top"], want["top"]):
                 assert abs(g["top"] - w["top"]) <= \

@@ -32,7 +32,7 @@ from chernforms.errors import InputError
 from chernforms.forms import read_literal
 from chernforms.scalars import GaussianRational
 
-from conftest import diagonal_tensor, form_matrix_det, integer_tensor_pair
+from conftest import allclose, diagonal_tensor, form_matrix_det, integer_tensor_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,11 +56,11 @@ class TestChernForms:
         pref = 1j / TWO_PI
         w1 = Form.monomial(2, [1], [1], pref)
         w2 = Form.monomial(2, [2], [2], pref)
-        assert cs.form(1).to_form().allclose(w1 + w2, 1e-14)
-        assert cs.form(2).to_form().allclose(w1.wedge(w2), 1e-14)
+        assert allclose(cs.form(1).to_form(), w1 + w2, 1e-14)
+        assert allclose(cs.form(2).to_form(), w1.wedge(w2), 1e-14)
         # c_1 ^ c_1 = 2 c_2 on a diagonal rank-two instance
-        assert cs.form(1).wedge(cs.form(1)).to_form().allclose(
-            cs.form(2).scale(2).to_form(), 1e-14)
+        assert allclose(cs.form(1).wedge(cs.form(1)).to_form(),
+                        cs.form(2).scale(2).to_form(), 1e-14)
 
     def test_degree_truncation(self):
         # r = 3 bundle on a 2-dimensional base: forms stop at degree 2
@@ -128,7 +128,7 @@ class TestChernForms:
         for i in range(min(n, r) + 1):
             a = exact_cs.numeric_form(i).to_form()
             b = float_cs.form(i).to_form()
-            assert a.allclose(b, 1e-12)
+            assert allclose(a, b, 1e-12)
 
     def test_whitney_product_exact(self):
         # block-diagonal curvature: c(Omega) = c(Omega') ^ c(Omega'')
@@ -223,7 +223,7 @@ class TestGramRoute:
             walk = chern_forms(bott_chern_curvature(factor)).forms
             assert len(gram) == len(walk) == min(n, r) + 1
             for a, b in zip(gram, walk):
-                assert a.to_form().allclose(b.to_form(), 1e-12)
+                assert allclose(a.to_form(), b.to_form(), 1e-12)
 
     def test_gram_forms_keep_the_walk_key_order(self):
         # both routes give c_i as an (i,i)-block of one dtype and layout, so
@@ -366,12 +366,12 @@ class TestChernProduct:
         cs = chern_forms(diag2)
         sq = chern_product(cs, (1, 1)).to_form()
         c1 = cs.form(1).to_form()
-        assert sq.allclose(c1.wedge(c1), 1e-14)
-        assert chern_product(cs, ()).to_form().allclose(Form.constant(2, 1), 1e-14)
+        assert allclose(sq, c1.wedge(c1), 1e-14)
+        assert allclose(chern_product(cs, ()).to_form(), Form.constant(2, 1), 1e-14)
 
     def test_zero_parts_skipped(self, diag2):
         cs = chern_forms(diag2)
-        assert chern_product(cs, (2, 0, 0)).to_form().allclose(cs.form(2).to_form(), 1e-14)
+        assert allclose(chern_product(cs, (2, 0, 0)).to_form(), cs.form(2).to_form(), 1e-14)
 
     def test_part_above_rank_rejected(self, diag2):
         cs = chern_forms(diag2)

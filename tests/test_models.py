@@ -21,7 +21,6 @@ from chernforms import (
     line_class,
     parse_model,
     partitions,
-    point,
     product,
     projective_space,
     rr_polynomial,
@@ -149,10 +148,10 @@ class TestModelStructure:
         assert complex_torus(2).label == "T2"
         m = product(projective_space(1), projective_space(2))
         assert m.label == "CP1xCP2" and m.dim == 3
-        assert point().label == "pt" and point().dim == 0
+        assert ModelManifold(()).label == "pt" and ModelManifold(()).dim == 0
 
     def test_product_with_point_is_identity(self):
-        m = product(projective_space(2), point())
+        m = product(projective_space(2), ModelManifold(()))
         assert m == projective_space(2)
 
     def test_parse_model(self):

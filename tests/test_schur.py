@@ -50,7 +50,7 @@ from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, scalar_json
 from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
 
-from conftest import diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
+from conftest import allclose, diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
 
 
 def leibniz_det(rows):
@@ -364,7 +364,7 @@ class TestEvaluateOnForms:
         # on the diagonal instance c_1^2 = 2 c_2, so S_(1,1) = c_1^2 - c_2 = c_2
         cs = chern_forms(diag2)
         got = evaluate_on_forms(schur_polynomial((1, 1), 2), cs)
-        assert got.to_form().allclose(cs.form(2).to_form(), 1e-13)
+        assert allclose(got.to_form(), cs.form(2).to_form(), 1e-13)
 
     def test_variable_above_rank_gives_zero(self, diag2):
         # a rank-5 polynomial mentioning c_3 lands on a rank-2 instance: zero
