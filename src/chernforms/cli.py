@@ -593,6 +593,9 @@ def report_json(obj) -> str:
             raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
     write(obj, "\n")
+    # ``write`` refers to itself through its closure; unbinding it frees
+    # the pieces now, not at the next garbage collection
+    del write
     return "".join(out)
 
 

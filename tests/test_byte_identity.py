@@ -58,6 +58,7 @@ from its ``argmin``, the float sets keep their schema-1 digests.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -2415,6 +2416,18 @@ class TestBlockLiteralText:
         view = BlockLiteral(PPForm(2, 1, FLOAT, block))
         for payload in _nested(view):
             assert report_json(payload) == reference_json(_as_literals(payload))
+
+    def test_writer_leaves_no_reference_cycle(self):
+        # a cycle through the recursive writer would keep every piece of the
+        # report alive until the next collection
+        payload = {"omega": [[BlockLiteral(PPForm.constant(2, 1.5))]], "top": [{"a": 1.0}]}
+        gc.collect()
+        gc.disable()
+        try:
+            report_json(payload)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_sparse_block_at_the_largest_dimension(self):
         # n = 14 at p = 2: a 91 x 91 block with two nonzero entries writes
