@@ -562,8 +562,6 @@ def report_json(obj) -> str:
                 emit(head)
                 write(value[key], inner)
             emit(close)
-        elif t is BlockLiteral:
-            emit(value.text(newline))
         # the rest, strings first, in the order of ``json``'s ``isinstance``
         # chain
         elif isinstance(value, str):
@@ -589,6 +587,9 @@ def report_json(obj) -> str:
             write(list(value), newline)
         elif isinstance(value, dict):
             write(dict(value.items()), newline)
+        elif t is BlockLiteral:
+            # a dozen per report at most, so it is tested last
+            emit(value.text(newline))
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
