@@ -2398,8 +2398,7 @@ class TestBlockLiteralText:
         re, im = np.zeros((size, size), object), np.zeros((size, size), object)
         re[0, 1], im[2, 2] = -1, 3
         view = BlockLiteral(PPForm._exact(3, 1, re, im, 10 ** 400))
-        assert [(b, c, x, y) for b, c, x, y in view.terms] == [(0, 1, -0.0, 0.0),
-                                                               (2, 2, 0.0, 0.0)]
+        assert view.terms == [(0, 1, -0.0, 0.0), (2, 2, 0.0, 0.0)]
         assert report_json([view]) == reference_json([view.to_literal()])
 
     def test_beyond_the_float_range_raises_when_the_view_is_made(self):
