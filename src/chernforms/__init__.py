@@ -29,7 +29,6 @@ from .forms import (
     conjugate,
     evaluate,
     nonnegative_sampled,
-    wedge,
 )
 from .curvature import (
     CurvatureMatrix,

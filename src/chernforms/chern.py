@@ -93,7 +93,7 @@ import numpy as np
 
 from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature
 from .errors import InputError
-from .forms import PPForm, _laplace_step, _minor
+from .forms import DEFAULT_TOL, PPForm, _laplace_step, _minor
 from .scalars import EXACT, FLOAT, GaussianRational
 
 #: exact phase (sqrt(-1))^i, i mod 4
@@ -424,7 +424,7 @@ def chern_product(cs: ChernFormSet, parts: Sequence[int]) -> PPForm:
     return cs.product([part for part in parts if part])
 
 
-def top_coefficient(form: PPForm, tol: float = 1e-9) -> Union[Fraction, float]:
+def top_coefficient(form: PPForm, tol: float = DEFAULT_TOL) -> Union[Fraction, float]:
     """Scalar t with phi = t * prod_j (sqrt(-1) dz^j ^ dzbar^j) for an
     (n,n)-form phi, read off its 1 x 1 block.
 

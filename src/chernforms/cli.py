@@ -458,8 +458,7 @@ class BlockLiteral:
     """The form literal of a coefficient block, for a report: the terms of
     ``PPForm.literal_terms``, read when the view is made, so that an exact
     value beyond the float range raises its ``InputError`` there.
-    ``report_json`` writes ``text``; ``to_literal()`` is the dict it
-    spells."""
+    ``report_json`` writes ``text``, which spells ``form.to_literal()``."""
 
     __slots__ = ("form", "labels", "terms")
 
@@ -467,11 +466,8 @@ class BlockLiteral:
         self.form = form
         self.labels, self.terms = form.literal_terms()
 
-    def to_literal(self) -> dict:
-        return self.form.to_literal()
-
     def text(self, newline: str) -> str:
-        """``json.dumps(self.to_literal(), sort_keys=True, indent=2)`` for a
+        """``json.dumps(self.form.to_literal(), sort_keys=True, indent=2)`` for a
         literal whose ``{`` stands on a line indented as ``newline``.  Each
         index tuple is joined once; each term is one concatenation of its
         row's head, its column's tail and its two parts."""
@@ -512,7 +508,7 @@ def report_json(obj) -> str:
     sorted order, each with its ready ``{`` or ``,``, line break, indent
     and ``"key": ``.  Reports repeat a few dict shapes many times, so most
     dicts reuse a layout; none is kept across calls.  A ``BlockLiteral``
-    is written as its ``text`` at its indent: the bytes of its
+    is written as its ``text`` at its indent: the bytes of its form's
     ``to_literal()``, with no dict built per term.
 
     Scalars are spelled as ``json`` spells them: ASCII-escaped strings,

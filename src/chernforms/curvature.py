@@ -189,23 +189,12 @@ class CurvatureTensor:
         return cls(np.array(cells, dtype=complex).reshape(n, r, m))
 
 
-def _combine(forms: Sequence[Form], coeffs: Sequence, zero: Form) -> Form:
-    """sum of c * f over the pairs whose c is nonzero, folded left to right
-    onto ``zero``."""
-    total = zero
-    for f, c in zip(forms, coeffs):
-        if c:
-            total = total + f.scale(c)
-    return total
-
-
 def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:
-    """A_ik = sum_p T[p][i][k] dz^p, summed in p order over the nonzero
-    entries, as an r x m matrix of (1,0)-forms in the tensor's mode."""
+    """A_ik = sum_p T[p][i][k] dz^p as an r x m matrix of (1,0)-forms in the
+    tensor's mode: each A_ik holds the nonzero entries of T's column (i, k)
+    as they stand, in p order."""
     n, mode, t = tensor.n, tensor.mode, tensor.array.tolist()
-    dz = [Form.dz(n, p + 1, mode) for p in range(n)]
-    zero = Form.zero(n, mode)
-    return tuple(tuple(_combine(dz, [t[p][i][k] for p in range(n)], zero)
+    return tuple(tuple(Form._raw(n, mode, {(1 << p, 0): c for p in range(n) if (c := t[p][i][k])})
                        for k in range(tensor.m))
                  for i in range(tensor.r))
 
@@ -223,6 +212,16 @@ def bott_chern_curvature(tensor: CurvatureTensor) -> CurvatureMatrix:
 
 # ----------------------------------------------------------------------
 # frame changes
+
+
+def _combine(forms: Sequence[PPForm], coeffs: Sequence, zero: PPForm) -> PPForm:
+    """sum of c * f over the pairs whose c is nonzero, folded left to right
+    onto ``zero``."""
+    total = zero
+    for f, c in zip(forms, coeffs):
+        if c:
+            total = total + f.scale(c)
+    return total
 
 
 def change_frame(omega: CurvatureMatrix, frame) -> CurvatureMatrix:

@@ -19,9 +19,10 @@ A homogeneous (p,p)-form also has a dense representation, ``PPForm``: its
 C(n,p) x C(n,p) coefficient block H, with H[J, K] the coefficient of
 dz^J ^ dzbar^K and J, K in ``itertools.combinations`` order.  Curvature
 entries and Chern, Schur and chain-step forms are blocks, and ``Form`` is
-the type of general literals: ``read_literal`` reads a (p,p) literal into
-its block and ``PPForm.to_literal`` writes it.  The wedge of a (p,p)- and
-a (q,q)-block is
+the type of general literals: ``read_literal``, the one reader, reads each
+literal once into its ``Form`` (``Form.from_literal``) or its (p,p)-block,
+and ``PPForm.to_literal`` writes a block as its ``Form``.  The wedge of a
+(p,p)- and a (q,q)-block is
 
     (F ^ G)[I u J, K u L] = (-1)^(pq) eps(I, J) eps(K, L) F[I, K] G[J, L],
 
@@ -35,9 +36,9 @@ denominator, and its arithmetic runs on the numerators; it builds
 
 The loop order of ``Form.wedge`` and of ``Form.__add__`` is part of the
 contract: it fixes the key order of every result and the order of every
-float sum.  ``_sum_terms`` adds the repeated terms of a literal in literal
-order (``Form.from_literal``, ``read_literal``), which fixes the float
-coefficients a report prints.
+float sum.  ``_sum_terms`` runs the sums of both, and adds the repeated
+terms of a literal in literal order for ``read_literal``, which fixes the
+float coefficients a report prints.
 
 Evaluation pairs a homogeneous (p,p)-form with a p-tuple of tangent vectors
 X = (X_1, ..., X_p):
@@ -324,14 +325,8 @@ class Form:
 
     @classmethod
     def from_literal(cls, obj, mode: str = FLOAT) -> "Form":
-        """Parse a Form literal.  In exact mode the decimal values of "re"/"im"
-        are taken exactly (via their decimal string).  Terms with the same
-        monomial are summed in literal order; a monomial whose sum is
-        exactly zero is dropped, and a later term puts it back at the end."""
-        n, terms = _literal_terms(obj, mode)
-        if mode == EXACT:
-            terms = [(key, _raw_scalar(*c)) for key, c in terms]
-        return cls._raw(n, mode, _sum_terms(terms))
+        """Parse a Form literal: ``read_literal(obj, mode)``."""
+        return read_literal(obj, mode)
 
     # ------------------------------------------------------------------
 
@@ -398,10 +393,6 @@ def _sum_terms(terms: Iterable) -> dict:
         else:
             out[key] = total
     return out
-
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
 
 
 def conjugate(a: Form) -> Form:
@@ -577,10 +568,7 @@ class PPForm:
             raise InputError("an exact value lies beyond the float range of the report") from exc
 
     def to_literal(self) -> dict:
-        """``to_form().to_literal()``, read off the block by ``literal_terms``."""
-        labels, terms = self.literal_terms()
-        return {"n": self.n, "terms": [{"dz": list(labels[b]), "dzbar": list(labels[c]),
-                                        "re": re, "im": im} for b, c, re, im in terms]}
+        return self.to_form().to_literal()
 
     @property
     def terms(self) -> dict:
@@ -696,16 +684,22 @@ class PPForm:
         return repr(self.to_form())
 
 
-def read_literal(obj, mode: str, p: int) -> Union[PPForm, Form]:
-    """The block of a (p,p)-form literal, with the errors and sums of
-    ``Form.from_literal`` and no ``Form`` built (exact terms as numerators
-    over one denominator); one with a nonzero sum off degree (p,p) is
-    returned as its ``Form``, for the caller to refuse."""
+def read_literal(obj, mode: str, p: Optional[int] = None) -> Union[PPForm, Form]:
+    """Read a form literal, each term once: its ``Form``, or with ``p`` the
+    block of a (p,p)-form literal, built with no ``Form`` (exact terms as
+    numerators over one denominator).  Exact mode takes the decimal values
+    of "re"/"im" exactly (via their decimal string).  Terms of one monomial
+    are summed in literal order; a sum that is exactly zero drops the
+    monomial, and a later term puts it back at the end.  A literal with
+    terms off degree (p,p) is built as a ``Form`` from the terms read: its
+    block if its sums are (p,p), else the ``Form``, for the caller to refuse."""
     n, terms = _literal_terms(obj, mode)
-    position = {mask: b for b, mask in enumerate(_masks(n, p))}
-    if any(h not in position or a not in position for (h, a), _ in terms):
-        form = Form.from_literal(obj, mode)
-        return PPForm.from_form(form, p) if form.is_homogeneous(p, p) else form
+    position = {} if p is None else {mask: b for b, mask in enumerate(_masks(n, p))}
+    if p is None or any(h not in position or a not in position for (h, a), _ in terms):
+        if mode == EXACT:
+            terms = [(key, _raw_scalar(*c)) for key, c in terms]
+        form = Form._raw(n, mode, _sum_terms(terms))
+        return form if p is None or not form.is_homogeneous(p, p) else PPForm.from_form(form, p)
     size = len(position)
     if mode == FLOAT:
         block = np.zeros((size, size), complex)

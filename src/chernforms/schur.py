@@ -104,9 +104,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self):
         inner = ",".join(str(p) for p in (self.trimmed() or (0,)))
         return f"({inner})"
@@ -372,7 +369,7 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     degrees = sorted(set(int(d) for d in degrees))
     if any(d < 1 or d > n for d in degrees):
         raise InputError(f"degrees must lie in 1..n={n}")
-    cs = chern_forms(tensor)
+    cs = chern_forms(tensor).to_numeric()
     checks = []
     for i in degrees:
         lams = partitions(i, r)

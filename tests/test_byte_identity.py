@@ -44,8 +44,9 @@ float bit, string, hash and error; ``Form.from_literal`` (one pass) with
 the fold over ``Form.__add__`` it replaced.  A curvature matrix holds
 (1,1)-blocks, so ``forms.read_literal`` must read an ``omega`` cell into
 the block that ``Form.from_literal`` and ``PPForm.from_form`` give, bit for
-bit and with the same errors, ``PPForm.to_literal`` must write the literal
-of ``to_form().to_literal()``, and ``bott_chern_curvature`` must hold the
+bit and with the same errors, the literal built from
+``PPForm.literal_terms``, which the report views read, must be that of
+``to_form().to_literal()``, and ``bott_chern_curvature`` must hold the
 terms of the dict loop it replaced, kept below, signed zeros included.  Fixed sets of exact-mode and
 float-mode CLI ops, and the float ops at the benchmark's shapes, are pinned
 by the sha256 of their output, and
@@ -1262,6 +1263,14 @@ def _random_terms(rng, n: int, count: int) -> list:
     return terms
 
 
+def _masked_literal(terms: list) -> dict:
+    """The literal on n = 2 of terms (dz mask, dzbar mask, re, im)."""
+    return {"n": 2, "terms": [
+        {"dz": [i + 1 for i in range(2) if h >> i & 1],
+         "dzbar": [i + 1 for i in range(2) if a >> i & 1], "re": re, "im": im}
+        for h, a, re, im in terms]}
+
+
 class TestReadLiteral:
     """``forms.read_literal`` against ``Form.from_literal`` followed by
     ``PPForm.from_form``: the same sums, bit for bit, and the same errors."""
@@ -1296,10 +1305,7 @@ class TestReadLiteral:
         [(0, 0, 0.1, 0), (0, 0, 0.2, 0), (0, 0, -0.3, 0)],
     ])
     def test_named_cases(self, mode, terms):
-        obj = {"n": 2, "terms": [
-            {"dz": [i + 1 for i in range(2) if h >> i & 1],
-             "dzbar": [i + 1 for i in range(2) if a >> i & 1], "re": re, "im": im}
-            for h, a, re, im in terms]}
+        obj = _masked_literal(terms)
         assert _block_outcome(lambda o, m: forms.read_literal(o, m, 1), obj, mode) == \
             _block_outcome(_oracle_block, obj, mode)
 
@@ -1383,6 +1389,45 @@ class TestReadLiteral:
         assert created == []
         assert [[b.to_form() for b in row] for row in blocks] == [list(row) for row in omega.entries]
 
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("terms", [
+        # off degree (1,1) with a nonzero sum: refused by the matrix
+        [(1, 1, 1, 0), (3, 3, 1, 0), (1, 0, 0.5, 2), (2, 1, -1, 0), (1, 1, 0.25, 0)],
+        # off degree (1,1) with sums that cancel: read as a block
+        [(3, 0, 1.5, -2), (1, 1, 1, 0), (3, 0, -1.5, 2), (2, 2, 0.5, 0)],
+    ])
+    def test_off_degree_cell_is_read_once(self, monkeypatch, mode, terms):
+        # each term's two index lists are checked once, not once more by a
+        # second parse of the literal
+        cell = _masked_literal(terms)
+        calls = []
+        check = forms._indices_to_mask
+
+        def counting_check(indices, n):
+            calls.append(indices)
+            return check(indices, n)
+
+        monkeypatch.setattr(forms, "_indices_to_mask", counting_check)
+        outcome = _omega_outcome(cli._curvature_from_input, {"omega": [[cell]]}, mode)
+        monkeypatch.undo()
+        assert len(calls) <= 2 * len(terms)
+        assert outcome == _omega_outcome(lambda o, m: (ref_omega(o, m), None),
+                                         {"omega": [[cell]]}, mode)
+
+    @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+    @pytest.mark.parametrize("field", ["dz", "dzbar"])
+    def test_float_index_after_its_int_is_refused(self, mode, field):
+        # (1.0,) == (1,) and the two hash alike, so a reader that remembered
+        # checked index lists by their tuple would take the float
+        second = {"dz": [1], "dzbar": [1], "re": 1}
+        second[field] = [1.0]
+        obj = {"n": 2, "terms": [{"dz": [1], "dzbar": [1], "re": 1}, second]}
+        message = "^form literal terms\\[1\\]: form index 1.0 out of range 1..2$"
+        for read in (lambda: forms.read_literal(obj, mode, 1),
+                     lambda: Form.from_literal(obj, mode)):
+            with pytest.raises(InputError, match=message):
+                read()
+
 
 def _omega_outcome(read, obj, mode: str) -> str:
     try:
@@ -1413,10 +1458,17 @@ def _random_block(rng, n: int, p: int, mode: str) -> PPForm:
                          int(rng.choice([1, 3, 4, 10])) * g)
 
 
+def literal_of_terms(n: int, labels: list, terms: list) -> dict:
+    """The form literal spelled by the labels and terms of
+    ``PPForm.literal_terms``."""
+    return {"n": n, "terms": [{"dz": list(labels[b]), "dzbar": list(labels[c]),
+                               "re": re, "im": im} for b, c, re, im in terms]}
+
+
 class TestBlockLiteral:
-    """``PPForm.to_literal`` writes what ``to_form().to_literal()`` writes,
-    compared as JSON text, which shows every float bit and the sign of
-    each zero."""
+    """The literal built from ``PPForm.literal_terms``, which the report
+    views read, is what ``to_form().to_literal()`` writes, compared as JSON
+    text, which shows every float bit and the sign of each zero."""
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
     @pytest.mark.parametrize("n", range(0, 7))
@@ -1427,22 +1479,23 @@ class TestBlockLiteral:
                 block = _random_block(rng, n, p, mode)
                 if mode == EXACT:
                     assert_normalised(block)
-                assert json.dumps(block.to_literal()) == \
+                assert json.dumps(literal_of_terms(n, *block.literal_terms())) == \
                     json.dumps(block.to_form().to_literal())
 
     def test_zero_blocks(self):
         for mode in (FLOAT, EXACT):
             for n, p in ((0, 0), (3, 1), (4, 2)):
                 block = PPForm.zero(n, p, mode)
-                assert block.to_literal() == block.to_form().to_literal() == \
-                    {"n": n, "terms": []}
+                assert literal_of_terms(n, *block.literal_terms()) == \
+                    block.to_form().to_literal() == {"n": n, "terms": []}
 
     def test_beyond_the_float_range(self):
         size = math.comb(3, 1)
         re = np.zeros((size, size), object)
         re[1, 2] = 10 ** 400
         block = PPForm._exact(3, 1, re, np.zeros((size, size), object), 7)
-        for write in (block.to_literal, lambda: block.to_form().to_literal()):
+        for write in (lambda: literal_of_terms(3, *block.literal_terms()),
+                      lambda: block.to_form().to_literal()):
             with pytest.raises(InputError, match="^an exact value lies beyond the float range "
                                                  "of the report$"):
                 write()
@@ -2344,9 +2397,10 @@ class TestReportJson:
 
 
 def _as_literals(obj):
-    """``obj`` with each ``BlockLiteral`` replaced by its ``to_literal()``."""
+    """``obj`` with each ``BlockLiteral`` replaced by its form's
+    ``to_literal()``."""
     if isinstance(obj, BlockLiteral):
-        return obj.to_literal()
+        return obj.form.to_literal()
     if isinstance(obj, list):
         return [_as_literals(item) for item in obj]
     if isinstance(obj, dict):
@@ -2363,7 +2417,7 @@ def _nested(view) -> list:
 
 class TestBlockLiteralText:
     """``report_json`` writes a ``BlockLiteral`` as ``json.dumps`` writes
-    its ``to_literal()`` at the same depth, and the view reads what
+    its form's ``to_literal()`` at the same depth, and the view reads what
     ``PPForm.to_literal`` writes."""
 
     @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -2373,7 +2427,7 @@ class TestBlockLiteralText:
         for p in range(n + 1):
             block = _random_block(rng, n, p, mode)
             view = BlockLiteral(block)
-            assert view.to_literal() == block.to_literal()
+            assert literal_of_terms(n, view.labels, view.terms) == block.to_literal()
             if p == 0 and view.terms:
                 assert '"dz": []' in report_json(view)
             for payload in _nested(view):
@@ -2383,7 +2437,7 @@ class TestBlockLiteralText:
         for mode in (FLOAT, EXACT):
             for n, p in ((0, 0), (3, 1), (4, 2)):
                 view = BlockLiteral(PPForm.zero(n, p, mode))
-                assert view.to_literal() == {"n": n, "terms": []}
+                assert view.form.to_literal() == {"n": n, "terms": []}
                 for payload in _nested(view):
                     assert report_json(payload) == reference_json(_as_literals(payload))
         block = np.array([[complex(-0.0, 1.0), complex(-0.0, -0.0)],
@@ -2391,7 +2445,7 @@ class TestBlockLiteralText:
         view = BlockLiteral(PPForm(2, 1, FLOAT, block))
         assert [(re, im) for _, _, re, im in view.terms] == [(-0.0, 1.0), (2.0, -0.0)]
         assert report_json(view).count("-0.0") == 2
-        assert report_json(view) == reference_json(view.to_literal())
+        assert report_json(view) == reference_json(view.form.to_literal())
 
     def test_exact_entry_that_underflows_is_kept(self):
         size = math.comb(3, 1)
@@ -2399,7 +2453,7 @@ class TestBlockLiteralText:
         re[0, 1], im[2, 2] = -1, 3
         view = BlockLiteral(PPForm._exact(3, 1, re, im, 10 ** 400))
         assert view.terms == [(0, 1, -0.0, 0.0), (2, 2, 0.0, 0.0)]
-        assert report_json([view]) == reference_json([view.to_literal()])
+        assert report_json([view]) == reference_json([view.form.to_literal()])
 
     def test_beyond_the_float_range_raises_when_the_view_is_made(self):
         size = math.comb(3, 1)
@@ -2438,5 +2492,5 @@ class TestBlockLiteralText:
         view = BlockLiteral(PPForm(n, p, FLOAT, block))
         assert len(view.terms) == 2
         text = report_json({"form": view})
-        assert text == reference_json({"form": view.to_literal()})
+        assert text == reference_json({"form": view.form.to_literal()})
         assert len(text) < 500

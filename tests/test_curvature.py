@@ -51,6 +51,22 @@ class TestFactorMatrix:
         assert f.m == 2
         assert f.entries[0][0].is_zero() and f.entries[0][1] == Form.dz(2, 1)
 
+    def test_entries_hold_the_tensor_entries_as_they_stand(self):
+        # A_ik's dz^p coefficient is T[p, i, k], float bits and signed zeros
+        # included, and a zero entry leaves no term
+        arr = np.array([[[complex(1, -0.0), complex(-0.0, 2)]],
+                        [[complex(-1.5, -0.0), complex(-0.0, -0.0)]],
+                        [[complex(0.1, -0.3), complex(-2, 0.0)]]])
+        exact = random_exact_factor(3, 2, 3, seed=2)
+        for tensor in (CurvatureTensor(arr), exact, CurvatureTensor(exact.array.astype(complex))):
+            t = tensor.array.tolist()
+            for i, row in enumerate(tensor.entries):
+                for k, form in enumerate(row):
+                    want = {(1 << p, 0): t[p][i][k] for p in range(tensor.n) if t[p][i][k]}
+                    assert list(form.terms) == list(want)
+                    for key, c in form.terms.items():
+                        assert type(c) is type(want[key]) and repr(c) == repr(want[key])
+
 
 class TestBottChern:
     def test_rank_one_example(self):

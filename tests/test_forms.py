@@ -26,7 +26,6 @@ from chernforms import (
     conjugate,
     evaluate,
     nonnegative_sampled,
-    wedge,
 )
 from chernforms import _linalg, forms
 from chernforms.errors import InputError

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from chernforms import (
     EXACT,
     FLOAT,
+    CurvatureTensor,
     Form,
     PPForm,
     Partition,
@@ -541,6 +542,23 @@ class TestVerifySchur:
         back = CurvatureTensor.from_json(rep.instance)
         rep2 = verify_schur_nonnegativity(back, trials=20, seed=6)
         assert rep2.to_dict() == rep.to_dict()
+
+    @pytest.mark.parametrize("s", range(3))
+    def test_exact_sweep_decides_the_numeric_forms(self, s):
+        # an exact tensor's Chern forms carry the factor (2 pi)^i of degree i
+        # until ``to_numeric``: the sweep decides the same values as the
+        # sweep of the tensor's float copy
+        exact = random_exact_factor(4, 3, 3, s)
+        got = verify_schur_nonnegativity(exact, trials=20, seed=s)
+        want = verify_schur_nonnegativity(CurvatureTensor(exact.array.astype(complex)),
+                                          trials=20, seed=s)
+        assert len(got.checks) == len(want.checks)
+        for a, b in zip(got.checks, want.checks):
+            x, y = a.report, b.report
+            assert (a.degree, a.partition) == (b.degree, b.partition)
+            assert (x.method, x.passed, x.argmin) == (y.method, y.passed, y.argmin)
+            assert x.min_value == pytest.approx(y.min_value, rel=1e-12, abs=0)
+            assert x.scale == pytest.approx(y.scale, rel=1e-12, abs=0)
 
 
 def phased(n: int, p: int, a: np.ndarray) -> PPForm:
