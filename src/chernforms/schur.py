@@ -360,8 +360,9 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
     degree i are evaluated on one batch of tuples, drawn from the stream
     ``derive_seed(seed, 7, i)``.  Every report of degree i names that seed,
     so no check's verdict depends on the other degrees or on evaluation
-    order.  The report embeds the instance and its hash for
-    reproducibility.
+    order.  An exact tensor's Chern forms are checked as their floats
+    (``ChernFormSet.to_numeric``), in a float tensor's units.  The report
+    embeds the instance and its hash for reproducibility.
     """
     n, r = tensor.n, tensor.r
     if degrees is None:
