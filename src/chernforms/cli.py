@@ -37,15 +37,16 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .chern import chern_forms, chern_product, top_coefficient
-from .curvature import CurvatureMatrix, CurvatureTensor, bott_chern_curvature, random_tensor
+from .curvature import CurvatureMatrix, CurvatureTensor, InstanceText, bott_chern_curvature, \
+    random_tensor
 from .errors import ConsistencyError, InputError
 from .forms import DEFAULT_TOL, Form, PPForm, evaluate, read_literal
 from .models import chern_number, evaluate_rr_polynomial, kodaira_leading, \
     line_class, parse_model, rr_polynomial, verify_number_bounds
 from .rng import derive_seed
 from .scalars import EXACT, FLOAT, GaussianRational, parse_scalar, scalar_json
-from .schur import Partition, bounds_chain_check, instance_digest, partitions, \
-    schur_polynomial, verify_schur_nonnegativity
+from .schur import Partition, bounds_chain_check, partitions, schur_polynomial, \
+    verify_schur_nonnegativity
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +187,8 @@ def _handle_curvature_build(args):
         ],
     }
     if tensor is not None:
-        inst = payload["instance"] = tensor.to_json()
-        payload["instance_hash"] = instance_digest(inst)
+        inst = payload["instance"] = InstanceText(tensor)
+        payload["instance_hash"] = inst.sha256
     n = omega.n
     num = cs.to_numeric()
     top_table = []
@@ -232,7 +233,7 @@ def _handle_schur_verify(args):
     tensor, source = _instance_from_args(args)
     report = verify_schur_nonnegativity(tensor, degrees=None, trials=args.trials,
                                         seed=args.seed, tol=args.tol)
-    payload = report.to_dict()
+    payload = report.payload()
     payload["source"] = source
 
     def text():
@@ -260,12 +261,12 @@ def _handle_bounds_chain(args):
                                  seed=derive_seed(args.seed, 13, idx), tol=args.tol)
         reports.append(rep)
         all_pass = all_pass and rep.passed
-    inst = tensor.to_json()
+    inst = InstanceText(tensor)
     payload = {
         "schema": 2,
         "kind": "bounds-chains",
         "instance": inst,
-        "instance_hash": instance_digest(inst),
+        "instance_hash": inst.sha256,
         "source": source,
         "degree": degree,
         "seed": args.seed,
@@ -508,8 +509,10 @@ def report_json(obj) -> str:
     sorted order, each with its ready ``{`` or ``,``, line break, indent
     and ``"key": ``.  Reports repeat a few dict shapes many times, so most
     dicts reuse a layout; none is kept across calls.  A ``BlockLiteral``
-    is written as its ``text`` at its indent: the bytes of its form's
-    ``to_literal()``, with no dict built per term.
+    or a ``curvature.InstanceText`` is written as its ``text`` at its
+    indent: the bytes of its form's ``to_literal()`` or its tensor's
+    ``to_json()``, with no dict built per term or entry, and an instance's
+    float parts spelled by the ``repr`` its hash was taken from.
 
     Scalars are spelled as ``json`` spells them: ASCII-escaped strings,
     ``int.__repr__`` and ``float.__repr__`` (so subclasses print as their
@@ -583,8 +586,8 @@ def report_json(obj) -> str:
             write(list(value), newline)
         elif isinstance(value, dict):
             write(dict(value.items()), newline)
-        elif t is BlockLiteral:
-            # a dozen per report at most, so it is tested last
+        elif t is BlockLiteral or t is InstanceText:
+            # a dozen per report at most, so they are tested last
             emit(value.text(newline))
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -26,6 +26,7 @@ is the sum of squares sum_k |sum_{i,p} T[p][i][k] conj(xi^i) eta^p|^2, which
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,7 +155,8 @@ class CurvatureTensor:
 
     def to_json(self) -> dict:
         """The ``{n, r, m, T}`` shape ``from_json`` reads; each entry is the
-        ``scalar_json`` of its value, read off one ``tolist`` for a float tensor."""
+        ``scalar_json`` of its value, read off one ``tolist`` for a float
+        tensor.  A report prints it through its ``InstanceText`` view."""
         if self.mode == FLOAT:
             t = [[[{"re": z.real, "im": z.imag} for z in row] for row in plane]
                  for plane in self.array.tolist()]
@@ -187,6 +189,42 @@ class CurvatureTensor:
                 cells += [parse_scalar(cell, FLOAT, f"instance field T[{p}][{i}][{k}]")
                           for k, cell in enumerate(row)]
         return cls(np.array(cells, dtype=complex).reshape(n, r, m))
+
+
+class InstanceText:
+    """A tensor's ``to_json()`` as a report prints it, from one ``repr`` per
+    float part, taken when the view is made, so that an exact value beyond
+    the float range raises the ``InputError`` of ``scalar_json`` there.
+    ``sha256`` is the digest of the compact text, ``text("", "", ":")``, and
+    ``cli.report_json`` writes ``text(newline)``."""
+
+    __slots__ = ("tensor", "reprs", "sha256")
+
+    def __init__(self, tensor: CurvatureTensor):
+        self.tensor, z = tensor, tensor.array
+        # each entry's im part before its re part, as sorted keys put them
+        if tensor.mode == FLOAT:
+            parts = np.stack((z.imag, z.real), axis=-1).ravel().tolist()
+        else:
+            parts = [x for c in map(scalar_json, z.flat) for x in (c["im"], c["re"])]
+        self.reprs = tuple(map(float.__repr__, parts))
+        self.sha256 = hashlib.sha256(self.text("", "", ":").encode()).hexdigest()
+
+    def text(self, newline: str, step: str = "  ", colon: str = ": ") -> str:
+        """``json.dumps(self.tensor.to_json(), sort_keys=True, indent=2)`` for
+        an instance whose ``{`` stands on a line indented as ``newline``, or,
+        with ``newline`` and ``step`` empty and ``colon`` ":", the compact
+        text of ``separators=(",", ":")``."""
+        n, r, m = self.tensor.array.shape
+        lines = [newline + step * depth for depth in range(6)]
+        cell = f'{{{lines[5]}"im"{colon}%s,{lines[5]}"re"{colon}%s{lines[4]}}}'
+        row = f"[{lines[4]}" + f",{lines[4]}".join([cell] * m) + f"{lines[3]}]"
+        plane = f"[{lines[3]}" + f",{lines[3]}".join([row] * r) + f"{lines[2]}]"
+        t = f"[{lines[2]}" + f",{lines[2]}".join([plane] * n) + f"{lines[1]}]"
+        key = "," + lines[1]
+        layout = (f'{{{lines[1]}"T"{colon}{t}{key}"m"{colon}{m}{key}"n"{colon}{n}'
+                  f'{key}"r"{colon}{r}{lines[0]}}}')
+        return layout % self.reprs
 
 
 def factor_from_tensor(tensor: CurvatureTensor) -> tuple[tuple[Form, ...], ...]:

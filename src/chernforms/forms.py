@@ -235,9 +235,6 @@ class Form:
         c = self.terms.get(key)
         return coerce(0, self.mode) if c is None else c
 
-    def max_coefficient_magnitude(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     # ------------------------------------------------------------------
     # algebra
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
-import json
 import math
 import operator
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -46,7 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .chern import ChernFormSet, chern_forms, chern_product, top_coefficient
-from .curvature import CurvatureTensor
+from .curvature import CurvatureTensor, InstanceText
 from .errors import InputError
 from .forms import (
     DEFAULT_TOL,
@@ -303,12 +301,6 @@ def _decided_on_one_batch(forms: Iterable[PPForm], trials: int, seed: int,
 # reports
 
 
-def instance_digest(obj) -> str:
-    """sha256 of the canonical JSON encoding."""
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
 @dataclasses.dataclass(frozen=True)
 class SchurCheck:
     degree: int
@@ -322,9 +314,13 @@ class SchurCheck:
 
 @dataclasses.dataclass(frozen=True)
 class SchurReport:
-    """Outcome of the full Schur-form nonnegativity sweep on one instance."""
+    """Outcome of the full Schur-form nonnegativity sweep on one instance:
+    ``instance`` is the tensor's ``InstanceText`` and ``instance_hash`` its
+    ``sha256``.  ``to_dict()`` is the report as a plain JSON dict, and
+    ``payload()`` the same dict with the instance left as its view, which
+    ``cli.report_json`` writes as the same bytes."""
 
-    instance: dict
+    instance: InstanceText
     instance_hash: str
     seed: int
     trials: int
@@ -333,6 +329,9 @@ class SchurReport:
     passed: bool
 
     def to_dict(self) -> dict:
+        return {**self.payload(), "instance": self.instance.tensor.to_json()}
+
+    def payload(self) -> dict:
         return {
             "schema": 2,
             "kind": "schur-nonnegativity",
@@ -382,8 +381,8 @@ def verify_schur_nonnegativity(tensor: CurvatureTensor,
         checks += [SchurCheck(degree=i, partition=lam.parts, report=rep)
                    for lam, rep in zip(lams, reports)]
     all_pass = all(c.report.passed for c in checks)
-    inst = tensor.to_json()
-    return SchurReport(instance=inst, instance_hash=instance_digest(inst),
+    inst = InstanceText(tensor)
+    return SchurReport(instance=inst, instance_hash=inst.sha256,
                        seed=seed, trials=trials, tol=tol,
                        checks=tuple(checks), passed=all_pass)
 

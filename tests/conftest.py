@@ -3,6 +3,9 @@ reference routes, and the acceptance summary hook."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -44,9 +47,26 @@ def allclose(a: Form, b: Form, tol: float = 1e-12) -> bool:
     if not isinstance(b, Form) or a.n != b.n:
         return False
     a, b = a.to_float(), b.to_float()
-    scale = max(1.0, a.max_coefficient_magnitude(), b.max_coefficient_magnitude())
+    scale = max(1.0, max_coefficient_magnitude(a), max_coefficient_magnitude(b))
     keys = set(a.terms) | set(b.terms)
     return all(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) <= tol * scale for k in keys)
+
+
+def max_coefficient_magnitude(form: Form) -> float:
+    """The largest ``abs`` of a coefficient of ``form``, 0.0 for the zero form."""
+    return max((abs(c) for c in form.terms.values()), default=0.0)
+
+
+# ----------------------------------------------------------------------
+# report digests
+
+
+def instance_digest(obj) -> str:
+    """sha256 of the canonical JSON encoding: the generic oracle for a
+    report's ``instance_hash``, which ``curvature.InstanceText`` takes from
+    its own text."""
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

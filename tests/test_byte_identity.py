@@ -98,13 +98,14 @@ from chernforms import (
 from chernforms import chern, cli, forms, scalars
 from chernforms.chern import ChernFormSet
 from chernforms.cli import BlockLiteral, report_json, run
+from chernforms.curvature import InstanceText
 from chernforms.errors import InputError
 from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, exact_fields, parse_scalar, scalar_json
 from chernforms.schur import Partition, chain_step_polynomials, verify_schur_nonnegativity
 
-from conftest import allclose, factor_tensor, form_matrix_det, mask_det_evaluate, \
-    schur_and_chain_polynomials
+from conftest import allclose, factor_tensor, form_matrix_det, instance_digest, \
+    mask_det_evaluate, max_coefficient_magnitude, schur_and_chain_polynomials
 
 
 def exact_repr(form: Form) -> str:
@@ -260,7 +261,7 @@ def ref_evaluate_on_forms(poly: Polynomial, cs, magnitudes: list = None) -> Form
             if term.is_zero():
                 break
         if magnitudes is not None:
-            magnitudes.append(term.to_float().max_coefficient_magnitude())
+            magnitudes.append(max_coefficient_magnitude(term.to_float()))
         result = result + term
     return result
 
@@ -2398,9 +2399,11 @@ class TestReportJson:
 
 def _as_literals(obj):
     """``obj`` with each ``BlockLiteral`` replaced by its form's
-    ``to_literal()``."""
+    ``to_literal()`` and each ``InstanceText`` by its ``to_json()``."""
     if isinstance(obj, BlockLiteral):
         return obj.form.to_literal()
+    if isinstance(obj, InstanceText):
+        return obj.tensor.to_json()
     if isinstance(obj, list):
         return [_as_literals(item) for item in obj]
     if isinstance(obj, dict):
@@ -2494,3 +2497,81 @@ class TestBlockLiteralText:
         text = report_json({"form": view})
         assert text == reference_json({"form": view.form.to_literal()})
         assert len(text) < 500
+
+
+#: float parts whose ``repr`` takes each of its spellings: a signed zero,
+#: the least subnormal, the least normal, an exponent above and below the
+#: fixed-point range, a shortest round trip and a float with no fraction
+AWKWARD_PARTS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1, 123456789.0)
+
+
+def _awkward_tensors() -> list:
+    """Float tensors of several shapes that hold every ``AWKWARD_PARTS``
+    value, and its negation, as a real and as an imaginary part."""
+    values = AWKWARD_PARTS + tuple(-x for x in AWKWARD_PARTS)
+    pairs = [complex(a, b) for a, b in zip(values, values[3:] + values[:3])]
+    pairs += [complex(b, a) for a, b in zip(values, values[5:] + values[:5])]
+    out = []
+    for shape in ((1, 1, 28), (2, 7, 2), (4, 1, 7), (7, 2, 2)):
+        out.append(CurvatureTensor(np.array(pairs).reshape(shape)))
+    out.append(CurvatureTensor(np.array([[[complex(-0.0, -0.0)]]])))
+    return out
+
+
+def _exact_tensors() -> list:
+    """Exact tensors: ``random_exact_factor`` draws, and Fraction parts
+    whose floats are shortest round trips, large, or underflow to zero."""
+    out = [random_exact_factor(n, r, m, seed=s)
+           for s, (n, r, m) in enumerate(((1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 3)))]
+    third, tiny = Fraction(1, 3), Fraction(1, 10 ** 400)
+    cells = [GaussianRational(third, -third), GaussianRational(Fraction(-2, 7), 0),
+             GaussianRational(Fraction(10 ** 300, 3), tiny), GaussianRational(-tiny, 5)]
+    out.append(CurvatureTensor(np.array(cells, dtype=object).reshape(1, 2, 2)))
+    return out
+
+
+class TestInstanceText:
+    """The instance view spells ``json.dumps`` of its tensor's ``to_json()``:
+    compact for its hash, indented for ``report_json``, both from one
+    ``repr`` per part."""
+
+    @pytest.mark.parametrize("tensor", _awkward_tensors() + _exact_tensors())
+    def test_compact_text_and_hash(self, tensor):
+        view = InstanceText(tensor)
+        compact = json.dumps(tensor.to_json(), sort_keys=True, separators=(",", ":"))
+        assert view.text("", "", ":") == compact
+        assert view.sha256 == hashlib.sha256(compact.encode()).hexdigest()
+        assert view.sha256 == instance_digest(tensor.to_json())
+        assert len(view.reprs) == 2 * tensor.array.size
+
+    @pytest.mark.parametrize("tensor", _awkward_tensors() + _exact_tensors())
+    def test_indented_text_at_every_depth(self, tensor):
+        view = InstanceText(tensor)
+        want = reference_json(tensor.to_json())
+        for depth in range(4):
+            newline = "\n" + "  " * depth
+            assert view.text(newline) == want.replace("\n", newline)
+        for payload in _nested(view):
+            assert report_json(payload) == reference_json(_as_literals(payload))
+
+    def test_awkward_parts_are_all_spelled(self):
+        text = InstanceText(_awkward_tensors()[0]).text("", "", ":")
+        for x in AWKWARD_PARTS:
+            assert f":{x!r}," in text or f":{x!r}}}" in text
+        assert "5e-324" in text and "1e+16" in text and "1e-07" in text
+
+    def test_texts_come_from_the_reprs(self):
+        # the texts are the reprs put in place, im before re, in entry order
+        view = InstanceText(random_tensor(2, 3, 2, seed=4))
+        view.reprs = tuple(map(str, range(len(view.reprs))))
+        t = json.loads(view.text("\n"))["T"]
+        assert [cell for plane in t for row in plane for cell in row] == \
+            [{"im": 2 * e, "re": 2 * e + 1} for e in range(12)]
+        assert json.loads(view.text("", "", ":"))["T"] == t
+
+    def test_beyond_the_float_range_raises_when_the_view_is_made(self):
+        tensor = CurvatureTensor(np.array([[[1, GaussianRational(0, 10 ** 400)]]], dtype=object))
+        with pytest.raises(InputError, match="^an exact value lies beyond the float range "
+                                             "of the report$"):
+            InstanceText(tensor)
+

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, JSON report shapes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -455,7 +456,7 @@ class TestSchurCommands:
                             tol=1e-9, scale=1.0, degree=1, witness=[[{"re": 1.0, "im": 0.0}]],
                             max_imag=0.0)
         failing = SchurReport(
-            instance=t.to_json(), instance_hash="0" * 64, seed=0, trials=1,
+            instance=curvature.InstanceText(t), instance_hash="0" * 64, seed=0, trials=1,
             tol=1e-9, checks=(SchurCheck(degree=1, partition=(1,), report=bad),),
             passed=False)
         import chernforms.cli as cli_mod
@@ -556,6 +557,32 @@ class TestSchurCommands:
         code, out, err = invoke(capsys, *command, "--random", "--n", "2", "--r", "2",
                                 "--seed", "1", "--trials", "5", f"--tol={tol}")
         assert (code, out, err) == (2, "", "error: --tol must be positive\n")
+
+
+class TestEmbeddedInstance:
+    def test_three_commands_embed_one_instance(self, capsys, tmp_path):
+        # parts that take every spelling of a float repr, in one tensor file
+        parts = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1, 123456789.0]
+        z = random_tensor(3, 2, 2, seed=21).array.copy()
+        z.real.flat[:7] = parts
+        z.imag.flat[5:12] = parts
+        t = CurvatureTensor(z)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(t.to_json()))
+        payloads = []
+        for argv in (["schur", "verify", "--instance", str(path), "--trials", "5"],
+                     ["bounds", "chain", "--instance", str(path), "--trials", "5"],
+                     ["curvature", "build", "--instance", str(path)]):
+            code, out, err = invoke(capsys, *argv)
+            assert code in (0, 1), err
+            payload = json.loads(out)
+            assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            payloads.append(payload)
+        for payload in payloads:
+            assert payload["instance"] == t.to_json()
+            assert payload["instance_hash"] == payloads[0]["instance_hash"]
+        compact = json.dumps(t.to_json(), sort_keys=True, separators=(",", ":"))
+        assert payloads[0]["instance_hash"] == hashlib.sha256(compact.encode()).hexdigest()
 
 
 class TestBoundsChain:

@@ -10,6 +10,7 @@ on the nose.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -49,9 +50,10 @@ from chernforms.forms import DEFAULT_TOL
 from chernforms.polynomials import weighted_degree
 from chernforms.rng import complex_normal, substream
 from chernforms.scalars import GaussianRational, scalar_json
-from chernforms.schur import chain_step_polynomials, chern_variable, instance_digest
+from chernforms.schur import chain_step_polynomials, chern_variable
 
-from conftest import allclose, diagonal_tensor, integer_tensor_pair, schur_and_chain_polynomials
+from conftest import allclose, diagonal_tensor, instance_digest, integer_tensor_pair, \
+    schur_and_chain_polynomials
 
 
 def leibniz_det(rows):
@@ -521,8 +523,21 @@ class TestVerifySchur:
     def test_report_embeds_instance_and_hash(self):
         t = random_tensor(2, 2, 1, seed=8)
         rep = verify_schur_nonnegativity(t, trials=10, seed=3)
-        assert rep.instance == t.to_json()
+        assert rep.instance.tensor is t
+        assert rep.to_dict()["instance"] == t.to_json()
         assert rep.instance_hash == instance_digest(t.to_json())
+
+    def test_payload_prints_as_to_dict(self):
+        # the CLI prints ``payload()``, with the instance as its view; the
+        # library's ``to_dict()`` holds no view and prints the same bytes
+        from chernforms.cli import report_json
+
+        for t in (random_tensor(3, 2, 2, seed=11), random_exact_factor(3, 2, 2, seed=11)):
+            rep = verify_schur_nonnegativity(t, trials=10, seed=2)
+            plain = rep.to_dict()
+            assert plain == json.loads(json.dumps(plain))
+            assert {**rep.payload(), "instance": plain["instance"]} == plain
+            assert report_json(rep.payload()) == json.dumps(plain, sort_keys=True, indent=2)
 
     def test_deterministic_and_order_independent(self):
         t = random_tensor(3, 3, 2, seed=9)
@@ -539,7 +554,7 @@ class TestVerifySchur:
 
         t = random_tensor(2, 2, 2, seed=10)
         rep = verify_schur_nonnegativity(t, trials=20, seed=6)
-        back = CurvatureTensor.from_json(rep.instance)
+        back = CurvatureTensor.from_json(rep.to_dict()["instance"])
         rep2 = verify_schur_nonnegativity(back, trials=20, seed=6)
         assert rep2.to_dict() == rep.to_dict()
 
